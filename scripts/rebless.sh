@@ -6,9 +6,11 @@
 #
 # Regenerates tests/golden/decision_log_quick.jsonl (the golden scenario:
 # seed 42, 90 s truncated Azure trace, GoogleNet, default tunables, serial
-# engine — see experiments::diffcap) and decision_log_llm.jsonl (the
-# iteration-level LLM storm scenario — see experiments::llm_iter) from the
-# current build, then re-runs the gate to confirm both new logs are
+# engine — see experiments::diffcap), decision_log_llm.jsonl (the
+# iteration-level LLM storm scenario — see experiments::llm_iter) and
+# decision_log_fleet.jsonl (three Paldia tenants over one unit per node
+# kind with one node-crash window — see experiments::diffcap) from the
+# current build, then re-runs the gate to confirm all three new logs are
 # reproducible. Review the resulting file diffs like code: every changed
 # line is a scheduling decision your change altered, and
 # `repro --diff <old> <new>` narrates the first one.

@@ -73,6 +73,25 @@ fn llm_golden_gate_reproduces_committed_log() {
     assert!(report.aligned > 100, "llm golden log suspiciously short");
 }
 
+/// Same gate for the three-tenant fleet scenario (one unit per kind, one
+/// node-crash window): the committed `tests/golden/decision_log_fleet.jsonl`
+/// must reproduce bit for bit, and it must carry every tenant's scope.
+#[test]
+fn fleet_golden_gate_reproduces_committed_log() {
+    let report = diffcap::fleet_golden_gate().expect("fleet golden log readable");
+    assert!(
+        report.is_empty(),
+        "fleet golden decision-log gate failed; first divergence:\n{}",
+        render_diff(&report, "committed fleet golden", "current build", &[])
+    );
+    let committed = paldia_obs::read_jsonl_file(diffcap::fleet_golden_path())
+        .expect("fleet golden log readable");
+    let mut scopes: Vec<u32> = committed.iter().map(|e| e.scope).collect();
+    scopes.sort_unstable();
+    scopes.dedup();
+    assert_eq!(scopes, vec![1, 2, 3], "one decision scope per tenant");
+}
+
 /// `diff(A, A)` is empty for a real seeded run, and the pinned
 /// `selection.wait_limit` ablation diverges at exactly the pinned first
 /// decision, with the pinned narrative, at or before its first metric
