@@ -2,14 +2,15 @@
 //! event loops and synchronize only at cross-partition events.
 //!
 //! Between fault edges, an **elastic** fleet (`units_per_kind ==
-//! u32::MAX`) has no cross-tenant coupling at all: `available_for` never
-//! filters on leased units, worker state is tenant-owned, and the only
+//! u32::MAX`) has no cross-tenant coupling at all: a lease never finds
+//! its kind's units used up, worker state is tenant-owned, and the only
 //! shared mutable state — the `unavailable` kind list — changes exclusively
 //! at compiled fault-edge instants. That makes the fault edges a complete
 //! set of synchronization points, so the run decomposes into *epochs*:
 //!
 //! 1. chunk the deployments contiguously into `shards` groups, each its
-//!    own `FleetHarness` + [`PartitionCalendar`] + arrival [`Rail`];
+//!    own `Partition`: a `FleetHarness`, a `PartitionCalendar` and an
+//!    arrival `Rail`;
 //! 2. run every shard up to the next edge's [`EventKey`] bound (exclusive
 //!    at `(edge.at, 0)`, i.e. *before* anything else at that instant) on
 //!    the `paldia_core::pool` worker pool;
@@ -28,39 +29,30 @@
 //!
 //! Two id namespaces keep shard-local allocation globally stable: worker
 //! ids become `(global dep << 20) | ordinal` and batch ids `(global dep
-//! << 48) | ordinal` (see `FleetHarness::namespaced`), so a tenant's ids
+//! << 48) | ordinal` (see `FleetHarness::namespace`), so a tenant's ids
 //! are identical no matter which shard it lands in. Request ids are
-//! assigned by `prepare_fleet` before sharding (RNG forks are impure, so
+//! assigned by `sample_fleet` before sharding (RNG forks are impure, so
 //! arrival generation stays serial).
 //!
 //! Non-elastic fleets (finite inventory) couple tenants at *every*
 //! lease/release, so [`run_fleet_sharded`] falls back to the serial engine
 //! for them; likewise for single-tenant fleets, where there is nothing to
-//! partition.
+//! partition. Shards and the serial engine are the same `Partition`; the
+//! serial one simply keeps the fault edges in its own calendar.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_obs::{merge_streams, TraceEventKind, TraceSink, Tracer, VecSink};
-use paldia_sim::{
-    pool, run_partition, Calendar, EventKey, EventQueue, PartitionCalendar, Rail, SimDuration,
-    SimTime,
-};
+use paldia_sim::{pool, EventKey};
 
-use super::{prepare_fleet, tenant_result, FEv, FleetDeployment, FleetHarness};
+use super::{
+    fleet_tenants, run_fleet_impl, sample_fleet, FleetDeployment, FleetHarness, Partition,
+};
 use crate::config::SimConfig;
 use crate::faults::{FaultEdge, FaultKind};
-use crate::request::Request;
 use crate::result::RunResult;
-use crate::worker::WorkerId;
-
-/// One partition: a contiguous tenant chunk with its own engine state.
-struct Shard<'a> {
-    harness: FleetHarness<'a>,
-    cal: PartitionCalendar<FEv>,
-    rail: Rail<FEv>,
-}
 
 /// [`super::run_fleet`] with an explicit shard count.
 ///
@@ -84,25 +76,26 @@ pub fn run_fleet_sharded(
 
 /// [`run_fleet_sharded`] plus the number of engine events dispatched
 /// across all shards — the throughput denominator for stress reporting.
-/// On the serial fallback the engine does not count events, so the second
-/// component is 0 there.
 pub fn run_fleet_sharded_stats(
-    deployments: Vec<FleetDeployment>,
+    mut deployments: Vec<FleetDeployment>,
     catalog: Catalog,
     units_per_kind: u32,
     cfg: &SimConfig,
     shards: u32,
 ) -> (Vec<RunResult>, u64) {
     if units_per_kind != u32::MAX || deployments.len() <= 1 {
-        return (
-            super::run_fleet(deployments, catalog, units_per_kind, cfg),
-            0,
+        return run_fleet_impl(
+            &mut deployments,
+            catalog,
+            units_per_kind,
+            cfg,
+            Tracer::disabled(),
         );
     }
     let k = chunk_count(deployments.len(), shards);
     let mut tracers = Vec::new();
     tracers.resize_with(k, Tracer::disabled);
-    drive(deployments, catalog, cfg, tracers, Tracer::disabled())
+    drive(&mut deployments, catalog, cfg, tracers, Tracer::disabled())
 }
 
 /// [`super::run_fleet_traced`] with an explicit shard count. Each shard
@@ -111,7 +104,7 @@ pub fn run_fleet_sharded_stats(
 /// invariant across shard counts apart from the `RunSummary` dispatched-
 /// event count (each shard runs its own keep-alive chain).
 pub fn run_fleet_traced_sharded(
-    deployments: Vec<FleetDeployment>,
+    mut deployments: Vec<FleetDeployment>,
     catalog: Catalog,
     units_per_kind: u32,
     cfg: &SimConfig,
@@ -128,7 +121,7 @@ pub fn run_fleet_traced_sharded(
     let (results, _events) = {
         let tracers: Vec<Tracer<'_>> = shard_sinks.iter_mut().map(|s| Tracer::new(s)).collect();
         let coord = Tracer::new(&mut coord_sink);
-        drive(deployments, catalog, cfg, tracers, coord)
+        drive(&mut deployments, catalog, cfg, tracers, coord)
     };
     let mut streams = vec![coord_sink.into_events()];
     streams.extend(shard_sinks.into_iter().map(VecSink::into_events));
@@ -158,51 +151,50 @@ fn chunk_bounds(n: usize, k: usize) -> Vec<(usize, usize)> {
 /// The coordinator: build shards, run epochs between fault edges, apply
 /// edges centrally, and assemble results in global deployment order.
 fn drive<'a>(
-    deployments: Vec<FleetDeployment>,
+    deployments: &'a mut [FleetDeployment],
     catalog: Catalog,
     cfg: &'a SimConfig,
     tracers: Vec<Tracer<'a>>,
     mut coord: Tracer<'a>,
 ) -> (Vec<RunResult>, u64) {
-    let mut setup = prepare_fleet(deployments, cfg);
-    let trace_end = setup.trace_end;
+    let sampled = sample_fleet(deployments, cfg.seed);
+    let trace_end = sampled.trace_end;
     let horizon = trace_end + cfg.drain_grace;
     let faults = cfg.faults.compile(horizon);
-    let n = setup.tenants.len();
+    let n = deployments.len();
     let k = tracers.len();
+    let bounds = chunk_bounds(n, k);
 
-    let mut shards: Vec<Mutex<Shard<'a>>> = Vec::with_capacity(k);
-    let mut arrivals = setup.arrivals.into_iter();
-    for ((lo, hi), tracer) in chunk_bounds(n, k).into_iter().zip(tracers) {
-        let tenants: Vec<_> = setup.tenants.drain(..hi - lo).collect();
-        let chunk_arrivals: Vec<Vec<Request>> = arrivals.by_ref().take(hi - lo).collect();
-        shards.push(Mutex::new(build_shard(
-            lo,
-            tenants,
-            chunk_arrivals,
-            catalog.clone(),
-            cfg,
-            trace_end,
-            horizon,
-            tracer,
-        )));
-    }
+    // Each shard: a harness over its contiguous tenant chunk (local
+    // indices, global scopes and id namespaces) seeded exactly like the
+    // serial engine, minus the fault edges — the coordinator owns them.
+    let mut tenants = fleet_tenants(deployments, cfg).into_iter();
+    let mut arrivals = sampled.arrivals.into_iter();
+    let shards: Vec<Mutex<Partition<'a>>> = bounds
+        .iter()
+        .zip(tracers)
+        .map(|(&(lo, hi), tracer)| {
+            let harness = FleetHarness::new(
+                cfg,
+                catalog.clone(),
+                u32::MAX,
+                tenants.by_ref().take(hi - lo).collect(),
+                trace_end,
+                tracer,
+                Some(lo),
+            );
+            Mutex::new(Partition::new(
+                harness,
+                arrivals.by_ref().take(hi - lo).collect(),
+                false,
+            ))
+        })
+        .collect();
 
     // Epoch loop: run to each edge instant, then apply the edges there.
     let run_all_to = |bound: EventKey| -> u64 {
         let shards = &shards;
-        let per_shard = pool::run_indexed(k, |i| {
-            let mut s = lock(&shards[i]);
-            let s = &mut *s;
-            run_partition(
-                &mut s.harness,
-                &mut s.cal,
-                &mut s.rail,
-                bound,
-                paldia_sim::engine::DEFAULT_EVENT_BUDGET,
-            )
-            .events()
-        });
+        let per_shard = pool::run_indexed(k, |i| lock(&shards[i]).run_to(bound));
         per_shard.iter().sum()
     };
 
@@ -210,7 +202,6 @@ fn drive<'a>(
     // Canonical crash bookkeeping lives here; shards only see snapshots.
     let mut unavailable: Vec<InstanceKind> = Vec::new();
     let mut crash_restore: BTreeMap<usize, Vec<InstanceKind>> = BTreeMap::new();
-    let bounds = chunk_bounds(n, k);
 
     let mut cursor = 0;
     while cursor < faults.events.len() {
@@ -236,21 +227,17 @@ fn drive<'a>(
                     // Walk tenants in global order, threading the canonical
                     // `unavailable` list through each shard so every
                     // failover sees exactly what the serial engine would.
-                    let mut failed = Vec::new();
+                    let mut taken = Vec::new();
                     for (si, &(lo, hi)) in bounds.iter().enumerate() {
                         let mut s = lock(&shards[si]);
+                        let s = &mut *s;
                         for dep in 0..hi - lo {
                             s.harness.unavailable = unavailable.clone();
-                            let s = &mut *s;
-                            if let Some(kind) = s.harness.fail_tenant(dep, at, &mut s.cal) {
-                                if !failed.contains(&kind) {
-                                    failed.push(kind);
-                                }
-                            }
+                            s.harness.fail_tenant(dep, at, &mut s.cal, &mut taken);
                             unavailable = s.harness.unavailable.clone();
                         }
                     }
-                    crash_restore.insert(fe.window, failed);
+                    crash_restore.insert(fe.window, taken);
                     broadcast_unavailable(&shards, &unavailable);
                 }
                 (FaultKind::NodeCrash, FaultEdge::End) => {
@@ -261,47 +248,13 @@ fn drive<'a>(
                     }
                     broadcast_unavailable(&shards, &unavailable);
                 }
-                (FaultKind::MpsDegrade { severity }, FaultEdge::Start) => {
+                _ => {
                     for shard in &shards {
                         let mut s = lock(shard);
-                        s.harness.active_degrades.push((fe.window, severity));
                         let s = &mut *s;
-                        s.harness.apply_degradation(at, &mut s.cal);
+                        s.harness.apply_shared_edge(fe, at, &mut s.cal);
                     }
                 }
-                (FaultKind::MpsDegrade { .. }, FaultEdge::End) => {
-                    for shard in &shards {
-                        let mut s = lock(shard);
-                        s.harness.active_degrades.retain(|&(i, _)| i != fe.window);
-                        let s = &mut *s;
-                        s.harness.apply_degradation(at, &mut s.cal);
-                    }
-                }
-                (FaultKind::Straggler { multiplier }, FaultEdge::Start) => {
-                    for shard in &shards {
-                        let mut s = lock(shard);
-                        s.harness.active_straggles.push((fe.window, multiplier));
-                        s.harness.apply_straggle();
-                    }
-                }
-                (FaultKind::Straggler { .. }, FaultEdge::End) => {
-                    for shard in &shards {
-                        let mut s = lock(shard);
-                        s.harness.active_straggles.retain(|&(i, _)| i != fe.window);
-                        s.harness.apply_straggle();
-                    }
-                }
-                (FaultKind::ColdStartStorm, FaultEdge::Start) => {
-                    for shard in &shards {
-                        let mut s = lock(shard);
-                        for id in s.harness.worker_ids_sorted() {
-                            if let Some((_, w)) = s.harness.workers.get_mut(&id) {
-                                w.purge_warm_containers();
-                            }
-                        }
-                    }
-                }
-                (FaultKind::ColdStartStorm, FaultEdge::End) => {}
             }
         }
     }
@@ -315,111 +268,22 @@ fn drive<'a>(
 
     let mut results = Vec::with_capacity(n);
     for shard in shards {
-        let mut s = lock(&shard);
-        let ids: Vec<WorkerId> = s.harness.workers.keys().copied().collect();
-        for id in ids {
-            s.harness.release_worker(id, horizon);
-        }
-        for t in std::mem::take(&mut s.harness.tenants) {
-            results.push(tenant_result(t, trace_end));
-        }
+        let part = shard
+            .into_inner()
+            .expect("invariant: shard mutexes are never poisoned (pool jobs catch panics)");
+        results.extend(part.harness.into_results(horizon));
     }
     (results, engine_events)
 }
 
-fn lock<'m, 'a>(shard: &'m Mutex<Shard<'a>>) -> std::sync::MutexGuard<'m, Shard<'a>> {
+fn lock<'m, 'a>(shard: &'m Mutex<Partition<'a>>) -> std::sync::MutexGuard<'m, Partition<'a>> {
     shard
         .lock()
         .expect("invariant: shard mutexes are never poisoned (pool jobs catch panics)")
 }
 
-fn broadcast_unavailable(shards: &[Mutex<Shard<'_>>], unavailable: &[InstanceKind]) {
+fn broadcast_unavailable(shards: &[Mutex<Partition<'_>>], unavailable: &[InstanceKind]) {
     for shard in shards {
         lock(shard).harness.unavailable = unavailable.to_vec();
-    }
-}
-
-/// Assemble one shard: harness over the chunk's tenants (local indices),
-/// arrival rail, and a calendar seeded exactly like the serial engine —
-/// initial workers, per-tenant monitor/predict ticks, keep-alive chain.
-/// Fault edges are *not* seeded; the coordinator owns them.
-#[allow(clippy::too_many_arguments)]
-fn build_shard<'a>(
-    dep_base: usize,
-    tenants: Vec<super::Tenant>,
-    arrivals: Vec<Vec<Request>>,
-    catalog: Catalog,
-    cfg: &'a SimConfig,
-    trace_end: SimTime,
-    horizon: SimTime,
-    tracer: Tracer<'a>,
-) -> Shard<'a> {
-    let mut rail_items: Vec<(SimTime, FEv)> = Vec::new();
-    for (local, reqs) in arrivals.into_iter().enumerate() {
-        rail_items.extend(
-            reqs.into_iter()
-                .map(|req| (req.arrival, FEv::Arrival(local, req))),
-        );
-    }
-    let mut q: EventQueue<FEv> = EventQueue::new();
-    // Rail entries own the run's smallest seqs so their proxy key
-    // `(t, 0)` sorts them before any same-instant heap event.
-    q.skip_seqs(rail_items.len() as u64);
-
-    let mut harness = FleetHarness {
-        cfg,
-        catalog,
-        inventory: u32::MAX,
-        tenants,
-        workers: BTreeMap::new(),
-        next_worker_id: 0,
-        next_batch_id: 0,
-        trace_end,
-        faults: cfg.faults.compile(horizon),
-        failover: cfg.failover.build(),
-        unavailable: Vec::new(),
-        crash_restore: BTreeMap::new(),
-        active_degrades: Vec::new(),
-        active_straggles: Vec::new(),
-        tracer,
-        dep_base,
-        namespaced: true,
-    };
-    if harness.tracer.enabled() {
-        for t in &mut harness.tenants {
-            t.scheduler.set_decision_recording(true);
-        }
-    }
-
-    let mut cal = PartitionCalendar::new(q);
-    for dep in 0..harness.tenants.len() {
-        // Elastic inventory: the requested kind always has a free unit,
-        // but keep the serial fallback shape for robustness.
-        let requested = harness.tenants[dep].hw_timeline[0].1;
-        let initial = if harness.leased_units(requested) < harness.inventory {
-            requested
-        } else {
-            harness
-                .catalog
-                .by_cost_ascending()
-                .into_iter()
-                .find(|&kind| harness.leased_units(kind) < harness.inventory)
-                .unwrap_or(requested)
-        };
-        harness.tenants[dep].hw_timeline[0].1 = initial;
-        let id = harness.provision_worker(dep, initial, SimTime::ZERO, SimDuration::ZERO, &mut cal);
-        harness.tenants[dep].routing = id;
-        cal.schedule(SimTime::ZERO + cfg.monitor_interval, FEv::MonitorTick(dep));
-        cal.schedule(
-            SimTime::ZERO + cfg.predictive_interval,
-            FEv::PredictTick(dep),
-        );
-    }
-    cal.schedule(SimTime::from_secs(60), FEv::KeepAliveTick);
-
-    Shard {
-        harness,
-        cal,
-        rail: Rail::from_schedule_order(rail_items),
     }
 }

@@ -1,44 +1,23 @@
-//! The end-to-end cluster simulation: gateway → batching → dispatch →
-//! autoscaled containers → shared device, driven by a [`Scheduler`] policy.
+//! The single-deployment entry points: one scheme against one
+//! (multi-model) workload over one trace, returning the [`RunResult`] the
+//! metrics layer consumes.
 //!
-//! One call to [`run_simulation`] plays one scheme against one (multi-model)
-//! workload over one trace and returns the [`RunResult`] the metrics layer
-//! consumes. The event flow mirrors Fig. 2 of the paper:
-//!
-//! * request **arrivals** (pre-sampled from the rate traces) enter the
-//!   per-model batchers (④);
-//! * closed batches are dispatched to the worker selected by the Hardware
-//!   Selection module (②/③) and admitted under the Job Distribution caps
-//!   (⑥) — spatial (MPS) up to the cap, queued (time-shared) beyond it;
-//! * the **autoscaler** (⑤) reacts to container shortage, pre-warms on the
-//!   EWMA prediction, and reaps idle containers after the keep-alive;
-//! * every monitor interval the policy observes backlogs/rates and may
-//!   request a hardware transition, which is performed in the background
-//!   and switched to only when the new node's containers are warm;
-//! * injected faults ([`crate::faults`]) fire as ordinary events: node
-//!   crashes evict and requeue work on the [`crate::faults::FailoverPolicy`]
-//!   replacement (Fig. 13b), MPS degradation slows the device, stragglers
-//!   stretch cold starts, and storms purge warm containers.
+//! A single deployment is a one-tenant fleet on elastic inventory: both
+//! entry points run the one cluster engine in [`crate::fleet`] (see its
+//! module docs for the Fig. 2 event flow). This module also owns the
+//! arrival sampler every executor shares, so a recorded trace
+//! ([`crate::replay`]) can never drift from what the simulator samples.
 
-use crate::batcher::Batcher;
 use crate::config::SimConfig;
-use crate::container::ContainerId;
-use crate::device::{DeviceMode, IterSeq};
-use crate::faults::{CompiledFaults, FailoverPolicy, FaultEdge, FaultKind};
-use crate::policy::{Decision, ModelObs, Observation, Scheduler};
-use crate::request::{Batch, BatchId, CompletedRequest, Request, RequestId};
-use crate::result::{NodeStat, RunResult};
-use crate::worker::{Worker, WorkerId, WorkerState};
-use paldia_hw::{Catalog, CostMeter, InstanceKind};
-use paldia_obs::{BatchTrigger, TraceEventKind, TraceSink, Tracer};
-use paldia_sim::{
-    run_partition, run_until, Calendar, EventKey, EventQueue, PartitionCalendar, PartitionWorld,
-    Rail, SimDuration, SimRng, SimTime, WakeEvent, World,
-};
-use paldia_traces::{generate_arrivals, Predictor, RateTrace, RateWindow};
-use paldia_workloads::tokens::{iteration_ms, TokenCard};
-use paldia_workloads::{MlModel, Profile};
-use std::collections::BTreeMap;
+use crate::fleet::{run_serial, Tenant};
+use crate::policy::Scheduler;
+use crate::request::RequestId;
+use crate::result::RunResult;
+use paldia_hw::{Catalog, InstanceKind};
+use paldia_obs::{TraceSink, Tracer};
+use paldia_sim::{SimRng, SimTime};
+use paldia_traces::{generate_arrivals, RateTrace};
+use paldia_workloads::MlModel;
 
 /// One workload: a model plus its (already scaled) arrival-rate trace.
 #[derive(Clone, Debug)]
@@ -53,1085 +32,6 @@ impl WorkloadSpec {
     /// Convenience constructor.
     pub fn new(model: MlModel, trace: RateTrace) -> Self {
         WorkloadSpec { model, trace }
-    }
-}
-
-/// Events of the cluster simulation.
-pub(crate) enum Ev {
-    Arrival(Request),
-    BatchDeadline(MlModel),
-    DeviceWake {
-        worker: WorkerId,
-        version: u64,
-    },
-    ContainerReady {
-        worker: WorkerId,
-        container: ContainerId,
-    },
-    WorkerReady(WorkerId),
-    MonitorTick,
-    PredictTick,
-    KeepAliveTick,
-    /// A compiled fault edge; index into [`CompiledFaults::events`].
-    Fault(usize),
-    /// Iteration boundary on an iteration-level worker: residents advance
-    /// one step, finished sequences leave, waiters may join. `version`
-    /// guards against ticks armed before an eviction.
-    IterTick {
-        worker: WorkerId,
-        version: u64,
-    },
-}
-
-impl WakeEvent for Ev {
-    fn make_wake(worker: u32, version: u64) -> Self {
-        Ev::DeviceWake {
-            worker: WorkerId(worker),
-            version,
-        }
-    }
-}
-
-pub(crate) struct Harness<'a> {
-    cfg: &'a SimConfig,
-    scheduler: &'a mut dyn Scheduler,
-    catalog: Catalog,
-    unavailable: Vec<InstanceKind>,
-
-    workers: BTreeMap<WorkerId, Worker>,
-    routing: WorkerId,
-    pending_worker: Option<WorkerId>,
-    next_worker_id: u32,
-
-    batchers: BTreeMap<MlModel, Batcher>,
-    deadline_at: BTreeMap<MlModel, Option<SimTime>>,
-    windows: BTreeMap<MlModel, RateWindow>,
-    predictors: BTreeMap<MlModel, Box<dyn Predictor>>,
-    models: Vec<MlModel>,
-
-    last_decision: Decision,
-    next_batch_id: u64,
-
-    completed: Vec<CompletedRequest>,
-    arrived: BTreeMap<MlModel, u64>,
-    completed_count: BTreeMap<MlModel, u64>,
-    cost: CostMeter,
-    nodes: Vec<NodeStat>,
-    cold_starts: u64,
-    transitions: u64,
-    hw_timeline: Vec<(f64, InstanceKind)>,
-    trace_end: SimTime,
-
-    /// Compiled fault schedule for this run.
-    faults: CompiledFaults,
-    /// Failover rule applied on node crashes.
-    failover: Box<dyn FailoverPolicy>,
-    /// Kind taken down by each open crash window, for its End to restore.
-    crash_restore: BTreeMap<usize, InstanceKind>,
-    /// Open degradation windows: (window index, severity).
-    active_degrades: Vec<(usize, f64)>,
-    /// Open straggler windows: (window index, multiplier).
-    active_straggles: Vec<(usize, f64)>,
-
-    /// Observability hook; `Tracer::disabled()` for untraced runs.
-    tracer: Tracer<'a>,
-    /// True when this run executes on the partitioned engine; newly
-    /// provisioned workers get the allocation-free device fast path.
-    lean: bool,
-}
-
-/// Build the iteration-level sequence for a request on the given hardware.
-/// Token lengths are a pure hash of `(seed, request id)`
-/// ([`TokenCard::sample`]), so every layer — the gateway's service hints,
-/// the worker engine, a failover re-make after KV state is lost — derives
-/// identical lengths without any shared sampling state. The bandwidth share
-/// is the model's per-item slice of its default batch; `solo_ms` is the
-/// sequence running alone (batch-size-1 iterations), the baseline the
-/// slowdown metrics normalize against.
-fn make_seq(seed: u64, r: &Request, closed_at: SimTime, kind: InstanceKind) -> IterSeq {
-    let lens = TokenCard::for_model(r.model).sample(seed, r.id.0);
-    let share =
-        Profile::effective_share(r.model, kind) / Profile::default_batch(r.model).max(1) as f64;
-    let solo_ms = lens.total_iters() as f64 * iteration_ms(r.model, kind, 1);
-    IterSeq {
-        request: r.id,
-        model: r.model,
-        arrival: r.arrival,
-        closed_at,
-        prefill_left: lens.prefill_iters(),
-        decode_left: lens.decode,
-        decode_total: lens.decode,
-        kv_tokens: lens.kv_tokens(),
-        share,
-        solo_ms,
-    }
-}
-
-impl<'a> Harness<'a> {
-    fn available_catalog(&self) -> Catalog {
-        let mut c = self.catalog.clone();
-        for &k in &self.unavailable {
-            c = c.without(k);
-        }
-        c
-    }
-
-    /// Spawn a worker lease and schedule its readiness.
-    fn provision_worker<C: Calendar<Ev>>(
-        &mut self,
-        kind: InstanceKind,
-        now: SimTime,
-        delay: SimDuration,
-        q: &mut C,
-    ) -> WorkerId {
-        let id = WorkerId(self.next_worker_id);
-        self.next_worker_id += 1;
-        // Co-located CPU-bound workloads steal host cycles. On CPU-only
-        // nodes the contention hits inference directly; on GPU nodes only
-        // the host-side staging/batching slows, so the effect is dampened —
-        // the Table III asymmetry ("especially pronounced … on CPU-only
-        // nodes", with the (P) schemes nearly untouched).
-        let raw_contention = self.cfg.sebs_mix.contention_factor(kind.host_vcpus());
-        let host_contention = if kind.is_gpu() {
-            raw_contention * 0.3
-        } else {
-            raw_contention
-        };
-        let mut w = Worker::provision(
-            id,
-            kind,
-            now,
-            delay,
-            self.cfg.initial_containers,
-            self.cfg.cold_start,
-            self.cfg.keep_alive,
-            host_contention,
-        );
-        // Faults already in progress apply to the newcomer too.
-        let sev = self.degrade_severity();
-        if sev > 0.0 {
-            w.set_degradation(now, sev);
-        }
-        let mult = self.straggle_multiplier();
-        if mult > 1.0 {
-            w.set_cold_start_multiplier(mult);
-        }
-        if self.lean {
-            w.device.set_lean(true);
-        }
-        if self.cfg.device_mode == DeviceMode::IterativeBatch {
-            w.set_iterative(host_contention);
-        }
-        self.workers.insert(id, w);
-        q.schedule(now + delay, Ev::WorkerReady(id));
-        let ready_at = now + delay;
-        self.tracer.emit(now, || TraceEventKind::WorkerProvisioned {
-            worker: id.0,
-            hw: kind,
-            ready_at,
-        });
-        id
-    }
-
-    /// Release a worker: record its node stats and cost.
-    fn release_worker(&mut self, id: WorkerId, now: SimTime) {
-        if let Some(mut w) = self.workers.remove(&id) {
-            let kind = w.kind;
-            self.tracer.emit(now, || TraceEventKind::WorkerReleased {
-                worker: id.0,
-                hw: kind,
-            });
-            w.device.advance(now);
-            let lease_s = now.saturating_since(w.lease_start).as_secs_f64();
-            self.cost.add_usage_hours(w.kind, lease_s / 3_600.0);
-            self.cold_starts += w.pool.cold_starts();
-            self.nodes.push(NodeStat {
-                kind: w.kind,
-                lease_start_s: w.lease_start.as_secs_f64(),
-                lease_s,
-                busy_s: w.device.busy_seconds() + w.iter_busy_seconds(),
-            });
-        }
-    }
-
-    /// Admit ready batches on a worker, run the reactive autoscaler, and
-    /// (re)schedule the device wake-up. Iteration-level workers take the
-    /// boundary-driven path instead ([`Harness::sync_iter_worker`]).
-    fn sync_worker<C: Calendar<Ev>>(&mut self, id: WorkerId, now: SimTime, q: &mut C) {
-        if self.workers.get(&id).is_some_and(|w| w.is_iterative()) {
-            self.sync_iter_worker(id, now, q);
-            return;
-        }
-        let Some(w) = self.workers.get_mut(&id) else {
-            return;
-        };
-        let (_admitted, container_short) = w.admit_ready(now, &mut self.tracer);
-        if container_short && w.is_active() {
-            // Reactive scale-up: one container per queued-but-unhosted batch.
-            let queued: u32 = self.models.iter().map(|&m| w.queued(m) as u32).sum();
-            let free = w.pool.warm_free();
-            let provisioned = w.pool.len() as u32;
-            let busy = w.pool.busy();
-            let booting = provisioned.saturating_sub(free + busy);
-            let deficit = queued.saturating_sub(free + booting);
-            for _ in 0..deficit {
-                let (cid, ready) = w.pool.spawn(now);
-                self.tracer.emit(now, || TraceEventKind::ColdStartBegan {
-                    worker: id.0,
-                    container: cid.0,
-                    ready_at: ready,
-                });
-                q.schedule(
-                    ready,
-                    Ev::ContainerReady {
-                        worker: id,
-                        container: cid,
-                    },
-                );
-            }
-        }
-        if let Some(t) = w.device.next_completion() {
-            let version = w.device.version();
-            // Guarantee forward progress even under µs rounding.
-            let at = if t <= now {
-                now + SimDuration::from_micros(1)
-            } else {
-                t
-            };
-            q.arm_wake(id.0, at, version);
-        }
-        // Draining worker finished? Release it.
-        let done = {
-            let w = &self.workers[&id];
-            w.state == WorkerState::Draining && w.is_idle()
-        };
-        if done {
-            self.release_worker(id, now);
-        }
-    }
-
-    /// Iteration-level counterpart of [`Harness::sync_worker`]: admit
-    /// waiting sequences at the current boundary, run the reactive
-    /// autoscaler on container shortage, and — if sequences are resident
-    /// and no iteration is in flight — begin the next iteration and
-    /// schedule its boundary tick. Joins and leaves only ever happen here
-    /// and in the [`Ev::IterTick`] handler, never mid-iteration.
-    fn sync_iter_worker<C: Calendar<Ev>>(&mut self, id: WorkerId, now: SimTime, q: &mut C) {
-        let Some(w) = self.workers.get_mut(&id) else {
-            return;
-        };
-        let container_short = w.iter_try_joins(now, &mut self.tracer);
-        if container_short && w.is_active() {
-            // Reactive scale-up: one container per waiting-but-unhosted
-            // sequence (each resident sequence holds one container).
-            let waiting = w.iter_waiting();
-            let free = w.pool.warm_free();
-            let provisioned = w.pool.len() as u32;
-            let busy = w.pool.busy();
-            let booting = provisioned.saturating_sub(free + busy);
-            let deficit = waiting.saturating_sub(free + booting);
-            for _ in 0..deficit {
-                let (cid, ready) = w.pool.spawn(now);
-                self.tracer.emit(now, || TraceEventKind::ColdStartBegan {
-                    worker: id.0,
-                    container: cid.0,
-                    ready_at: ready,
-                });
-                q.schedule(
-                    ready,
-                    Ev::ContainerReady {
-                        worker: id,
-                        container: cid,
-                    },
-                );
-            }
-        }
-        if let Some((dur, version)) = w.iter_begin(now, &mut self.tracer) {
-            q.schedule(
-                now + dur,
-                Ev::IterTick {
-                    worker: id,
-                    version,
-                },
-            );
-        }
-        // Draining worker finished? Release it.
-        let done = {
-            let w = &self.workers[&id];
-            w.state == WorkerState::Draining && w.is_idle()
-        };
-        if done {
-            self.release_worker(id, now);
-        }
-    }
-
-    /// Route a closed batch to the current routing target.
-    fn dispatch<C: Calendar<Ev>>(&mut self, batch: Batch, now: SimTime, q: &mut C) {
-        let target = self.routing;
-        if let Some(w) = self.workers.get_mut(&target) {
-            let (batch_id, model, hw) = (batch.id.0, batch.model, w.kind);
-            self.tracer.emit(now, || TraceEventKind::BatchDispatched {
-                batch: batch_id,
-                model,
-                worker: target.0,
-                hw,
-            });
-            if w.is_iterative() {
-                // The batch dissolves at the worker: each request becomes a
-                // sequence that joins and leaves the running batch on its
-                // own schedule (iteration-level execution).
-                let seed = self.cfg.seed;
-                for r in &batch.requests {
-                    w.enqueue_seq(make_seq(seed, r, batch.closed_at, hw));
-                }
-            } else {
-                w.enqueue(batch);
-            }
-        }
-        self.sync_worker(target, now, q);
-    }
-
-    /// Trace a batch closing at the gateway (size or window trigger).
-    fn trace_batch_formed(&mut self, batch: &Batch, now: SimTime, trigger: BatchTrigger) {
-        self.tracer.emit(now, || TraceEventKind::BatchFormed {
-            batch: batch.id.0,
-            model: batch.model,
-            size: batch.size(),
-            requests: batch.requests.iter().map(|r| r.id.0).collect(),
-            trigger,
-        });
-    }
-
-    /// Schedule (or refresh) the batch-window deadline for a model. The
-    /// deadline is clamped to `now`: a held-back partial batch (SLO-aware
-    /// batching) can have an oldest request whose window expired in the
-    /// past.
-    fn ensure_deadline<C: Calendar<Ev>>(&mut self, model: MlModel, now: SimTime, q: &mut C) {
-        let next = self.batchers.get(&model).and_then(|b| b.next_deadline());
-        let slot = self.deadline_at.entry(model).or_insert(None);
-        match next {
-            Some(d) => {
-                let at = d.max(now);
-                if *slot != Some(at) {
-                    *slot = Some(at);
-                    q.schedule(at, Ev::BatchDeadline(model));
-                }
-            }
-            None => *slot = None,
-        }
-    }
-
-    /// Effective batch size for a model on the given hardware: the policy's
-    /// ask, clamped to what the node can execute within the SLO (the CPU
-    /// batched mode adapts batch sizes, §IV-D).
-    fn effective_batch_size(&self, model: MlModel, requested: u32, hw: InstanceKind) -> u32 {
-        let budget = 0.8 * self.cfg.slo_ms;
-        let cap = Profile::max_batch_within(model, hw, budget).unwrap_or(1);
-        requested.clamp(1, cap.max(1))
-    }
-
-    /// Apply a scheduling decision: caps and batch sizes now, hardware
-    /// transition in the background.
-    fn apply_decision<C: Calendar<Ev>>(&mut self, decision: Decision, now: SimTime, q: &mut C) {
-        let routing_kind = self.workers[&self.routing].kind;
-        // 1. Batch sizes at the gateway.
-        for &(model, md) in &decision.per_model {
-            let bs = self.effective_batch_size(model, md.batch_size, routing_kind);
-            if let Some(b) = self.batchers.get_mut(&model) {
-                b.set_batch_size(bs);
-            }
-        }
-        // 2. Sharing caps on the live worker(s).
-        let per_model: Vec<(MlModel, u32)> = decision
-            .per_model
-            .iter()
-            .map(|&(m, md)| (m, md.spatial_cap))
-            .collect();
-        for id in [Some(self.routing), self.pending_worker]
-            .into_iter()
-            .flatten()
-        {
-            if let Some(w) = self.workers.get_mut(&id) {
-                w.set_caps(decision.total_cap, &per_model);
-            }
-            self.sync_worker(id, now, q);
-        }
-        // 3. Hardware transition. A request to upgrade *past* an in-flight
-        // transition target abandons the pending node (a surge outgrew the
-        // rung committed to moments ago) and provisions the new one; the
-        // abandoned lease is still billed for its short life.
-        let want = decision.hw;
-        let have = self.workers[&self.routing].kind;
-        if want != have && self.available_catalog().contains(want) {
-            let retarget = match self.pending_worker {
-                None => true,
-                Some(pid) => {
-                    let pending_kind = self.workers.get(&pid).map(|w| w.kind);
-                    let upgrade_past_pending = pending_kind.is_some_and(|pk| {
-                        want != pk && want.performance_index() > pk.performance_index()
-                    });
-                    if upgrade_past_pending {
-                        self.tracer.emit(now, || TraceEventKind::TransitionEnded {
-                            worker: pid.0,
-                            committed: false,
-                        });
-                        self.release_worker(pid, now);
-                        self.pending_worker = None;
-                        true
-                    } else {
-                        false
-                    }
-                }
-            };
-            if retarget {
-                let id = self.provision_worker(want, now, self.cfg.provision_delay, q);
-                self.tracer.emit(now, || TraceEventKind::TransitionBegan {
-                    worker: id.0,
-                    from: have,
-                    to: want,
-                });
-                if let Some(w) = self.workers.get_mut(&id) {
-                    w.set_caps(decision.total_cap, &per_model);
-                }
-                self.pending_worker = Some(id);
-            }
-        }
-        self.last_decision = decision;
-    }
-
-    fn observation(&mut self, now: SimTime) -> Observation {
-        let lookahead_steps =
-            self.cfg.provision_delay.as_secs_f64() / self.cfg.monitor_interval.as_secs_f64();
-        let mut models = Vec::with_capacity(self.models.len());
-        for &m in &self.models.clone() {
-            let observed = self.windows.get_mut(&m).map_or(0.0, |w| w.estimate(now));
-            let predictor = self
-                .predictors
-                .get_mut(&m)
-                .expect("invariant: predictors are registered for every model at construction");
-            predictor.observe(observed);
-            let predicted = predictor.predict(lookahead_steps);
-            let pending_batcher = self.batchers.get(&m).map_or(0, |b| b.pending() as u64);
-            let pending_queued: u64 = self.workers.values().map(|w| w.queued_requests(m)).sum();
-            let executing = self
-                .workers
-                .get(&self.routing)
-                .map_or(0, |w| w.executing_of(m));
-            let kv_demand = self
-                .workers
-                .get(&self.routing)
-                .map_or(0, |w| w.iter_kv_demand(m));
-            models.push(ModelObs {
-                model: m,
-                pending_requests: pending_batcher + pending_queued,
-                executing_batches: executing,
-                observed_rps: observed,
-                predicted_rps: predicted,
-                kv_demand_tokens: kv_demand,
-            });
-        }
-        Observation {
-            now,
-            slo_ms: self.cfg.slo_ms,
-            current_hw: self.workers[&self.routing].kind,
-            transitioning: self.pending_worker.is_some(),
-            pending_hw: self
-                .pending_worker
-                .and_then(|id| self.workers.get(&id))
-                .map(|w| w.kind),
-            available: self.available_catalog(),
-            models,
-        }
-    }
-
-    fn complete_batch(
-        &mut self,
-        batch: &Batch,
-        started: SimTime,
-        now: SimTime,
-        solo_ms: f64,
-        hw: InstanceKind,
-    ) {
-        let size = batch.size();
-        for r in &batch.requests {
-            self.completed.push(CompletedRequest {
-                id: r.id,
-                model: r.model,
-                arrival: r.arrival,
-                batch_closed: batch.closed_at,
-                exec_start: started,
-                completed: now,
-                solo_ms,
-                hw,
-                batch_size: size,
-            });
-        }
-        *self.completed_count.entry(batch.model).or_insert(0) += size as u64;
-    }
-
-    /// Node failure: evict the routing worker, requeue its work on an
-    /// upgraded replacement (Fig. 13b rule).
-    fn fail_active<C: Calendar<Ev>>(&mut self, now: SimTime, q: &mut C) -> InstanceKind {
-        let failed_id = self.routing;
-        let failed_kind = self.workers[&failed_id].kind;
-        let (rescued, lost_seqs) = self
-            .workers
-            .get_mut(&failed_id)
-            .map(|w| {
-                // Evicted sequences lose their KV state — they restart from
-                // scratch on the replacement.
-                let seqs = w.drain_iter();
-                (w.fail(now), seqs)
-            })
-            .unwrap_or_default();
-        self.release_worker(failed_id, now);
-        self.unavailable.push(failed_kind);
-        // Abort any in-flight transition targeting the failed kind.
-        if let Some(pid) = self.pending_worker {
-            if self.workers.get(&pid).map(|w| w.kind) == Some(failed_kind) {
-                self.tracer.emit(now, || TraceEventKind::TransitionEnded {
-                    worker: pid.0,
-                    committed: false,
-                });
-                self.release_worker(pid, now);
-                self.pending_worker = None;
-            }
-        }
-        let avail = self.available_catalog();
-        let replacement = self.failover.replacement(failed_kind, &avail);
-        let replacement_kind = replacement.unwrap_or(failed_kind);
-        let policy = self.failover.name();
-        self.tracer.emit(now, || TraceEventKind::Failover {
-            failed: failed_kind,
-            replacement,
-            policy,
-        });
-        let id = self.provision_worker(replacement_kind, now, self.cfg.failover_delay, q);
-        // Re-apply the last sharing decision to the replacement.
-        let per_model: Vec<(MlModel, u32)> = self
-            .last_decision
-            .per_model
-            .iter()
-            .map(|&(m, md)| (m, md.spatial_cap))
-            .collect();
-        // Re-make evicted sequences for the replacement hardware (full
-        // restart: the pure-hash token lengths come back identical, the KV
-        // footprint is re-reserved, prefill begins again). Deterministic
-        // order: arrival, then request id.
-        let seed = self.cfg.seed;
-        let remade: Vec<IterSeq> = {
-            let mut lost = lost_seqs;
-            lost.sort_by_key(|s| (s.arrival, s.request.0));
-            lost.iter()
-                .map(|s| {
-                    let r = Request {
-                        id: s.request,
-                        model: s.model,
-                        arrival: s.arrival,
-                    };
-                    make_seq(seed, &r, s.closed_at, replacement_kind)
-                })
-                .collect()
-        };
-        if let Some(w) = self.workers.get_mut(&id) {
-            w.set_caps(self.last_decision.total_cap, &per_model);
-            for b in rescued {
-                w.enqueue_front(b);
-            }
-            for s in remade {
-                w.enqueue_seq(s);
-            }
-        }
-        self.routing = id;
-        self.transitions += 1;
-        self.hw_timeline.push((now.as_secs_f64(), replacement_kind));
-        failed_kind
-    }
-
-    /// Combined severity of every open degradation window.
-    fn degrade_severity(&self) -> f64 {
-        self.active_degrades.iter().map(|&(_, s)| s).sum()
-    }
-
-    /// Strongest multiplier among open straggler windows (1 = healthy).
-    fn straggle_multiplier(&self) -> f64 {
-        self.active_straggles
-            .iter()
-            .map(|&(_, m)| m)
-            .fold(1.0, f64::max)
-    }
-
-    /// Worker ids in deterministic (provisioning) order — fault effects
-    /// touch every worker. `BTreeMap` keys already iterate sorted; this
-    /// keeps the explicit contract at the call sites.
-    fn worker_ids_sorted(&self) -> Vec<WorkerId> {
-        self.workers.keys().copied().collect()
-    }
-
-    /// Push the current degradation severity to every device and refresh
-    /// completion wake-ups (the slowdown changed mid-flight).
-    fn apply_degradation<C: Calendar<Ev>>(&mut self, now: SimTime, q: &mut C) {
-        let sev = self.degrade_severity();
-        for id in self.worker_ids_sorted() {
-            if let Some(w) = self.workers.get_mut(&id) {
-                w.set_degradation(now, sev);
-            }
-            self.sync_worker(id, now, q);
-        }
-    }
-
-    /// Push the current straggler multiplier to every pool (affects only
-    /// cold starts begun from now on — no events to refresh).
-    fn apply_straggle(&mut self) {
-        let mult = self.straggle_multiplier();
-        for w in self.workers.values_mut() {
-            w.set_cold_start_multiplier(mult);
-        }
-    }
-}
-
-impl<'a> Harness<'a> {
-    /// Process one event. This is the single copy of the domain logic,
-    /// generic over the calendar so the serial engine ([`run_until`]), the
-    /// partitioned engine ([`run_partition`]), and the incremental session
-    /// executor ([`crate::session::SimSession`]) drive byte-identical
-    /// behaviour through the same code path.
-    pub(crate) fn on_event<C: Calendar<Ev>>(&mut self, now: SimTime, ev: Ev, q: &mut C) {
-        match ev {
-            Ev::Arrival(req) => {
-                *self.arrived.entry(req.model).or_insert(0) += 1;
-                if let Some(w) = self.windows.get_mut(&req.model) {
-                    w.record(now);
-                }
-                let model = req.model;
-                let rid = req.id.0;
-                self.tracer.emit(now, || TraceEventKind::RequestArrived {
-                    request: rid,
-                    model,
-                });
-                // Iteration-level mode knows each request's token lengths up
-                // front (pure hash of the request id), so the gateway hints
-                // the batcher with the real service time; request-level mode
-                // keeps the hint-free path bit-for-bit.
-                let hint_ms = (self.cfg.device_mode == DeviceMode::IterativeBatch).then(|| {
-                    TokenCard::for_model(model)
-                        .sample(self.cfg.seed, rid)
-                        .service_hint_ms(model)
-                });
-                let mut next_id = self.next_batch_id;
-                let batch = {
-                    let b = self.batchers.get_mut(&model).expect(
-                        "invariant: batchers are registered for every model at construction",
-                    );
-                    let mut alloc = || {
-                        next_id += 1;
-                        BatchId(next_id)
-                    };
-                    match hint_ms {
-                        Some(h) => b.push_with_hint(req, h, now, &mut alloc),
-                        None => b.push(req, now, &mut alloc),
-                    }
-                };
-                self.next_batch_id = next_id;
-                if let Some(batch) = batch {
-                    self.trace_batch_formed(&batch, now, BatchTrigger::Size);
-                    self.dispatch(batch, now, q);
-                }
-                self.ensure_deadline(model, now, q);
-            }
-            Ev::BatchDeadline(model) => {
-                if self.deadline_at.get(&model).copied().flatten() != Some(now) {
-                    return; // stale deadline
-                }
-                self.deadline_at.insert(model, None);
-                // SLO-aware batching: while the serving worker still has
-                // batches queued, dispatching another *partial* batch only
-                // adds per-batch overhead — hold the window open and let the
-                // batch fill (the size trigger still fires). Without this,
-                // overload degenerates into thousands of tiny batches and
-                // the device's effective capacity collapses.
-                let backlogged = self
-                    .workers
-                    .get(&self.routing)
-                    .is_some_and(|w| w.queued(model) > 0);
-                if backlogged {
-                    let next = now + self.cfg.batch_window;
-                    self.deadline_at.insert(model, Some(next));
-                    q.schedule(next, Ev::BatchDeadline(model));
-                    return;
-                }
-                let mut next_id = self.next_batch_id;
-                let batch = {
-                    let b = self.batchers.get_mut(&model).expect(
-                        "invariant: batchers are registered for every model at construction",
-                    );
-                    let mut alloc = || {
-                        next_id += 1;
-                        BatchId(next_id)
-                    };
-                    b.flush_if_due(now, &mut alloc)
-                };
-                self.next_batch_id = next_id;
-                if let Some(batch) = batch {
-                    self.trace_batch_formed(&batch, now, BatchTrigger::Window);
-                    self.dispatch(batch, now, q);
-                }
-                self.ensure_deadline(model, now, q);
-            }
-            Ev::DeviceWake { worker, version } => {
-                let Some(w) = self.workers.get_mut(&worker) else {
-                    return;
-                };
-                if w.device.version() != version {
-                    return; // occupancy changed since this wake was armed
-                }
-                let kind = w.kind;
-                let done = w.collect_completions(now);
-                for (batch, started, solo_ms) in &done {
-                    self.complete_batch(batch, *started, now, *solo_ms, kind);
-                    let (batch_id, model, size) = (batch.id.0, batch.model, batch.size());
-                    let (started, solo_ms) = (*started, *solo_ms);
-                    self.tracer.emit(now, || TraceEventKind::BatchCompleted {
-                        batch: batch_id,
-                        model,
-                        worker: worker.0,
-                        hw: kind,
-                        started,
-                        solo_ms,
-                        size,
-                    });
-                }
-                self.sync_worker(worker, now, q);
-            }
-            Ev::ContainerReady { worker, container } => {
-                if let Some(w) = self.workers.get_mut(&worker) {
-                    w.pool.mark_warm(container, now);
-                    self.tracer.emit(now, || TraceEventKind::ColdStartFinished {
-                        worker: worker.0,
-                        container: container.0,
-                    });
-                }
-                self.sync_worker(worker, now, q);
-            }
-            Ev::WorkerReady(id) => {
-                let Some(w) = self.workers.get_mut(&id) else {
-                    return;
-                };
-                if w.state != WorkerState::Failed {
-                    w.state = WorkerState::Active;
-                }
-                if self.pending_worker == Some(id) {
-                    // Switch routing; move queued work over; drain the old.
-                    self.pending_worker = None;
-                    let old = self.routing;
-                    self.routing = id;
-                    self.transitions += 1;
-                    let kind = self.workers[&id].kind;
-                    self.hw_timeline.push((now.as_secs_f64(), kind));
-                    let from = self.workers.get(&old).map(|w| w.kind);
-                    self.tracer.emit(now, || TraceEventKind::TransitionEnded {
-                        worker: id.0,
-                        committed: true,
-                    });
-                    self.tracer.emit(now, || TraceEventKind::HwSwitched {
-                        worker: id.0,
-                        from,
-                        to: kind,
-                    });
-                    let (moved, moved_seqs) = self
-                        .workers
-                        .get_mut(&old)
-                        .map(|w| {
-                            w.state = WorkerState::Draining;
-                            // Waiting sequences move; residents keep
-                            // decoding on the draining worker until they
-                            // retire (their KV state is there).
-                            (w.take_queued(), w.take_waiting_seqs())
-                        })
-                        .unwrap_or_default();
-                    let seed = self.cfg.seed;
-                    if let Some(new_w) = self.workers.get_mut(&id) {
-                        for b in moved {
-                            new_w.enqueue(b);
-                        }
-                        for s in moved_seqs {
-                            let r = Request {
-                                id: s.request,
-                                model: s.model,
-                                arrival: s.arrival,
-                            };
-                            new_w.enqueue_seq(make_seq(seed, &r, s.closed_at, kind));
-                        }
-                    }
-                    let new_kind = self.workers[&id].kind;
-                    self.scheduler.on_transition_complete(new_kind);
-                    self.sync_worker(old, now, q);
-                }
-                self.sync_worker(id, now, q);
-            }
-            Ev::MonitorTick => {
-                let obs = self.observation(now);
-                let decision = self.scheduler.decide(&obs);
-                if self.tracer.enabled() {
-                    for ev in self.scheduler.drain_decision_events() {
-                        self.tracer
-                            .emit(now, move || TraceEventKind::Decision(Box::new(ev)));
-                    }
-                }
-                self.apply_decision(decision, now, q);
-                let next = now + self.cfg.monitor_interval;
-                if next < self.trace_end {
-                    q.schedule(next, Ev::MonitorTick);
-                }
-            }
-            Ev::PredictTick => {
-                // Predictive scale-up on the routing worker: pre-warm enough
-                // containers for the predicted concurrent batches.
-                let routing = self.routing;
-                let kind = self.workers[&routing].kind;
-                let mut target = 1u32;
-                for &m in &self.models.clone() {
-                    let pred = self.predictors.get(&m).map_or(0.0, |p| p.predict(1.0));
-                    let bs = self.batchers.get(&m).map_or(1, |b| b.batch_size()).max(1);
-                    let solo_s = Profile::solo_ms(m, kind, bs) / 1_000.0;
-                    target += (pred * solo_s / bs as f64).ceil() as u32;
-                }
-                if let Some(w) = self.workers.get_mut(&routing) {
-                    if w.is_active() {
-                        for (cid, ready) in w.pool.prewarm_to(target, now) {
-                            self.tracer.emit(now, || TraceEventKind::ColdStartBegan {
-                                worker: routing.0,
-                                container: cid.0,
-                                ready_at: ready,
-                            });
-                            q.schedule(
-                                ready,
-                                Ev::ContainerReady {
-                                    worker: routing,
-                                    container: cid,
-                                },
-                            );
-                        }
-                    }
-                }
-                let next = now + self.cfg.predictive_interval;
-                if next < self.trace_end {
-                    q.schedule(next, Ev::PredictTick);
-                }
-            }
-            Ev::KeepAliveTick => {
-                for w in self.workers.values_mut() {
-                    w.pool.reap_idle(now);
-                }
-                let next = now + SimDuration::from_secs(60);
-                if next < self.trace_end {
-                    q.schedule(next, Ev::KeepAliveTick);
-                }
-            }
-            Ev::Fault(idx) => {
-                let fe = self.faults.events[idx];
-                let fault = self.faults.windows[fe.window].fault;
-                let win = fe.window as u32;
-                let started = fe.edge == FaultEdge::Start;
-                self.tracer.emit(now, || TraceEventKind::FaultEdge {
-                    window: win,
-                    desc: format!("{fault:?}"),
-                    started,
-                });
-                match (fault, fe.edge) {
-                    (FaultKind::NodeCrash, FaultEdge::Start) => {
-                        let failed = self.fail_active(now, q);
-                        self.crash_restore.insert(fe.window, failed);
-                    }
-                    (FaultKind::NodeCrash, FaultEdge::End) => {
-                        // The failed kind comes back; policies may switch
-                        // back at the next monitor tick.
-                        if let Some(kind) = self.crash_restore.remove(&fe.window) {
-                            if let Some(pos) = self.unavailable.iter().position(|&k| k == kind) {
-                                self.unavailable.remove(pos);
-                            }
-                        }
-                    }
-                    (FaultKind::MpsDegrade { severity }, FaultEdge::Start) => {
-                        self.active_degrades.push((fe.window, severity));
-                        self.apply_degradation(now, q);
-                    }
-                    (FaultKind::MpsDegrade { .. }, FaultEdge::End) => {
-                        self.active_degrades.retain(|&(i, _)| i != fe.window);
-                        self.apply_degradation(now, q);
-                    }
-                    (FaultKind::Straggler { multiplier }, FaultEdge::Start) => {
-                        self.active_straggles.push((fe.window, multiplier));
-                        self.apply_straggle();
-                    }
-                    (FaultKind::Straggler { .. }, FaultEdge::End) => {
-                        self.active_straggles.retain(|&(i, _)| i != fe.window);
-                        self.apply_straggle();
-                    }
-                    (FaultKind::ColdStartStorm, FaultEdge::Start) => {
-                        for id in self.worker_ids_sorted() {
-                            if let Some(w) = self.workers.get_mut(&id) {
-                                w.purge_warm_containers();
-                            }
-                        }
-                    }
-                    (FaultKind::ColdStartStorm, FaultEdge::End) => {}
-                }
-            }
-            Ev::IterTick { worker, version } => {
-                let Some(w) = self.workers.get_mut(&worker) else {
-                    return;
-                };
-                let kind = w.kind;
-                let Some(retired) = w.iter_end(now, version, &mut self.tracer) else {
-                    return; // stale boundary (eviction since the tick armed)
-                };
-                for r in &retired {
-                    self.completed.push(CompletedRequest {
-                        id: r.seq.request,
-                        model: r.seq.model,
-                        arrival: r.seq.arrival,
-                        batch_closed: r.seq.closed_at,
-                        exec_start: r.joined_at,
-                        completed: now,
-                        solo_ms: r.seq.solo_ms,
-                        hw: kind,
-                        batch_size: r.residents_at_join,
-                    });
-                    *self.completed_count.entry(r.seq.model).or_insert(0) += 1;
-                }
-                self.sync_worker(worker, now, q);
-            }
-        }
-    }
-}
-
-impl<'a> World for Harness<'a> {
-    type Event = Ev;
-
-    fn handle(&mut self, now: SimTime, ev: Ev, q: &mut EventQueue<Ev>) {
-        self.on_event(now, ev, q);
-    }
-}
-
-impl<'a> PartitionWorld for Harness<'a> {
-    fn handle_part(&mut self, now: SimTime, ev: Ev, cal: &mut PartitionCalendar<Ev>) {
-        self.on_event(now, ev, cal);
-    }
-}
-
-/// Run one scheme over the given workloads. `initial_hw` is the node the
-/// deployment starts on (warm).
-pub fn run_simulation(
-    workloads: &[WorkloadSpec],
-    scheduler: &mut dyn Scheduler,
-    initial_hw: InstanceKind,
-    catalog: Catalog,
-    cfg: &SimConfig,
-) -> RunResult {
-    run_simulation_impl(
-        workloads,
-        scheduler,
-        initial_hw,
-        catalog,
-        cfg,
-        Tracer::disabled(),
-        1,
-    )
-}
-
-/// Like [`run_simulation`], with an explicit shard count. `shards >= 2`
-/// selects the partitioned execution engine ([`run_partition`]): arrivals
-/// ride a pre-sorted rail instead of the heap and device wakes live in
-/// per-worker registers, with virtual sequence numbers keeping the
-/// `(time, seq)` total order — and therefore every tie-break and every
-/// output byte — identical to the serial engine (enforced by
-/// `tests/determinism_replay.rs` under `PALDIA_SHARDS`). A single-tenant
-/// deployment is one partition, so any `shards >= 2` behaves the same here;
-/// multi-tenant fleet runs split by tenant (see `ext_fleet`).
-pub fn run_simulation_sharded(
-    workloads: &[WorkloadSpec],
-    scheduler: &mut dyn Scheduler,
-    initial_hw: InstanceKind,
-    catalog: Catalog,
-    cfg: &SimConfig,
-    shards: u32,
-) -> RunResult {
-    run_simulation_impl(
-        workloads,
-        scheduler,
-        initial_hw,
-        catalog,
-        cfg,
-        Tracer::disabled(),
-        shards,
-    )
-}
-
-/// Like [`run_simulation`], but records the full observability stream into
-/// `sink`: per-request spans, batch/device annotations, and the scheduler's
-/// structured decision events. Tracing is observation-only — the returned
-/// metrics are bit-identical to an untraced run with the same inputs
-/// (enforced by `tests/trace_observability.rs`).
-pub fn run_simulation_traced(
-    workloads: &[WorkloadSpec],
-    scheduler: &mut dyn Scheduler,
-    initial_hw: InstanceKind,
-    catalog: Catalog,
-    cfg: &SimConfig,
-    sink: &mut dyn TraceSink,
-) -> RunResult {
-    run_simulation_traced_sharded(workloads, scheduler, initial_hw, catalog, cfg, sink, 1)
-}
-
-/// [`run_simulation_traced`] with an explicit shard count (see
-/// [`run_simulation_sharded`] for the engine-selection semantics).
-pub fn run_simulation_traced_sharded(
-    workloads: &[WorkloadSpec],
-    scheduler: &mut dyn Scheduler,
-    initial_hw: InstanceKind,
-    catalog: Catalog,
-    cfg: &SimConfig,
-    sink: &mut dyn TraceSink,
-    shards: u32,
-) -> RunResult {
-    scheduler.set_decision_recording(true);
-    let result = run_simulation_impl(
-        workloads,
-        scheduler,
-        initial_hw,
-        catalog,
-        cfg,
-        Tracer::new(sink),
-        shards,
-    );
-    scheduler.set_decision_recording(false);
-    result
-}
-
-/// Seed the calendar with everything that isn't an arrival: the warm initial
-/// worker, the periodic ticks, and the compiled fault edges. Generic over the
-/// calendar so every engine schedules in the same call order (and therefore
-/// with the same sequence numbers).
-pub(crate) fn seed_calendar<C: Calendar<Ev>>(
-    harness: &mut Harness<'_>,
-    initial_hw: InstanceKind,
-    cfg: &SimConfig,
-    q: &mut C,
-) {
-    // Initial worker starts warm.
-    let first = harness.provision_worker(initial_hw, SimTime::ZERO, SimDuration::ZERO, q);
-    harness.routing = first;
-    harness.hw_timeline.push((0.0, initial_hw));
-
-    q.schedule(SimTime::ZERO + cfg.monitor_interval, Ev::MonitorTick);
-    q.schedule(SimTime::ZERO + cfg.predictive_interval, Ev::PredictTick);
-    q.schedule(SimTime::from_secs(60), Ev::KeepAliveTick);
-    // Compiled fault edges are time-sorted, so insertion order matches the
-    // old per-window Start/End interleaving for non-overlapping schedules.
-    for i in 0..harness.faults.events.len() {
-        let at = harness.faults.events[i].at;
-        q.schedule(at, Ev::Fault(i));
     }
 }
 
@@ -1163,221 +63,104 @@ pub struct SampledArrival {
 ///
 /// Returns the arrivals and the trace end (max workload duration).
 pub fn sample_arrivals(workloads: &[WorkloadSpec], seed: u64) -> (Vec<SampledArrival>, SimTime) {
-    let mut rng = SimRng::new(seed);
+    sample_tenant(workloads, 0, &mut SimRng::new(seed), &mut 0)
+}
+
+/// Sample one tenant's arrivals from the run's root stream `rng`. Tenant
+/// `dep`'s workload for model `m` forks the stream under key
+/// `(dep << 8) | (m + 1)`; `sampled` counts the run's arrivals so far and
+/// numbers these (seq from 0, request id from 1, run-global). A lone
+/// deployment is tenant 0 of a fresh stream, which is
+/// [`sample_arrivals`].
+pub(crate) fn sample_tenant(
+    workloads: &[WorkloadSpec],
+    dep: usize,
+    rng: &mut SimRng,
+    sampled: &mut u64,
+) -> (Vec<SampledArrival>, SimTime) {
     let mut out = Vec::new();
     let mut trace_end = SimTime::ZERO;
-    let mut req_id = 0u64;
     for spec in workloads {
-        let mut model_rng = rng.fork(spec.model.index() as u64 + 1);
-        let arrivals = generate_arrivals(&spec.trace, &mut model_rng);
-        let end = SimTime::ZERO + spec.trace.duration();
-        if end > trace_end {
-            trace_end = end;
-        }
-        for t in arrivals {
-            let seq = out.len() as u64;
-            req_id += 1;
+        let mut model_rng = rng.fork(((dep as u64) << 8) | (spec.model.index() as u64 + 1));
+        for at in generate_arrivals(&spec.trace, &mut model_rng) {
             out.push(SampledArrival {
-                seq,
-                id: RequestId(req_id),
-                at: t,
+                seq: *sampled,
+                id: RequestId(*sampled + 1),
+                at,
                 model: spec.model,
             });
+            *sampled += 1;
         }
+        trace_end = trace_end.max(SimTime::ZERO + spec.trace.duration());
     }
     (out, trace_end)
 }
 
-fn run_simulation_impl<'a>(
+/// Run one scheme over the given workloads. `initial_hw` is the node the
+/// deployment starts on (warm).
+pub fn run_simulation(
+    workloads: &[WorkloadSpec],
+    scheduler: &mut dyn Scheduler,
+    initial_hw: InstanceKind,
+    catalog: Catalog,
+    cfg: &SimConfig,
+) -> RunResult {
+    run_one(
+        workloads,
+        scheduler,
+        initial_hw,
+        catalog,
+        cfg,
+        Tracer::disabled(),
+    )
+}
+
+/// Like [`run_simulation`], but records the full observability stream into
+/// `sink`: per-request spans, batch/device annotations, and the scheduler's
+/// structured decision events. Tracing is observation-only — the returned
+/// metrics are bit-identical to an untraced run with the same inputs
+/// (enforced by `tests/trace_observability.rs`).
+pub fn run_simulation_traced(
+    workloads: &[WorkloadSpec],
+    scheduler: &mut dyn Scheduler,
+    initial_hw: InstanceKind,
+    catalog: Catalog,
+    cfg: &SimConfig,
+    sink: &mut dyn TraceSink,
+) -> RunResult {
+    run_one(
+        workloads,
+        scheduler,
+        initial_hw,
+        catalog,
+        cfg,
+        Tracer::new(sink),
+    )
+}
+
+/// One tenant (scope 0, bare scheduler label, retarget rule) on elastic
+/// inventory, on the serial partitioned engine.
+fn run_one<'a>(
     workloads: &[WorkloadSpec],
     scheduler: &'a mut dyn Scheduler,
     initial_hw: InstanceKind,
     catalog: Catalog,
     cfg: &'a SimConfig,
     tracer: Tracer<'a>,
-    shards: u32,
 ) -> RunResult {
-    // `shards >= 2` opts into the partitioned (lean) engine. The whole
-    // harness is one tenant partition, so the shard *count* does not change
-    // behaviour here — only the engine selection does; the contract is that
-    // every output byte matches the serial engine.
-    let lean = shards >= 2;
-    let expected: f64 = workloads.iter().map(|s| s.trace.expected_requests()).sum();
-    // Serial mode reserves the heap's high-water mark up front (arrivals
-    // dominate it; 9/8 covers sampling variance plus in-flight events). The
-    // partitioned mode keeps arrivals on the rail, so its heap stays small.
-    let mut q: EventQueue<Ev> = if lean {
-        EventQueue::with_capacity(1_024)
-    } else {
-        EventQueue::with_capacity((expected * 1.125) as usize + 64)
-    };
-
-    // Pre-sample all arrivals — identical generation order in both modes,
-    // and identical to what a recorded replay of the same workloads carries
-    // (the sampler is shared with `crate::replay`).
-    let (sampled, trace_end) = sample_arrivals(workloads, cfg.seed);
-    let models: Vec<MlModel> = workloads.iter().map(|s| s.model).collect();
-    let mut rail_items: Vec<(SimTime, Ev)> = Vec::new();
-    if lean {
-        rail_items.reserve(sampled.len() + 64);
-    }
-    for sa in sampled {
-        let ev = Ev::Arrival(Request {
-            id: sa.id,
-            model: sa.model,
-            arrival: sa.at,
-        });
-        if lean {
-            rail_items.push((sa.at, ev));
-        } else {
-            q.schedule(sa.at, ev);
-        }
-    }
-    // The rail owns the run's first sequence numbers; consuming them here
-    // gives everything scheduled below the same seq it gets in serial mode.
-    if lean {
-        q.skip_seqs(rail_items.len() as u64);
-    }
-
-    let horizon = trace_end + cfg.drain_grace;
-    let mut harness = build_harness(
-        models, scheduler, initial_hw, catalog, cfg, tracer, trace_end, lean,
-    );
-
-    let outcome = if lean {
-        let mut cal = PartitionCalendar::new(q);
-        seed_calendar(&mut harness, initial_hw, cfg, &mut cal);
-        let mut rail = Rail::from_schedule_order(rail_items);
-        run_partition(
-            &mut harness,
-            &mut cal,
-            &mut rail,
-            EventKey::new(horizon, 0),
-            paldia_sim::engine::DEFAULT_EVENT_BUDGET,
-        )
-    } else {
-        seed_calendar(&mut harness, initial_hw, cfg, &mut q);
-        run_until(&mut harness, &mut q, horizon)
-    };
-    harness.finalize(horizon, outcome.events())
-}
-
-/// Construct a harness over `models` with no arrivals scheduled yet.
-///
-/// Shared by [`run_simulation_impl`] (which pre-samples every arrival) and
-/// the incremental [`crate::session::SimSession`] (which learns of arrivals
-/// one at a time). Field-for-field identical to the construction the batch
-/// entry points have always performed; the fault schedule is compiled
-/// against the run horizon `trace_end + cfg.drain_grace`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_harness<'a>(
-    models: Vec<MlModel>,
-    scheduler: &'a mut dyn Scheduler,
-    initial_hw: InstanceKind,
-    catalog: Catalog,
-    cfg: &'a SimConfig,
-    tracer: Tracer<'a>,
-    trace_end: SimTime,
-    lean: bool,
-) -> Harness<'a> {
-    let horizon = trace_end + cfg.drain_grace;
-    let compiled = cfg.faults.compile(horizon);
-    let window = cfg.provision_delay.max(SimDuration::from_secs(2));
-    Harness {
-        cfg,
-        scheduler,
+    let (arrivals, trace_end) = sample_arrivals(workloads, cfg.seed);
+    let models = workloads.iter().map(|s| s.model).collect();
+    let tenant = Tenant::new(scheduler, models, initial_hw, cfg, None, 0);
+    let (mut results, _) = run_serial(
+        vec![tenant],
+        vec![arrivals],
         catalog,
-        unavailable: Vec::new(),
-        workers: BTreeMap::new(),
-        routing: WorkerId(0),
-        pending_worker: None,
-        next_worker_id: 0,
-        batchers: models
-            .iter()
-            .map(|&m| {
-                (
-                    m,
-                    Batcher::new(m, Profile::default_batch(m), cfg.batch_window),
-                )
-            })
-            .collect(),
-        deadline_at: BTreeMap::new(),
-        windows: models
-            .iter()
-            .map(|&m| (m, RateWindow::new(window)))
-            .collect(),
-        predictors: models.iter().map(|&m| (m, cfg.predictor.build())).collect(),
-        models,
-        last_decision: Decision::stay(initial_hw),
-        next_batch_id: 0,
-        completed: Vec::new(),
-        arrived: BTreeMap::new(),
-        completed_count: BTreeMap::new(),
-        cost: CostMeter::new(),
-        nodes: Vec::new(),
-        cold_starts: 0,
-        transitions: 0,
-        hw_timeline: Vec::new(),
+        u32::MAX,
+        cfg,
         trace_end,
-        faults: compiled,
-        failover: cfg.failover.build(),
-        crash_restore: BTreeMap::new(),
-        active_degrades: Vec::new(),
-        active_straggles: Vec::new(),
         tracer,
-        lean,
-    }
-}
-
-impl<'a> Harness<'a> {
-    /// Completed requests recorded at or after index `from`, in completion
-    /// order. The session executor drains completions incrementally through
-    /// this window to answer live callers.
-    pub(crate) fn completed_from(&self, from: usize) -> &[CompletedRequest] {
-        &self.completed[from.min(self.completed.len())..]
-    }
-
-    /// Toggle the scheduler's decision-event recording (the traced entry
-    /// points flip it around the run; the session executor flips it around
-    /// its lifetime).
-    pub(crate) fn set_decision_recording(&mut self, on: bool) {
-        self.scheduler.set_decision_recording(on);
-    }
-
-    /// Emit the run summary, release every outstanding worker at `horizon`,
-    /// and fold the accumulated accounting into the [`RunResult`]. The tail
-    /// of every engine's run — batch, partitioned, and session — so the
-    /// result is assembled identically regardless of executor.
-    pub(crate) fn finalize(mut self, horizon: SimTime, engine_events: u64) -> RunResult {
-        self.tracer.emit(horizon, || TraceEventKind::RunSummary {
-            events: engine_events,
-            horizon,
-        });
-
-        // Final accounting.
-        let worker_ids: Vec<WorkerId> = self.workers.keys().copied().collect();
-        for id in worker_ids {
-            self.release_worker(id, horizon);
-        }
-        let total_arrived: u64 = self.arrived.values().sum();
-        let total_completed: u64 = self.completed_count.values().sum();
-        let arrived_per_model: Vec<(MlModel, u64)> = {
-            let mut v: Vec<_> = self.arrived.iter().map(|(&m, &n)| (m, n)).collect();
-            v.sort_by_key(|&(m, _)| m.index());
-            v
-        };
-
-        RunResult {
-            scheme: self.scheduler.name().to_string(),
-            completed: std::mem::take(&mut self.completed),
-            unserved: total_arrived.saturating_sub(total_completed),
-            arrived_per_model,
-            cost: self.cost.clone(),
-            nodes: std::mem::take(&mut self.nodes),
-            cold_starts: self.cold_starts,
-            transitions: self.transitions,
-            hw_timeline: std::mem::take(&mut self.hw_timeline),
-            trace_duration: self.trace_end - SimTime::ZERO,
-        }
-    }
+    );
+    results
+        .pop()
+        .expect("invariant: one tenant in, one result out")
 }

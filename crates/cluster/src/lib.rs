@@ -9,17 +9,23 @@
 //! sharing).
 //!
 //! Scheduling policies (Paldia itself in `paldia-core`, every baseline in
-//! `paldia-baselines`) plug in through the [`Scheduler`] trait; the harness
+//! `paldia-baselines`) plug in through the [`Scheduler`] trait; the engine
 //! is policy-agnostic and returns a [`RunResult`] with every served
 //! request's latency breakdown plus cost/energy/utilization accounting.
 //!
-//! Both harnesses have traced twins ([`run_simulation_traced`],
-//! [`run_fleet_traced`]) that record the `paldia-obs` observability stream
-//! — per-request spans and scheduler decision logs — without perturbing
-//! metrics (bit-identical to the untraced run).
+//! There is one cluster engine ([`fleet`]): a set of deployments over a
+//! node inventory. A single deployment ([`run_simulation`]) is a one-tenant
+//! fleet on elastic inventory; [`run_fleet`] co-schedules several tenants
+//! over a shared (possibly finite) inventory, and
+//! [`run_fleet_sharded`] partitions elastic tenants across event loops.
+//! Every entry point has a traced twin ([`run_simulation_traced`],
+//! [`run_fleet_traced`], [`run_fleet_traced_sharded`]) that records the
+//! `paldia-obs` observability stream — per-request spans and scheduler
+//! decision logs — without perturbing metrics (bit-identical to the
+//! untraced run).
 //!
 //! Beyond the batch entry points, the [`session`] module exposes the same
-//! harness as an open system — step events, inject arrivals — which is how
+//! engine as an open system — step events, inject arrivals — which is how
 //! the `paldia-serve` wall-clock shell drives the identical policy code
 //! path live; [`replay`] records sampled arrival traces so both executors
 //! can be compared decision-for-decision (DESIGN.md §14).
@@ -47,8 +53,7 @@ pub use faults::{
 pub use fleet::shard::{run_fleet_sharded, run_fleet_sharded_stats, run_fleet_traced_sharded};
 pub use fleet::{run_fleet, run_fleet_traced, FleetDeployment};
 pub use harness::{
-    run_simulation, run_simulation_sharded, run_simulation_traced, run_simulation_traced_sharded,
-    sample_arrivals, SampledArrival, WorkloadSpec,
+    run_simulation, run_simulation_traced, sample_arrivals, SampledArrival, WorkloadSpec,
 };
 pub use policy::{Decision, ModelDecision, ModelObs, Observation, Scheduler};
 pub use replay::{instance_from_token, model_from_token, model_token, ParseError, RecordedTrace};

@@ -3,26 +3,33 @@
 //! injected from outside instead of pre-scheduled.
 //!
 //! This is the seam the serving shell (`paldia-serve`) plugs into. A
-//! [`SimSession`] owns the exact [`Harness`](crate::harness) the batch entry
-//! points build — same construction, same calendar seeding, same single
-//! `on_event` domain logic — but exposes `step`/`inject` so a caller can
-//! interleave event processing with arrivals it learns about at runtime
-//! (from a socket, a replay file, a test).
+//! [`SimSession`] owns the one-tenant [`crate::fleet`] harness the batch
+//! entry points build — same construction, same calendar seeding, same
+//! single `on_event` domain logic — on a plain heap calendar, and exposes
+//! `step`/`inject` so a caller can interleave event processing with
+//! arrivals it learns about at runtime (from a socket, a replay file, a
+//! test).
 //!
 //! # Bit-identical replay
 //!
-//! The batch engines schedule every pre-sampled arrival *before* seeding
-//! the calendar, so arrivals own the run's first `(time, seq)` sequence
-//! numbers and win every same-instant tie against ticks. An incremental
-//! executor that allocated fresh sequence numbers at injection time would
-//! order those ties the other way and diverge. A session therefore
-//! *reserves* the arrival seq block up front
+//! The batch engine puts every pre-sampled arrival on its rail *before*
+//! seeding the calendar, so arrivals own the run's first `(time, seq)`
+//! sequence numbers and win every same-instant tie against ticks. An
+//! incremental executor that allocated fresh sequence numbers at injection
+//! time would order those ties the other way and diverge. A session
+//! therefore *reserves* the arrival seq block up front
 //! ([`SimSession::new`]'s `reserved_arrivals`) and each
 //! [`inject_recorded`](SimSession::inject_recorded) reclaims the arrival's
 //! original number, making the session's event order — and every
 //! scheduling decision, trace event, and output byte — identical to
 //! [`crate::run_simulation`] on the same workloads (enforced by
-//! `tests/session_replay.rs`).
+//! `tests/session_replay.rs` and `tests/partitioned_parity.rs`).
+//!
+//! Recorded arrivals come from outside the process (a replay file, a TCP
+//! client), so `inject_recorded` checks the reservation contract in every
+//! build: a seq outside the block, a seq injected twice, an `(at, seq)`
+//! not after the previous recorded arrival, or an `at` before the
+//! session's now is refused with an error naming the seq.
 //!
 //! [`run_replay`] is the shared driver both executors of a recorded trace
 //! use: the DES side runs it with [`paldia_sim::VirtualClock`] and the
@@ -32,7 +39,8 @@
 //! `paldia-serve` asserts exactly that.
 
 use crate::config::SimConfig;
-use crate::harness::{build_harness, seed_calendar, Ev, Harness, SampledArrival};
+use crate::fleet::{FEv, FleetHarness, Tenant};
+use crate::harness::SampledArrival;
 use crate::policy::Scheduler;
 use crate::request::{CompletedRequest, Request, RequestId};
 use crate::result::RunResult;
@@ -40,6 +48,7 @@ use paldia_hw::{Catalog, InstanceKind};
 use paldia_obs::{TraceSink, Tracer};
 use paldia_sim::{engine::DEFAULT_EVENT_BUDGET, Clock, EventQueue, SimTime};
 use paldia_workloads::MlModel;
+use std::collections::BTreeMap;
 
 /// The cluster simulation as an open system: step events, inject arrivals.
 ///
@@ -47,14 +56,18 @@ use paldia_workloads::MlModel;
 /// module docs for the sequence-number reservation that keeps a replayed
 /// session bit-identical to [`crate::run_simulation`].
 pub struct SimSession<'a> {
-    harness: Harness<'a>,
-    q: EventQueue<Ev>,
+    harness: FleetHarness<'a>,
+    q: EventQueue<FEv>,
     horizon: SimTime,
     reserved: u64,
+    /// Recorded seqs injected so far, as a sparse bitset: word
+    /// `seq / 64`, bit `seq % 64`.
+    injected: BTreeMap<u64, u64>,
+    /// `(at, seq)` of the latest recorded arrival.
+    last_recorded: Option<(SimTime, u64)>,
     next_live_id: u64,
     events: u64,
     drained: usize,
-    traced: bool,
 }
 
 impl<'a> SimSession<'a> {
@@ -74,7 +87,7 @@ impl<'a> SimSession<'a> {
         trace_end: SimTime,
         reserved_arrivals: u64,
     ) -> Self {
-        Self::build(
+        Self::open(
             models,
             scheduler,
             initial_hw,
@@ -83,7 +96,6 @@ impl<'a> SimSession<'a> {
             trace_end,
             reserved_arrivals,
             Tracer::disabled(),
-            false,
         )
     }
 
@@ -103,8 +115,7 @@ impl<'a> SimSession<'a> {
         reserved_arrivals: u64,
         sink: &'a mut dyn TraceSink,
     ) -> Self {
-        scheduler.set_decision_recording(true);
-        Self::build(
+        Self::open(
             models,
             scheduler,
             initial_hw,
@@ -113,41 +124,47 @@ impl<'a> SimSession<'a> {
             trace_end,
             reserved_arrivals,
             Tracer::new(sink),
-            true,
         )
     }
 
+    /// A one-tenant harness on elastic inventory over a heap calendar whose
+    /// first `reserved` sequence numbers belong to the recorded arrivals,
+    /// as they do in the batch engine; everything the calendar seeding
+    /// schedules starts after the block.
     #[allow(clippy::too_many_arguments)]
-    fn build(
+    fn open(
         models: Vec<MlModel>,
         scheduler: &'a mut dyn Scheduler,
         initial_hw: InstanceKind,
         catalog: Catalog,
         cfg: &'a SimConfig,
         trace_end: SimTime,
-        reserved_arrivals: u64,
+        reserved: u64,
         tracer: Tracer<'a>,
-        traced: bool,
     ) -> Self {
-        let horizon = trace_end + cfg.drain_grace;
-        let mut harness = build_harness(
-            models, scheduler, initial_hw, catalog, cfg, tracer, trace_end, false,
+        let tenant = Tenant::new(scheduler, models, initial_hw, cfg, None, 0);
+        let mut harness = FleetHarness::new(
+            cfg,
+            catalog,
+            u32::MAX,
+            vec![tenant],
+            trace_end,
+            tracer,
+            None,
         );
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        // Arrivals own the first `reserved_arrivals` sequence numbers, as
-        // they do in the batch engines; everything the calendar seeding
-        // schedules below starts after the block.
-        q.skip_seqs(reserved_arrivals);
-        seed_calendar(&mut harness, initial_hw, cfg, &mut q);
+        let mut q: EventQueue<FEv> = EventQueue::new();
+        q.skip_seqs(reserved);
+        harness.seed(&mut q, true);
         SimSession {
             harness,
             q,
-            horizon,
-            reserved: reserved_arrivals,
+            horizon: trace_end + cfg.drain_grace,
+            reserved,
+            injected: BTreeMap::new(),
+            last_recorded: None,
             next_live_id: 0,
             events: 0,
             drained: 0,
-            traced,
         }
     }
 
@@ -175,23 +192,53 @@ impl<'a> SimSession<'a> {
     /// Inject a recorded arrival under its reserved sequence number and
     /// original request id. Arrivals must be injected in `(at, seq)` order,
     /// after every internal event firing strictly before `at` has been
-    /// stepped — [`run_replay`] enforces both.
-    pub fn inject_recorded(&mut self, sa: &SampledArrival) {
-        debug_assert!(
-            sa.seq < self.reserved,
-            "arrival seq {} outside the reserved block of {}",
-            sa.seq,
-            self.reserved
-        );
+    /// stepped ([`run_replay`] does both). Refused, with an error naming
+    /// the seq and leaving the session untouched: a seq outside the
+    /// reserved block, a seq already injected, an `(at, seq)` not after the
+    /// previous recorded arrival, or an `at` earlier than now.
+    pub fn inject_recorded(&mut self, sa: &SampledArrival) -> Result<(), String> {
+        let seq = sa.seq;
+        let now = self.q.floor();
+        if seq >= self.reserved {
+            return Err(format!(
+                "arrival seq {seq} outside the reserved block of {}",
+                self.reserved
+            ));
+        }
+        let (word, bit) = (seq / 64, 1u64 << (seq % 64));
+        if self.injected.get(&word).is_some_and(|w| w & bit != 0) {
+            return Err(format!("arrival seq {seq} already injected"));
+        }
+        if let Some((at, prev)) = self.last_recorded.filter(|&last| (sa.at, seq) <= last) {
+            return Err(format!(
+                "arrival seq {seq} at {} us is not after the previous recorded arrival \
+                 (seq {prev} at {} us)",
+                sa.at.as_micros(),
+                at.as_micros()
+            ));
+        }
+        if sa.at < now {
+            return Err(format!(
+                "arrival seq {seq} at {} us is earlier than the session's now ({} us)",
+                sa.at.as_micros(),
+                now.as_micros()
+            ));
+        }
+        *self.injected.entry(word).or_insert(0) |= bit;
+        self.last_recorded = Some((sa.at, seq));
         self.q.schedule_reserved(
             sa.at,
-            sa.seq,
-            Ev::Arrival(Request {
-                id: sa.id,
-                model: sa.model,
-                arrival: sa.at,
-            }),
+            seq,
+            FEv::Arrival(
+                0,
+                Request {
+                    id: sa.id,
+                    model: sa.model,
+                    arrival: sa.at,
+                },
+            ),
         );
+        Ok(())
     }
 
     /// Inject a live arrival at `at` (clamped to the session's "now") and
@@ -203,11 +250,14 @@ impl<'a> SimSession<'a> {
         let id = RequestId(self.reserved + self.next_live_id);
         self.q.schedule(
             at,
-            Ev::Arrival(Request {
-                id,
-                model,
-                arrival: at,
-            }),
+            FEv::Arrival(
+                0,
+                Request {
+                    id,
+                    model,
+                    arrival: at,
+                },
+            ),
         );
         id
     }
@@ -230,7 +280,7 @@ impl<'a> SimSession<'a> {
 
     /// Requests completed since the previous drain, in completion order.
     pub fn drain_completions(&mut self) -> Vec<CompletedRequest> {
-        let new: Vec<CompletedRequest> = self.harness.completed_from(self.drained).to_vec();
+        let new: Vec<CompletedRequest> = self.harness.completed_from(0, self.drained).to_vec();
         self.drained += new.len();
         new
     }
@@ -239,16 +289,17 @@ impl<'a> SimSession<'a> {
     /// [`RunResult`], exactly as the batch entry points do.
     pub fn finish(mut self) -> RunResult {
         while self.step().is_some() {}
-        if self.traced {
-            self.harness.set_decision_recording(false);
-        }
         let SimSession {
-            harness,
+            mut harness,
             horizon,
             events,
             ..
         } = self;
-        harness.finalize(horizon, events)
+        harness.emit_summary(horizon, events);
+        harness
+            .into_results(horizon)
+            .pop()
+            .expect("invariant: one tenant in, one result out")
     }
 }
 
@@ -307,12 +358,16 @@ impl ArrivalSource for SliceSource<'_> {
 /// wall clock it is the serving shell. The clock gates only *when* the
 /// process acts, never *what* it does, so the two decision streams are
 /// divergence-free by construction.
+///
+/// An arrival the session refuses ([`SimSession::inject_recorded`]) ends
+/// the replay with that error; the session is left as it was, so a caller
+/// can still [`SimSession::finish`] it.
 pub fn run_replay<S: ArrivalSource, C: Clock>(
     session: &mut SimSession<'_>,
     source: &mut S,
     clock: &mut C,
     mut on_complete: impl FnMut(&CompletedRequest),
-) {
+) -> Result<(), String> {
     while let ReplayItem::Arrival(sa) = source.next() {
         while let Some(t) = session.next_event_time() {
             if t >= sa.at {
@@ -327,7 +382,7 @@ pub fn run_replay<S: ArrivalSource, C: Clock>(
             }
         }
         clock.pace(sa.at);
-        session.inject_recorded(&sa);
+        session.inject_recorded(&sa)?;
     }
     while let Some(t) = session.next_event_time() {
         if t >= session.horizon() {
@@ -341,13 +396,17 @@ pub fn run_replay<S: ArrivalSource, C: Clock>(
             on_complete(&c);
         }
     }
+    Ok(())
 }
 
-/// Replay a recorded arrival slice on the virtual clock and return the
-/// session's result — the DES half of the differential gate, usable
-/// anywhere without a socket in sight.
-pub fn run_replay_virtual(session: &mut SimSession<'_>, arrivals: &[SampledArrival]) {
+/// Replay a recorded arrival slice on the virtual clock — the DES half of
+/// the differential gate, usable anywhere without a socket in sight.
+/// Errors as [`run_replay`] does.
+pub fn run_replay_virtual(
+    session: &mut SimSession<'_>,
+    arrivals: &[SampledArrival],
+) -> Result<(), String> {
     let mut source = SliceSource::new(arrivals);
     let mut clock = paldia_sim::VirtualClock;
-    run_replay(session, &mut source, &mut clock, |_| {});
+    run_replay(session, &mut source, &mut clock, |_| {})
 }

@@ -1,16 +1,19 @@
-//! Bit-identity of the partitioned (lean) engine against the serial engine.
+//! Bit-identity of the partitioned batch engine against a heap calendar.
 //!
-//! `run_simulation_sharded(.., shards >= 2)` must produce a `RunResult`
-//! that is byte-for-byte identical to `run_simulation` — same completions in
-//! the same order, same costs, same node stats, same timelines — across
-//! clean runs, overload, hardware transitions, and every fault kind. The
+//! `run_simulation` runs on the partitioned engine: arrivals on a
+//! pre-sorted rail, device wakes in per-worker registers. A `SimSession`
+//! replaying the same recorded arrivals drives the same harness on a plain
+//! binary-heap calendar, every wake included. The two must produce a
+//! `RunResult` that is byte-for-byte identical — same completions in the
+//! same order, same costs, same node stats, same timelines — across clean
+//! runs, overload, hardware transitions, and every fault kind. The
 //! comparison goes through `format!("{:?}")`, which for `f64` prints the
 //! shortest round-trip representation and therefore distinguishes any two
 //! different bit patterns outside of NaN/signed-zero (neither occurs here).
 
 use paldia_cluster::{
-    run_simulation, run_simulation_sharded, Decision, FailoverPolicyKind, FaultPlan, ModelDecision,
-    Observation, RunResult, Scheduler, SimConfig, WorkloadSpec,
+    run_replay_virtual, run_simulation, Decision, FailoverPolicyKind, FaultPlan, ModelDecision,
+    Observation, RecordedTrace, RunResult, Scheduler, SimConfig, SimSession, WorkloadSpec,
 };
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_sim::{SimDuration, SimTime};
@@ -54,40 +57,46 @@ fn steady(model: MlModel, rps: f64, secs: u64) -> WorkloadSpec {
     )
 }
 
-/// Run the same scenario on both engines and demand identical output.
-fn assert_parity(hw: InstanceKind, total_cap: Option<u32>, spec: &WorkloadSpec, cfg: &SimConfig) {
-    let serial = {
-        let mut sched = Fixed { hw, total_cap };
-        run_simulation(
-            std::slice::from_ref(spec),
-            &mut sched,
-            hw,
-            Catalog::table_ii(),
-            cfg,
-        )
-    };
-    for shards in [2u32, 7] {
-        let mut sched = Fixed { hw, total_cap };
-        let lean = run_simulation_sharded(
-            std::slice::from_ref(spec),
-            &mut sched,
-            hw,
-            Catalog::table_ii(),
-            cfg,
-            shards,
-        );
-        assert_identical(&serial, &lean, shards);
-    }
+/// Run the scenario on the batch engine and as a session replay of its
+/// recorded arrivals (a fresh scheduler from `sched` each), and demand
+/// identical output.
+fn assert_parity<S: Scheduler>(
+    sched: impl Fn() -> S,
+    hw: InstanceKind,
+    spec: &WorkloadSpec,
+    cfg: &SimConfig,
+) -> RunResult {
+    let specs = std::slice::from_ref(spec);
+    let batch = run_simulation(specs, &mut sched(), hw, Catalog::table_ii(), cfg);
+    let trace = RecordedTrace::record(specs, cfg.seed, hw);
+    let mut replay_sched = sched();
+    let mut session = SimSession::new(
+        trace.models.clone(),
+        &mut replay_sched,
+        trace.initial_hw,
+        Catalog::table_ii(),
+        cfg,
+        trace.trace_end(),
+        trace.reserve,
+    );
+    run_replay_virtual(&mut session, &trace.arrivals).expect("recorded trace replays");
+    let replayed = session.finish();
+    assert_identical(&batch, &replayed);
+    batch
 }
 
-fn assert_identical(serial: &RunResult, lean: &RunResult, shards: u32) {
+fn fixed(hw: InstanceKind, total_cap: Option<u32>) -> impl Fn() -> Fixed {
+    move || Fixed { hw, total_cap }
+}
+
+fn assert_identical(batch: &RunResult, replayed: &RunResult) {
     assert_eq!(
-        serial.completed.len(),
-        lean.completed.len(),
-        "completion count diverged at shards={shards}"
+        batch.completed.len(),
+        replayed.completed.len(),
+        "completion count diverged"
     );
-    let a = format!("{serial:?}");
-    let b = format!("{lean:?}");
+    let a = format!("{batch:?}");
+    let b = format!("{replayed:?}");
     if a != b {
         // Find the first divergent region for a readable failure message.
         let at = a
@@ -97,7 +106,7 @@ fn assert_identical(serial: &RunResult, lean: &RunResult, shards: u32) {
             .unwrap_or(a.len().min(b.len()));
         let lo = at.saturating_sub(80);
         panic!(
-            "engines diverged at shards={shards}, byte {at}:\n serial: …{}…\n lean:   …{}…",
+            "engines diverged at byte {at}:\n batch:  …{}…\n replay: …{}…",
             &a[lo..(at + 80).min(a.len())],
             &b[lo..(at + 80).min(b.len())]
         );
@@ -108,8 +117,8 @@ fn assert_identical(serial: &RunResult, lean: &RunResult, shards: u32) {
 fn parity_moderate_gpu_load() {
     let cfg = SimConfig::with_seed(11);
     assert_parity(
+        fixed(InstanceKind::P3_2xlarge, None),
         InstanceKind::P3_2xlarge,
-        None,
         &steady(MlModel::ResNet50, 100.0, 60),
         &cfg,
     );
@@ -120,8 +129,8 @@ fn parity_time_sharing_overload() {
     // Overload keeps the batch-deadline path and hold-back logic hot.
     let cfg = SimConfig::with_seed(12);
     assert_parity(
+        fixed(InstanceKind::G3s_xlarge, Some(1)),
         InstanceKind::G3s_xlarge,
-        Some(1),
         &steady(MlModel::ResNet50, 700.0, 45),
         &cfg,
     );
@@ -131,8 +140,8 @@ fn parity_time_sharing_overload() {
 fn parity_cpu_node() {
     let cfg = SimConfig::with_seed(13);
     assert_parity(
+        fixed(InstanceKind::C6i_4xlarge, None),
         InstanceKind::C6i_4xlarge,
-        None,
         &steady(MlModel::MobileNet, 10.0, 60),
         &cfg,
     );
@@ -162,28 +171,13 @@ fn parity_under_hardware_transition() {
         }
     }
     let cfg = SimConfig::with_seed(14);
-    let spec = steady(MlModel::ResNet50, 50.0, 60);
-    let serial = {
-        let mut sched = Upgrader { ticks: 0 };
-        run_simulation(
-            std::slice::from_ref(&spec),
-            &mut sched,
-            InstanceKind::G3s_xlarge,
-            Catalog::table_ii(),
-            &cfg,
-        )
-    };
-    assert!(serial.transitions >= 1, "scenario must exercise a switch");
-    let mut sched = Upgrader { ticks: 0 };
-    let lean = run_simulation_sharded(
-        &[spec],
-        &mut sched,
+    let batch = assert_parity(
+        || Upgrader { ticks: 0 },
         InstanceKind::G3s_xlarge,
-        Catalog::table_ii(),
+        &steady(MlModel::ResNet50, 50.0, 60),
         &cfg,
-        2,
     );
-    assert_identical(&serial, &lean, 2);
+    assert!(batch.transitions >= 1, "scenario must exercise a switch");
 }
 
 #[test]
@@ -198,8 +192,8 @@ fn parity_under_faults() {
         .cold_start_storm(SimTime::from_secs(60));
     cfg.failover = FailoverPolicyKind::CheapestMorePerformant;
     assert_parity(
+        fixed(InstanceKind::G3s_xlarge, None),
         InstanceKind::G3s_xlarge,
-        None,
         &steady(MlModel::ResNet50, 50.0, 90),
         &cfg,
     );

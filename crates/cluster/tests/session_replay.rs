@@ -11,13 +11,13 @@
 
 use paldia_cluster::{
     run_replay, run_replay_virtual, run_simulation, run_simulation_traced, Decision, ModelDecision,
-    Observation, RecordedTrace, RunResult, Scheduler, SimConfig, SimSession, SliceSource,
-    WorkloadSpec,
+    Observation, RecordedTrace, RequestId, RunResult, SampledArrival, Scheduler, SimConfig,
+    SimSession, SliceSource, WorkloadSpec,
 };
 use paldia_core::PaldiaScheduler;
 use paldia_hw::{Catalog, InstanceKind};
-use paldia_obs::{diff_decision_streams, TraceEvent, VecSink};
-use paldia_sim::{SimDuration, VirtualClock};
+use paldia_obs::{diff_decision_streams, TraceEvent, TraceEventKind, VecSink};
+use paldia_sim::{SimDuration, SimTime, VirtualClock};
 use paldia_traces::RateTrace;
 use paldia_workloads::{MlModel, Profile};
 
@@ -110,7 +110,7 @@ fn assert_replay_parity(
         parsed.trace_end(),
         parsed.reserve,
     );
-    run_replay_virtual(&mut session, &parsed.arrivals);
+    run_replay_virtual(&mut session, &parsed.arrivals).expect("recorded trace replays");
     let replayed = session.finish();
     assert_identical(&batch, &replayed, label);
 }
@@ -166,7 +166,8 @@ fn session_completions_stream_in_completion_order() {
     let mut clock = VirtualClock;
     run_replay(&mut session, &mut source, &mut clock, |c| {
         streamed.push(*c);
-    });
+    })
+    .expect("recorded trace replays");
     let result = session.finish();
     assert_eq!(
         streamed.len(),
@@ -217,16 +218,125 @@ fn traced_session_replay_matches_batch_decision_stream() {
         trace.reserve,
         &mut session_sink,
     );
-    run_replay_virtual(&mut session, &trace.arrivals);
+    run_replay_virtual(&mut session, &trace.arrivals).expect("recorded trace replays");
     let replayed = session.finish();
     assert_identical(&batch, &replayed, "paldia/traced");
 
-    let a: Vec<TraceEvent> = batch_sink.into_events();
-    let b: Vec<TraceEvent> = session_sink.into_events();
+    // The `RunSummary` counts dispatched engine events, and the batch
+    // engine never dispatches the superseded device wakes a heap calendar
+    // pops as no-ops; everything else must match.
+    let mask = |events: Vec<TraceEvent>| -> Vec<TraceEvent> {
+        events
+            .into_iter()
+            .map(|mut e| {
+                if let TraceEventKind::RunSummary { events, .. } = &mut e.kind {
+                    *events = 0;
+                }
+                e
+            })
+            .collect()
+    };
+    let a: Vec<TraceEvent> = mask(batch_sink.into_events());
+    let b: Vec<TraceEvent> = mask(session_sink.into_events());
     assert!(!a.is_empty(), "traced batch run must emit events");
     assert_eq!(a, b, "full trace streams are identical");
     let fwd = diff_decision_streams(&a, &b);
     let rev = diff_decision_streams(&b, &a);
     assert!(fwd.is_empty(), "forward diff clean: {fwd:?}");
     assert!(rev.is_empty(), "reverse diff clean: {rev:?}");
+}
+
+/// Recorded arrival `seq` of GoogleNet at `ms` milliseconds.
+fn arrival(seq: u64, ms: u64) -> SampledArrival {
+    SampledArrival {
+        seq,
+        id: RequestId(seq + 1),
+        at: SimTime::from_millis(ms),
+        model: MlModel::GoogleNet,
+    }
+}
+
+/// Every malformed recorded injection is refused — in release builds too —
+/// with an error naming the offending seq, and leaves the session usable:
+/// a seq outside the reserved block, a seq injected twice, an `(at, seq)`
+/// not after the previous recorded arrival, and an `at` before now.
+#[test]
+fn malformed_injections_are_refused_without_panic() {
+    let cfg = SimConfig::with_seed(25);
+    let mut sched = Fixed {
+        hw: InstanceKind::G3s_xlarge,
+    };
+    let mut session = SimSession::new(
+        vec![MlModel::GoogleNet],
+        &mut sched,
+        InstanceKind::G3s_xlarge,
+        Catalog::table_ii(),
+        &cfg,
+        SimTime::from_secs(10),
+        4,
+    );
+    let refused = |r: Result<(), String>, seq: u64, why: &str| {
+        let e = r.expect_err("malformed arrival refused");
+        assert!(
+            e.contains(&format!("seq {seq} ")),
+            "error names seq {seq}: {e}"
+        );
+        assert!(e.contains(why), "error says `{why}`: {e}");
+    };
+    refused(
+        session.inject_recorded(&arrival(4, 1_000)),
+        4,
+        "reserved block",
+    );
+    session
+        .inject_recorded(&arrival(1, 2_000))
+        .expect("in-order arrival accepted");
+    refused(
+        session.inject_recorded(&arrival(1, 3_000)),
+        1,
+        "already injected",
+    );
+    refused(session.inject_recorded(&arrival(0, 1_000)), 0, "not after");
+    while session
+        .next_event_time()
+        .is_some_and(|t| t < SimTime::from_millis(2_600))
+    {
+        session.step();
+    }
+    assert!(session.now() > SimTime::from_millis(2_200));
+    refused(
+        session.inject_recorded(&arrival(2, 2_200)),
+        2,
+        "earlier than",
+    );
+    session
+        .inject_recorded(&arrival(2, 3_000))
+        .expect("the session stays usable after a refusal");
+    let result = session.finish();
+    let arrived: u64 = result.arrived_per_model.iter().map(|&(_, n)| n).sum();
+    assert_eq!(arrived, 2, "only the two accepted arrivals entered");
+    assert_eq!(result.completed.len() as u64 + result.unserved, 2);
+}
+
+/// The replay driver stops at the first refused arrival and reports it.
+#[test]
+fn run_replay_surfaces_a_refused_arrival() {
+    let cfg = SimConfig::with_seed(26);
+    let mut sched = Fixed {
+        hw: InstanceKind::G3s_xlarge,
+    };
+    let mut session = SimSession::new(
+        vec![MlModel::GoogleNet],
+        &mut sched,
+        InstanceKind::G3s_xlarge,
+        Catalog::table_ii(),
+        &cfg,
+        SimTime::from_secs(10),
+        3,
+    );
+    let arrivals = [arrival(0, 1_000), arrival(1, 2_000), arrival(1, 2_500)];
+    let e = run_replay_virtual(&mut session, &arrivals).expect_err("duplicate seq refused");
+    assert!(e.contains("seq 1 already injected"), "{e}");
+    let result = session.finish();
+    assert_eq!(result.completed.len() as u64 + result.unserved, 2);
 }

@@ -3,8 +3,8 @@
 
 use paldia_baselines::{InflessLlama, Molecule, MpsOnly, OfflineHybrid, TimeSharedOnly, Variant};
 use paldia_cluster::{
-    run_simulation_sharded, FailoverPolicyKind, FaultPlan, ModelObs, Observation, RunResult,
-    Scheduler, SimConfig, WorkloadSpec,
+    run_simulation, FailoverPolicyKind, FaultPlan, ModelObs, Observation, RunResult, Scheduler,
+    SimConfig, WorkloadSpec,
 };
 use paldia_core::PaldiaScheduler;
 use paldia_hw::{Catalog, InstanceKind};
@@ -110,13 +110,14 @@ impl SchemeKind {
     }
 }
 
-/// The process-default shard count: `PALDIA_SHARDS` when set to a positive
-/// integer, else 1 (serial engine). Resolved here — not in the simulation
-/// crates — so the engine itself stays free of environment reads. The env
-/// read is hatch-exempted like `PALDIA_JOBS` in `core::pool`: it only
-/// selects which engine runs, and the partitioned engine's output is
-/// bit-identical at every shard count (`tests/determinism_replay.rs` and
-/// the shard-invariance proptests prove it), so it cannot affect replay.
+/// The process-default shard count of partitioned fleet runs
+/// (`repro --stress`): `PALDIA_SHARDS` when set to a positive integer,
+/// else 1. Resolved here — not in the simulation crates — so the engine
+/// itself stays free of environment reads. The env read is hatch-exempted
+/// like `PALDIA_JOBS` in `core::pool`: it only sets how many event loops a
+/// fleet is split across, and results are invariant across shard counts
+/// (`tests/determinism_replay.rs` and the shard-invariance proptests prove
+/// it), so it cannot affect replay.
 pub fn default_shards() -> u32 {
     std::env::var("PALDIA_SHARDS") // lint:allow(d2)
         .ok()
@@ -138,11 +139,6 @@ pub struct RunOpts {
     pub faults: Option<FaultPlan>,
     /// Failover policy used with `faults`.
     pub failover: FailoverPolicyKind,
-    /// Event-loop shards per cell: `>= 2` selects the partitioned engine
-    /// (bit-identical output; see `paldia_cluster::run_simulation_sharded`).
-    /// Composes with `--jobs`: shards apply within a cell, pool jobs across
-    /// cells, under one shared pool budget.
-    pub shards: u32,
 }
 
 impl RunOpts {
@@ -153,7 +149,6 @@ impl RunOpts {
             seed_base: 1_000,
             faults: None,
             failover: FailoverPolicyKind::default(),
-            shards: default_shards(),
         }
     }
 
@@ -164,7 +159,6 @@ impl RunOpts {
             seed_base: 1_000,
             faults: None,
             failover: FailoverPolicyKind::default(),
-            shards: default_shards(),
         }
     }
 
@@ -176,34 +170,16 @@ impl RunOpts {
     }
 }
 
-/// Run one scheme for one repetition on [`default_shards`] shards.
+/// Run one scheme for one repetition.
 pub fn run_once(
     scheme: &SchemeKind,
     workloads: &[WorkloadSpec],
     catalog: &Catalog,
     cfg: &SimConfig,
 ) -> RunResult {
-    run_once_sharded(scheme, workloads, catalog, cfg, default_shards())
-}
-
-/// Run one scheme for one repetition with an explicit shard count.
-pub fn run_once_sharded(
-    scheme: &SchemeKind,
-    workloads: &[WorkloadSpec],
-    catalog: &Catalog,
-    cfg: &SimConfig,
-    shards: u32,
-) -> RunResult {
     let mut policy = scheme.build(workloads);
     let initial = scheme.initial_hw(workloads, catalog, cfg.slo_ms);
-    run_simulation_sharded(
-        workloads,
-        policy.as_mut(),
-        initial,
-        catalog.clone(),
-        cfg,
-        shards,
-    )
+    run_simulation(workloads, policy.as_mut(), initial, catalog.clone(), cfg)
 }
 
 /// Run `opts.reps` repetitions with derived seeds. Routed through the

@@ -14,7 +14,7 @@
 //! `tests/parallel_determinism.rs` pins this down with `f64::to_bits`
 //! comparisons.
 
-use crate::common::{run_once_sharded, RunOpts, SchemeKind};
+use crate::common::{run_once, RunOpts, SchemeKind};
 use paldia_cluster::{RunResult, SimConfig, WorkloadSpec};
 use paldia_core::pool;
 use paldia_hw::Catalog;
@@ -58,7 +58,7 @@ pub fn run_grid(cells: Vec<GridCell>, catalog: &Catalog, opts: &RunOpts) -> Vec<
                 cfg.failover = opts.failover;
             }
         }
-        run_once_sharded(&cell.scheme, &cell.workloads, catalog, &cfg, opts.shards)
+        run_once(&cell.scheme, &cell.workloads, catalog, &cfg)
     });
     // `flat` is cell-major ((cell 0, rep 0), (cell 0, rep 1), …), so
     // regrouping is a plain chunk.

@@ -8,11 +8,9 @@
 //! observation-only: the returned [`RunResult`] is bit-identical to the
 //! same run without the sink.
 
-use crate::common::{default_shards, SchemeKind};
+use crate::common::SchemeKind;
 use crate::scenarios;
-use paldia_cluster::{
-    run_simulation_traced_sharded, FailoverPolicyKind, FaultPlan, RunResult, SimConfig,
-};
+use paldia_cluster::{run_simulation_traced, FailoverPolicyKind, FaultPlan, RunResult, SimConfig};
 use paldia_hw::Catalog;
 use paldia_obs::{RingSink, TraceEvent, TraceSink};
 use paldia_workloads::MlModel;
@@ -67,19 +65,6 @@ pub fn capture_primary_run_with(
     faults: Option<(FaultPlan, FailoverPolicyKind)>,
     sink: &mut dyn TraceSink,
 ) -> RunResult {
-    capture_primary_run_sharded(quick, seed, faults, sink, default_shards())
-}
-
-/// [`capture_primary_run_with`] with an explicit shard count (`>= 2` runs
-/// the partitioned engine; the captured span stream is identical either
-/// way, apart from the `RunSummary` dispatched-event count).
-pub fn capture_primary_run_sharded(
-    quick: bool,
-    seed: u64,
-    faults: Option<(FaultPlan, FailoverPolicyKind)>,
-    sink: &mut dyn TraceSink,
-    shards: u32,
-) -> RunResult {
     let workloads = if quick {
         vec![scenarios::azure_workload_truncated(
             MlModel::GoogleNet,
@@ -97,15 +82,7 @@ pub fn capture_primary_run_sharded(
     let scheme = SchemeKind::Paldia;
     let mut policy = scheme.build(&workloads);
     let initial = scheme.initial_hw(&workloads, &catalog, cfg.slo_ms);
-    run_simulation_traced_sharded(
-        &workloads,
-        policy.as_mut(),
-        initial,
-        catalog,
-        &cfg,
-        sink,
-        shards,
-    )
+    run_simulation_traced(&workloads, policy.as_mut(), initial, catalog, &cfg, sink)
 }
 
 #[cfg(test)]

@@ -26,6 +26,8 @@
 //! summary completed=<n> unserved=<n> cost_usd=<x> cold_starts=<n> transitions=<n> events=<n>
 //! bye                                # clean shutdown
 //! err <message>                      # protocol error; connection closes
+//!                                    # (replay: a refused arrival ends the
+//!                                    # replay, then summary and bye)
 //! ```
 
 use paldia_cluster::{

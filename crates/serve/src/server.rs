@@ -195,7 +195,7 @@ fn serve_replay(
             errors: &mut protocol_errors,
         };
         let mut send_err: Option<String> = None;
-        run_replay(
+        let replayed = run_replay(
             &mut session,
             &mut source,
             &mut clock,
@@ -206,6 +206,12 @@ fn serve_replay(
             },
         );
         if let Some(e) = send_err {
+            protocol_errors.push(e);
+        }
+        // A refused arrival ends the replay; the session still drains
+        // and reports.
+        if let Err(e) = replayed {
+            send_line(writer, &format!("err {e}"))?;
             protocol_errors.push(e);
         }
         let engine_events = session.events();

@@ -87,8 +87,9 @@ impl SmokeOutcome {
 /// Run `trace` through the virtual-clock session executor (traced) —
 /// the DES side of the differential. Executed through the bounded worker
 /// pool so the smoke exercises the same scheduling substrate the
-/// experiment runner uses.
-pub fn virtual_outcome(trace: &RecordedTrace) -> (RunResult, Vec<TraceEvent>) {
+/// experiment runner uses. Errors when the session refuses an arrival
+/// ([`paldia_cluster::SimSession::inject_recorded`]).
+pub fn virtual_outcome(trace: &RecordedTrace) -> Result<(RunResult, Vec<TraceEvent>), String> {
     let mut out = paldia_sim::pool::run_indexed(1, |_| {
         let cfg = SimConfig::with_seed(trace.seed);
         let mut sched = PaldiaScheduler::new();
@@ -104,10 +105,9 @@ pub fn virtual_outcome(trace: &RecordedTrace) -> (RunResult, Vec<TraceEvent>) {
                 trace.reserve,
                 &mut sink,
             );
-            run_replay_virtual(&mut session, &trace.arrivals);
-            session.finish()
+            run_replay_virtual(&mut session, &trace.arrivals).map(|()| session.finish())
         };
-        (result, sink.into_events())
+        result.map(|r| (r, sink.into_events()))
     });
     out.pop().expect("run_indexed(1) yields one result")
 }
@@ -132,7 +132,7 @@ pub fn run_differential(
     let client = std::thread::spawn(move || loadgen::replay_trace(addr, &client_trace, speed));
 
     // The DES side runs on this thread while the shell replays on the wall.
-    let (sim_result, sim_events) = virtual_outcome(trace);
+    let sim = virtual_outcome(trace);
 
     let shell = server
         .join()
@@ -140,6 +140,7 @@ pub fn run_differential(
     let stats = client
         .join()
         .map_err(|_| "client thread panicked".to_string())??;
+    let (sim_result, sim_events) = sim?;
 
     let forward = diff_decision_streams(&shell.events, &sim_events);
     let backward = diff_decision_streams(&sim_events, &shell.events);

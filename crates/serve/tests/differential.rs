@@ -101,3 +101,68 @@ fn server_rejects_garbage_hello() {
     drop(stream);
     assert!(server.join().expect("no panic").is_err());
 }
+
+/// Malformed replays over loopback: an arrival seq outside the reserved
+/// block, a seq sent twice, an arrival not after the previous one, and an
+/// arrival earlier than the session's now (the driver only steps events
+/// before the next arrival, so on the wire such an arrival is also out of
+/// order). The server answers `err` naming the seq, ends the replay,
+/// still drains and reports — and never panics.
+#[test]
+fn server_refuses_malformed_replays_without_panic() {
+    use paldia_cluster::SampledArrival;
+    use std::net::TcpListener;
+
+    let base =
+        replaycap::capture_replay_trace(paldia_workloads::MlModel::GoogleNet, 42, 30).truncated(6);
+    let a = base.arrivals.clone();
+    assert!(a.len() >= 4, "fixture needs a few arrivals");
+    let with_seq = |sa: SampledArrival, seq: u64| SampledArrival { seq, ..sa };
+    let with_at = |sa: SampledArrival, from: SampledArrival| SampledArrival { at: from.at, ..sa };
+    let cases: [(&str, Vec<SampledArrival>, u64); 4] = [
+        (
+            "seq outside the reserved block",
+            vec![a[0], with_seq(a[1], base.reserve)],
+            base.reserve,
+        ),
+        (
+            "seq sent twice",
+            vec![a[0], a[1], with_at(a[1], a[2])],
+            a[1].seq,
+        ),
+        ("arrival out of order", vec![a[0], a[2], a[1]], a[1].seq),
+        (
+            "arrival earlier than now",
+            vec![a[0], a[1], a[2], with_at(a[3], a[0])],
+            a[3].seq,
+        ),
+    ];
+    for (label, arrivals, bad_seq) in cases {
+        let mut trace = base.clone();
+        trace.arrivals = arrivals;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let opts = paldia_serve::ServeOpts { speed: 1e6 };
+        let server = std::thread::spawn(move || paldia_serve::serve_once(&listener, &opts));
+        let stats = paldia_serve::replay_trace(addr, &trace, 1e6).expect("client runs");
+        let outcome = server
+            .join()
+            .expect("server thread does not panic")
+            .expect("server reports the session");
+        let named = format!("seq {bad_seq} ");
+        assert!(
+            stats.errors.iter().any(|e| e.contains(&named)),
+            "{label}: client saw an err naming {named:?}: {:?}",
+            stats.errors
+        );
+        assert!(
+            outcome.protocol_errors.iter().any(|e| e.contains(&named)),
+            "{label}: server recorded the refusal: {:?}",
+            outcome.protocol_errors
+        );
+        assert!(
+            stats.summary.is_some(),
+            "{label}: the session still reports"
+        );
+    }
+}

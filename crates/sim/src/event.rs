@@ -158,9 +158,12 @@ impl<E> EventQueue<E> {
     /// number here at injection time, so the `(time, seq)` total order is
     /// bit-identical to the batch run.
     ///
-    /// `seq` must come from the reserved block (`seq < next_seq()`); it was
-    /// already counted by the reservation, so `scheduled_total` does not
-    /// move. Late injection clamps to the floor like [`Self::schedule`].
+    /// `seq` must come from the reserved block (`seq < next_seq()`), be
+    /// used once, and `at` must not lie before the floor; callers taking
+    /// seqs from outside the program check all three first (the session
+    /// refuses such arrivals with an error). It was already counted by the
+    /// reservation, so `scheduled_total` does not move. A late `at` clamps
+    /// to the floor like [`Self::schedule`].
     pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, payload: E) {
         debug_assert!(
             seq < self.next_seq,

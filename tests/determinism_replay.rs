@@ -14,11 +14,13 @@
 //! `#[test]` because the pool-jobs override is process-global while the
 //! harness runs tests concurrently.
 
-use paldia_cluster::{FailoverPolicyKind, FaultPlan, RunResult, SimConfig};
+use paldia_cluster::{
+    run_fleet_traced_sharded, FailoverPolicyKind, FaultPlan, RunResult, SimConfig,
+};
 use paldia_core::pool;
-use paldia_experiments::llm_iter::{capture_llm_run, LlmRunOpts};
+use paldia_experiments::llm_iter::{capture_llm_fleet, LlmRunOpts};
 use paldia_experiments::scenarios::azure_workload_truncated;
-use paldia_experiments::{run_grid, tracecap, GridCell, RunOpts, SchemeKind};
+use paldia_experiments::{diffcap, run_grid, tracecap, GridCell, RunOpts, SchemeKind};
 use paldia_hw::Catalog;
 use paldia_obs::{
     diff_decision_streams, event_to_jsonl, RingSink, ScopeRollup, TraceAttribution, TraceEvent,
@@ -92,20 +94,24 @@ fn replaying_a_grid_is_bit_identical() {
 
 /// The decision-event stream is part of the replay contract too — not
 /// just the metrics it produces. Two in-process captures of the same
-/// quick primary run, and a capture on the partitioned engine
-/// (shards = 3), must emit bit-identical decision streams: same ticks,
-/// same candidate tables, same flags, byte-for-byte in JSONL. The
-/// decision differ must agree, reporting an empty `DiffReport` in both
-/// directions for every pair. (`scripts/ci.sh` additionally reruns this
-/// test under `PALDIA_SHARDS=3`, which moves the *default*-shard paths
-/// onto the partitioned engine; the explicit shard counts here cover
-/// both engines regardless of the environment.)
+/// elastic fleet (the fleet golden scenario's three Paldia tenants and
+/// node-crash window, on unlimited inventory), one on a single shard and
+/// one split across three, must emit bit-identical decision streams: same
+/// ticks, same scopes, same candidate tables, same flags, byte-for-byte in
+/// JSONL. The decision differ must agree, reporting an empty `DiffReport`
+/// in both directions for every pair.
 #[test]
 fn decision_stream_replays_bit_identical_across_shards() {
-    let seed = 1_000u64;
     let capture = |shards: u32| -> Vec<TraceEvent> {
         let mut sink = RingSink::new(tracecap::CAPTURE_CAPACITY);
-        let _ = tracecap::capture_primary_run_sharded(true, seed, None, &mut sink, shards);
+        let _ = run_fleet_traced_sharded(
+            diffcap::fleet_golden_deployments(),
+            Catalog::table_ii(),
+            u32::MAX,
+            &diffcap::fleet_golden_config(),
+            &mut sink,
+            shards,
+        );
         sink.into_events()
     };
     // Decisions only, seq zeroed: the sharded merge re-assigns global
@@ -126,7 +132,7 @@ fn decision_stream_replays_bit_identical_across_shards() {
     let sharded = capture(3);
     assert!(
         !decision_lines(&base).is_empty(),
-        "quick capture emitted no decisions"
+        "fleet capture emitted no decisions"
     );
     assert_eq!(
         decision_lines(&base),
@@ -155,12 +161,12 @@ fn decision_stream_replays_bit_identical_across_shards() {
     }
 }
 
-/// The iteration-level LLM mode joins the replay contract: a clean and a
-/// cold-start-storm scenario, each run at shards 1 (twice, in-process)
-/// and shards 3, must agree on every bit of observable output — the
-/// metric fingerprint, the attribution rollup, and the decision stream
-/// byte-for-byte in JSONL (seq zeroed, as above, since the sharded merge
-/// re-assigns global sequence numbers).
+/// The iteration-level LLM mode joins the replay contract: the
+/// three-tenant LLM fleet, clean and under the cold-start storm, each run
+/// at shards 1 (twice, in-process) and shards 3, must agree on every bit
+/// of observable output — the metric fingerprint, the attribution rollup,
+/// and the decision stream byte-for-byte in JSONL (seq zeroed, as above,
+/// since the sharded merge re-assigns global sequence numbers).
 #[test]
 fn llm_mode_replays_bit_identical_across_shards() {
     let seed = 1_000u64;
@@ -178,23 +184,19 @@ fn llm_mode_replays_bit_identical_across_shards() {
     for storm in [false, true] {
         let label = if storm { "storm" } else { "clean" };
         let capture = |shards: u32| {
-            let (events, result) = capture_llm_run(&LlmRunOpts {
+            let opts = LlmRunOpts {
                 seed,
                 secs: 90,
                 scheme: SchemeKind::Paldia,
                 iterative: true,
                 storm,
-                shards,
-            });
+            };
+            let (events, results) = capture_llm_fleet(&opts, shards);
             let rollup = TraceAttribution::from_events(&events)
                 .rollup(None)
                 .map(|r| rollup_bits(&r))
                 .unwrap_or_default();
-            (
-                fingerprint(&[vec![result]]),
-                rollup,
-                decision_lines(&events),
-            )
+            (fingerprint(&[results]), rollup, decision_lines(&events))
         };
         let base = capture(1);
         let rerun = capture(1);
@@ -205,7 +207,7 @@ fn llm_mode_replays_bit_identical_across_shards() {
         assert_eq!(base, rerun, "{label}: second in-process LLM run diverged");
         assert_eq!(
             base, sharded,
-            "{label}: partitioned engine (shards=3) diverged in LLM mode"
+            "{label}: LLM fleet diverged between shards 1 and 3"
         );
     }
 }

@@ -258,7 +258,6 @@ fn llm_continuous_batching_beats_request_level_token_tail() {
         scheme: SchemeKind::Paldia,
         iterative: true,
         storm: true,
-        shards: 1,
     };
     let iterative = run_llm(&base);
     let request_level = run_llm(&LlmRunOpts {

@@ -69,15 +69,15 @@ proptest! {
         }
     }
 
-    /// Iteration-level LLM runs: whatever the seed, and with or without
-    /// the cold-start storm, the continuous-batching harness must emit
-    /// the identical output at shards 1 and 3.
+    /// Iteration-level LLM fleets: whatever the seed, and with or without
+    /// the cold-start storm, the three-tenant continuous-batching fleet
+    /// must emit the identical output at shards 1 and 3.
     #[test]
     fn llm_mode_is_invariant_across_shard_counts(
         seed in 0u64..500,
         storm_bit in 0u64..2,
     ) {
-        use paldia::experiments::llm_iter::{run_llm, LlmRunOpts};
+        use paldia::experiments::llm_iter::{run_llm_fleet, LlmRunOpts};
         use paldia::experiments::SchemeKind;
         let storm = storm_bit == 1;
         let base = LlmRunOpts {
@@ -86,15 +86,14 @@ proptest! {
             scheme: SchemeKind::Paldia,
             iterative: true,
             storm,
-            shards: 1,
         };
-        let serial = run_llm(&base);
-        let sharded = run_llm(&LlmRunOpts { shards: 3, ..base });
-        prop_assert!(!serial.completed.is_empty(), "LLM run served nothing");
+        let serial = run_llm_fleet(&base, 1);
+        let sharded = run_llm_fleet(&base, 3);
+        prop_assert!(serial.iter().all(|r| !r.completed.is_empty()), "an LLM tenant served nothing");
         prop_assert_eq!(
             format!("{serial:?}"),
             format!("{sharded:?}"),
-            "LLM mode ({}) diverged at shards=3",
+            "LLM fleet ({}) diverged at shards=3",
             if storm { "storm" } else { "clean" }
         );
     }
