@@ -867,7 +867,7 @@ impl<'a> FleetHarness<'a> {
         self.tracer.emit(now, || TraceEventKind::Failover {
             failed: failed_kind,
             replacement: chosen,
-            policy,
+            policy: policy.to_string(),
         });
         let id = self.provision_worker(dep, replacement, now, self.cfg.failover_delay, q);
         // Re-apply the last sharing decision to the replacement.

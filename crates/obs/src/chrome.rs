@@ -7,23 +7,32 @@
 //! * `tid` lanes per process: `0` is the scheduler/control lane, `100 + m`
 //!   is the gateway lane for model index `m`, `1000 + w` is worker `w`'s
 //!   execution lane.
-//! * Batch executions and cold starts are `"X"` complete events with
-//!   microsecond `ts`/`dur` taken directly from [`SimTime::as_micros`].
+//! * Batch executions, cold starts and iterations are `"X"` complete
+//!   events with microsecond `ts`/`dur` taken directly from
+//!   [`SimTime::as_micros`].
 //! * Each request is an async `"b"`/`"e"` pair spanning arrival →
 //!   completion, so the viewer shows end-to-end latency per request.
-//! * Scheduler decisions, failovers, and fault edges are `"i"` instant
-//!   events whose `args` carry the full structured payload.
+//! * Everything else is an `"i"` instant event; control-lane instants are
+//!   process-scoped (`"s":"p"`).
+//!
+//! Only the placement (name, category, phase, lane, `ts`/`dur`, `id`/`s`)
+//! is chrome-specific. Every event's entry carries `args` equal to its
+//! JSONL payload — the line [`crate::event_to_jsonl`] writes, minus the
+//! `seq`/`at`/`scope`/`kind` header — written by the same derived writer,
+//! so the two exports cannot drift apart.
 //!
 //! The exporter is a pure function of the event slice — no wall clock, no
 //! map iteration over unordered containers — so the same trace always
 //! serialises to the same bytes.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 
 use paldia_sim::SimTime;
 use paldia_workloads::MlModel;
 
-use crate::event::{BatchTrigger, TraceEvent, TraceEventKind};
+use crate::event::{TraceEvent, TraceEventKind};
+use crate::jsonl::escape_into;
 
 /// Control/scheduler lane id within each process.
 const TID_CONTROL: u64 = 0;
@@ -32,93 +41,241 @@ const TID_GATEWAY: u64 = 100;
 /// Base lane id for per-worker execution lanes (`TID_WORKER + worker`).
 const TID_WORKER: u64 = 1000;
 
-/// Escape a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// The lane an entry is drawn on.
+#[derive(Clone, Copy)]
+enum Lane {
+    Control,
+    Gateway(MlModel),
+    Worker(u32),
+}
+
+impl Lane {
+    fn tid(self) -> u64 {
+        match self {
+            Lane::Control => TID_CONTROL,
+            Lane::Gateway(model) => TID_GATEWAY + model.index() as u64,
+            Lane::Worker(worker) => TID_WORKER + u64::from(worker),
         }
     }
+
+    /// The `thread_name` of a gateway or worker lane; the control lane is
+    /// named once per process.
+    fn name(self) -> Option<String> {
+        match self {
+            Lane::Control => None,
+            Lane::Gateway(model) => Some(format!("gateway: {model}")),
+            Lane::Worker(worker) => Some(format!("worker {worker}")),
+        }
+    }
+}
+
+/// The chrome-specific half of an event's entry: everything but `args`.
+struct Placement {
+    name: String,
+    cat: &'static str,
+    ph: char,
+    lane: Lane,
+    ts: SimTime,
+    dur: Option<u64>,
+    id: Option<u64>,
+}
+
+impl Placement {
+    fn instant(name: String, cat: &'static str, lane: Lane, at: SimTime) -> Self {
+        Placement {
+            name,
+            cat,
+            ph: 'i',
+            lane,
+            ts: at,
+            dur: None,
+            id: None,
+        }
+    }
+
+    fn span(name: String, cat: &'static str, worker: u32, from: SimTime, dur: u64) -> Self {
+        Placement {
+            ph: 'X',
+            dur: Some(dur),
+            ..Placement::instant(name, cat, Lane::Worker(worker), from)
+        }
+    }
+}
+
+/// Name, category, phase, lane and timing of `ev`'s entry.
+fn placement(ev: &TraceEvent) -> Placement {
+    use TraceEventKind as K;
+    let at = ev.at;
+    let instant = |name, cat, lane| Placement::instant(name, cat, lane, at);
+    let control = |name| Placement::instant(name, "control", Lane::Control, at);
+    match &ev.kind {
+        K::RequestArrived { request, model } => Placement {
+            ph: 'b',
+            id: Some(*request),
+            ..instant(format!("req {request}"), "request", Lane::Gateway(*model))
+        },
+        K::BatchFormed {
+            batch, model, size, ..
+        } => instant(
+            format!("batch {batch} formed x{size}"),
+            "batch",
+            Lane::Gateway(*model),
+        ),
+        K::BatchDispatched {
+            batch,
+            model,
+            worker,
+            ..
+        } => instant(
+            format!("batch {batch} -> w{worker}"),
+            "batch",
+            Lane::Gateway(*model),
+        ),
+        K::BatchAdmitted { batch, worker, .. } => instant(
+            format!("admit batch {batch}"),
+            "admit",
+            Lane::Worker(*worker),
+        ),
+        K::BatchCompleted {
+            batch,
+            model,
+            worker,
+            started,
+            size,
+            ..
+        } => Placement::span(
+            format!("{model} batch {batch} x{size}"),
+            "exec",
+            *worker,
+            *started,
+            at.as_micros().saturating_sub(started.as_micros()),
+        ),
+        K::ColdStartBegan {
+            worker,
+            container,
+            ready_at,
+        } => Placement::span(
+            format!("cold-start c{container}"),
+            "coldstart",
+            *worker,
+            at,
+            ready_at.as_micros().saturating_sub(at.as_micros()),
+        ),
+        K::ColdStartFinished { worker, container } => instant(
+            format!("warm c{container}"),
+            "coldstart",
+            Lane::Worker(*worker),
+        ),
+        K::WorkerProvisioned { worker, hw, .. } => control(format!("provision w{worker} ({hw})")),
+        K::WorkerReleased { worker, hw } => control(format!("release w{worker} ({hw})")),
+        K::TransitionBegan { worker, from, to } => {
+            control(format!("transition begin {from} -> {to} (w{worker})"))
+        }
+        K::TransitionEnded { worker, committed } => {
+            let verb = if *committed { "commit" } else { "abandon" };
+            control(format!("transition {verb} (w{worker})"))
+        }
+        K::HwSwitched { worker, from, to } => {
+            let from = from.map_or_else(|| "?".to_string(), |k| k.to_string());
+            control(format!("hw switch {from} -> {to} (w{worker})"))
+        }
+        K::IterationStarted {
+            worker,
+            iteration,
+            residents,
+            dur_us,
+            ..
+        } => Placement::span(
+            format!("iter {iteration} x{residents}"),
+            "iter",
+            *worker,
+            at,
+            *dur_us,
+        ),
+        K::BatchJoin {
+            request,
+            worker,
+            iteration,
+            ..
+        } => instant(
+            format!("join req {request} @{iteration}"),
+            "iter",
+            Lane::Worker(*worker),
+        ),
+        K::BatchLeave {
+            request,
+            worker,
+            iteration,
+            ..
+        } => instant(
+            format!("leave req {request} @{iteration}"),
+            "iter",
+            Lane::Worker(*worker),
+        ),
+        K::Decision(d) => instant(
+            format!("decide: {}", d.chosen_hw),
+            "decision",
+            Lane::Control,
+        ),
+        K::Failover {
+            failed,
+            replacement,
+            ..
+        } => {
+            let repl = replacement.map_or_else(|| "none".to_string(), |k| k.to_string());
+            instant(
+                format!("failover {failed} -> {repl}"),
+                "fault",
+                Lane::Control,
+            )
+        }
+        K::FaultEdge { desc, started, .. } => {
+            let edge = if *started { "start" } else { "end" };
+            instant(format!("fault {edge}: {desc}"), "fault", Lane::Control)
+        }
+        K::RunSummary { .. } => control("run summary".to_string()),
+    }
+}
+
+/// Write one entry; `args` is the event whose payload becomes `"args"`.
+fn entry(p: &Placement, pid: u32, args: Option<&TraceEventKind>) -> String {
+    let mut out = String::with_capacity(128);
+    out.push_str("{\"name\":");
+    escape_into(&p.name, &mut out);
+    let _ = write!(
+        out,
+        ",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{pid},\"tid\":{}",
+        p.cat,
+        p.ph,
+        p.ts.as_micros(),
+        p.lane.tid()
+    );
+    if let Some(dur) = p.dur {
+        let _ = write!(out, ",\"dur\":{dur}");
+    }
+    if let Some(id) = p.id {
+        let _ = write!(out, ",\"id\":{id}");
+    }
+    if matches!(p.lane, Lane::Control) {
+        out.push_str(",\"s\":\"p\"");
+    }
+    if let Some(kind) = args {
+        out.push_str(",\"args\":{");
+        kind.write_payload(&mut out);
+        out.push('}');
+    }
+    out.push('}');
     out
-}
-
-/// Render an `f64` as a JSON value; non-finite values become strings so the
-/// document stays valid JSON.
-fn jf(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        format!("\"{x}\"")
-    }
-}
-
-fn gateway_tid(model: MlModel) -> u64 {
-    TID_GATEWAY + model.index() as u64
-}
-
-fn worker_tid(worker: u32) -> u64 {
-    TID_WORKER + u64::from(worker)
-}
-
-/// One entry under `"traceEvents"`, assembled field by field.
-struct Entry {
-    fields: Vec<String>,
-}
-
-impl Entry {
-    fn new(name: &str, cat: &str, ph: &str, ts: SimTime, pid: u32, tid: u64) -> Self {
-        let fields = vec![
-            format!("\"name\":\"{}\"", escape(name)),
-            format!("\"cat\":\"{}\"", escape(cat)),
-            format!("\"ph\":\"{ph}\""),
-            format!("\"ts\":{}", ts.as_micros()),
-            format!("\"pid\":{pid}"),
-            format!("\"tid\":{tid}"),
-        ];
-        Entry { fields }
-    }
-
-    fn dur(mut self, d: u64) -> Self {
-        self.fields.push(format!("\"dur\":{d}"));
-        self
-    }
-
-    fn id(mut self, id: u64) -> Self {
-        self.fields.push(format!("\"id\":{id}"));
-        self
-    }
-
-    fn scope_process(mut self) -> Self {
-        self.fields.push("\"s\":\"p\"".to_string());
-        self
-    }
-
-    fn args(mut self, body: String) -> Self {
-        self.fields.push(format!("\"args\":{{{body}}}"));
-        self
-    }
-
-    fn finish(self) -> String {
-        format!("{{{}}}", self.fields.join(","))
-    }
 }
 
 /// Metadata (`"M"`) entry naming a process or thread lane.
 fn metadata(kind: &str, pid: u32, tid: u64, name: &str) -> String {
-    format!(
-        "{{\"name\":\"{kind}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        escape(name)
-    )
+    let mut out = format!(
+        "{{\"name\":\"{kind}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":"
+    );
+    escape_into(name, &mut out);
+    out.push_str("}}");
+    out
 }
 
 /// Serialise `events` into a chrome://tracing JSON document.
@@ -130,515 +287,59 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     // batch id -> member request ids, so request async spans can be closed
     // at batch completion even though completion events don't repeat the
     // member list.
-    let mut batch_members: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    let mut batch_members: BTreeMap<u64, &[u64]> = BTreeMap::new();
     for ev in events {
         if let TraceEventKind::BatchFormed {
             batch, requests, ..
         } = &ev.kind
         {
-            batch_members.insert(*batch, requests.clone());
+            batch_members.insert(*batch, requests);
         }
     }
 
     // Lane names, keyed (pid, tid) for deterministic emission order.
     let mut lanes: BTreeMap<(u32, u64), String> = BTreeMap::new();
-    let mut procs: BTreeMap<u32, String> = BTreeMap::new();
-    let mut name_proc = |pid: u32| {
-        procs.entry(pid).or_insert_with(|| {
-            if pid == 0 {
-                "cluster".to_string()
-            } else {
-                format!("deployment {}", pid - 1)
-            }
-        });
-    };
-
+    let mut procs: BTreeSet<u32> = BTreeSet::new();
     let mut out: Vec<String> = Vec::with_capacity(events.len() + 16);
     for ev in events {
         let pid = ev.scope;
-        name_proc(pid);
-        let at = ev.at;
-        match &ev.kind {
-            TraceEventKind::RequestArrived { request, model } => {
-                let tid = gateway_tid(*model);
-                lanes
-                    .entry((pid, tid))
-                    .or_insert_with(|| format!("gateway: {model}"));
-                out.push(
-                    Entry::new(&format!("req {request}"), "request", "b", at, pid, tid)
-                        .id(*request)
-                        .args(format!("\"model\":\"{model}\""))
-                        .finish(),
-                );
-            }
-            TraceEventKind::BatchFormed {
-                batch,
-                model,
-                size,
-                trigger,
-                ..
-            } => {
-                let tid = gateway_tid(*model);
-                lanes
-                    .entry((pid, tid))
-                    .or_insert_with(|| format!("gateway: {model}"));
-                let trig = match trigger {
-                    BatchTrigger::Size => "size",
-                    BatchTrigger::Window => "window",
+        procs.insert(pid);
+        let p = placement(ev);
+        if let Some(name) = p.lane.name() {
+            lanes.entry((pid, p.lane.tid())).or_insert(name);
+        }
+        out.push(entry(&p, pid, Some(&ev.kind)));
+        if let TraceEventKind::BatchCompleted { batch, model, .. } = &ev.kind {
+            for req in batch_members.get(batch).copied().unwrap_or_default() {
+                let end = Placement {
+                    ph: 'e',
+                    id: Some(*req),
+                    ..Placement::instant(
+                        format!("req {req}"),
+                        "request",
+                        Lane::Gateway(*model),
+                        ev.at,
+                    )
                 };
-                out.push(
-                    Entry::new(
-                        &format!("batch {batch} formed x{size}"),
-                        "batch",
-                        "i",
-                        at,
-                        pid,
-                        tid,
-                    )
-                    .args(format!(
-                        "\"batch\":{batch},\"size\":{size},\"trigger\":\"{trig}\""
-                    ))
-                    .finish(),
-                );
-            }
-            TraceEventKind::BatchDispatched {
-                batch,
-                model,
-                worker,
-                hw,
-            } => {
-                let tid = gateway_tid(*model);
-                lanes
-                    .entry((pid, tid))
-                    .or_insert_with(|| format!("gateway: {model}"));
-                out.push(
-                    Entry::new(
-                        &format!("batch {batch} -> w{worker}"),
-                        "batch",
-                        "i",
-                        at,
-                        pid,
-                        tid,
-                    )
-                    .args(format!(
-                        "\"batch\":{batch},\"worker\":{worker},\"hw\":\"{hw}\""
-                    ))
-                    .finish(),
-                );
-            }
-            TraceEventKind::BatchAdmitted {
-                batch,
-                worker,
-                container,
-                share,
-                concurrency,
-                slowdown,
-                ..
-            } => {
-                let tid = worker_tid(*worker);
-                lanes
-                    .entry((pid, tid))
-                    .or_insert_with(|| format!("worker {worker}"));
-                out.push(
-                    Entry::new(&format!("admit batch {batch}"), "admit", "i", at, pid, tid)
-                        .args(format!(
-                            "\"batch\":{batch},\"container\":{container},\"share\":{},\
-                             \"concurrency\":{concurrency},\"slowdown\":{}",
-                            jf(*share),
-                            jf(*slowdown)
-                        ))
-                        .finish(),
-                );
-            }
-            TraceEventKind::BatchCompleted {
-                batch,
-                model,
-                worker,
-                hw,
-                started,
-                solo_ms,
-                size,
-            } => {
-                let tid = worker_tid(*worker);
-                lanes
-                    .entry((pid, tid))
-                    .or_insert_with(|| format!("worker {worker}"));
-                let dur = at.as_micros().saturating_sub(started.as_micros());
-                out.push(
-                    Entry::new(
-                        &format!("{model} batch {batch} x{size}"),
-                        "exec",
-                        "X",
-                        *started,
-                        pid,
-                        tid,
-                    )
-                    .dur(dur)
-                    .args(format!(
-                        "\"batch\":{batch},\"hw\":\"{hw}\",\"size\":{size},\"solo_ms\":{}",
-                        jf(*solo_ms)
-                    ))
-                    .finish(),
-                );
-                if let Some(members) = batch_members.get(batch) {
-                    let tid = gateway_tid(*model);
-                    for req in members {
-                        out.push(
-                            Entry::new(&format!("req {req}"), "request", "e", at, pid, tid)
-                                .id(*req)
-                                .finish(),
-                        );
-                    }
-                }
-            }
-            TraceEventKind::ColdStartBegan {
-                worker,
-                container,
-                ready_at,
-            } => {
-                let tid = worker_tid(*worker);
-                lanes
-                    .entry((pid, tid))
-                    .or_insert_with(|| format!("worker {worker}"));
-                let dur = ready_at.as_micros().saturating_sub(at.as_micros());
-                out.push(
-                    Entry::new(
-                        &format!("cold-start c{container}"),
-                        "coldstart",
-                        "X",
-                        at,
-                        pid,
-                        tid,
-                    )
-                    .dur(dur)
-                    .args(format!("\"container\":{container}"))
-                    .finish(),
-                );
-            }
-            TraceEventKind::ColdStartFinished { worker, container } => {
-                let tid = worker_tid(*worker);
-                lanes
-                    .entry((pid, tid))
-                    .or_insert_with(|| format!("worker {worker}"));
-                out.push(
-                    Entry::new(
-                        &format!("warm c{container}"),
-                        "coldstart",
-                        "i",
-                        at,
-                        pid,
-                        tid,
-                    )
-                    .finish(),
-                );
-            }
-            TraceEventKind::WorkerProvisioned {
-                worker,
-                hw,
-                ready_at,
-            } => {
-                out.push(
-                    Entry::new(
-                        &format!("provision w{worker} ({hw})"),
-                        "control",
-                        "i",
-                        at,
-                        pid,
-                        TID_CONTROL,
-                    )
-                    .scope_process()
-                    .args(format!(
-                        "\"worker\":{worker},\"hw\":\"{hw}\",\"ready_us\":{}",
-                        ready_at.as_micros()
-                    ))
-                    .finish(),
-                );
-            }
-            TraceEventKind::WorkerReleased { worker, hw } => {
-                out.push(
-                    Entry::new(
-                        &format!("release w{worker} ({hw})"),
-                        "control",
-                        "i",
-                        at,
-                        pid,
-                        TID_CONTROL,
-                    )
-                    .scope_process()
-                    .finish(),
-                );
-            }
-            TraceEventKind::TransitionBegan { worker, from, to } => {
-                out.push(
-                    Entry::new(
-                        &format!("transition begin {from} -> {to} (w{worker})"),
-                        "control",
-                        "i",
-                        at,
-                        pid,
-                        TID_CONTROL,
-                    )
-                    .scope_process()
-                    .args(format!(
-                        "\"worker\":{worker},\"from\":\"{from}\",\"to\":\"{to}\""
-                    ))
-                    .finish(),
-                );
-            }
-            TraceEventKind::TransitionEnded { worker, committed } => {
-                let verb = if *committed { "commit" } else { "abandon" };
-                out.push(
-                    Entry::new(
-                        &format!("transition {verb} (w{worker})"),
-                        "control",
-                        "i",
-                        at,
-                        pid,
-                        TID_CONTROL,
-                    )
-                    .scope_process()
-                    .args(format!("\"worker\":{worker},\"committed\":{committed}"))
-                    .finish(),
-                );
-            }
-            TraceEventKind::HwSwitched { worker, from, to } => {
-                let from_s = from.map_or_else(|| "?".to_string(), |k| k.to_string());
-                out.push(
-                    Entry::new(
-                        &format!("hw switch {from_s} -> {to} (w{worker})"),
-                        "control",
-                        "i",
-                        at,
-                        pid,
-                        TID_CONTROL,
-                    )
-                    .scope_process()
-                    .finish(),
-                );
-            }
-            TraceEventKind::IterationStarted {
-                worker,
-                iteration,
-                residents,
-                kv_used,
-                kv_capacity,
-                dur_us,
-            } => {
-                let tid = worker_tid(*worker);
-                lanes
-                    .entry((pid, tid))
-                    .or_insert_with(|| format!("worker {worker}"));
-                out.push(
-                    Entry::new(
-                        &format!("iter {iteration} x{residents}"),
-                        "iter",
-                        "X",
-                        at,
-                        pid,
-                        tid,
-                    )
-                    .dur(*dur_us)
-                    .args(format!(
-                        "\"iteration\":{iteration},\"residents\":{residents},\
-                         \"kv_used\":{kv_used},\"kv_capacity\":{kv_capacity}"
-                    ))
-                    .finish(),
-                );
-            }
-            TraceEventKind::BatchJoin {
-                request,
-                model,
-                worker,
-                iteration,
-                kv_tokens,
-            } => {
-                let tid = worker_tid(*worker);
-                lanes
-                    .entry((pid, tid))
-                    .or_insert_with(|| format!("worker {worker}"));
-                out.push(
-                    Entry::new(
-                        &format!("join req {request} @{iteration}"),
-                        "iter",
-                        "i",
-                        at,
-                        pid,
-                        tid,
-                    )
-                    .args(format!(
-                        "\"request\":{request},\"model\":\"{model}\",\
-                         \"iteration\":{iteration},\"kv_tokens\":{kv_tokens}"
-                    ))
-                    .finish(),
-                );
-            }
-            TraceEventKind::BatchLeave {
-                request,
-                model,
-                worker,
-                iteration,
-                decoded,
-            } => {
-                let tid = worker_tid(*worker);
-                lanes
-                    .entry((pid, tid))
-                    .or_insert_with(|| format!("worker {worker}"));
-                out.push(
-                    Entry::new(
-                        &format!("leave req {request} @{iteration}"),
-                        "iter",
-                        "i",
-                        at,
-                        pid,
-                        tid,
-                    )
-                    .args(format!(
-                        "\"request\":{request},\"model\":\"{model}\",\
-                         \"iteration\":{iteration},\"decoded\":{decoded}"
-                    ))
-                    .finish(),
-                );
-            }
-            TraceEventKind::Decision(d) => {
-                let loads: Vec<String> = d
-                    .loads
-                    .iter()
-                    .map(|l| {
-                        format!(
-                            "{{\"model\":\"{}\",\"pending\":{},\"rate_rps\":{}}}",
-                            l.model,
-                            l.pending,
-                            jf(l.rate_rps)
-                        )
-                    })
-                    .collect();
-                let cands: Vec<String> = d
-                    .candidates
-                    .iter()
-                    .map(|c| {
-                        format!(
-                            "{{\"kind\":\"{}\",\"t_max_ms\":{},\"price_per_hour\":{},\
-                             \"feasible\":{}}}",
-                            c.kind,
-                            jf(c.t_max_ms),
-                            jf(c.price_per_hour),
-                            c.feasible
-                        )
-                    })
-                    .collect();
-                let plans: Vec<String> = d
-                    .plans
-                    .iter()
-                    .map(|p| {
-                        format!(
-                            "{{\"model\":\"{}\",\"best_y\":{},\"batch_size\":{},\
-                             \"spatial_cap\":{},\"t_max_ms\":{}}}",
-                            p.model,
-                            p.best_y,
-                            p.batch_size,
-                            p.spatial_cap,
-                            jf(p.t_max_ms)
-                        )
-                    })
-                    .collect();
-                out.push(
-                    Entry::new(
-                        &format!("decide: {}", d.chosen_hw),
-                        "decision",
-                        "i",
-                        at,
-                        pid,
-                        TID_CONTROL,
-                    )
-                    .scope_process()
-                    .args(format!(
-                        "\"scheduler\":\"{}\",\"current_hw\":\"{}\",\"chosen_hw\":\"{}\",\
-                         \"slo_ms\":{},\"distress\":{},\"ramping\":{},\"transitioning\":{},\
-                         \"loads\":[{}],\"candidates\":[{}],\"plans\":[{}]",
-                        escape(&d.scheduler),
-                        d.current_hw,
-                        d.chosen_hw,
-                        jf(d.slo_ms),
-                        d.distress,
-                        d.ramping,
-                        d.transitioning,
-                        loads.join(","),
-                        cands.join(","),
-                        plans.join(",")
-                    ))
-                    .finish(),
-                );
-            }
-            TraceEventKind::Failover {
-                failed,
-                replacement,
-                policy,
-            } => {
-                let repl = replacement.map_or_else(|| "none".to_string(), |k| k.to_string());
-                out.push(
-                    Entry::new(
-                        &format!("failover {failed} -> {repl}"),
-                        "fault",
-                        "i",
-                        at,
-                        pid,
-                        TID_CONTROL,
-                    )
-                    .scope_process()
-                    .args(format!(
-                        "\"failed\":\"{failed}\",\"replacement\":\"{repl}\",\"policy\":\"{}\"",
-                        escape(policy)
-                    ))
-                    .finish(),
-                );
-            }
-            TraceEventKind::FaultEdge {
-                window,
-                desc,
-                started,
-            } => {
-                let edge = if *started { "start" } else { "end" };
-                out.push(
-                    Entry::new(
-                        &format!("fault {edge}: {desc}"),
-                        "fault",
-                        "i",
-                        at,
-                        pid,
-                        TID_CONTROL,
-                    )
-                    .scope_process()
-                    .args(format!(
-                        "\"window\":{window},\"desc\":\"{}\",\"started\":{started}",
-                        escape(desc)
-                    ))
-                    .finish(),
-                );
-            }
-            TraceEventKind::RunSummary { events, horizon } => {
-                out.push(
-                    Entry::new("run summary", "control", "i", at, pid, TID_CONTROL)
-                        .scope_process()
-                        .args(format!(
-                            "\"engine_events\":{events},\"horizon_us\":{}",
-                            horizon.as_micros()
-                        ))
-                        .finish(),
-                );
+                out.push(entry(&end, pid, None));
             }
         }
     }
 
     // Metadata entries first so the viewer labels lanes before drawing.
-    let mut doc: Vec<String> = Vec::with_capacity(out.len() + lanes.len() + procs.len());
-    for (pid, name) in &procs {
-        doc.push(metadata("process_name", *pid, 0, name));
+    let mut doc: Vec<String> = Vec::with_capacity(out.len() + lanes.len() + 2 * procs.len());
+    for &pid in &procs {
+        let name = match pid {
+            0 => "cluster".to_string(),
+            pid => format!("deployment {}", pid - 1),
+        };
+        doc.push(metadata("process_name", pid, 0, &name));
     }
     for ((pid, tid), name) in &lanes {
         doc.push(metadata("thread_name", *pid, *tid, name));
     }
-    for pid in procs.keys() {
-        doc.push(metadata("thread_name", *pid, TID_CONTROL, "scheduler"));
+    for &pid in &procs {
+        doc.push(metadata("thread_name", pid, TID_CONTROL, "scheduler"));
     }
     doc.extend(out);
 
@@ -648,7 +349,9 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceEvent;
+    use crate::event::BatchTrigger;
+    use crate::jsonl::tests::sample_events;
+    use crate::jsonl::{event_to_jsonl, Json};
 
     fn ev(seq: u64, at_us: u64, kind: TraceEventKind) -> TraceEvent {
         TraceEvent {
@@ -660,16 +363,48 @@ mod tests {
     }
 
     #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+    fn non_finite_floats_stay_valid_json() {
+        let json = chrome_trace_json(&[ev(
+            0,
+            0,
+            TraceEventKind::BatchAdmitted {
+                batch: 1,
+                model: MlModel::Bert,
+                worker: 0,
+                container: 0,
+                share: f64::NAN,
+                concurrency: 1,
+                slowdown: f64::INFINITY,
+            },
+        )]);
+        assert!(json.contains("\"share\":\"NaN\""), "{json}");
+        assert!(json.contains("\"slowdown\":\"inf\""), "{json}");
+        assert!(Json::parse(&json).is_ok());
     }
 
+    /// Every kind's `args` object is its JSONL payload, byte for byte, and
+    /// reads back through the payload reader to the same kind.
     #[test]
-    fn non_finite_floats_stay_valid_json() {
-        assert_eq!(jf(1.5), "1.5");
-        assert_eq!(jf(f64::INFINITY), "\"inf\"");
-        assert_eq!(jf(f64::NAN), "\"NaN\"");
+    fn args_are_the_jsonl_payload() {
+        for event in sample_events() {
+            let json = chrome_trace_json(std::slice::from_ref(&event));
+            let line = event_to_jsonl(&event);
+            let header = format!("\"kind\":\"{}\"", event.kind.tag());
+            let payload = &line[line.find(&header).expect("kind") + header.len()..];
+            let args = format!("\"args\":{{{}", payload.trim_start_matches(','));
+            assert!(json.contains(&args), "{json}\nlacks {args}");
+
+            let doc = Json::parse(&json).expect("chrome export is JSON");
+            let Ok(Json::Arr(entries)) = doc.field("traceEvents") else {
+                panic!("no traceEvents array");
+            };
+            let entry = entries
+                .iter()
+                .find(|e| !matches!(e.field("ph"), Ok(Json::Str(ph)) if ph == "M"))
+                .expect("an event entry");
+            let back = TraceEventKind::read_payload(event.kind.tag(), entry.field("args").unwrap());
+            assert_eq!(back.as_ref(), Ok(&event.kind));
+        }
     }
 
     #[test]

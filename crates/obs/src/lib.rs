@@ -22,11 +22,16 @@
 //! * **Bounded memory.** [`RingSink`] keeps the most recent N events and
 //!   counts what it dropped, so multi-hour traces can be captured with a
 //!   fixed budget.
+//! * **One schema.** A single kind table declares [`TraceEventKind`]: each
+//!   row's variant, rustdoc, JSONL tag and typed fields. The JSONL writer,
+//!   the JSONL reader and the chrome `args` are all derived from it, so a
+//!   new kind is one row (plus its chrome name and lane).
 //!
 //! ## Consumers
 //!
 //! * [`chrome_trace_json`] serialises a captured stream for
-//!   `chrome://tracing` / Perfetto (`repro --trace out.json`).
+//!   `chrome://tracing` / Perfetto (`repro --trace out.json`); each entry's
+//!   `args` is the event's JSONL payload.
 //! * [`explain_request`] renders one request's plain-text timeline
 //!   (`repro --explain <id>`, `examples/trace_anatomy.rs`).
 //! * [`TraceAttribution`] splits each request's end-to-end latency into

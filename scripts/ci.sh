@@ -18,13 +18,16 @@
 #   8. repro --diff-golden    — the current build must reproduce the three
 #      committed golden decision logs (quick, LLM, fleet) bit for bit
 #      (re-bless intentional policy changes with scripts/rebless.sh)
-#   9. repro --llm-smoke      — the iteration-level LLM storm fleet at
+#   9. trace export           — a capture-only repro run writes the chrome
+#      trace and the JSONL log; the chrome file must load as JSON and the
+#      JSONL log must read back and diff empty against itself
+#  10. repro --llm-smoke      — the iteration-level LLM storm fleet at
 #      shards 1 and 3, decision streams diffed empty in both directions
 #      (target/llm-report.json)
-#  10. serve-smoke            — the wall-clock serving shell replays the quick
+#  11. serve-smoke            — the wall-clock serving shell replays the quick
 #      capture over loopback TCP and must diff divergence-free against the
 #      virtual-clock session in both directions (target/serve-report.json)
-#  11. cargo test --workspace — every crate's unit/property/integration tests
+#  12. cargo test --workspace — every crate's unit/property/integration tests
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,6 +56,14 @@ cargo test -q
 
 echo "==> repro --diff-golden (decision-log regression gates, quick + llm + fleet)"
 cargo run --release -q -p paldia-experiments --bin repro -- --diff-golden
+
+echo "==> trace export (chrome JSON parses, JSONL log self-diffs empty)"
+# --trace/--trace-file with no figure ids runs the capture only.
+cargo run --release -q -p paldia-experiments --bin repro -- \
+    --trace target/ci.trace.json --trace-file target/ci.trace.jsonl
+python3 -c 'import json,sys; json.load(open(sys.argv[1]))' target/ci.trace.json
+cargo run --release -q -p paldia-experiments --bin repro -- \
+    --diff target/ci.trace.jsonl target/ci.trace.jsonl
 
 echo "==> repro --llm-smoke (iteration-level shard-invariance gate)"
 # Runs the quick LLM storm fleet at shards 1 and 3 and requires the
