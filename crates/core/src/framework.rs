@@ -191,6 +191,11 @@ impl PaldiaScheduler {
         }
     }
 
+    /// This scheduler's y-search plan cache (hit/miss counters included).
+    pub fn plan_cache(&self) -> &PlanCache {
+        &self.plan_cache
+    }
+
     fn rate_for(
         &mut self,
         obs: &Observation,

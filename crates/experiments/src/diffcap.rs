@@ -72,6 +72,13 @@ impl DiffRunOpts {
 
 /// Run one side and capture its full trace (decision events included).
 pub fn capture_decision_run(opts: &DiffRunOpts) -> (Vec<TraceEvent>, RunResult) {
+    let mut sched = PaldiaScheduler::with_config(opts.config);
+    capture_with(opts, &mut sched)
+}
+
+/// [`capture_decision_run`] on a caller-owned scheduler, so its state
+/// (the y-search plan cache) can be inspected after the run.
+fn capture_with(opts: &DiffRunOpts, sched: &mut PaldiaScheduler) -> (Vec<TraceEvent>, RunResult) {
     let workloads = if opts.capture_secs > 0 {
         vec![scenarios::azure_workload_truncated(
             opts.model,
@@ -86,14 +93,13 @@ pub fn capture_decision_run(opts: &DiffRunOpts) -> (Vec<TraceEvent>, RunResult) 
     if let Some((plan, policy)) = opts.faults.clone() {
         cfg = cfg.with_faults(plan, policy);
     }
-    let mut sched = PaldiaScheduler::with_config(opts.config);
     // Initial hardware uses the scheme rule (cheapest capable for the
     // opening rate), which does not read PaldiaConfig — so both sides of a
     // tunable diff start on the same node and every divergence is the
     // scheduler's own doing.
     let initial = SchemeKind::Paldia.initial_hw(&workloads, &catalog, cfg.slo_ms);
     let mut sink = VecSink::new();
-    let result = run_simulation_traced(&workloads, &mut sched, initial, catalog, &cfg, &mut sink);
+    let result = run_simulation_traced(&workloads, sched, initial, catalog, &cfg, &mut sink);
     (sink.into_events(), result)
 }
 
@@ -379,6 +385,17 @@ mod tests {
         let names: Vec<&str> = deltas.iter().map(|d| d.name.as_str()).collect();
         assert_eq!(names, vec!["distress_boost", "selection.wait_limit"]);
         assert!(tunable_deltas(&a, &a).is_empty());
+    }
+
+    /// The golden scenario's plan-cache traffic, pinned. Evaluation order
+    /// decides which lookups hit, so a refactor of the y-search loop must
+    /// leave these counts exactly where they are.
+    #[test]
+    fn golden_plan_cache_counts_are_pinned() {
+        let mut sched = PaldiaScheduler::with_config(golden_opts().config);
+        let _ = capture_with(&golden_opts(), &mut sched);
+        let cache = sched.plan_cache();
+        assert_eq!((cache.hits(), cache.misses()), (598, 655));
     }
 
     #[test]
