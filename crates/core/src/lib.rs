@@ -4,8 +4,9 @@
 //!
 //! * [`tmax`] — Equation (1): the queueing/interference overhead model and
 //!   its optimal range over `y` (requests to queue vs. run via MPS).
-//! * [`ysearch`] — parallel evaluation of hardware candidates: Eq. (1)
-//!   y-probing on GPUs, M/D/1 sojourn estimation for the batched CPU mode.
+//! * [`ysearch`] — evaluation of hardware candidates on the deciding
+//!   thread: Eq. (1) y-probing on GPUs, M/D/1 sojourn estimation for the
+//!   batched CPU mode.
 //! * [`hwselect`] — `choose_best_HW` (cheapest-that-fits-the-SLO-slack with
 //!   a within-50 ms-of-best distress fallback) and the `wait_ctr`
 //!   reconfiguration hysteresis of Algorithm 1.
@@ -13,8 +14,8 @@
 //!   batch sizes.
 //! * [`framework`] — [`PaldiaScheduler`]: the pieces wired into a cluster
 //!   `Scheduler`, including the clairvoyant Oracle variant of §VI-B.
-//! * [`pool`] — the bounded worker pool behind both y-search and the
-//!   experiment runner (`--jobs N` / `PALDIA_JOBS` override).
+//! * [`pool`] — the bounded worker pool behind the experiment runner,
+//!   fleet shards and lint (`--jobs N` / `PALDIA_JOBS` override).
 
 pub mod framework;
 pub mod hwselect;

@@ -92,13 +92,17 @@ impl TmaxInputs {
     /// (queueing a fraction of a batch changes nothing — batches are the
     /// scheduling unit), always including the endpoints.
     pub fn candidate_ys(&self) -> Vec<u64> {
-        let bs = self.batch_size.max(1) as u64;
+        self.probe_ys().collect()
+    }
+
+    /// The values of [`candidate_ys`](Self::candidate_ys), ascending,
+    /// without allocating.
+    fn probe_ys(&self) -> impl Iterator<Item = u64> {
+        let bs = u64::from(self.batch_size.max(1));
         let n = self.n_requests;
-        let mut ys: Vec<u64> = (0..=n).step_by(bs as usize).collect();
-        if ys.last() != Some(&n) {
-            ys.push(n);
-        }
-        ys
+        std::iter::successors(Some(0), move |&y| {
+            (y < n).then(|| y.saturating_add(bs).min(n))
+        })
     }
 
     /// Exhaustively minimize `T_max` over batch-granular `y` (preferring,
@@ -108,7 +112,7 @@ impl TmaxInputs {
     /// Deterministic: ties break toward smaller `y` (more spatial sharing).
     pub fn best_y(&self) -> (u64, f64) {
         let mut best = (0u64, f64::INFINITY);
-        for y in self.candidate_ys() {
+        for y in self.probe_ys() {
             let t = self.t_max(y);
             if t < best.1 - 1e-9 {
                 best = (y, t);
@@ -199,6 +203,36 @@ mod tests {
         let i = inputs(100.0, 64, 0.5, 200);
         let ys = i.candidate_ys();
         assert_eq!(ys, vec![0, 64, 128, 192, 200]);
+    }
+
+    #[test]
+    fn candidate_ys_match_stepped_range_plus_endpoint() {
+        for bs in [1u32, 3, 8, 64, 500] {
+            for n in [0u64, 1, 2, 7, 8, 9, 63, 64, 65, 200, 1_000] {
+                let mut want: Vec<u64> = (0..=n).step_by(bs as usize).collect();
+                if want.last() != Some(&n) {
+                    want.push(n);
+                }
+                assert_eq!(
+                    inputs(100.0, bs, 0.5, n).candidate_ys(),
+                    want,
+                    "bs {bs} n {n}"
+                );
+            }
+        }
+        // Batch size 0 probes like 1.
+        assert_eq!(inputs(100.0, 0, 0.5, 3).candidate_ys(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn best_y_breaks_ties_toward_smaller_y() {
+        // FBR 1.0: every y costs N/BS · Solo, so the flat T_max must pick 0.
+        assert_eq!(inputs(100.0, 8, 1.0, 32).best_y(), (0, 400.0));
+        // FBR 2.0: queueing everything is strictly best; N itself is probed.
+        let i = inputs(100.0, 64, 2.0, 200);
+        let (y, t) = i.best_y();
+        assert_eq!(y, 200);
+        assert_eq!(t.to_bits(), i.t_max(200).to_bits());
     }
 
     #[test]

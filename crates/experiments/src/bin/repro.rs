@@ -19,7 +19,8 @@
 //! (results are invariant across shard counts; shards compose with
 //! `--jobs`). `--timings` prints per-figure wall-clock plus the y-search
 //! plan-cache hit rate and appends an entry to `BENCH_repro.json` at the
-//! repo root.
+//! root of the workspace containing the working directory (exit 2 when
+//! there is none).
 //!
 //! `--stress` skips the figure sweep and runs the partitioned engine at
 //! scale instead: 1000 Paldia tenants at 56 req/s each for 180 simulated
@@ -423,6 +424,19 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let timings_on = args.iter().any(|a| a == "--timings");
+    // Resolve the bench file before any work, so a run outside a checkout
+    // fails in the first second rather than after the figures.
+    let bench_path = if timings_on {
+        match default_bench_path() {
+            Ok(p) => Some(p),
+            Err(e) => {
+                eprintln!("--timings: {e}");
+                std::process::exit(2);
+            }
+        }
+    } else {
+        None
+    };
     let mut opts = if quick {
         RunOpts::quick()
     } else {
@@ -737,7 +751,7 @@ fn main() {
     }
 
     println!("{}", "=".repeat(72));
-    if timings_on {
+    if let Some(path) = bench_path {
         let (cache_hits, cache_misses) = ysearch::cache_counters();
         let report = TimingReport {
             label,
@@ -747,6 +761,9 @@ fn main() {
                 .unwrap_or(0),
             mode: if quick { "quick" } else { "full" }.to_string(),
             commit: current_commit(),
+            nproc: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
             jobs: pool::max_jobs(),
             shards,
             seed: opts.seed_base,
@@ -756,7 +773,6 @@ fn main() {
             cache_misses,
         };
         print!("{}", report.render());
-        let path = default_bench_path();
         match append_entry(&path, &report) {
             Ok(()) => println!("recorded entry '{}' in {}", report.label, path.display()),
             Err(e) => eprintln!("could not write {}: {e}", path.display()),

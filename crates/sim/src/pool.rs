@@ -1,12 +1,13 @@
-//! Bounded worker pool shared by y-search and the experiment runner.
+//! Bounded worker pool for coarse-grained parallel work: experiment grid
+//! cells, fleet shards and lint files.
 //!
-//! The pre-existing code spawned one OS thread per hardware candidate on
-//! every evaluation round — roughly six spawns per monitor tick per
-//! simulated cluster, tens of thousands per experiment sweep. This module
-//! replaces that with a single primitive, [`run_indexed`]: run `n`
-//! independent jobs across at most [`max_jobs`] scoped threads (the caller
-//! participates as one worker) and return the results **in index order**,
-//! so parallel execution is observationally identical to a serial loop.
+//! [`run_indexed`] runs `n` independent jobs across at most [`max_jobs`]
+//! scoped threads (the caller participates as one worker) and returns the
+//! results **in index order**, so parallel execution is observationally
+//! identical to a serial loop. Every call spawns and joins its threads, so
+//! a job must be worth far more than a thread round trip: y-search, whose
+//! per-decision work is a few microseconds, runs on the deciding thread
+//! instead (`paldia_core::ysearch`).
 //!
 //! Concurrency cap resolution, highest priority first:
 //!
@@ -15,10 +16,9 @@
 //! 3. `std::thread::available_parallelism()`.
 //!
 //! Nested calls run inline on the calling worker: a pool job that itself
-//! calls [`run_indexed`] (e.g. an experiment cell whose scheduler runs
-//! y-search) executes serially instead of oversubscribing the host. This
-//! also keeps nested work deterministic regardless of the outer pool's
-//! schedule.
+//! calls [`run_indexed`] (e.g. an experiment cell whose fleet runs sharded)
+//! executes serially instead of oversubscribing the host. This also keeps
+//! nested work deterministic regardless of the outer pool's schedule.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

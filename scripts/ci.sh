@@ -27,7 +27,10 @@
 #  11. serve-smoke            — the wall-clock serving shell replays the quick
 #      capture over loopback TCP and must diff divergence-free against the
 #      virtual-clock session in both directions (target/serve-report.json)
-#  12. cargo test --workspace — every crate's unit/property/integration tests
+#  12. ysearch latency       — the full Table II y-search (Eq. 1 over every
+#      candidate kind) must average under the paper's 3 ms budget (§III) in
+#      every case of `cargo bench -p paldia-bench --bench ysearch_latency`
+#  13. cargo test --workspace — every crate's unit/property/integration tests
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,6 +82,24 @@ echo "==> serve-smoke (wall-clock shell vs DES differential, DESIGN.md §14)"
 # directions. Publishes target/serve-report.json.
 cargo run --release -q -p paldia-serve -- --smoke \
     --requests 200 --speed 20 --report target/serve-report.json
+
+echo "==> ysearch latency (every case's mean < 3 ms, the paper's §III budget)"
+cargo bench -q -p paldia-bench --bench ysearch_latency | tee target/ysearch-latency.txt
+# Shim output: "<id> mean <value> <unit> min <value> <unit> (<n> samples)".
+awk '
+    /no samples recorded/ { print "no samples: " $1; bad++; next }
+    $2 == "mean" {
+        scale["ns"] = 1e-6; scale["us"] = 1e-3; scale["ms"] = 1; scale["s"] = 1e3
+        if (!($4 in scale)) { print "unparsed unit: " $0; bad++; next }
+        ms = $3 * scale[$4]; n++
+        if (ms >= 3) { printf "%s: mean %.3f ms >= 3 ms\n", $1, ms; bad++ }
+    }
+    END {
+        if (n == 0) { print "no ysearch_latency cases ran"; exit 1 }
+        if (bad > 0) exit 1
+        printf "%d case(s) under 3 ms\n", n
+    }
+' target/ysearch-latency.txt
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
