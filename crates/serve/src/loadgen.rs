@@ -47,13 +47,15 @@ pub fn replay_trace(
     let mut reader = BufReader::new(reader);
     let mut writer = BufWriter::new(stream);
 
+    // Lines are buffered and flushed only before the sender waits (for
+    // `ready`, or in a pacing sleep) and after `end`.
     let send = |w: &mut BufWriter<TcpStream>, line: &str| -> Result<(), String> {
-        writeln!(w, "{line}")
-            .and_then(|_| w.flush())
-            .map_err(|e| format!("sending `{line}`: {e}"))
+        writeln!(w, "{line}").map_err(|e| format!("sending `{line}`: {e}"))
     };
+    let flush = |w: &mut BufWriter<TcpStream>| w.flush().map_err(|e| format!("sending: {e}"));
 
     send(&mut writer, &proto::hello_replay_line(trace))?;
+    flush(&mut writer)?;
     let mut first = String::new();
     reader
         .read_line(&mut first)
@@ -97,6 +99,7 @@ pub fn replay_trace(
         let due = epoch + Duration::from_secs_f64(sa.at.as_micros() as f64 / (speed * 1e6));
         if let Some(wait) = due.checked_duration_since(Instant::now()) {
             if wait > Duration::ZERO {
+                flush(&mut writer)?;
                 std::thread::sleep(wait);
             }
         }
@@ -104,6 +107,7 @@ pub fn replay_trace(
         sent += 1;
     }
     send(&mut writer, "end")?;
+    flush(&mut writer)?;
 
     let (done, summary, errors) = collector
         .join()

@@ -17,14 +17,16 @@
 //!   the full `paldia-obs` decision taxonomy.
 //!
 //! A reader thread owns the socket's read half and feeds parsed
-//! [`ClientLine`]s over a channel; the serving thread owns the session,
-//! the clock, and the write half. Completion notifications are written as
-//! the executor drains them — in replay mode that is when the clock next
-//! advances (the next arrival, or end-of-trace drain).
+//! [`ClientLine`]s (at most [`MAX_LINE`] bytes each) over a channel; the
+//! serving thread owns the session, the clock, and the buffered write half.
+//! It never blocks while holding unflushed output: lines are only
+//! buffered, and flushed just before a blocking receive on an empty
+//! channel, before a pace that will sleep, and at session end.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::cell::RefCell;
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::TcpListener;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
 
 use paldia_cluster::{
@@ -33,11 +35,15 @@ use paldia_cluster::{
 use paldia_core::PaldiaScheduler;
 use paldia_hw::Catalog;
 use paldia_obs::{TraceEvent, VecSink};
-use paldia_sim::SimTime;
+use paldia_sim::{Clock, SimDuration, SimTime};
 
 use crate::clock::WallClock;
 use crate::proto::{self, ClientLine, LiveHello, ReplayHello};
 use crate::sink::{WallStamp, WallStampedSink};
+
+/// Longest client line accepted, newline included (a `hello` naming every
+/// model is a few hundred bytes); longer gets `err line too long`.
+pub const MAX_LINE: usize = 64 * 1024;
 
 /// How long the live loop waits for a client line before re-checking the
 /// clock for due events.
@@ -71,25 +77,80 @@ pub struct ServeOutcome {
     pub protocol_errors: Vec<String>,
 }
 
+/// Reader thread → serving thread: a parsed line, or the error ending it.
+type Msg = Result<ClientLine, String>;
+type Inbox = Receiver<Msg>;
+
+/// The write half, shared by the arrival source, the clock and the
+/// completion callback. The first write error is kept and later writes
+/// are skipped, so a session whose client went away still reports.
+struct Wire<W: Write> {
+    w: RefCell<W>,
+    err: RefCell<Option<String>>,
+}
+
+impl<W: Write> Wire<W> {
+    fn io(&self, f: impl FnOnce(&mut W) -> io::Result<()>) {
+        let mut err = self.err.borrow_mut();
+        if err.is_none() {
+            *err = f(&mut self.w.borrow_mut())
+                .err()
+                .map(|e| format!("writing to client: {e}"));
+        }
+    }
+
+    fn line(&self, line: &str) {
+        self.io(|w| writeln!(w, "{line}"));
+    }
+
+    fn flush(&self) {
+        self.io(W::flush);
+    }
+
+    /// The reader's next message within `wait`, flushing first if none is
+    /// queued (`Duration::MAX` waits for a line or the disconnect).
+    fn recv(&self, rx: &Inbox, wait: Duration) -> Result<Msg, RecvTimeoutError> {
+        match rx.try_recv() {
+            Ok(msg) => return Ok(msg),
+            Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
+            Err(TryRecvError::Empty) => self.flush(),
+        }
+        rx.recv_timeout(wait)
+    }
+}
+
+/// [`WallClock`] pacing that flushes the wire before it sleeps.
+struct FlushingClock<'a, W: Write>(WallClock, &'a Wire<W>);
+
+impl<W: Write> Clock for FlushingClock<'_, W> {
+    fn pace(&mut self, next: SimTime) {
+        if self.0.wall_until(next).is_some_and(|d| !d.is_zero()) {
+            self.1.flush();
+        }
+        self.0.pace(next);
+    }
+}
+
 /// Arrival source fed by the reader thread's channel. Replay mode only:
 /// a non-`arr` line (other than `end`) is recorded as a protocol error
 /// and treated as end-of-trace, so the session still drains and reports.
-struct ChannelSource<'a> {
-    rx: &'a Receiver<Result<ClientLine, String>>,
+struct ChannelSource<'a, W: Write> {
+    rx: &'a Inbox,
+    wire: &'a Wire<W>,
     errors: &'a mut Vec<String>,
 }
 
-impl ArrivalSource for ChannelSource<'_> {
+impl<W: Write> ArrivalSource for ChannelSource<'_, W> {
     fn next(&mut self) -> ReplayItem {
         loop {
-            match self.rx.recv() {
+            match self.wire.recv(self.rx, Duration::MAX) {
                 Ok(Ok(ClientLine::Arr(sa))) => return ReplayItem::Arrival(sa),
                 Ok(Ok(ClientLine::End)) => return ReplayItem::End,
-                Ok(Ok(other)) => {
-                    self.errors
-                        .push(format!("unexpected line in replay: {other:?}"));
-                }
+                Ok(Ok(other)) => self
+                    .errors
+                    .push(format!("unexpected line in replay: {other:?}")),
                 Ok(Err(e)) => {
+                    self.wire.line(&format!("err {e}"));
                     self.errors.push(e);
                     return ReplayItem::End;
                 }
@@ -100,12 +161,6 @@ impl ArrivalSource for ChannelSource<'_> {
             }
         }
     }
-}
-
-fn send_line(w: &mut BufWriter<TcpStream>, line: &str) -> Result<(), String> {
-    writeln!(w, "{line}")
-        .and_then(|_| w.flush())
-        .map_err(|e| format!("writing to client: {e}"))
 }
 
 /// Accept one connection on `listener` and serve it to completion.
@@ -122,17 +177,22 @@ pub fn serve_once(listener: &TcpListener, opts: &ServeOpts) -> Result<ServeOutco
     let reader = stream
         .try_clone()
         .map_err(|e| format!("cloning stream for {peer}: {e}"))?;
-    let mut writer = BufWriter::new(stream);
+    let (w, err) = (RefCell::new(BufWriter::new(stream)), RefCell::default());
+    let wire = Wire { w, err };
 
-    // Reader thread: socket lines → parsed ClientLine channel. Exits on
-    // EOF or socket error; dropping the sender signals the serving loop.
-    let (tx, rx) = mpsc::channel::<Result<ClientLine, String>>();
+    // Reader thread: socket lines → parsed ClientLine channel. Exits on EOF,
+    // socket error or an over-long line, dropping the sender.
+    let (tx, rx) = mpsc::channel::<Msg>();
     let reader_thread = std::thread::spawn(move || {
-        let buf = BufReader::new(reader);
-        for line in buf.lines() {
-            let msg = match line {
-                Ok(l) if l.trim().is_empty() => continue,
-                Ok(l) => proto::parse_client_line(&l),
+        let mut buf = BufReader::new(reader);
+        let mut line = String::new();
+        loop {
+            line.clear();
+            let msg = match (&mut buf).take(MAX_LINE as u64).read_line(&mut line) {
+                Ok(0) => break,
+                Ok(n) if n == MAX_LINE && !line.ends_with('\n') => Err("line too long".into()),
+                Ok(_) if line.trim().is_empty() => continue,
+                Ok(_) => proto::parse_client_line(&line),
                 Err(e) => Err(format!("reading from client: {e}")),
             };
             let fatal = msg.is_err();
@@ -142,142 +202,107 @@ pub fn serve_once(listener: &TcpListener, opts: &ServeOpts) -> Result<ServeOutco
         }
     });
 
-    let outcome = match rx.recv() {
-        Ok(Ok(ClientLine::HelloReplay(h))) => serve_replay(&h, &rx, &mut writer, opts),
-        Ok(Ok(ClientLine::HelloLive(h))) => serve_live(&h, &rx, &mut writer, opts),
-        Ok(Ok(other)) => {
-            send_line(&mut writer, &format!("err expected hello, got {other:?}")).ok();
-            Err(format!("client spoke before hello: {other:?}"))
-        }
-        Ok(Err(e)) => {
-            send_line(&mut writer, &format!("err {e}")).ok();
-            Err(format!("bad hello: {e}"))
-        }
+    let outcome = match wire.recv(&rx, Duration::MAX) {
+        Ok(Ok(ClientLine::HelloReplay(h))) => Ok(serve_replay(&h, &rx, &wire, opts.speed)),
+        Ok(Ok(ClientLine::HelloLive(h))) => Ok(serve_live(&h, &rx, &wire, opts.speed)),
+        Ok(Ok(other)) => Err(format!("expected hello, got {other:?}")),
+        Ok(Err(e)) => Err(e),
         Err(_) => Err("client disconnected before hello".into()),
     };
-    send_line(&mut writer, "bye").ok();
-    drop(writer);
+    if let Err(e) = &outcome {
+        wire.line(&format!("err {e}"));
+    }
+    wire.line("bye");
+    wire.flush();
     reader_thread.join().ok();
     outcome
 }
 
-/// Replay mode: rebuild the recorded session and drive it with the shared
-/// replay driver on the wall clock.
-fn serve_replay(
+/// Build the session `h` describes, say `ready`, let `drive` feed it, then
+/// finish it and write the summary: the frame both modes share.
+fn run_session<W: Write>(
     h: &ReplayHello,
-    rx: &Receiver<Result<ClientLine, String>>,
-    writer: &mut BufWriter<TcpStream>,
-    opts: &ServeOpts,
-) -> Result<ServeOutcome, String> {
+    wire: &Wire<W>,
+    drive: impl FnOnce(&mut SimSession<'_>, &mut Vec<String>),
+) -> ServeOutcome {
     let cfg = SimConfig::with_seed(h.seed);
-    let trace_end = SimTime::from_micros(h.duration.as_micros());
     let mut sched = PaldiaScheduler::new();
     let mut events_sink = VecSink::new();
     let mut sink = WallStampedSink::new(&mut events_sink);
     let start = Instant::now();
     let mut protocol_errors = Vec::new();
 
-    let (result, engine_events) = {
-        let mut session = SimSession::new_traced(
-            h.models.clone(),
-            &mut sched,
-            h.initial_hw,
-            Catalog::table_ii(),
-            &cfg,
-            trace_end,
-            h.reserve,
-            &mut sink,
-        );
-        send_line(writer, "ready")?;
-        let mut clock = WallClock::new(opts.speed);
-        let mut source = ChannelSource {
-            rx,
-            errors: &mut protocol_errors,
-        };
-        let mut send_err: Option<String> = None;
-        let replayed = run_replay(
-            &mut session,
-            &mut source,
-            &mut clock,
-            |c: &CompletedRequest| {
-                if send_err.is_none() {
-                    send_err = send_line(writer, &proto::done_line(c)).err();
-                }
-            },
-        );
-        if let Some(e) = send_err {
-            protocol_errors.push(e);
-        }
-        // A refused arrival ends the replay; the session still drains
-        // and reports.
-        if let Err(e) = replayed {
-            send_line(writer, &format!("err {e}"))?;
-            protocol_errors.push(e);
-        }
-        let engine_events = session.events();
-        (session.finish(), engine_events)
-    };
+    let mut session = SimSession::new_traced(
+        h.models.clone(),
+        &mut sched,
+        h.initial_hw,
+        Catalog::table_ii(),
+        &cfg,
+        SimTime::from_micros(h.duration.as_micros()),
+        h.reserve,
+        &mut sink,
+    );
+    wire.line("ready");
+    drive(&mut session, &mut protocol_errors);
+    let engine_events = session.events();
+    let result = session.finish();
+    protocol_errors.extend(wire.err.borrow().clone());
     let stamps = sink.take_stamps();
-    drop(sink);
-    let events = events_sink.into_events();
-    send_line(writer, &proto::summary_line(&result, engine_events))?;
-    Ok(ServeOutcome {
+    wire.line(&proto::summary_line(&result, engine_events));
+    ServeOutcome {
         result,
-        events,
+        events: events_sink.into_events(),
         stamps,
         wall: start.elapsed(),
         protocol_errors,
+    }
+}
+
+/// Replay mode: rebuild the recorded session and drive it with the shared
+/// replay driver on the wall clock.
+fn serve_replay<W: Write>(h: &ReplayHello, rx: &Inbox, wire: &Wire<W>, speed: f64) -> ServeOutcome {
+    run_session(h, wire, |session, errors| {
+        let mut clock = FlushingClock(WallClock::new(speed), wire);
+        let mut source = ChannelSource { rx, wire, errors };
+        let on_done = |c: &CompletedRequest| wire.line(&proto::done_line(c));
+        // A refused arrival ends the replay; the session still drains
+        // and reports.
+        if let Err(e) = run_replay(session, &mut source, &mut clock, on_done) {
+            wire.line(&format!("err {e}"));
+            source.errors.push(e);
+        }
     })
 }
 
 /// Live mode: poll the channel, stamp `inv` arrivals with the wall-derived
-/// virtual now, and step the session as virtual deadlines come due.
-fn serve_live(
-    h: &LiveHello,
-    rx: &Receiver<Result<ClientLine, String>>,
-    writer: &mut BufWriter<TcpStream>,
-    opts: &ServeOpts,
-) -> Result<ServeOutcome, String> {
-    let cfg = SimConfig::default();
-    let trace_end = SimTime::from_secs(h.live_secs.max(1));
-    let initial_hw = *Catalog::table_ii()
-        .by_cost_ascending()
-        .first()
-        .ok_or("catalog has no hardware")?;
-    let mut sched = PaldiaScheduler::new();
-    let mut events_sink = VecSink::new();
-    let mut sink = WallStampedSink::new(&mut events_sink);
-    let start = Instant::now();
-    let mut protocol_errors = Vec::new();
-
-    let (result, engine_events) = {
-        let mut session = SimSession::new_traced(
-            h.models.clone(),
-            &mut sched,
-            initial_hw,
-            Catalog::table_ii(),
-            &cfg,
-            trace_end,
-            0,
-            &mut sink,
-        );
-        send_line(writer, "ready")?;
-        let clock = WallClock::new(opts.speed);
+/// virtual now, and step the session as virtual deadlines come due. It is
+/// framed as a replay with the default seed, no reserved seqs, cheapest hw.
+fn serve_live<W: Write>(h: &LiveHello, rx: &Inbox, wire: &Wire<W>, speed: f64) -> ServeOutcome {
+    let cheapest = Catalog::table_ii().by_cost_ascending();
+    let spec = ReplayHello {
+        seed: SimConfig::default().seed,
+        duration: SimDuration::from_secs(h.live_secs.max(1)),
+        reserve: 0,
+        initial_hw: *cheapest
+            .first()
+            .expect("invariant: Table II lists hardware"),
+        models: h.models.clone(),
+    };
+    let trace_end = SimTime::from_micros(spec.duration.as_micros());
+    run_session(&spec, wire, |session, errors| {
+        let clock = WallClock::new(speed);
         loop {
             // Step everything the wall has made due.
             let now_v = clock.now_virtual();
             while let Some(t) = session.next_event_time() {
-                if t > now_v {
-                    break;
-                }
-                if session.step().is_none() {
+                if t > now_v || session.step().is_none() {
                     break;
                 }
                 for c in session.drain_completions() {
-                    send_line(writer, &proto::done_line(&c))?;
+                    wire.line(&proto::done_line(&c));
                 }
             }
-            if now_v >= trace_end {
+            if now_v >= trace_end || wire.err.borrow().is_some() {
                 break;
             }
             // Sleep until the next virtual deadline or the next line.
@@ -286,26 +311,18 @@ fn serve_live(
                 .filter(|t| *t < session.horizon())
                 .and_then(|t| clock.wall_until(t))
                 .map_or(LIVE_POLL, |d| d.min(LIVE_POLL));
-            match rx.recv_timeout(wait) {
+            match wire.recv(rx, wait) {
                 Ok(Ok(ClientLine::Inv(model))) => {
                     let at = clock.now_virtual().min(trace_end);
                     let id = session.inject_arrival(at, model);
-                    send_line(
-                        writer,
-                        &format!(
-                            "acc {} {} {}",
-                            id.0,
-                            paldia_cluster::model_token(model),
-                            at.as_micros()
-                        ),
-                    )?;
+                    let token = paldia_cluster::model_token(model);
+                    wire.line(&format!("acc {} {token} {}", id.0, at.as_micros()));
                 }
                 Ok(Ok(ClientLine::End)) => break,
-                Ok(Ok(other)) => {
-                    protocol_errors.push(format!("unexpected line in live mode: {other:?}"));
-                }
+                Ok(Ok(other)) => errors.push(format!("unexpected line in live mode: {other:?}")),
                 Ok(Err(e)) => {
-                    protocol_errors.push(e);
+                    wire.line(&format!("err {e}"));
+                    errors.push(e);
                     break;
                 }
                 Err(RecvTimeoutError::Timeout) => {}
@@ -314,26 +331,83 @@ fn serve_live(
         }
         // Drain to the horizon virtually so every remaining completion is
         // notified before the summary.
-        while session.step().is_some() {
-            for c in session.drain_completions() {
-                send_line(writer, &proto::done_line(&c))?;
-            }
-        }
+        while session.step().is_some() {}
         for c in session.drain_completions() {
-            send_line(writer, &proto::done_line(&c))?;
+            wire.line(&proto::done_line(&c));
         }
-        let engine_events = session.events();
-        (session.finish(), engine_events)
-    };
-    let stamps = sink.take_stamps();
-    drop(sink);
-    let events = events_sink.into_events();
-    send_line(writer, &proto::summary_line(&result, engine_events))?;
-    Ok(ServeOutcome {
-        result,
-        events,
-        stamps,
-        wall: start.elapsed(),
-        protocol_errors,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An in-memory client counting the writes and flushes that reach it.
+    #[derive(Default)]
+    struct Counting {
+        bytes: usize,
+        writes: usize,
+        flushes: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes += buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    /// With every `arr` already queued the channel never runs dry, and at a
+    /// speed-up this high no pace sleeps, so the replay never flushes: its
+    /// output reaches the client in buffer-sized chunks, not one write per
+    /// `done` line.
+    #[test]
+    fn queued_replay_writes_in_buffer_sized_chunks() {
+        let trace = paldia_experiments::replaycap::quick_replay_trace(42).truncated(1000);
+        let (tx, rx) = mpsc::channel();
+        for sa in &trace.arrivals {
+            tx.send(Ok(ClientLine::Arr(*sa))).expect("queue arr");
+        }
+        tx.send(Ok(ClientLine::End)).expect("queue end");
+        let h = ReplayHello {
+            seed: trace.seed,
+            duration: trace.duration,
+            reserve: trace.reserve,
+            initial_hw: trace.initial_hw,
+            models: trace.models.clone(),
+        };
+        let wire = Wire {
+            w: RefCell::new(BufWriter::new(Counting::default())),
+            err: RefCell::default(),
+        };
+        let outcome = serve_replay(&h, &rx, &wire, 1e9);
+        assert!(outcome.protocol_errors.is_empty(), "{outcome:?}");
+        let done = outcome.result.completed.len();
+        assert!(done >= 500, "fixture completes enough requests: {done}");
+
+        let c = wire
+            .w
+            .into_inner()
+            .into_inner()
+            .unwrap_or_else(|_| panic!("in-memory writes cannot fail"));
+        assert!(
+            c.bytes > done * "done 1 googlenet 1 1 1 x 1".len(),
+            "every done line was written: {} bytes",
+            c.bytes
+        );
+        assert!(
+            c.writes + c.flushes <= c.bytes / 4096 + 2,
+            "{} writes and {} flushes for {} bytes: not buffer-sized chunks",
+            c.writes,
+            c.flushes,
+            c.bytes
+        );
+        assert!(c.writes + c.flushes < done / 10, "{done} done lines");
+    }
 }

@@ -102,6 +102,60 @@ fn server_rejects_garbage_hello() {
     assert!(server.join().expect("no panic").is_err());
 }
 
+/// A line of `MAX_LINE` bytes with no newline is refused with `err line
+/// too long`, before `hello` (the session ends unbuilt) and mid-replay
+/// (the replay ends, then drains and reports). The line is exactly the
+/// cap, so the server reads every byte sent and closes without a reset.
+#[test]
+fn server_refuses_an_over_long_line() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Duration;
+
+    let trace =
+        replaycap::capture_replay_trace(paldia_workloads::MlModel::GoogleNet, 42, 30).truncated(3);
+    let hello = paldia_serve::proto::hello_replay_line(&trace);
+    for (prefix, replies) in [
+        (String::new(), &["err line too long", "bye"][..]),
+        (
+            format!("{hello}\n"),
+            &["ready", "err line too long", "summary", "bye"][..],
+        ),
+    ] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let opts = paldia_serve::ServeOpts { speed: 1e6 };
+        let server = std::thread::spawn(move || paldia_serve::serve_once(&listener, &opts));
+
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        stream.write_all(prefix.as_bytes()).expect("send prefix");
+        stream
+            .write_all(&vec![b'a'; paldia_serve::server::MAX_LINE])
+            .expect("send an over-long line");
+        let got: Vec<String> = BufReader::new(&stream)
+            .lines()
+            .map(|l| l.expect("read reply"))
+            .collect();
+        assert_eq!(got.len(), replies.len(), "{got:?}");
+        for (line, want) in got.iter().zip(replies) {
+            assert!(line.starts_with(want), "{line:?} vs {want:?} in {got:?}");
+        }
+        drop(stream);
+        let outcome = server.join().expect("no panic");
+        match outcome {
+            Ok(o) => assert!(
+                !prefix.is_empty() && o.protocol_errors.iter().any(|e| e == "line too long"),
+                "{:?}",
+                o.protocol_errors
+            ),
+            Err(e) => assert!(prefix.is_empty() && e == "line too long", "{e}"),
+        }
+    }
+}
+
 /// Malformed replays over loopback: an arrival seq outside the reserved
 /// block, a seq sent twice, an arrival not after the previous one, and an
 /// arrival earlier than the session's now (the driver only steps events

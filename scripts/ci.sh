@@ -26,7 +26,9 @@
 #      (target/llm-report.json)
 #  11. serve-smoke            — the wall-clock serving shell replays the quick
 #      capture over loopback TCP and must diff divergence-free against the
-#      virtual-clock session in both directions (target/serve-report.json)
+#      virtual-clock session in both directions, at 20x (the server flushes
+#      before pacing sleeps; target/serve-report.json) and at 1e6x (it
+#      flushes when its input runs dry; target/serve-report-1e6.json)
 #  12. ysearch latency       — the full Table II y-search (Eq. 1 over every
 #      candidate kind) must average under the paper's 3 ms budget (§III) in
 #      every case of `cargo bench -p paldia-bench --bench ysearch_latency`
@@ -82,6 +84,11 @@ echo "==> serve-smoke (wall-clock shell vs DES differential, DESIGN.md §14)"
 # directions. Publishes target/serve-report.json.
 cargo run --release -q -p paldia-serve -- --smoke \
     --requests 200 --speed 20 --report target/serve-report.json
+# The same gate at 1e6x, where pacing never sleeps: mid-session, replies
+# reach the client only in full buffers and through the flush before a
+# wait on an empty input channel.
+cargo run --release -q -p paldia-serve -- --smoke \
+    --requests 200 --speed 1e6 --report target/serve-report-1e6.json
 
 echo "==> ysearch latency (every case's mean < 3 ms, the paper's §III budget)"
 cargo bench -q -p paldia-bench --bench ysearch_latency | tee target/ysearch-latency.txt
