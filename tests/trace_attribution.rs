@@ -8,17 +8,19 @@
 //! Also here: the `--triage` golden-shape test on a seeded cold-start
 //! storm, the span-coverage regression (every request phase has an
 //! emitting span — transition windows and prewarm cold starts included),
-//! and the JSONL-vs-ring sink equivalence on a real capture.
+//! the JSONL-vs-ring sink equivalence on a real capture, and the
+//! attribution of an iteration-level LLM capture read back from JSONL.
 
 use paldia_cluster::{run_fleet_traced, FailoverPolicyKind, FaultPlan, FleetDeployment, SimConfig};
 use paldia_core::PaldiaScheduler;
+use paldia_experiments::llm_iter::{capture_llm_run, LlmRunOpts};
 use paldia_experiments::scenarios::azure_workload_truncated;
 use paldia_experiments::tracecap;
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_metrics::{tail_cohort, TailBreakdown};
 use paldia_obs::{
-    events_from_jsonl, render_triage, Component, JsonlSink, RingSink, TraceAttribution, TraceEvent,
-    TraceEventKind, TriageReport,
+    event_to_jsonl, events_from_jsonl, render_triage, Component, JsonlSink, RingSink,
+    TraceAttribution, TraceEvent, TraceEventKind, TriageReport,
 };
 use paldia_sim::SimTime;
 use paldia_workloads::MlModel;
@@ -297,4 +299,46 @@ fn jsonl_capture_is_equivalent_to_ring_capture() {
         TraceAttribution::from_events(&ring_events),
         TraceAttribution::from_events(&file_events)
     );
+}
+
+#[test]
+fn llm_iterative_capture_attributes_through_jsonl() {
+    // The golden iteration-level storm run (both storm edges crossed),
+    // written out line by line and read back, as a capture file would be.
+    let (events, result) = capture_llm_run(&LlmRunOpts::golden());
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e.kind, TraceEventKind::BatchLeave { .. })),
+        "the capture must retire sequences per token"
+    );
+    let text: String = events.iter().map(|e| event_to_jsonl(e) + "\n").collect();
+    let parsed = events_from_jsonl(&text).expect("capture must parse back");
+    assert_eq!(parsed, events, "jsonl read-back diverged from the capture");
+
+    let attribution = TraceAttribution::from_events(&parsed);
+    assert!(!result.completed.is_empty());
+    let mut attributed: Vec<u64> = attribution.requests.iter().map(|r| r.request).collect();
+    attributed.sort_unstable();
+    let mut completed: Vec<u64> = result.completed.iter().map(|c| c.id.0).collect();
+    completed.sort_unstable();
+    assert_eq!(
+        attributed, completed,
+        "every completed request is attributed exactly once"
+    );
+
+    let by_id: std::collections::HashMap<u64, &paldia_cluster::CompletedRequest> =
+        result.completed.iter().map(|c| (c.id.0, c)).collect();
+    for r in &attribution.requests {
+        let c = by_id[&r.request];
+        assert_eq!(
+            r.latency_us(),
+            c.completed.as_micros() - c.arrival.as_micros(),
+            "latency of request {} diverged from the harness",
+            r.request
+        );
+    }
+
+    let report = TriageReport::build(&attribution, 200.0);
+    assert_eq!(report.total, result.completed.len());
 }
