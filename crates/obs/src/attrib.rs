@@ -29,6 +29,12 @@
 //! that key order yields the identical attribution (a property test holds
 //! this).
 //!
+//! Cost: one sort, one pass that collects the window sources, and a
+//! lookup per request. An iterative request's iterations are found with
+//! two binary searches over its worker's iteration start times (pushed in
+//! stream order, so already sorted); its wait is clipped from its worker's
+//! cold-start windows and its scope's transition windows, which are few.
+//!
 //! The differential test `tests/trace_attribution.rs` holds the resulting
 //! tail breakdown against `paldia_metrics::TailBreakdown` (same cohort
 //! rule) on the Fig. 4 scenario for both harnesses.
@@ -45,7 +51,9 @@
 //! request's iterations ([`crate::TraceEventKind::IterationStarted`])
 //! deflated by the resident-count stretch
 //! (`paldia_workloads::tokens::ITER_RESIDENT_PENALTY`) — so interference
-//! is exactly the slowdown contributed by co-resident sequences.
+//! is exactly the slowdown contributed by co-resident sequences. The
+//! iterations are those of the worker that started in `[join, leave)`,
+//! summed in stream order.
 //!
 //! [`kv_occupancy`] additionally rolls the `IterationStarted` stream into
 //! a per-worker time-weighted KV-cache occupancy summary — the capacity
@@ -257,10 +265,10 @@ pub struct TraceAttribution {
 type Intervals = Vec<(u64, u64)>;
 
 /// Clip `windows` to `[lo, hi)`, then merge into a sorted disjoint list.
-fn clip_merge(windows: &[(u64, u64)], lo: u64, hi: u64) -> Intervals {
+fn clip_merge(windows: impl IntoIterator<Item = (u64, u64)>, lo: u64, hi: u64) -> Intervals {
     let mut v: Intervals = windows
-        .iter()
-        .filter_map(|&(s, e)| {
+        .into_iter()
+        .filter_map(|(s, e)| {
             let s = s.max(lo);
             let e = e.min(hi);
             (s < e).then_some((s, e))
@@ -320,12 +328,9 @@ fn wait_split(
     formed_us: u64,
     started_us: u64,
 ) -> (u64, u64, u64) {
-    let cold_iv = clip_merge(cold_w, formed_us, started_us);
-    let mut trans_src: Vec<(u64, u64)> = trans_scope.to_vec();
-    if let Some(w) = prov {
-        trans_src.push(w);
-    }
-    let trans_iv = subtract(&clip_merge(&trans_src, formed_us, started_us), &cold_iv);
+    let cold_iv = clip_merge(cold_w.iter().copied(), formed_us, started_us);
+    let trans_src = trans_scope.iter().copied().chain(prov);
+    let trans_iv = subtract(&clip_merge(trans_src, formed_us, started_us), &cold_iv);
     let cold_us = measure(&cold_iv);
     let trans_us = measure(&trans_iv);
     (
@@ -456,7 +461,6 @@ impl TraceAttribution {
         // `BatchCompleted` retires a whole request-level batch at once;
         // `BatchLeave` retires one iterative sequence.
         let empty: Vec<(u64, u64)> = Vec::new();
-        let no_iters: Vec<(u64, u64, u32)> = Vec::new();
         let mut requests = Vec::new();
         for ev in &order {
             match &ev.kind {
@@ -546,14 +550,18 @@ impl TraceAttribution {
                     // Isolated time: the request's iterations deflated by
                     // the resident-count stretch — exactly what a solo
                     // residency would have cost on the same device.
+                    // A worker's iterations are pushed in stream order, so
+                    // they are sorted by start: the residency
+                    // [join, completed) is one slice of them.
                     let exec_us = completed_us - join_us;
+                    let ran = iters.get(worker).map_or(&[][..], |v| v);
+                    let lo = ran.partition_point(|it| it.0 < join_us);
+                    let hi = lo + ran[lo..].partition_point(|it| it.0 < completed_us);
                     let mut solo = 0.0f64;
-                    for &(start, dur, residents) in iters.get(worker).unwrap_or(&no_iters) {
-                        if start >= join_us && start < completed_us {
-                            let stretch =
-                                1.0 + ITER_RESIDENT_PENALTY * residents.saturating_sub(1) as f64;
-                            solo += dur as f64 / stretch;
-                        }
+                    for &(_, dur, residents) in &ran[lo..hi] {
+                        let stretch =
+                            1.0 + ITER_RESIDENT_PENALTY * residents.saturating_sub(1) as f64;
+                        solo += dur as f64 / stretch;
                     }
                     let solo_us = solo.round() as u64;
                     let interference_us = exec_us.saturating_sub(solo_us);
@@ -1042,7 +1050,7 @@ mod tests {
     #[test]
     fn interval_helpers_hold() {
         assert_eq!(
-            clip_merge(&[(5, 10), (8, 12), (20, 30)], 6, 25),
+            clip_merge([(5, 10), (8, 12), (20, 30)], 6, 25),
             vec![(6, 12), (20, 25)]
         );
         assert_eq!(
@@ -1051,7 +1059,7 @@ mod tests {
         );
         assert_eq!(measure(&[(1, 4), (10, 11)]), 4);
         assert_eq!(subtract(&[(0, 10)], &[]), vec![(0, 10)]);
-        assert_eq!(clip_merge(&[], 0, 100), Vec::<(u64, u64)>::new());
+        assert_eq!(clip_merge([], 0, 100), Vec::<(u64, u64)>::new());
     }
 
     #[test]
