@@ -20,7 +20,14 @@
 //! parse a capture back into [`TraceEvent`]s for attribution and triage.
 //! The reader never panics on malformed input: it returns an error, and it
 //! refuses nesting deeper than the schema could produce.
+//!
+//! The parsed tree borrows the line it was read from: keys, numbers and
+//! strings are slices of the input, and a string allocates only when it
+//! contains an escape. Model and instance names are matched against their
+//! `&'static str` names on both sides, so neither writing nor reading a
+//! name builds a `String`.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -138,7 +145,7 @@ impl Field for f64 {
     fn get(v: &Json) -> Result<Self, String> {
         match v {
             Json::Num(raw) => raw.parse().map_err(|e| format!("{e}")),
-            Json::Str(s) => match s.as_str() {
+            Json::Str(s) => match &**s {
                 "NaN" => Ok(f64::NAN),
                 "inf" => Ok(f64::INFINITY),
                 "-inf" => Ok(f64::NEG_INFINITY),
@@ -183,10 +190,10 @@ impl Field for SimTime {
     }
 }
 
-/// Its `Display` name.
+/// Its `Display` name, [`MlModel::name`].
 impl Field for MlModel {
     fn put(&self, out: &mut String) {
-        escape_into(&self.to_string(), out);
+        escape_into(self.name(), out);
     }
 
     fn get(v: &Json) -> Result<Self, String> {
@@ -194,15 +201,15 @@ impl Field for MlModel {
         MlModel::ALL
             .iter()
             .copied()
-            .find(|m| m.to_string() == name)
+            .find(|m| m.name() == name)
             .ok_or_else(|| format!("unknown model {name:?}"))
     }
 }
 
-/// Its `Display` name.
+/// Its `Display` name, [`InstanceKind::aws_name`].
 impl Field for InstanceKind {
     fn put(&self, out: &mut String) {
-        escape_into(&self.to_string(), out);
+        escape_into(self.aws_name(), out);
     }
 
     fn get(v: &Json) -> Result<Self, String> {
@@ -210,7 +217,7 @@ impl Field for InstanceKind {
         InstanceKind::ALL
             .iter()
             .copied()
-            .find(|k| k.to_string() == name)
+            .find(|k| k.aws_name() == name)
             .ok_or_else(|| format!("unknown instance kind {name:?}"))
     }
 }
@@ -391,20 +398,22 @@ impl std::fmt::Display for JsonlError {
 
 impl std::error::Error for JsonlError {}
 
-/// Minimal JSON value for the reader. Numbers keep their raw text so
-/// integer and float consumers both parse from the original digits.
-pub(crate) enum Json {
+/// Minimal JSON value for the reader, borrowing the text it was parsed
+/// from. Numbers keep their raw text so integer and float consumers both
+/// parse from the original digits; keys and strings are borrowed unless
+/// they contain an escape.
+pub(crate) enum Json<'a> {
     Null,
     Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+    Num(&'a str),
+    Str(Cow<'a, str>),
+    Arr(Vec<Json<'a>>),
+    Obj(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
-impl Json {
+impl<'a> Json<'a> {
     /// Parse one complete JSON document.
-    pub(crate) fn parse(text: &str) -> Result<Json, String> {
+    pub(crate) fn parse(text: &'a str) -> Result<Json<'a>, String> {
         let mut p = Parser { s: text, i: 0 };
         let v = p.value(1)?;
         p.ws();
@@ -421,7 +430,7 @@ impl Json {
         }
     }
 
-    pub(crate) fn field<'a>(&'a self, key: &str) -> Result<&'a Json, String> {
+    pub(crate) fn field(&self, key: &str) -> Result<&Json<'a>, String> {
         match self {
             Json::Obj(fields) => fields
                 .iter()
@@ -440,7 +449,7 @@ struct Parser<'a> {
     i: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn ws(&mut self) {
         while self
             .peek()
@@ -464,7 +473,7 @@ impl Parser<'_> {
     }
 
     /// One value at nesting level `depth` (the document root is level 1).
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
+    fn value(&mut self, depth: usize) -> Result<Json<'a>, String> {
         self.ws();
         match self.peek() {
             Some(b'{' | b'[') if depth > MAX_DEPTH => Err(format!(
@@ -482,7 +491,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
+    fn literal(&mut self, word: &str, v: Json<'a>) -> Result<Json<'a>, String> {
         if self.s[self.i..].starts_with(word) {
             self.i += word.len();
             Ok(v)
@@ -491,7 +500,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json<'a>, String> {
         let start = self.i;
         while self
             .peek()
@@ -499,25 +508,33 @@ impl Parser<'_> {
         {
             self.i += 1;
         }
-        Ok(Json::Num(self.s[start..self.i].to_string()))
+        Ok(Json::Num(&self.s[start..self.i]))
     }
 
-    /// A string literal. Runs without a quote or backslash are copied
-    /// whole, so the scan is linear in the line length.
-    fn string(&mut self) -> Result<String, String> {
+    /// A string literal: a slice of the input unless it contains an
+    /// escape. Runs without a quote or backslash are copied whole, so the
+    /// scan is linear in the line length.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let mut escaped: Option<String> = None;
         loop {
-            let rest = &self.s[self.i..];
+            let rest: &'a str = &self.s[self.i..];
             let run = rest
                 .bytes()
                 .position(|b| b == b'"' || b == b'\\')
                 .ok_or_else(|| "unterminated string".to_string())?;
-            out.push_str(&rest[..run]);
             self.i += run + 1;
             if rest.as_bytes()[run] == b'"' {
-                return Ok(out);
+                return Ok(match escaped {
+                    None => Cow::Borrowed(&rest[..run]),
+                    Some(mut out) => {
+                        out.push_str(&rest[..run]);
+                        Cow::Owned(out)
+                    }
+                });
             }
+            let out = escaped.get_or_insert_with(String::new);
+            out.push_str(&rest[..run]);
             let esc = self.peek();
             self.i += 1;
             match esc {
@@ -547,7 +564,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json<'a>, String> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.ws();
@@ -571,7 +588,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json<'a>, String> {
         self.eat(b'{')?;
         let mut fields = Vec::new();
         self.ws();
