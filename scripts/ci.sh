@@ -19,8 +19,9 @@
 #      committed golden decision logs (quick, LLM, fleet) bit for bit
 #      (re-bless intentional policy changes with scripts/rebless.sh)
 #   9. trace export           — a capture-only repro run writes the chrome
-#      trace and the JSONL log; the chrome file must load as JSON and the
-#      JSONL log must read back and diff empty against itself
+#      trace and the JSONL log, reads the log back, attributes it and
+#      triages it at a 200 ms SLO; the chrome file must load as JSON and the
+#      JSONL log must diff empty against itself
 #  10. repro --llm-smoke      — the iteration-level LLM storm fleet at
 #      shards 1 and 3, decision streams diffed empty in both directions
 #      (target/llm-report.json)
@@ -62,10 +63,11 @@ cargo test -q
 echo "==> repro --diff-golden (decision-log regression gates, quick + llm + fleet)"
 cargo run --release -q -p paldia-experiments --bin repro -- --diff-golden
 
-echo "==> trace export (chrome JSON parses, JSONL log self-diffs empty)"
-# --trace/--trace-file with no figure ids runs the capture only.
+echo "==> trace export (chrome JSON parses, JSONL log triages and self-diffs empty)"
+# --trace/--trace-file with no figure ids runs the capture only; with
+# --trace-file, --triage reads the log back before attributing it.
 cargo run --release -q -p paldia-experiments --bin repro -- \
-    --trace target/ci.trace.json --trace-file target/ci.trace.jsonl
+    --trace target/ci.trace.json --trace-file target/ci.trace.jsonl --triage 200
 python3 -c 'import json,sys; json.load(open(sys.argv[1]))' target/ci.trace.json
 cargo run --release -q -p paldia-experiments --bin repro -- \
     --diff target/ci.trace.jsonl target/ci.trace.jsonl
