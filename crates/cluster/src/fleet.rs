@@ -24,36 +24,36 @@
 //!
 //! The paper evaluates one deployment at a time against an elastic menu of
 //! instance kinds: that is a one-tenant fleet on elastic inventory
-//! ([`crate::run_simulation`], [`crate::SimSession`]). A provider runs many
-//! functions over the *same* six physical nodes (§I): [`run_fleet`]
-//! co-schedules several deployments whose node leases draw from a shared
-//! per-kind inventory — when another tenant holds the last V100, it simply
-//! is not in your catalog this interval.
+//! ([`crate::Tenants::Lone`], [`crate::SimSession`]). A provider runs many
+//! functions over the *same* six physical nodes (§I): a
+//! [`crate::Tenants::Fleet`] co-schedules several deployments whose node
+//! leases draw from a shared per-kind inventory — when another tenant
+//! holds the last V100, it simply is not in your catalog this interval.
 //!
 //! A lone deployment differs from a fleet tenant in three per-tenant
-//! settings, fixed by the entry point: its trace scope is 0 (fleet tenants
-//! use `1 + index`), its result carries the bare scheduler name (fleet
-//! tenants add `[name]`), and a decision that upgrades past its in-flight
-//! transition abandons the pending node (fleet tenants keep the pending
-//! lease). The last is the rule the single-deployment results were
-//! calibrated with; neither side can take the other's without moving
-//! results.
+//! settings, fixed by the [`crate::Tenants`] variant: its trace scope is 0
+//! (fleet tenants use `1 + index`), its result carries the bare scheduler
+//! name (fleet tenants add `[name]`), and it follows the retarget rule: a
+//! decision that upgrades past its in-flight transition abandons the
+//! pending node (fleet tenants keep the pending lease). The retarget rule
+//! is the one the single-deployment results were calibrated with; neither
+//! side can take the other's without moving results.
 
 use crate::batcher::Batcher;
 use crate::config::SimConfig;
 use crate::container::ContainerId;
 use crate::device::{DeviceMode, IterSeq};
 use crate::faults::{CompiledFaults, FailoverPolicy, FaultEdge, FaultEvent, FaultKind};
-use crate::harness::{sample_tenant, SampledArrival, WorkloadSpec};
+use crate::harness::{RunOutput, SampledArrival, WorkloadSpec};
 use crate::policy::{Decision, ModelObs, Observation, Scheduler};
 use crate::request::{Batch, BatchId, CompletedRequest, Request};
 use crate::result::{NodeStat, RunResult};
 use crate::worker::{Worker, WorkerId, WorkerState};
 use paldia_hw::{Catalog, CostMeter, InstanceKind};
-use paldia_obs::{BatchTrigger, TraceEventKind, TraceSink, Tracer};
+use paldia_obs::{BatchTrigger, TraceEventKind, Tracer};
 use paldia_sim::{
     run_partition, Calendar, EventKey, EventQueue, PartitionCalendar, PartitionWorld, Rail,
-    SimDuration, SimRng, SimTime, WakeEvent, World,
+    SimDuration, SimTime, WakeEvent, World,
 };
 use paldia_traces::{Predictor, RateWindow};
 use paldia_workloads::tokens::{iteration_ms, TokenCard};
@@ -1368,126 +1368,9 @@ impl<'a> Partition<'a> {
     }
 }
 
-/// Run a fleet of deployments over a shared inventory (`units_per_kind`
-/// copies of each catalog kind — 1 mirrors the paper's physical cluster).
-/// Returns one [`RunResult`] per deployment, in input order.
-pub fn run_fleet(
-    mut deployments: Vec<FleetDeployment>,
-    catalog: Catalog,
-    units_per_kind: u32,
-    cfg: &SimConfig,
-) -> Vec<RunResult> {
-    run_fleet_impl(
-        &mut deployments,
-        catalog,
-        units_per_kind,
-        cfg,
-        Tracer::disabled(),
-    )
-    .0
-}
-
-/// Like [`run_fleet`], but records the observability stream into `sink`.
-/// Events are scoped per tenant (`1 + deployment index`; 0 = fleet-global),
-/// so a chrome-trace export shows one process lane per deployment. Metrics
-/// are bit-identical to an untraced run with the same inputs.
-pub fn run_fleet_traced(
-    mut deployments: Vec<FleetDeployment>,
-    catalog: Catalog,
-    units_per_kind: u32,
-    cfg: &SimConfig,
-    sink: &mut dyn TraceSink,
-) -> Vec<RunResult> {
-    run_fleet_impl(
-        &mut deployments,
-        catalog,
-        units_per_kind,
-        cfg,
-        Tracer::new(sink),
-    )
-    .0
-}
-
-/// Every arrival of a fleet run, sampled before an engine is chosen.
-///
-/// Arrival generation is inherently serial — [`SimRng::fork`] consumes
-/// entropy from the parent stream and request ids come from one global
-/// counter — so both the serial engine and the sharded coordinator sample
-/// here, deployment-major, and only then distribute work.
-pub(crate) struct FleetArrivals {
-    /// Per-deployment arrivals in schedule order.
-    pub(crate) arrivals: Vec<Vec<SampledArrival>>,
-    pub(crate) trace_end: SimTime,
-}
-
-/// Sample every deployment's arrivals, deployment-major, with the
-/// sampler [`crate::sample_arrivals`] uses for a lone deployment.
-pub(crate) fn sample_fleet(deployments: &[FleetDeployment], seed: u64) -> FleetArrivals {
-    let mut rng = SimRng::new(seed);
-    let mut sampled = 0u64;
-    let mut trace_end = SimTime::ZERO;
-    let arrivals = deployments
-        .iter()
-        .enumerate()
-        .map(|(dep, d)| {
-            let (reqs, end) = sample_tenant(&d.workloads, dep, &mut rng, &mut sampled);
-            trace_end = trace_end.max(end);
-            reqs
-        })
-        .collect();
-    FleetArrivals {
-        arrivals,
-        trace_end,
-    }
-}
-
-/// One tenant per deployment, each borrowing its deployment's scheduler;
-/// scopes are `1 + deployment index`.
-pub(crate) fn fleet_tenants<'a>(
-    deployments: &'a mut [FleetDeployment],
-    cfg: &SimConfig,
-) -> Vec<Tenant<'a>> {
-    deployments
-        .iter_mut()
-        .enumerate()
-        .map(|(dep, d)| {
-            let models = d.workloads.iter().map(|s| s.model).collect();
-            Tenant::new(
-                &mut *d.scheduler,
-                models,
-                d.initial_hw,
-                cfg,
-                Some(d.name.clone()),
-                dep as u32 + 1,
-            )
-        })
-        .collect()
-}
-
-/// The serial engine: every tenant in one [`Partition`], fault edges in its
-/// calendar. Returns the results and the engine event count.
-pub(crate) fn run_fleet_impl<'a>(
-    deployments: &'a mut [FleetDeployment],
-    catalog: Catalog,
-    units_per_kind: u32,
-    cfg: &'a SimConfig,
-    tracer: Tracer<'a>,
-) -> (Vec<RunResult>, u64) {
-    let sampled = sample_fleet(deployments, cfg.seed);
-    let tenants = fleet_tenants(deployments, cfg);
-    run_serial(
-        tenants,
-        sampled.arrivals,
-        catalog,
-        units_per_kind,
-        cfg,
-        sampled.trace_end,
-        tracer,
-    )
-}
-
-/// Run `tenants` with their `arrivals` on one serial [`Partition`] to the
-/// horizon `trace_end + cfg.drain_grace`.
+/// The serial engine: every tenant with its `arrivals` in one
+/// [`Partition`], fault edges in its calendar, run to the horizon
+/// `trace_end + cfg.drain_grace`.
 pub(crate) fn run_serial<'a>(
     tenants: Vec<Tenant<'a>>,
     arrivals: Vec<Vec<SampledArrival>>,
@@ -1496,14 +1379,17 @@ pub(crate) fn run_serial<'a>(
     cfg: &'a SimConfig,
     trace_end: SimTime,
     tracer: Tracer<'a>,
-) -> (Vec<RunResult>, u64) {
+) -> RunOutput {
     let horizon = trace_end + cfg.drain_grace;
     let harness = FleetHarness::new(cfg, catalog, inventory, tenants, trace_end, tracer, None);
     let mut part = Partition::new(harness, arrivals, true);
     let events = part.run_to(EventKey::new(horizon, 0));
     let mut harness = part.harness;
     harness.emit_summary(horizon, events);
-    (harness.into_results(horizon), events)
+    RunOutput {
+        results: harness.into_results(horizon),
+        events,
+    }
 }
 
 #[cfg(test)]

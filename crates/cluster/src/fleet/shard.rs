@@ -31,106 +31,32 @@
 //! ids become `(global dep << 20) | ordinal` and batch ids `(global dep
 //! << 48) | ordinal` (see `FleetHarness::namespace`), so a tenant's ids
 //! are identical no matter which shard it lands in. Request ids are
-//! assigned by `sample_fleet` before sharding (RNG forks are impure, so
-//! arrival generation stays serial).
+//! assigned when arrivals are sampled, before an engine is chosen (RNG
+//! forks are impure, so arrival generation stays serial).
 //!
 //! Non-elastic fleets (finite inventory) couple tenants at *every*
-//! lease/release, so [`run_fleet_sharded`] falls back to the serial engine
-//! for them; likewise for single-tenant fleets, where there is nothing to
-//! partition. Shards and the serial engine are the same `Partition`; the
-//! serial one simply keeps the fault edges in its own calendar.
+//! lease/release, so [`crate::run`] keeps them on the serial engine even
+//! when a shard count is given; likewise for single-tenant runs, where
+//! there is nothing to partition. Shards and the serial engine are the
+//! same `Partition`; the serial one simply keeps the fault edges in its
+//! own calendar. That is the one behavioural difference between the two:
+//! here an edge runs before every other event at its instant, while the
+//! serial calendar orders it among them by sequence number.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use paldia_hw::{Catalog, InstanceKind};
-use paldia_obs::{merge_streams, TraceEventKind, TraceSink, Tracer, VecSink};
-use paldia_sim::{pool, EventKey};
+use paldia_obs::{TraceEventKind, Tracer};
+use paldia_sim::{pool, EventKey, SimTime};
 
-use super::{
-    fleet_tenants, run_fleet_impl, sample_fleet, FleetDeployment, FleetHarness, Partition,
-};
+use super::{FleetHarness, Partition, Tenant};
 use crate::config::SimConfig;
 use crate::faults::{FaultEdge, FaultKind};
-use crate::result::RunResult;
-
-/// [`super::run_fleet`] with an explicit shard count.
-///
-/// `shards >= 1` selects the partitioned engine whenever it is legal —
-/// elastic inventory (`units_per_kind == u32::MAX`) and more than one
-/// deployment — and falls back to the serial engine otherwise. On the
-/// partitioned path the results are **invariant across shard counts**
-/// (including 1), and for clean elastic runs bit-identical to
-/// [`super::run_fleet`]; under faults the partitioned path orders fault
-/// edges before other same-instant events, so compare it against itself,
-/// not the serial engine.
-pub fn run_fleet_sharded(
-    deployments: Vec<FleetDeployment>,
-    catalog: Catalog,
-    units_per_kind: u32,
-    cfg: &SimConfig,
-    shards: u32,
-) -> Vec<RunResult> {
-    run_fleet_sharded_stats(deployments, catalog, units_per_kind, cfg, shards).0
-}
-
-/// [`run_fleet_sharded`] plus the number of engine events dispatched
-/// across all shards — the throughput denominator for stress reporting.
-pub fn run_fleet_sharded_stats(
-    mut deployments: Vec<FleetDeployment>,
-    catalog: Catalog,
-    units_per_kind: u32,
-    cfg: &SimConfig,
-    shards: u32,
-) -> (Vec<RunResult>, u64) {
-    if units_per_kind != u32::MAX || deployments.len() <= 1 {
-        return run_fleet_impl(
-            &mut deployments,
-            catalog,
-            units_per_kind,
-            cfg,
-            Tracer::disabled(),
-        );
-    }
-    let k = chunk_count(deployments.len(), shards);
-    let mut tracers = Vec::new();
-    tracers.resize_with(k, Tracer::disabled);
-    drive(&mut deployments, catalog, cfg, tracers, Tracer::disabled())
-}
-
-/// [`super::run_fleet_traced`] with an explicit shard count. Each shard
-/// records into its own stream; the streams are folded into `sink` by
-/// [`merge_streams`] — ordered by `(at, scope)`, so the merged stream is
-/// invariant across shard counts apart from the `RunSummary` dispatched-
-/// event count (each shard runs its own keep-alive chain).
-pub fn run_fleet_traced_sharded(
-    mut deployments: Vec<FleetDeployment>,
-    catalog: Catalog,
-    units_per_kind: u32,
-    cfg: &SimConfig,
-    sink: &mut dyn TraceSink,
-    shards: u32,
-) -> Vec<RunResult> {
-    if units_per_kind != u32::MAX || deployments.len() <= 1 {
-        return super::run_fleet_traced(deployments, catalog, units_per_kind, cfg, sink);
-    }
-    let k = chunk_count(deployments.len(), shards);
-    let mut shard_sinks: Vec<VecSink> = Vec::new();
-    shard_sinks.resize_with(k, VecSink::new);
-    let mut coord_sink = VecSink::new();
-    let (results, _events) = {
-        let tracers: Vec<Tracer<'_>> = shard_sinks.iter_mut().map(|s| Tracer::new(s)).collect();
-        let coord = Tracer::new(&mut coord_sink);
-        drive(&mut deployments, catalog, cfg, tracers, coord)
-    };
-    let mut streams = vec![coord_sink.into_events()];
-    streams.extend(shard_sinks.into_iter().map(VecSink::into_events));
-    merge_streams(streams, sink);
-    results
-}
+use crate::harness::{RunOutput, SampledArrival};
 
 /// Number of chunks: never more than one per tenant, never zero.
-fn chunk_count(tenants: usize, shards: u32) -> usize {
+pub(crate) fn chunk_count(tenants: usize, shards: u32) -> usize {
     (shards.max(1) as usize).min(tenants).max(1)
 }
 
@@ -148,28 +74,29 @@ fn chunk_bounds(n: usize, k: usize) -> Vec<(usize, usize)> {
     bounds
 }
 
-/// The coordinator: build shards, run epochs between fault edges, apply
-/// edges centrally, and assemble results in global deployment order.
-fn drive<'a>(
-    deployments: &'a mut [FleetDeployment],
+/// The coordinator: build one shard per tracer, run epochs between fault
+/// edges, apply edges centrally, and assemble results in global tenant
+/// order. `coord` records the fleet-global events (scope 0).
+pub(crate) fn drive<'a>(
+    tenants: Vec<Tenant<'a>>,
+    arrivals: Vec<Vec<SampledArrival>>,
+    trace_end: SimTime,
     catalog: Catalog,
     cfg: &'a SimConfig,
     tracers: Vec<Tracer<'a>>,
     mut coord: Tracer<'a>,
-) -> (Vec<RunResult>, u64) {
-    let sampled = sample_fleet(deployments, cfg.seed);
-    let trace_end = sampled.trace_end;
+) -> RunOutput {
     let horizon = trace_end + cfg.drain_grace;
     let faults = cfg.faults.compile(horizon);
-    let n = deployments.len();
+    let n = tenants.len();
     let k = tracers.len();
     let bounds = chunk_bounds(n, k);
 
     // Each shard: a harness over its contiguous tenant chunk (local
     // indices, global scopes and id namespaces) seeded exactly like the
     // serial engine, minus the fault edges — the coordinator owns them.
-    let mut tenants = fleet_tenants(deployments, cfg).into_iter();
-    let mut arrivals = sampled.arrivals.into_iter();
+    let mut tenants = tenants.into_iter();
+    let mut arrivals = arrivals.into_iter();
     let shards: Vec<Mutex<Partition<'a>>> = bounds
         .iter()
         .zip(tracers)
@@ -273,7 +200,10 @@ fn drive<'a>(
             .expect("invariant: shard mutexes are never poisoned (pool jobs catch panics)");
         results.extend(part.harness.into_results(horizon));
     }
-    (results, engine_events)
+    RunOutput {
+        results,
+        events: engine_events,
+    }
 }
 
 fn lock<'m, 'a>(shard: &'m Mutex<Partition<'a>>) -> std::sync::MutexGuard<'m, Partition<'a>> {

@@ -1,20 +1,22 @@
-//! The single-deployment entry points: one scheme against one
-//! (multi-model) workload over one trace, returning the [`RunResult`] the
-//! metrics layer consumes.
+//! The batch entry point: [`run`] takes a [`RunSpec`] — a lone deployment
+//! or a fleet of them, an inventory, a config, an optional shard count and
+//! an optional trace sink — and returns one [`RunResult`] per deployment
+//! plus the engine event count.
 //!
-//! A single deployment is a one-tenant fleet on elastic inventory: both
-//! entry points run the one cluster engine in [`crate::fleet`] (see its
-//! module docs for the Fig. 2 event flow). This module also owns the
-//! arrival sampler every executor shares, so a recorded trace
-//! ([`crate::replay`]) can never drift from what the simulator samples.
+//! Every spec runs on the one cluster engine in [`crate::fleet`] (see its
+//! module docs for the Fig. 2 event flow): a lone deployment is a
+//! one-tenant fleet. This module also owns the arrival sampler every
+//! executor shares, so a recorded trace ([`crate::replay`]) can never
+//! drift from what the simulator samples.
 
 use crate::config::SimConfig;
-use crate::fleet::{run_serial, Tenant};
+use crate::fleet::shard::{chunk_count, drive};
+use crate::fleet::{run_serial, FleetDeployment, Tenant};
 use crate::policy::Scheduler;
 use crate::request::RequestId;
 use crate::result::RunResult;
 use paldia_hw::{Catalog, InstanceKind};
-use paldia_obs::{TraceSink, Tracer};
+use paldia_obs::{merge_streams, TraceSink, Tracer, VecSink};
 use paldia_sim::{SimRng, SimTime};
 use paldia_traces::{generate_arrivals, RateTrace};
 use paldia_workloads::MlModel;
@@ -55,49 +57,207 @@ pub struct SampledArrival {
 }
 
 /// Sample every arrival for `workloads` under `seed`, exactly as the batch
-/// entry points do: one fork of the root RNG per workload keyed by model
+/// entry point does: one fork of the root RNG per workload keyed by model
 /// index, arrivals concatenated in workload (model-major) order. This is
-/// the single copy of the sampling discipline — [`run_simulation`] consumes
-/// it directly and `crate::replay` records it to disk — so a recorded trace
+/// the single copy of the sampling discipline — [`run`] samples every
+/// tenant the same way and `crate::replay` records it to disk — so a recorded trace
 /// can never drift from what the simulator would have sampled.
 ///
 /// Returns the arrivals and the trace end (max workload duration).
 pub fn sample_arrivals(workloads: &[WorkloadSpec], seed: u64) -> (Vec<SampledArrival>, SimTime) {
-    sample_tenant(workloads, 0, &mut SimRng::new(seed), &mut 0)
+    let (mut arrivals, trace_end) = sample_tenants([workloads], seed);
+    (arrivals.swap_remove(0), trace_end)
 }
 
-/// Sample one tenant's arrivals from the run's root stream `rng`. Tenant
-/// `dep`'s workload for model `m` forks the stream under key
-/// `(dep << 8) | (m + 1)`; `sampled` counts the run's arrivals so far and
-/// numbers these (seq from 0, request id from 1, run-global). A lone
-/// deployment is tenant 0 of a fresh stream, which is
-/// [`sample_arrivals`].
-pub(crate) fn sample_tenant(
-    workloads: &[WorkloadSpec],
-    dep: usize,
-    rng: &mut SimRng,
-    sampled: &mut u64,
-) -> (Vec<SampledArrival>, SimTime) {
-    let mut out = Vec::new();
+/// Sample every tenant's arrivals, tenant-major, from one root stream.
+/// Tenant `dep`'s workload for model `m` forks the stream under key
+/// `(dep << 8) | (m + 1)`; seqs (from 0) and request ids (from 1) count
+/// across the run. Forks consume entropy from the parent stream, so
+/// sampling is serial and precedes the choice of engine. A lone
+/// deployment is tenant 0, which is [`sample_arrivals`].
+fn sample_tenants<'w>(
+    tenants: impl IntoIterator<Item = &'w [WorkloadSpec]>,
+    seed: u64,
+) -> (Vec<Vec<SampledArrival>>, SimTime) {
+    let mut rng = SimRng::new(seed);
+    let mut seq = 0;
     let mut trace_end = SimTime::ZERO;
-    for spec in workloads {
-        let mut model_rng = rng.fork(((dep as u64) << 8) | (spec.model.index() as u64 + 1));
-        for at in generate_arrivals(&spec.trace, &mut model_rng) {
-            out.push(SampledArrival {
-                seq: *sampled,
-                id: RequestId(*sampled + 1),
-                at,
-                model: spec.model,
-            });
-            *sampled += 1;
+    let arrivals = tenants.into_iter().enumerate().map(|(dep, workloads)| {
+        let mut out = Vec::new();
+        for spec in workloads {
+            let mut model_rng = rng.fork(((dep as u64) << 8) | (spec.model.index() as u64 + 1));
+            for at in generate_arrivals(&spec.trace, &mut model_rng) {
+                let (id, model) = (RequestId(seq + 1), spec.model);
+                out.push(SampledArrival { seq, id, at, model });
+                seq += 1;
+            }
+            trace_end = trace_end.max(SimTime::ZERO + spec.trace.duration());
         }
-        trace_end = trace_end.max(SimTime::ZERO + spec.trace.duration());
-    }
-    (out, trace_end)
+        out
+    });
+    (arrivals.collect(), trace_end)
 }
 
-/// Run one scheme over the given workloads. `initial_hw` is the node the
-/// deployment starts on (warm).
+/// The deployments one run schedules. The variant fixes three per-tenant
+/// settings — trace scope, result label, retarget rule — as described in
+/// [`crate::fleet`].
+pub enum Tenants<'a> {
+    /// One deployment, as the paper evaluates Paldia: scope 0, the bare
+    /// scheduler name, and the retarget rule (a decision that upgrades past
+    /// the in-flight transition abandons the pending node).
+    Lone {
+        /// The deployment's workloads.
+        workloads: &'a [WorkloadSpec],
+        /// Its scheduling policy.
+        scheduler: &'a mut dyn Scheduler,
+        /// The node it starts warm on.
+        initial_hw: InstanceKind,
+    },
+    /// Deployments co-scheduled over one inventory: deployment `i` traces
+    /// under scope `1 + i`, and its result label carries its name.
+    Fleet(Vec<FleetDeployment>),
+}
+
+/// One batch run: who runs, on what inventory, under which config, on
+/// which engine, and where its trace goes.
+pub struct RunSpec<'a> {
+    /// The deployments.
+    pub tenants: Tenants<'a>,
+    /// The instance kinds on offer.
+    pub catalog: Catalog,
+    /// Copies of each catalog kind in the shared inventory: 1 mirrors the
+    /// paper's physical cluster, `u32::MAX` is elastic.
+    pub units_per_kind: u32,
+    /// Seed, timing, fault plan and failover policy.
+    pub cfg: &'a SimConfig,
+    /// `None` runs the serial engine; `Some(k)` partitions the tenants
+    /// across up to `k` event loops when the inventory is elastic and there
+    /// is more than one tenant, and runs serially otherwise. The engines
+    /// differ only in same-instant ordering around fault edges (see
+    /// [`crate::fleet::shard`]); clean elastic runs are bit-identical.
+    pub shards: Option<u32>,
+    /// Where the observability stream goes; `None` runs untraced. Results
+    /// and the event count do not depend on it.
+    pub sink: Option<&'a mut dyn TraceSink>,
+}
+
+impl<'a> RunSpec<'a> {
+    /// A lone deployment on elastic inventory: serial, untraced.
+    pub fn lone(
+        workloads: &'a [WorkloadSpec],
+        scheduler: &'a mut dyn Scheduler,
+        initial_hw: InstanceKind,
+        catalog: Catalog,
+        cfg: &'a SimConfig,
+    ) -> Self {
+        RunSpec {
+            tenants: Tenants::Lone {
+                workloads,
+                scheduler,
+                initial_hw,
+            },
+            catalog,
+            units_per_kind: u32::MAX,
+            cfg,
+            shards: None,
+            sink: None,
+        }
+    }
+
+    /// A fleet over `units_per_kind` copies of each catalog kind: serial,
+    /// untraced.
+    pub fn fleet(
+        deployments: Vec<FleetDeployment>,
+        catalog: Catalog,
+        units_per_kind: u32,
+        cfg: &'a SimConfig,
+    ) -> Self {
+        RunSpec {
+            tenants: Tenants::Fleet(deployments),
+            catalog,
+            units_per_kind,
+            cfg,
+            shards: None,
+            sink: None,
+        }
+    }
+}
+
+/// What a batch run returns.
+#[derive(Clone, Debug)]
+pub struct RunOutput {
+    /// One result per deployment, in input order.
+    pub results: Vec<RunResult>,
+    /// Engine events dispatched, summed over shards; equal to the traced
+    /// stream's `RunSummary` count. On the partitioned engine it depends
+    /// on the shard count (each shard runs its own keep-alive chain).
+    pub events: u64,
+}
+
+impl RunOutput {
+    /// The one result of a [`Tenants::Lone`] run.
+    pub fn into_lone(mut self) -> RunResult {
+        assert_eq!(self.results.len(), 1, "into_lone needs a one-tenant run");
+        self.results.swap_remove(0)
+    }
+}
+
+/// Run `spec` to its horizon, `trace_end + cfg.drain_grace`.
+pub fn run(spec: RunSpec<'_>) -> RunOutput {
+    let cfg = spec.cfg;
+    let mut fleet: Vec<FleetDeployment>;
+    let (tenants, (arrivals, trace_end)) = match spec.tenants {
+        Tenants::Lone {
+            workloads,
+            scheduler,
+            initial_hw,
+        } => {
+            let models = workloads.iter().map(|s| s.model).collect();
+            let tenant = Tenant::new(scheduler, models, initial_hw, cfg, None, 0);
+            (vec![tenant], sample_tenants([workloads], cfg.seed))
+        }
+        Tenants::Fleet(deployments) => {
+            fleet = deployments;
+            let sampled = sample_tenants(fleet.iter().map(|d| &d.workloads[..]), cfg.seed);
+            let tenants = fleet.iter_mut().enumerate().map(|(dep, d)| {
+                let models = d.workloads.iter().map(|s| s.model).collect();
+                let (label, scope) = (Some(d.name.clone()), dep as u32 + 1);
+                Tenant::new(&mut *d.scheduler, models, d.initial_hw, cfg, label, scope)
+            });
+            (tenants.collect(), sampled)
+        }
+    };
+    let (catalog, units) = (spec.catalog, spec.units_per_kind);
+    // Finite inventory couples tenants at every lease, and a lone tenant
+    // has nothing to partition: both run on the serial engine.
+    let k = match spec.shards {
+        Some(k) if units == u32::MAX && tenants.len() > 1 => chunk_count(tenants.len(), k),
+        _ => {
+            let tracer = match spec.sink {
+                Some(sink) => Tracer::new(sink),
+                None => Tracer::disabled(),
+            };
+            return run_serial(tenants, arrivals, catalog, units, cfg, trace_end, tracer);
+        }
+    };
+    // Traced, each shard records its own stream and the coordinator
+    // (stream 0) owns scope 0; `merge_streams` folds them in `(at, scope)`
+    // order, so the merged stream does not depend on `k` (bar the
+    // `RunSummary` count). Untraced, every tracer is disabled.
+    let streams = if spec.sink.is_some() { k + 1 } else { 0 };
+    let mut sinks: Vec<VecSink> = (0..streams).map(|_| VecSink::new()).collect();
+    let mut tracers: Vec<Tracer<'_>> = sinks.iter_mut().map(|s| Tracer::new(s)).collect();
+    tracers.resize_with(k + 1, Tracer::disabled);
+    let coord = tracers.remove(0);
+    let out = drive(tenants, arrivals, trace_end, catalog, cfg, tracers, coord);
+    if let Some(sink) = spec.sink {
+        merge_streams(sinks.into_iter().map(VecSink::into_events).collect(), sink);
+    }
+    out
+}
+
+/// A lone run's result. Pinned because perfbench calls it by name; it goes
+/// in the next benchmark change.
 pub fn run_simulation(
     workloads: &[WorkloadSpec],
     scheduler: &mut dyn Scheduler,
@@ -105,21 +265,14 @@ pub fn run_simulation(
     catalog: Catalog,
     cfg: &SimConfig,
 ) -> RunResult {
-    run_one(
-        workloads,
-        scheduler,
-        initial_hw,
-        catalog,
-        cfg,
-        Tracer::disabled(),
-    )
+    run(RunSpec::lone(
+        workloads, scheduler, initial_hw, catalog, cfg,
+    ))
+    .into_lone()
 }
 
-/// Like [`run_simulation`], but records the full observability stream into
-/// `sink`: per-request spans, batch/device annotations, and the scheduler's
-/// structured decision events. Tracing is observation-only — the returned
-/// metrics are bit-identical to an untraced run with the same inputs
-/// (enforced by `tests/trace_observability.rs`).
+/// A traced lone run's result. Pinned because perfbench calls it by name;
+/// it goes in the next benchmark change.
 pub fn run_simulation_traced(
     workloads: &[WorkloadSpec],
     scheduler: &mut dyn Scheduler,
@@ -128,39 +281,25 @@ pub fn run_simulation_traced(
     cfg: &SimConfig,
     sink: &mut dyn TraceSink,
 ) -> RunResult {
-    run_one(
-        workloads,
-        scheduler,
-        initial_hw,
-        catalog,
-        cfg,
-        Tracer::new(sink),
-    )
+    run(RunSpec {
+        sink: Some(sink),
+        ..RunSpec::lone(workloads, scheduler, initial_hw, catalog, cfg)
+    })
+    .into_lone()
 }
 
-/// One tenant (scope 0, bare scheduler label, retarget rule) on elastic
-/// inventory, on the serial partitioned engine.
-fn run_one<'a>(
-    workloads: &[WorkloadSpec],
-    scheduler: &'a mut dyn Scheduler,
-    initial_hw: InstanceKind,
+/// A sharded fleet run's results and event count. Pinned because
+/// perfbench calls it by name; it goes in the next benchmark change.
+pub fn run_fleet_sharded_stats(
+    deployments: Vec<FleetDeployment>,
     catalog: Catalog,
-    cfg: &'a SimConfig,
-    tracer: Tracer<'a>,
-) -> RunResult {
-    let (arrivals, trace_end) = sample_arrivals(workloads, cfg.seed);
-    let models = workloads.iter().map(|s| s.model).collect();
-    let tenant = Tenant::new(scheduler, models, initial_hw, cfg, None, 0);
-    let (mut results, _) = run_serial(
-        vec![tenant],
-        vec![arrivals],
-        catalog,
-        u32::MAX,
-        cfg,
-        trace_end,
-        tracer,
-    );
-    results
-        .pop()
-        .expect("invariant: one tenant in, one result out")
+    units_per_kind: u32,
+    cfg: &SimConfig,
+    shards: u32,
+) -> (Vec<RunResult>, u64) {
+    let out = run(RunSpec {
+        shards: Some(shards),
+        ..RunSpec::fleet(deployments, catalog, units_per_kind, cfg)
+    });
+    (out.results, out.events)
 }

@@ -14,17 +14,16 @@
 //! request's latency breakdown plus cost/energy/utilization accounting.
 //!
 //! There is one cluster engine ([`fleet`]): a set of deployments over a
-//! node inventory. A single deployment ([`run_simulation`]) is a one-tenant
-//! fleet on elastic inventory; [`run_fleet`] co-schedules several tenants
-//! over a shared (possibly finite) inventory, and
-//! [`run_fleet_sharded`] partitions elastic tenants across event loops.
-//! Every entry point has a traced twin ([`run_simulation_traced`],
-//! [`run_fleet_traced`], [`run_fleet_traced_sharded`]) that records the
-//! `paldia-obs` observability stream — per-request spans and scheduler
+//! node inventory, and one batch entry point, [`run`]. A [`RunSpec`] names
+//! the deployments — one [`Tenants::Lone`] deployment, or a
+//! [`Tenants::Fleet`] co-scheduled over a shared (possibly finite)
+//! inventory — plus an optional shard count, which partitions elastic
+//! fleets across event loops, and an optional trace sink, which records
+//! the `paldia-obs` observability stream — per-request spans and scheduler
 //! decision logs — without perturbing metrics (bit-identical to the
 //! untraced run).
 //!
-//! Beyond the batch entry points, the [`session`] module exposes the same
+//! Beyond the batch entry point, the [`session`] module exposes the same
 //! engine as an open system — step events, inject arrivals — which is how
 //! the `paldia-serve` wall-clock shell drives the identical policy code
 //! path live; [`replay`] records sampled arrival traces so both executors
@@ -50,10 +49,10 @@ pub use faults::{
     CompiledFaults, FailoverPolicy, FailoverPolicyKind, FaultEdge, FaultEvent, FaultKind,
     FaultPlan, FaultWindow,
 };
-pub use fleet::shard::{run_fleet_sharded, run_fleet_sharded_stats, run_fleet_traced_sharded};
-pub use fleet::{run_fleet, run_fleet_traced, FleetDeployment};
+pub use fleet::FleetDeployment;
 pub use harness::{
-    run_simulation, run_simulation_traced, sample_arrivals, SampledArrival, WorkloadSpec,
+    run, run_fleet_sharded_stats, run_simulation, run_simulation_traced, sample_arrivals,
+    RunOutput, RunSpec, SampledArrival, Tenants, WorkloadSpec,
 };
 pub use policy::{Decision, ModelDecision, ModelObs, Observation, Scheduler};
 pub use replay::{instance_from_token, model_from_token, model_token, ParseError, RecordedTrace};

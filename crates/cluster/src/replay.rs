@@ -98,7 +98,7 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 impl RecordedTrace {
-    /// Record the arrivals [`crate::run_simulation`] would sample for
+    /// Record the arrivals a lone [`crate::run`] would sample for
     /// `workloads` under `seed`, starting on `initial_hw`. The arrivals are
     /// re-sorted from generation (model-major) order into injection
     /// `(at, seq)` order; the reservation covers the full generated block.

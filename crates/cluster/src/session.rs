@@ -1,10 +1,10 @@
 //! The incremental session executor: the same cluster simulation as
-//! [`crate::run_simulation`], driven one event at a time with arrivals
+//! a lone [`crate::run`], driven one event at a time with arrivals
 //! injected from outside instead of pre-scheduled.
 //!
 //! This is the seam the serving shell (`paldia-serve`) plugs into. A
 //! [`SimSession`] owns the one-tenant [`crate::fleet`] harness the batch
-//! entry points build — same construction, same calendar seeding, same
+//! entry point builds — same construction, same calendar seeding, same
 //! single `on_event` domain logic — on a plain heap calendar, and exposes
 //! `step`/`inject` so a caller can interleave event processing with
 //! arrivals it learns about at runtime (from a socket, a replay file, a
@@ -22,7 +22,7 @@
 //! [`inject_recorded`](SimSession::inject_recorded) reclaims the arrival's
 //! original number, making the session's event order — and every
 //! scheduling decision, trace event, and output byte — identical to
-//! [`crate::run_simulation`] on the same workloads (enforced by
+//! a lone [`crate::run`] on the same workloads (enforced by
 //! `tests/session_replay.rs` and `tests/partitioned_parity.rs`).
 //!
 //! Recorded arrivals come from outside the process (a replay file, a TCP
@@ -52,9 +52,9 @@ use std::collections::BTreeMap;
 
 /// The cluster simulation as an open system: step events, inject arrivals.
 ///
-/// Construction mirrors the batch entry points field-for-field; see the
+/// Construction mirrors the batch entry point field-for-field; see the
 /// module docs for the sequence-number reservation that keeps a replayed
-/// session bit-identical to [`crate::run_simulation`].
+/// session bit-identical to a lone [`crate::run`].
 pub struct SimSession<'a> {
     harness: FleetHarness<'a>,
     q: EventQueue<FEv>,
@@ -74,7 +74,7 @@ impl<'a> SimSession<'a> {
     /// Open an untraced session over `models`.
     ///
     /// `trace_end` is the end of the arrival timeline (the run horizon is
-    /// `trace_end + cfg.drain_grace`, as in the batch entry points);
+    /// `trace_end + cfg.drain_grace`, as in the batch entry point);
     /// `reserved_arrivals` is the number of recorded arrivals that will be
     /// injected via [`Self::inject_recorded`] — pass the recorded trace's
     /// reservation, or 0 for a live session.
@@ -286,7 +286,7 @@ impl<'a> SimSession<'a> {
     }
 
     /// Run every remaining event to the horizon and assemble the
-    /// [`RunResult`], exactly as the batch entry points do.
+    /// [`RunResult`], exactly as the batch entry point does.
     pub fn finish(mut self) -> RunResult {
         while self.step().is_some() {}
         let SimSession {

@@ -1,8 +1,8 @@
 //! End-to-end tests of the multi-tenant fleet harness.
 
 use paldia_cluster::{
-    run_fleet, run_simulation, Decision, FailoverPolicyKind, FaultPlan, FleetDeployment,
-    ModelDecision, Observation, RunResult, Scheduler, SimConfig, WorkloadSpec,
+    run, Decision, FailoverPolicyKind, FaultPlan, FleetDeployment, ModelDecision, Observation,
+    RunResult, RunSpec, Scheduler, SimConfig, WorkloadSpec,
 };
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_sim::{SimDuration, SimTime};
@@ -50,24 +50,21 @@ fn single_tenant_fleet_matches_solo_run_closely() {
     // like the single-tenant harness (event interleaving differs slightly,
     // headline numbers must not).
     let cfg = SimConfig::with_seed(3);
-    let solo = run_simulation(
+    let solo = run(RunSpec::lone(
         &steady(MlModel::ResNet50, 80.0, 60),
         &mut Wants(InstanceKind::G3s_xlarge),
         InstanceKind::G3s_xlarge,
         Catalog::table_ii(),
         &cfg,
-    );
-    let fleet = run_fleet(
-        vec![FleetDeployment {
-            name: "only".into(),
-            workloads: steady(MlModel::ResNet50, 80.0, 60),
-            scheduler: Box::new(Wants(InstanceKind::G3s_xlarge)),
-            initial_hw: InstanceKind::G3s_xlarge,
-        }],
-        Catalog::table_ii(),
-        10,
-        &cfg,
-    );
+    ))
+    .into_lone();
+    let deployments = vec![FleetDeployment {
+        name: "only".into(),
+        workloads: steady(MlModel::ResNet50, 80.0, 60),
+        scheduler: Box::new(Wants(InstanceKind::G3s_xlarge)),
+        initial_hw: InstanceKind::G3s_xlarge,
+    }];
+    let fleet = run(RunSpec::fleet(deployments, Catalog::table_ii(), 10, &cfg)).results;
     assert_eq!(fleet.len(), 1);
     let f = &fleet[0];
     assert_eq!(f.completed.len(), solo.completed.len());
@@ -86,15 +83,11 @@ fn inventory_contention_blocks_the_second_tenant() {
         scheduler: Box::new(Wants(InstanceKind::P3_2xlarge)),
         initial_hw: start,
     };
-    let results = run_fleet(
-        vec![
-            mk("holder", InstanceKind::P3_2xlarge),
-            mk("wisher", InstanceKind::G3s_xlarge),
-        ],
-        Catalog::table_ii(),
-        1,
-        &cfg,
-    );
+    let deployments = vec![
+        mk("holder", InstanceKind::P3_2xlarge),
+        mk("wisher", InstanceKind::G3s_xlarge),
+    ];
+    let results = run(RunSpec::fleet(deployments, Catalog::table_ii(), 1, &cfg)).results;
     let holder = &results[0];
     let wisher = &results[1];
     assert!(holder.cost.hours_on(InstanceKind::P3_2xlarge) > 0.0);
@@ -113,25 +106,21 @@ fn freed_units_become_available() {
     // tenant B's standing wish.
     use paldia_core::PaldiaScheduler;
     let cfg = SimConfig::with_seed(5);
-    let results = run_fleet(
-        vec![
-            FleetDeployment {
-                name: "short".into(),
-                workloads: steady(MlModel::ResNet50, 50.0, 15),
-                scheduler: Box::new(PaldiaScheduler::new()),
-                initial_hw: InstanceKind::P3_2xlarge,
-            },
-            FleetDeployment {
-                name: "long".into(),
-                workloads: steady(MlModel::SeNet18, 50.0, 180),
-                scheduler: Box::new(Wants(InstanceKind::P3_2xlarge)),
-                initial_hw: InstanceKind::G3s_xlarge,
-            },
-        ],
-        Catalog::table_ii(),
-        1,
-        &cfg,
-    );
+    let deployments = vec![
+        FleetDeployment {
+            name: "short".into(),
+            workloads: steady(MlModel::ResNet50, 50.0, 15),
+            scheduler: Box::new(PaldiaScheduler::new()),
+            initial_hw: InstanceKind::P3_2xlarge,
+        },
+        FleetDeployment {
+            name: "long".into(),
+            workloads: steady(MlModel::SeNet18, 50.0, 180),
+            scheduler: Box::new(Wants(InstanceKind::P3_2xlarge)),
+            initial_hw: InstanceKind::G3s_xlarge,
+        },
+    ];
+    let results = run(RunSpec::fleet(deployments, Catalog::table_ii(), 1, &cfg)).results;
     let short = &results[0];
     let long = &results[1];
     assert!(
@@ -189,35 +178,32 @@ fn crash_schedules_conserve_requests() {
         .collect();
 
     let solo_at = |cfg: &SimConfig| {
-        run_simulation(
+        run(RunSpec::lone(
             &steady(MlModel::ResNet50, 80.0, 60),
             &mut Wants(InstanceKind::P3_2xlarge),
             InstanceKind::P3_2xlarge,
             Catalog::table_ii(),
             cfg,
-        )
+        ))
+        .into_lone()
     };
     let fleet_at = |cfg: &SimConfig| {
         use paldia_core::PaldiaScheduler;
-        run_fleet(
-            vec![
-                FleetDeployment {
-                    name: "wants".into(),
-                    workloads: steady(MlModel::ResNet50, 60.0, 60),
-                    scheduler: Box::new(Wants(InstanceKind::P3_2xlarge)),
-                    initial_hw: InstanceKind::P3_2xlarge,
-                },
-                FleetDeployment {
-                    name: "paldia".into(),
-                    workloads: steady(MlModel::SeNet18, 90.0, 60),
-                    scheduler: Box::new(PaldiaScheduler::new()),
-                    initial_hw: InstanceKind::G3s_xlarge,
-                },
-            ],
-            Catalog::table_ii(),
-            2,
-            cfg,
-        )
+        let deployments = vec![
+            FleetDeployment {
+                name: "wants".into(),
+                workloads: steady(MlModel::ResNet50, 60.0, 60),
+                scheduler: Box::new(Wants(InstanceKind::P3_2xlarge)),
+                initial_hw: InstanceKind::P3_2xlarge,
+            },
+            FleetDeployment {
+                name: "paldia".into(),
+                workloads: steady(MlModel::SeNet18, 90.0, 60),
+                scheduler: Box::new(PaldiaScheduler::new()),
+                initial_hw: InstanceKind::G3s_xlarge,
+            },
+        ];
+        run(RunSpec::fleet(deployments, Catalog::table_ii(), 2, cfg)).results
     };
 
     let clean_solo = assert_conserved(&solo_at(&base), "solo/clean");
@@ -270,8 +256,8 @@ fn fleet_with_paldia_tenants_is_deterministic() {
             },
         ]
     };
-    let r1 = run_fleet(mk(), Catalog::table_ii(), 1, &cfg);
-    let r2 = run_fleet(mk(), Catalog::table_ii(), 1, &cfg);
+    let r1 = run(RunSpec::fleet(mk(), Catalog::table_ii(), 1, &cfg)).results;
+    let r2 = run(RunSpec::fleet(mk(), Catalog::table_ii(), 1, &cfg)).results;
     for (a, b) in r1.iter().zip(r2.iter()) {
         assert_eq!(a.completed.len(), b.completed.len());
         assert_eq!(a.unserved, b.unserved);

@@ -3,8 +3,7 @@
 //! runs, and conserve requests under fault schedules.
 
 use paldia_cluster::{
-    run_fleet, run_fleet_sharded, run_fleet_traced_sharded, FailoverPolicyKind, FaultPlan,
-    FleetDeployment, RunResult, SimConfig,
+    run, FailoverPolicyKind, FaultPlan, FleetDeployment, RunResult, RunSpec, SimConfig,
 };
 use paldia_core::PaldiaScheduler;
 use paldia_hw::Catalog;
@@ -57,23 +56,26 @@ fn assert_identical(label: &str, a: &str, b: &str) {
     }
 }
 
+/// `spec` on `shards` event loops.
+fn sharded(shards: u32, spec: RunSpec<'_>) -> RunSpec<'_> {
+    RunSpec {
+        shards: Some(shards),
+        ..spec
+    }
+}
+
+/// The fingerprint of `deployments` over `units` per kind on `shards`.
+fn fleet(deps: Vec<FleetDeployment>, units: u32, cfg: &SimConfig, shards: Option<u32>) -> String {
+    let spec = RunSpec::fleet(deps, Catalog::table_ii(), units, cfg);
+    fingerprint(&run(RunSpec { shards, ..spec }).results)
+}
+
 #[test]
 fn clean_elastic_fleet_matches_serial_bit_for_bit() {
     let cfg = SimConfig::with_seed(21);
-    let serial = fingerprint(&run_fleet(
-        deployments(60),
-        Catalog::table_ii(),
-        ELASTIC,
-        &cfg,
-    ));
+    let serial = fleet(deployments(60), ELASTIC, &cfg, None);
     for shards in [1u32, 2, 3] {
-        let sharded = fingerprint(&run_fleet_sharded(
-            deployments(60),
-            Catalog::table_ii(),
-            ELASTIC,
-            &cfg,
-            shards,
-        ));
+        let sharded = fleet(deployments(60), ELASTIC, &cfg, Some(shards));
         assert_identical(&format!("clean shards={shards}"), &serial, &sharded);
     }
 }
@@ -87,18 +89,10 @@ fn faulted_fleet_is_invariant_across_shard_counts() {
         .cold_start_storm(SimTime::from_secs(50));
     let cfg =
         SimConfig::with_seed(22).with_faults(plan, FailoverPolicyKind::CheapestMorePerformant);
-    let run = |shards| {
-        fingerprint(&run_fleet_sharded(
-            deployments(70),
-            Catalog::table_ii(),
-            ELASTIC,
-            &cfg,
-            shards,
-        ))
-    };
-    let baseline = run(1);
+    let baseline = fleet(deployments(70), ELASTIC, &cfg, Some(1));
     for shards in [2u32, 3, 7] {
-        assert_identical(&format!("faulted shards={shards}"), &baseline, &run(shards));
+        let sharded = fleet(deployments(70), ELASTIC, &cfg, Some(shards));
+        assert_identical(&format!("faulted shards={shards}"), &baseline, &sharded);
     }
 }
 
@@ -106,7 +100,11 @@ fn faulted_fleet_is_invariant_across_shard_counts() {
 fn crashed_sharded_fleet_conserves_requests() {
     let plan = FaultPlan::sampled_crashes(9, SimTime::from_secs(60), 2, SimDuration::from_secs(8));
     let cfg = SimConfig::with_seed(23).with_faults(plan, FailoverPolicyKind::SameTierSpread);
-    let results = run_fleet_sharded(deployments(60), Catalog::table_ii(), ELASTIC, &cfg, 3);
+    let results = run(sharded(
+        3,
+        RunSpec::fleet(deployments(60), Catalog::table_ii(), ELASTIC, &cfg),
+    ))
+    .results;
     assert_eq!(results.len(), 4);
     let mut ids = std::collections::BTreeSet::new();
     for r in &results {
@@ -128,25 +126,13 @@ fn crashed_sharded_fleet_conserves_requests() {
 fn finite_inventory_and_single_tenant_fall_back_to_serial() {
     let cfg = SimConfig::with_seed(24);
     // Finite inventory: sharded must equal the serial engine exactly.
-    let serial = fingerprint(&run_fleet(deployments(40), Catalog::table_ii(), 1, &cfg));
-    let sharded = fingerprint(&run_fleet_sharded(
-        deployments(40),
-        Catalog::table_ii(),
-        1,
-        &cfg,
-        4,
-    ));
+    let serial = fleet(deployments(40), 1, &cfg, None);
+    let sharded = fleet(deployments(40), 1, &cfg, Some(4));
     assert_identical("finite inventory", &serial, &sharded);
     // Single tenant: likewise.
     let one = || vec![deployments(40).remove(0)];
-    let serial = fingerprint(&run_fleet(one(), Catalog::table_ii(), ELASTIC, &cfg));
-    let sharded = fingerprint(&run_fleet_sharded(
-        one(),
-        Catalog::table_ii(),
-        ELASTIC,
-        &cfg,
-        4,
-    ));
+    let serial = fleet(one(), ELASTIC, &cfg, None);
+    let sharded = fleet(one(), ELASTIC, &cfg, Some(4));
     assert_identical("single tenant", &serial, &sharded);
 }
 
@@ -174,37 +160,42 @@ fn traced_stream_is_invariant_across_shard_counts() {
         SimConfig::with_seed(25).with_faults(plan, FailoverPolicyKind::CheapestMorePerformant);
     let capture = |shards| {
         let mut sink = VecSink::new();
-        let results = run_fleet_traced_sharded(
-            deployments(50),
-            Catalog::table_ii(),
-            ELASTIC,
-            &cfg,
-            &mut sink,
-            shards,
+        let spec = RunSpec::fleet(deployments(50), Catalog::table_ii(), ELASTIC, &cfg);
+        let out = run(RunSpec {
+            sink: Some(&mut sink),
+            ..sharded(shards, spec)
+        });
+        let events = sink.into_events();
+        let summary = events.iter().find_map(|e| match e.kind {
+            TraceEventKind::RunSummary { events, .. } => Some(events),
+            _ => None,
+        });
+        assert_eq!(
+            Some(out.events),
+            summary,
+            "shards={shards}: RunSummary count"
         );
-        (masked_trace(sink.into_events()), fingerprint(&results))
+        (masked_trace(events), fingerprint(&out.results), out.events)
     };
-    let (trace1, results1) = capture(1);
+    let (trace1, results1, _) = capture(1);
     assert!(
         trace1.iter().any(|l| l.contains("FaultEdge")),
         "fault edges must appear in the coordinator stream"
     );
     assert!(trace1.iter().any(|l| l.contains("RunSummary")));
     for shards in [2u32, 4] {
-        let (trace_n, results_n) = capture(shards);
+        let (trace_n, results_n, events_n) = capture(shards);
         assert_eq!(results1, results_n, "traced results diverged at {shards}");
         assert_eq!(
             trace1, trace_n,
             "merged trace stream diverged at shards={shards}"
         );
+        // Tracing is observation-only on the sharded path too, event count
+        // included.
+        let spec = RunSpec::fleet(deployments(50), Catalog::table_ii(), ELASTIC, &cfg);
+        let untraced = run(sharded(shards, spec));
+        let label = format!("traced vs untraced, shards={shards}");
+        assert_identical(&label, &fingerprint(&untraced.results), &results_n);
+        assert_eq!(untraced.events, events_n, "{label}: event count");
     }
-    // Tracing is observation-only on the sharded path too.
-    let untraced = fingerprint(&run_fleet_sharded(
-        deployments(50),
-        Catalog::table_ii(),
-        ELASTIC,
-        &cfg,
-        2,
-    ));
-    assert_identical("traced vs untraced", &untraced, &results1);
 }

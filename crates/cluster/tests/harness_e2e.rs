@@ -3,7 +3,7 @@
 //! `paldia-core` / `paldia-baselines`.
 
 use paldia_cluster::{
-    run_simulation, Decision, FailoverPolicyKind, FaultPlan, ModelDecision, Observation, RunResult,
+    run, Decision, FailoverPolicyKind, FaultPlan, ModelDecision, Observation, RunResult, RunSpec,
     Scheduler, SimConfig, WorkloadSpec,
 };
 use paldia_hw::{Catalog, InstanceKind};
@@ -52,7 +52,9 @@ fn steady(model: MlModel, rps: f64, secs: u64) -> WorkloadSpec {
 fn run_fixed(hw: InstanceKind, total_cap: Option<u32>, spec: WorkloadSpec, seed: u64) -> RunResult {
     let mut sched = Fixed { hw, total_cap };
     let cfg = SimConfig::with_seed(seed);
-    run_simulation(&[spec], &mut sched, hw, Catalog::table_ii(), &cfg)
+    let workloads = [spec];
+    let lone = RunSpec::lone(&workloads, &mut sched, hw, Catalog::table_ii(), &cfg);
+    run(lone).into_lone()
 }
 
 #[test]
@@ -190,13 +192,14 @@ fn transition_switches_hardware_in_background() {
     }
     let mut sched = Upgrader { ticks: 0 };
     let cfg = SimConfig::with_seed(5);
-    let r = run_simulation(
+    let r = run(RunSpec::lone(
         &[steady(MlModel::ResNet50, 50.0, 60)],
         &mut sched,
         InstanceKind::G3s_xlarge,
         Catalog::table_ii(),
         &cfg,
-    );
+    ))
+    .into_lone();
     assert!(r.transitions >= 1, "transition should have happened");
     let kinds: Vec<InstanceKind> = r.nodes.iter().map(|n| n.kind).collect();
     assert!(kinds.contains(&InstanceKind::G3s_xlarge));
@@ -226,13 +229,14 @@ fn node_failure_fails_over_and_recovers() {
         hw: InstanceKind::G3s_xlarge,
         total_cap: None,
     };
-    let r = run_simulation(
+    let r = run(RunSpec::lone(
         &[steady(MlModel::ResNet50, 50.0, 90)],
         &mut sched,
         InstanceKind::G3s_xlarge,
         Catalog::table_ii(),
         &cfg,
-    );
+    ))
+    .into_lone();
     // Failover provisioned the cheapest more performant node: the V100 box.
     assert!(
         r.cost.hours_on(InstanceKind::P3_2xlarge) > 0.0,

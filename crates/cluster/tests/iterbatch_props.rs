@@ -10,9 +10,8 @@
 //! `IterationStarted`/`BatchJoin`/`BatchLeave` stream.
 
 use paldia_cluster::{
-    run_fleet_traced_sharded, run_replay_virtual, run_simulation_traced, Decision, FleetDeployment,
-    ModelDecision, Observation, RecordedTrace, RunResult, Scheduler, SimConfig, SimSession,
-    WorkloadSpec,
+    run, run_replay_virtual, Decision, FleetDeployment, ModelDecision, Observation, RecordedTrace,
+    RunResult, RunSpec, Scheduler, SimConfig, SimSession, WorkloadSpec,
 };
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_obs::{TraceEvent, TraceEventKind, VecSink};
@@ -84,14 +83,13 @@ fn run_llm(seed: u64, rps_a: f64, rps_b: f64, secs: u64) -> (RunResult, Vec<Trac
     let mut sched = Fixed::new(InstanceKind::P3_2xlarge);
     let cfg = SimConfig::with_seed(seed).with_iterative_batching();
     let mut sink = VecSink::new();
-    let result = run_simulation_traced(
-        &specs,
-        &mut sched,
-        InstanceKind::P3_2xlarge,
-        Catalog::table_ii(),
-        &cfg,
-        &mut sink,
-    );
+    let hw = InstanceKind::P3_2xlarge;
+    let spec = RunSpec::lone(&specs, &mut sched, hw, Catalog::table_ii(), &cfg);
+    let result = run(RunSpec {
+        sink: Some(&mut sink),
+        ..spec
+    })
+    .into_lone();
     (result, sink.into_events())
 }
 
@@ -148,14 +146,12 @@ fn run_llm_fleet(
         .collect();
     let cfg = SimConfig::with_seed(seed).with_iterative_batching();
     let mut sink = VecSink::new();
-    let results = run_fleet_traced_sharded(
-        deployments,
-        Catalog::table_ii(),
-        u32::MAX,
-        &cfg,
-        &mut sink,
-        shards,
-    );
+    let results = run(RunSpec {
+        shards: Some(shards),
+        sink: Some(&mut sink),
+        ..RunSpec::fleet(deployments, Catalog::table_ii(), u32::MAX, &cfg)
+    })
+    .results;
     (results, sink.into_events(), kv_seen.load(Ordering::Relaxed))
 }
 

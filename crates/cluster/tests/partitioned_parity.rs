@@ -1,6 +1,6 @@
 //! Bit-identity of the partitioned batch engine against a heap calendar.
 //!
-//! `run_simulation` runs on the partitioned engine: arrivals on a
+//! A lone `run` runs on the partitioned engine: arrivals on a
 //! pre-sorted rail, device wakes in per-worker registers. A `SimSession`
 //! replaying the same recorded arrivals drives the same harness on a plain
 //! binary-heap calendar, every wake included. The two must produce a
@@ -12,8 +12,8 @@
 //! different bit patterns outside of NaN/signed-zero (neither occurs here).
 
 use paldia_cluster::{
-    run_replay_virtual, run_simulation, Decision, FailoverPolicyKind, FaultPlan, ModelDecision,
-    Observation, RecordedTrace, RunResult, Scheduler, SimConfig, SimSession, WorkloadSpec,
+    run, run_replay_virtual, Decision, FailoverPolicyKind, FaultPlan, ModelDecision, Observation,
+    RecordedTrace, RunResult, RunSpec, Scheduler, SimConfig, SimSession, WorkloadSpec,
 };
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_sim::{SimDuration, SimTime};
@@ -67,7 +67,9 @@ fn assert_parity<S: Scheduler>(
     cfg: &SimConfig,
 ) -> RunResult {
     let specs = std::slice::from_ref(spec);
-    let batch = run_simulation(specs, &mut sched(), hw, Catalog::table_ii(), cfg);
+    let mut batch_sched = sched();
+    let spec = RunSpec::lone(specs, &mut batch_sched, hw, Catalog::table_ii(), cfg);
+    let batch = run(spec).into_lone();
     let trace = RecordedTrace::record(specs, cfg.seed, hw);
     let mut replay_sched = sched();
     let mut session = SimSession::new(

@@ -3,16 +3,16 @@
 //!
 //! This is the inner half of the serving shell's differential guarantee
 //! (DESIGN.md §14): `RecordedTrace::record` + `SimSession` + `run_replay`
-//! on the virtual clock must reproduce `run_simulation` byte-for-byte —
+//! on the virtual clock must reproduce a lone `run` byte-for-byte —
 //! same completions in the same order, same costs, same node stats, same
 //! timelines, and (traced) the same decision stream in both diff
 //! directions. The outer half — the wall-clock shell over TCP against the
 //! virtual replay — lives in `crates/serve/tests/differential.rs`.
 
 use paldia_cluster::{
-    run_replay, run_replay_virtual, run_simulation, run_simulation_traced, Decision, ModelDecision,
-    Observation, RecordedTrace, RequestId, RunResult, SampledArrival, Scheduler, SimConfig,
-    SimSession, SliceSource, WorkloadSpec,
+    run, run_replay, run_replay_virtual, Decision, ModelDecision, Observation, RecordedTrace,
+    RequestId, RunResult, RunSpec, SampledArrival, Scheduler, SimConfig, SimSession, SliceSource,
+    WorkloadSpec,
 };
 use paldia_core::PaldiaScheduler;
 use paldia_hw::{Catalog, InstanceKind};
@@ -86,13 +86,8 @@ fn assert_replay_parity(
 ) {
     let batch = {
         let mut sched = make();
-        run_simulation(
-            workloads,
-            sched.as_mut(),
-            initial_hw,
-            Catalog::table_ii(),
-            cfg,
-        )
+        let (hw, catalog) = (initial_hw, Catalog::table_ii());
+        run(RunSpec::lone(workloads, sched.as_mut(), hw, catalog, cfg)).into_lone()
     };
 
     let trace = RecordedTrace::record(workloads, cfg.seed, initial_hw);
@@ -195,14 +190,13 @@ fn traced_session_replay_matches_batch_decision_stream() {
     let mut batch_sink = VecSink::new();
     let batch = {
         let mut sched = PaldiaScheduler::new();
-        run_simulation_traced(
-            &workloads,
-            &mut sched,
-            InstanceKind::G3s_xlarge,
-            Catalog::table_ii(),
-            &cfg,
-            &mut batch_sink,
-        )
+        let hw = InstanceKind::G3s_xlarge;
+        let spec = RunSpec::lone(&workloads, &mut sched, hw, Catalog::table_ii(), &cfg);
+        run(RunSpec {
+            sink: Some(&mut batch_sink),
+            ..spec
+        })
+        .into_lone()
     };
 
     let trace = RecordedTrace::record(&workloads, cfg.seed, InstanceKind::G3s_xlarge);

@@ -16,9 +16,9 @@
 use crate::common::{run_once, ExperimentReport, RunOpts, SchemeKind};
 use crate::scenarios::azure_workload;
 use paldia_baselines::RateLimited;
-use paldia_cluster::{run_simulation, RunResult, SimConfig, WorkloadSpec};
+use paldia_cluster::{run, RunResult, RunSpec, SimConfig, WorkloadSpec};
 use paldia_core::{PaldiaConfig, PaldiaScheduler};
-use paldia_hw::{Catalog, InstanceKind};
+use paldia_hw::Catalog;
 use paldia_metrics::TextTable;
 use paldia_sim::SimDuration;
 use paldia_traces::PredictorKind;
@@ -28,7 +28,7 @@ fn run_paldia_cfg(pcfg: PaldiaConfig, workloads: &[WorkloadSpec], cfg: &SimConfi
     let mut sched = PaldiaScheduler::with_config(pcfg);
     let catalog = Catalog::table_ii();
     let initial = SchemeKind::Paldia.initial_hw(workloads, &catalog, cfg.slo_ms);
-    run_simulation(workloads, &mut sched, initial, catalog, cfg)
+    run(RunSpec::lone(workloads, &mut sched, initial, catalog, cfg)).into_lone()
 }
 
 fn row(table: &mut TextTable, label: String, r: &RunResult, slo_ms: f64) {
@@ -53,7 +53,8 @@ pub fn escalation(opts: &RunOpts) -> ExperimentReport {
 
     let mut limited = RateLimited::new();
     let initial = SchemeKind::Paldia.initial_hw(&workloads, &catalog, cfg.slo_ms);
-    let rl = run_simulation(&workloads, &mut limited, initial, catalog.clone(), &cfg);
+    let spec = RunSpec::lone(&workloads, &mut limited, initial, catalog.clone(), &cfg);
+    let rl = run(spec).into_lone();
     row(
         &mut table,
         "Rate Limited (throttles)".into(),
@@ -223,7 +224,8 @@ pub fn host_aware(opts: &RunOpts) -> ExperimentReport {
 
     let mut aware = PaldiaScheduler::host_aware(SebsMix::table_iii());
     let initial = SchemeKind::Paldia.initial_hw(&workloads, &catalog, cfg.slo_ms);
-    let aware_run = run_simulation(&workloads, &mut aware, initial, catalog, &cfg);
+    let spec = RunSpec::lone(&workloads, &mut aware, initial, catalog, &cfg);
+    let aware_run = run(spec).into_lone();
 
     let mut table = TextTable::new(&["variant", "SLO", "cost $", "transitions"]);
     row(&mut table, plain.scheme.clone(), &plain, cfg.slo_ms);
@@ -258,9 +260,4 @@ pub fn run_all(opts: &RunOpts) -> Vec<ExperimentReport> {
         slo_sensitivity(opts),
         host_aware(opts),
     ]
-}
-
-/// The initial hardware used by the direct `run_simulation` calls above.
-pub fn initial_for(workloads: &[WorkloadSpec], slo_ms: f64) -> InstanceKind {
-    SchemeKind::Paldia.initial_hw(workloads, &Catalog::table_ii(), slo_ms)
 }

@@ -145,18 +145,12 @@ fn parse_fault_spec(spec: &str) -> Option<FaultPlan> {
     if spec == "fig13b" {
         return Some(fig13_adverse::fig13b_fault_plan());
     }
-    let mut parts = spec.split(':');
-    if parts.next()? != "crashes" {
+    let ["crashes", count, seed] = spec.split(':').collect::<Vec<_>>()[..] else {
         return None;
-    }
-    let count: u32 = parts.next()?.parse().ok()?;
-    let seed: u64 = parts.next()?.parse().ok()?;
-    Some(FaultPlan::sampled_crashes(
-        seed,
-        SimTime::from_secs(600),
-        count,
-        SimDuration::from_secs(30),
-    ))
+    };
+    let (count, seed) = (count.parse().ok()?, seed.parse().ok()?);
+    let (span, crash) = (SimTime::from_secs(600), SimDuration::from_secs(30));
+    Some(FaultPlan::sampled_crashes(seed, span, count, crash))
 }
 
 /// Run the primary-setting observability capture
@@ -474,20 +468,14 @@ fn main() {
         return;
     }
     if let Some(i) = args.iter().position(|a| a == "--faults") {
-        if let Some(spec) = args.get(i + 1) {
-            match parse_fault_spec(spec) {
-                Some(plan) => {
-                    opts = opts.with_faults(plan, FailoverPolicyKind::CheapestMorePerformant);
-                    flag_values.push(i + 1);
-                }
-                None => {
-                    eprintln!(
-                        "unrecognized --faults spec '{spec}' (use fig13b or crashes:COUNT:SEED)"
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
+        // A missing spec is the empty spec: refused like any bad one.
+        let spec = args.get(i + 1).map_or("", String::as_str);
+        let Some(plan) = parse_fault_spec(spec) else {
+            eprintln!("unrecognized --faults spec '{spec}' (use fig13b or crashes:COUNT:SEED)");
+            std::process::exit(2);
+        };
+        opts = opts.with_faults(plan, FailoverPolicyKind::CheapestMorePerformant);
+        flag_values.push(i + 1);
     }
     // Decision-log diff subcommands: none of them run the experiment
     // sweep, so they exit directly (0 empty diff / 1 divergent / 2 usage
@@ -788,5 +776,28 @@ fn main() {
     );
     if holds < total {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fault_specs_parse_exactly() {
+        let fig13b = fig13_adverse::fig13b_fault_plan();
+        assert_eq!(parse_fault_spec("fig13b"), Some(fig13b));
+        let (span, crash) = (SimTime::from_secs(600), SimDuration::from_secs(30));
+        let sampled = FaultPlan::sampled_crashes(7, span, 3, crash);
+        assert_eq!(parse_fault_spec("crashes:3:7"), Some(sampled));
+        for bad in [
+            "crashes:3:7:junk",
+            "crashes:3",
+            "crashes:x:7",
+            "crashes:3:x",
+            "",
+        ] {
+            assert_eq!(parse_fault_spec(bad), None, "{bad:?} must be refused");
+        }
     }
 }

@@ -3,7 +3,7 @@
 
 use paldia_baselines::{InflessLlama, Molecule, MpsOnly, OfflineHybrid, TimeSharedOnly, Variant};
 use paldia_cluster::{
-    run_simulation, FailoverPolicyKind, FaultPlan, ModelObs, Observation, RunResult, Scheduler,
+    run, FailoverPolicyKind, FaultPlan, ModelObs, Observation, RunResult, RunSpec, Scheduler,
     SimConfig, WorkloadSpec,
 };
 use paldia_core::PaldiaScheduler;
@@ -179,7 +179,8 @@ pub fn run_once(
 ) -> RunResult {
     let mut policy = scheme.build(workloads);
     let initial = scheme.initial_hw(workloads, catalog, cfg.slo_ms);
-    run_simulation(workloads, policy.as_mut(), initial, catalog.clone(), cfg)
+    let spec = RunSpec::lone(workloads, &mut *policy, initial, catalog.clone(), cfg);
+    run(spec).into_lone()
 }
 
 /// Run `opts.reps` repetitions with derived seeds. Routed through the

@@ -18,8 +18,7 @@ use std::path::{Path, PathBuf};
 use crate::common::SchemeKind;
 use crate::scenarios;
 use paldia_cluster::{
-    run_fleet_traced, run_simulation_traced, FailoverPolicyKind, FaultPlan, FleetDeployment,
-    RunResult, SimConfig,
+    run, FailoverPolicyKind, FaultPlan, FleetDeployment, RunResult, RunSpec, SimConfig,
 };
 use paldia_core::{PaldiaConfig, PaldiaScheduler};
 use paldia_hw::{Catalog, InstanceKind};
@@ -99,7 +98,11 @@ fn capture_with(opts: &DiffRunOpts, sched: &mut PaldiaScheduler) -> (Vec<TraceEv
     // scheduler's own doing.
     let initial = SchemeKind::Paldia.initial_hw(&workloads, &catalog, cfg.slo_ms);
     let mut sink = VecSink::new();
-    let result = run_simulation_traced(&workloads, sched, initial, catalog, &cfg, &mut sink);
+    let result = run(RunSpec {
+        sink: Some(&mut sink),
+        ..RunSpec::lone(&workloads, sched, initial, catalog, &cfg)
+    })
+    .into_lone();
     (sink.into_events(), result)
 }
 
@@ -332,13 +335,12 @@ pub fn fleet_golden_config() -> SimConfig {
 /// only its decision events, scoped `1 + tenant`.
 pub fn capture_fleet_golden_decisions() -> Vec<TraceEvent> {
     let mut sink = VecSink::new();
-    run_fleet_traced(
-        fleet_golden_deployments(),
-        Catalog::table_ii(),
-        1,
-        &fleet_golden_config(),
-        &mut sink,
-    );
+    let cfg = fleet_golden_config();
+    let spec = RunSpec::fleet(fleet_golden_deployments(), Catalog::table_ii(), 1, &cfg);
+    run(RunSpec {
+        sink: Some(&mut sink),
+        ..spec
+    });
     sink.into_events()
         .into_iter()
         .filter(|e| matches!(e.kind, TraceEventKind::Decision(_)))

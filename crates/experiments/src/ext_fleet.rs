@@ -11,7 +11,7 @@
 
 use crate::common::{Check, ExperimentReport, RunOpts};
 use crate::scenarios::azure_workload;
-use paldia_cluster::{run_fleet, FleetDeployment, SimConfig};
+use paldia_cluster::{FleetDeployment, RunSpec, SimConfig};
 use paldia_core::PaldiaScheduler;
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_metrics::TextTable;
@@ -57,8 +57,10 @@ pub fn run(opts: &RunOpts) -> ExperimentReport {
     let cfg = SimConfig::with_seed(opts.seed_base);
     let catalog = Catalog::table_ii();
 
-    let contended = run_fleet(deployments(opts), catalog.clone(), 1, &cfg);
-    let elastic = run_fleet(deployments(opts), catalog, u32::MAX, &cfg);
+    let contended =
+        paldia_cluster::run(RunSpec::fleet(deployments(opts), catalog.clone(), 1, &cfg)).results;
+    let elastic =
+        paldia_cluster::run(RunSpec::fleet(deployments(opts), catalog, u32::MAX, &cfg)).results;
 
     let mut table = TextTable::new(&[
         "tenant",

@@ -21,12 +21,13 @@ use crate::common::{Check, ExperimentReport, RunOpts, SchemeKind};
 use crate::scenarios;
 use paldia_baselines::Variant;
 use paldia_cluster::{
-    run_fleet_sharded, run_fleet_traced_sharded, run_simulation, run_simulation_traced,
-    FailoverPolicyKind, FaultPlan, FleetDeployment, RunResult, SimConfig, WorkloadSpec,
+    FailoverPolicyKind, FaultPlan, FleetDeployment, RunResult, RunSpec, SimConfig, WorkloadSpec,
 };
 use paldia_hw::Catalog;
 use paldia_metrics::{percentile, TextTable};
-use paldia_obs::{diff_decision_streams, DiffReport, TraceEvent, TraceEventKind, VecSink};
+use paldia_obs::{
+    diff_decision_streams, DiffReport, TraceEvent, TraceEventKind, TraceSink, VecSink,
+};
 use paldia_sim::SimTime;
 use paldia_workloads::{tokens::TokenCard, MlModel};
 
@@ -100,26 +101,29 @@ impl LlmRunOpts {
     }
 }
 
-/// Run one side untraced.
-pub fn run_llm(opts: &LlmRunOpts) -> RunResult {
+/// Run one side, recording into `sink` when one is given.
+fn run_llm_into(opts: &LlmRunOpts, sink: Option<&mut dyn TraceSink>) -> RunResult {
     let workloads = llm_workloads(opts.seed, opts.secs);
     let catalog = Catalog::table_ii();
     let cfg = opts.config();
     let mut sched = opts.scheme.build(&workloads);
     let initial = opts.scheme.initial_hw(&workloads, &catalog, cfg.slo_ms);
-    run_simulation(&workloads, &mut *sched, initial, catalog, &cfg)
+    let spec = RunSpec::lone(&workloads, &mut *sched, initial, catalog, &cfg);
+    // `as _` narrows the sink's trait-object lifetime to the spec's.
+    let sink = sink.map(|s| s as _);
+    paldia_cluster::run(RunSpec { sink, ..spec }).into_lone()
+}
+
+/// Run one side untraced.
+pub fn run_llm(opts: &LlmRunOpts) -> RunResult {
+    run_llm_into(opts, None)
 }
 
 /// Run one side with the observability sink attached (decision events
 /// included — the smoke gate and the golden log feed on them).
 pub fn capture_llm_run(opts: &LlmRunOpts) -> (Vec<TraceEvent>, RunResult) {
-    let workloads = llm_workloads(opts.seed, opts.secs);
-    let catalog = Catalog::table_ii();
-    let cfg = opts.config();
-    let mut sched = opts.scheme.build(&workloads);
-    let initial = opts.scheme.initial_hw(&workloads, &catalog, cfg.slo_ms);
     let mut sink = VecSink::new();
-    let result = run_simulation_traced(&workloads, &mut *sched, initial, catalog, &cfg, &mut sink);
+    let result = run_llm_into(opts, Some(&mut sink));
     (sink.into_events(), result)
 }
 
@@ -147,30 +151,34 @@ fn llm_fleet_deployments(opts: &LlmRunOpts) -> Vec<FleetDeployment> {
     .collect()
 }
 
+/// [`run_llm_fleet`], recording into `sink` when one is given.
+fn run_llm_fleet_into(
+    opts: &LlmRunOpts,
+    shards: u32,
+    sink: Option<&mut dyn TraceSink>,
+) -> Vec<RunResult> {
+    let (deployments, cfg) = (llm_fleet_deployments(opts), opts.config());
+    let spec = RunSpec::fleet(deployments, Catalog::table_ii(), u32::MAX, &cfg);
+    let (shards, sink) = (Some(shards), sink.map(|s| s as _)); // as in `run_llm_into`
+    paldia_cluster::run(RunSpec {
+        shards,
+        sink,
+        ..spec
+    })
+    .results
+}
+
 /// Run the fleet LLM scenario on elastic inventory, partitioned across
 /// `shards` event loops (results are invariant across shard counts).
 pub fn run_llm_fleet(opts: &LlmRunOpts, shards: u32) -> Vec<RunResult> {
-    run_fleet_sharded(
-        llm_fleet_deployments(opts),
-        Catalog::table_ii(),
-        u32::MAX,
-        &opts.config(),
-        shards,
-    )
+    run_llm_fleet_into(opts, shards, None)
 }
 
 /// [`run_llm_fleet`] with the observability sink attached (decision events
 /// included, scoped `1 + tenant`).
 pub fn capture_llm_fleet(opts: &LlmRunOpts, shards: u32) -> (Vec<TraceEvent>, Vec<RunResult>) {
     let mut sink = VecSink::new();
-    let results = run_fleet_traced_sharded(
-        llm_fleet_deployments(opts),
-        Catalog::table_ii(),
-        u32::MAX,
-        &opts.config(),
-        &mut sink,
-        shards,
-    );
+    let results = run_llm_fleet_into(opts, shards, Some(&mut sink));
     (sink.into_events(), results)
 }
 

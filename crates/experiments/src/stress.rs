@@ -7,9 +7,7 @@
 //! construction here is deterministic (no wall clocks, no environment);
 //! the `repro` binary owns the stopwatch and prints the events/s figure.
 
-use paldia_cluster::{
-    run_fleet_sharded_stats, FleetDeployment, RunResult, SimConfig, WorkloadSpec,
-};
+use paldia_cluster::{run, FleetDeployment, RunResult, RunSpec, SimConfig, WorkloadSpec};
 use paldia_core::PaldiaScheduler;
 use paldia_hw::Catalog;
 use paldia_sim::SimDuration;
@@ -132,14 +130,11 @@ impl StressOutcome {
 /// the outcome is invariant across shard counts.
 pub fn run_stress(spec: &StressSpec, shards: u32) -> StressOutcome {
     let cfg = SimConfig::with_seed(spec.seed);
-    let (results, events) = run_fleet_sharded_stats(
-        spec.deployments(),
-        Catalog::table_ii(),
-        u32::MAX,
-        &cfg,
-        shards,
-    );
-    StressOutcome::from_results(&results, events)
+    let out = run(RunSpec {
+        shards: Some(shards),
+        ..RunSpec::fleet(spec.deployments(), Catalog::table_ii(), u32::MAX, &cfg)
+    });
+    StressOutcome::from_results(&out.results, out.events)
 }
 
 #[cfg(test)]

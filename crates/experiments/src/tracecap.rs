@@ -10,7 +10,7 @@
 
 use crate::common::SchemeKind;
 use crate::scenarios;
-use paldia_cluster::{run_simulation_traced, FailoverPolicyKind, FaultPlan, RunResult, SimConfig};
+use paldia_cluster::{run, FailoverPolicyKind, FaultPlan, RunResult, RunSpec, SimConfig};
 use paldia_hw::Catalog;
 use paldia_obs::{RingSink, TraceEvent, TraceSink};
 use paldia_workloads::MlModel;
@@ -82,7 +82,11 @@ pub fn capture_primary_run_with(
     let scheme = SchemeKind::Paldia;
     let mut policy = scheme.build(&workloads);
     let initial = scheme.initial_hw(&workloads, &catalog, cfg.slo_ms);
-    run_simulation_traced(&workloads, policy.as_mut(), initial, catalog, &cfg, sink)
+    run(RunSpec {
+        sink: Some(sink),
+        ..RunSpec::lone(&workloads, policy.as_mut(), initial, catalog, &cfg)
+    })
+    .into_lone()
 }
 
 #[cfg(test)]

@@ -29,8 +29,10 @@
 //!    `std::thread::spawn`) out of deterministic-core/sim-facing crates.
 //!
 //! 3. **Reachability** (`reach`): an approximate interprocedural call graph
-//!    seeded at `run_simulation*`/`run_fleet*`/`PaldiaScheduler` methods;
-//!    any path to a fenced symbol is reported as a call-chain narrative.
+//!    seeded at the free fn `run` in `paldia-cluster`,
+//!    `run_simulation*`/`run_fleet*`/`run_replay*` and `PaldiaScheduler`
+//!    methods; any path to a fenced symbol is reported as a call-chain
+//!    narrative.
 //!
 //! Escape hatches: a `// lint:allow(<rule>)` comment on the offending line
 //! (or the line above) suppresses one site; `src/allowlist.rs` holds the

@@ -1,8 +1,9 @@
 //! Pass 3 of the boundary-graph analyzer: interprocedural reachability.
 //!
 //! Builds an approximate call graph over every classified non-tooling
-//! crate's parsed fns and walks it from the simulation entry points — fn
-//! names starting `run_simulation`/`run_fleet` and `PaldiaScheduler`
+//! crate's parsed fns and walks it from the simulation entry points — the
+//! free fn `run` in `paldia-cluster`, fn names starting
+//! `run_simulation`/`run_fleet`/`run_replay`, and `PaldiaScheduler`
 //! methods — looking for paths to **fenced symbols**: `Instant`,
 //! `SystemTime`, `HashMap`, `HashSet` constructors/associated fns,
 //! `std::env::var`/`var_os`, and `std::thread::spawn`. A hit is reported as
@@ -35,11 +36,15 @@ use crate::graph::{fenced_target, Class, CrateGraph};
 use crate::parse::FileAst;
 use crate::rules::Diagnostic;
 
-/// Seed predicate: simulation entry points. `run_replay` is the serving
-/// shell's shared replay driver (DESIGN.md §14) — seeding it proves the
-/// session executor path a live `paldia-serve` session runs is as fenced
-/// from the wall clock as the batch engines.
-fn is_seed(f: &crate::parse::FnItem) -> bool {
+/// Seed predicate: simulation entry points in crate `krate`. The free fn
+/// `run` in `cluster` is the one batch entry point; `run_replay` is the
+/// serving shell's shared replay driver (DESIGN.md §14) — seeding it
+/// proves the session executor path a live `paldia-serve` session runs is
+/// as fenced from the wall clock as the batch engines.
+fn is_seed(krate: &str, f: &crate::parse::FnItem) -> bool {
+    if f.self_ty.is_none() && f.name == "run" && krate == "cluster" {
+        return true;
+    }
     if f.name.starts_with("run_simulation")
         || f.name.starts_with("run_fleet")
         || f.name.starts_with("run_replay")
@@ -116,7 +121,8 @@ pub fn check_reach(
                 display: ast.qualify(f),
                 krate: ast.krate.clone(),
                 class,
-                is_seed: matches!(class, Class::DeterministicCore | Class::SimFacing) && is_seed(f),
+                is_seed: matches!(class, Class::DeterministicCore | Class::SimFacing)
+                    && is_seed(&ast.krate, f),
                 edges: Vec::new(),
                 sinks: Vec::new(),
             });
@@ -316,7 +322,7 @@ impl Other { pub fn submit(&self) {} }
         let seeded: Vec<(&str, bool)> = ast
             .fns
             .iter()
-            .map(|f| (f.name.as_str(), is_seed(f)))
+            .map(|f| (f.name.as_str(), is_seed(&ast.krate, f)))
             .collect();
         assert_eq!(
             seeded,
@@ -329,5 +335,16 @@ impl Other { pub fn submit(&self) {} }
                 ("submit", false),
             ]
         );
+        // The free fn `run` seeds in `cluster` only; `run_to` and a `run`
+        // method never do.
+        let src = "pub fn run() {}\npub fn run_to() {}\nimpl Partition { pub fn run(&self) {} }\n";
+        for (path, free_run) in [
+            ("crates/cluster/src/harness.rs", true),
+            ("crates/demo/src/lib.rs", false),
+        ] {
+            let ast = parse(path, &lex(src));
+            let seeded: Vec<bool> = ast.fns.iter().map(|f| is_seed(&ast.krate, f)).collect();
+            assert_eq!(seeded, [free_run, false, false], "{path}");
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Deterministic merge of per-shard trace streams.
 //!
-//! A sharded fleet run ([`run_fleet_sharded`] in `paldia-cluster`) records
+//! A sharded fleet run (`run` with `shards: Some(k)` in `paldia-cluster`) records
 //! each shard's events into its own sink, plus one coordinator stream for
 //! fleet-global events (fault edges, the run summary, scope 0). This
 //! module folds those streams back into a single sink whose contents are
@@ -15,7 +15,7 @@
 //!   global deployment order. The serial engine instead interleaves
 //!   same-instant events by its global heap order, so the merged stream is
 //!   invariant across shard counts of the partitioned path, not
-//!   byte-identical to `run_fleet_traced`.
+//!   byte-identical to a traced serial run (`shards: None`).
 //! * Sequence numbers are re-assigned contiguously after the sort, so
 //!   downstream consumers ([`crate::TraceAttribution`], chrome export) see
 //!   the `(at, seq)` total order they expect.

@@ -10,7 +10,7 @@
 //! cargo run --release --example custom_policy
 //! ```
 
-use paldia::cluster::{run_simulation, Decision, ModelDecision, Observation, Scheduler, SimConfig};
+use paldia::cluster::{run, Decision, ModelDecision, Observation, RunSpec, Scheduler, SimConfig};
 use paldia::core::PaldiaScheduler;
 use paldia::experiments::scenarios;
 use paldia::hw::{Catalog, InstanceKind};
@@ -63,22 +63,24 @@ fn main() {
     let mut custom = StaticTwoTier {
         threshold_rps: 25.0,
     };
-    let custom_run = run_simulation(
+    let custom_run = run(RunSpec::lone(
         &workloads,
         &mut custom,
         InstanceKind::C6i_2xlarge,
         catalog.clone(),
         &cfg,
-    );
+    ))
+    .into_lone();
 
     let mut paldia = PaldiaScheduler::new();
-    let paldia_run = run_simulation(
+    let paldia_run = run(RunSpec::lone(
         &workloads,
         &mut paldia,
         InstanceKind::C6i_2xlarge,
         catalog,
         &cfg,
-    );
+    ))
+    .into_lone();
 
     println!("{model} under the Azure trace:\n");
     for r in [&custom_run, &paldia_run] {

@@ -10,7 +10,7 @@
 //! cargo run --release --example fleet_provider
 //! ```
 
-use paldia::cluster::{run_fleet, FleetDeployment, SimConfig, WorkloadSpec};
+use paldia::cluster::{run, FleetDeployment, RunSpec, SimConfig, WorkloadSpec};
 use paldia::core::PaldiaScheduler;
 use paldia::experiments::scenarios;
 use paldia::hw::{Catalog, InstanceKind};
@@ -43,8 +43,9 @@ fn main() {
     let cfg = SimConfig::with_seed(21);
 
     println!("four Paldia tenants, one unit of each Table II node:\n");
-    let constrained = run_fleet(tenants(21), Catalog::table_ii(), 1, &cfg);
-    let elastic = run_fleet(tenants(21), Catalog::table_ii(), u32::MAX, &cfg);
+    let constrained = run(RunSpec::fleet(tenants(21), Catalog::table_ii(), 1, &cfg)).results;
+    let spec = RunSpec::fleet(tenants(21), Catalog::table_ii(), u32::MAX, &cfg);
+    let elastic = run(spec).results;
 
     let mut table = TextTable::new(&[
         "tenant",

@@ -6,7 +6,7 @@
 //! ```
 
 use paldia::baselines::{InflessLlama, Variant};
-use paldia::cluster::{run_simulation, SimConfig, WorkloadSpec};
+use paldia::cluster::{run, RunSpec, SimConfig, WorkloadSpec};
 use paldia::core::PaldiaScheduler;
 use paldia::hw::{Catalog, InstanceKind};
 use paldia::metrics::{LatencyStats, TailBreakdown};
@@ -33,13 +33,14 @@ fn main() {
 
     // 3. Serve it with Paldia, starting warm on a cheap CPU node.
     let mut paldia = PaldiaScheduler::new();
-    let result = run_simulation(
+    let result = run(RunSpec::lone(
         std::slice::from_ref(&workload),
         &mut paldia,
         InstanceKind::C6i_2xlarge,
         catalog.clone(),
         &cfg,
-    );
+    ))
+    .into_lone();
 
     let stats = LatencyStats::from_completed(&result.completed);
     println!("\n== Paldia ==");
@@ -60,13 +61,14 @@ fn main() {
 
     // 4. Compare against a state-of-the-art baseline on the same workload.
     let mut baseline = InflessLlama::new(Variant::CostEffective);
-    let base = run_simulation(
+    let base = run(RunSpec::lone(
         &[workload],
         &mut baseline,
         InstanceKind::C6i_2xlarge,
         catalog,
         &cfg,
-    );
+    ))
+    .into_lone();
     println!("\n== {} ==", base.scheme);
     println!(
         "  SLO compliance : {:.2}%",

@@ -6,7 +6,7 @@
 //! cargo run --release --example trace_anatomy
 //! ```
 
-use paldia::cluster::{run_simulation_traced, SimConfig, WorkloadSpec};
+use paldia::cluster::{run, RunSpec, SimConfig, WorkloadSpec};
 use paldia::core::PaldiaScheduler;
 use paldia::hw::{Catalog, InstanceKind};
 use paldia::obs::{
@@ -32,14 +32,17 @@ fn main() {
     let mut sink = RingSink::new(100_000);
     let mut scheduler = PaldiaScheduler::new();
     let cfg = SimConfig::with_seed(1_000);
-    let result = run_simulation_traced(
-        &[workload],
-        &mut scheduler,
-        InstanceKind::C6i_2xlarge,
-        Catalog::table_ii(),
-        &cfg,
-        &mut sink,
-    );
+    let result = run(RunSpec {
+        sink: Some(&mut sink),
+        ..RunSpec::lone(
+            &[workload],
+            &mut scheduler,
+            InstanceKind::C6i_2xlarge,
+            Catalog::table_ii(),
+            &cfg,
+        )
+    })
+    .into_lone();
     let dropped = sink.dropped();
     let events = sink.into_events();
     println!(

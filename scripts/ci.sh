@@ -14,26 +14,30 @@
 #   5. cargo doc (core/obs/serve) — the documented-API crates additionally
 #      build under -D missing_docs: every public item has rustdoc
 #   6. cargo build --release  — the tier-1 build
-#   7. cargo test -q          — root integration tests (tier-1 gate)
-#   8. repro --diff-golden    — the current build must reproduce the three
+#   7. perfbench build        — the benchmark harness is its own workspace,
+#      so no other stage compiles it; building it here catches a signature
+#      change to anything it calls by name (separate target dir, as
+#      perfbench/run.py uses)
+#   8. cargo test -q          — root integration tests (tier-1 gate)
+#   9. repro --diff-golden    — the current build must reproduce the three
 #      committed golden decision logs (quick, LLM, fleet) bit for bit
 #      (re-bless intentional policy changes with scripts/rebless.sh)
-#   9. trace export           — a capture-only repro run writes the chrome
+#  10. trace export           — a capture-only repro run writes the chrome
 #      trace and the JSONL log, reads the log back, attributes it and
 #      triages it at a 200 ms SLO; the chrome file must load as JSON and the
 #      JSONL log must diff empty against itself
-#  10. repro --llm-smoke      — the iteration-level LLM storm fleet at
+#  11. repro --llm-smoke      — the iteration-level LLM storm fleet at
 #      shards 1 and 3, decision streams diffed empty in both directions
 #      (target/llm-report.json)
-#  11. serve-smoke            — the wall-clock serving shell replays the quick
+#  12. serve-smoke            — the wall-clock serving shell replays the quick
 #      capture over loopback TCP and must diff divergence-free against the
 #      virtual-clock session in both directions, at 20x (the server flushes
 #      before pacing sleeps; target/serve-report.json) and at 1e6x (it
 #      flushes when its input runs dry; target/serve-report-1e6.json)
-#  12. ysearch latency       — the full Table II y-search (Eq. 1 over every
+#  13. ysearch latency       — the full Table II y-search (Eq. 1 over every
 #      candidate kind) must average under the paper's 3 ms budget (§III) in
 #      every case of `cargo bench -p paldia-bench --bench ysearch_latency`
-#  13. cargo test --workspace — every crate's unit/property/integration tests
+#  14. cargo test --workspace — every crate's unit/property/integration tests
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,6 +60,10 @@ RUSTDOCFLAGS="-D warnings -D missing_docs" \
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> perfbench build (its own workspace, separate target dir)"
+CARGO_TARGET_DIR=target/perfbench \
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q

@@ -9,7 +9,7 @@
 //! ```
 
 use paldia::baselines::{InflessLlama, Molecule, RateLimited, Variant};
-use paldia::cluster::{run_simulation, RunResult, Scheduler, SimConfig, WorkloadSpec};
+use paldia::cluster::{RunResult, RunSpec, Scheduler, SimConfig, WorkloadSpec};
 use paldia::core::PaldiaScheduler;
 use paldia::experiments::{scenarios, SchemeKind};
 use paldia::hw::Catalog;
@@ -139,7 +139,8 @@ fn run(args: &Args, workloads: &[WorkloadSpec], cfg: &SimConfig) -> RunResult {
         _ => usage(),
     };
     let initial = SchemeKind::Paldia.initial_hw(workloads, &catalog, cfg.slo_ms);
-    run_simulation(workloads, scheduler.as_mut(), initial, catalog, cfg)
+    let spec = RunSpec::lone(workloads, scheduler.as_mut(), initial, catalog, cfg);
+    paldia::cluster::run(spec).into_lone()
 }
 
 fn main() {

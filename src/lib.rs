@@ -34,13 +34,14 @@
 //! // Serve it with Paldia on the Table II cluster.
 //! let mut scheduler = PaldiaScheduler::new();
 //! let cfg = SimConfig::with_seed(7);
-//! let result = run_simulation(
+//! let result = run(RunSpec::lone(
 //!     &[workload],
 //!     &mut scheduler,
 //!     InstanceKind::G3s_xlarge, // start warm on the cheap GPU node
 //!     Catalog::table_ii(),
 //!     &cfg,
-//! );
+//! ))
+//! .into_lone();
 //!
 //! assert!(result.slo_compliance(cfg.slo_ms) > 0.95);
 //! assert!(result.total_cost() > 0.0);
@@ -63,7 +64,7 @@ pub use paldia_workloads as workloads;
 pub mod prelude {
     pub use paldia_baselines::{InflessLlama, Molecule, RateLimited, Variant};
     pub use paldia_cluster::{
-        run_simulation, Decision, ModelDecision, Observation, RunResult, Scheduler, SimConfig,
+        run, Decision, ModelDecision, Observation, RunResult, RunSpec, Scheduler, SimConfig,
         WorkloadSpec,
     };
     pub use paldia_core::{PaldiaConfig, PaldiaScheduler};

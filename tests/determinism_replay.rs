@@ -14,9 +14,7 @@
 //! `#[test]` because the pool-jobs override is process-global while the
 //! harness runs tests concurrently.
 
-use paldia_cluster::{
-    run_fleet_traced_sharded, FailoverPolicyKind, FaultPlan, RunResult, SimConfig,
-};
+use paldia_cluster::{run, FailoverPolicyKind, FaultPlan, RunResult, RunSpec, SimConfig};
 use paldia_core::pool;
 use paldia_experiments::llm_iter::{capture_llm_fleet, LlmRunOpts};
 use paldia_experiments::scenarios::azure_workload_truncated;
@@ -104,14 +102,13 @@ fn replaying_a_grid_is_bit_identical() {
 fn decision_stream_replays_bit_identical_across_shards() {
     let capture = |shards: u32| -> Vec<TraceEvent> {
         let mut sink = RingSink::new(tracecap::CAPTURE_CAPACITY);
-        let _ = run_fleet_traced_sharded(
-            diffcap::fleet_golden_deployments(),
-            Catalog::table_ii(),
-            u32::MAX,
-            &diffcap::fleet_golden_config(),
-            &mut sink,
-            shards,
-        );
+        let deployments = diffcap::fleet_golden_deployments();
+        let cfg = diffcap::fleet_golden_config();
+        run(RunSpec {
+            shards: Some(shards),
+            sink: Some(&mut sink),
+            ..RunSpec::fleet(deployments, Catalog::table_ii(), u32::MAX, &cfg)
+        });
         sink.into_events()
     };
     // Decisions only, seq zeroed: the sharded merge re-assigns global

@@ -4,8 +4,7 @@
 //! engine must complete even when shards outnumber the worker pool.
 
 use paldia::cluster::{
-    run_fleet_sharded, FailoverPolicyKind, FaultPlan, FleetDeployment, RunResult, SimConfig,
-    WorkloadSpec,
+    FailoverPolicyKind, FaultPlan, FleetDeployment, RunResult, RunSpec, SimConfig, WorkloadSpec,
 };
 use paldia::core::{pool, PaldiaScheduler};
 use paldia::hw::Catalog;
@@ -45,13 +44,9 @@ fn fingerprint(results: &[RunResult]) -> String {
 }
 
 fn run(rates: &[f64], secs: u64, cfg: &SimConfig, shards: u32) -> String {
-    fingerprint(&run_fleet_sharded(
-        fleet(rates, secs),
-        Catalog::table_ii(),
-        ELASTIC,
-        cfg,
-        shards,
-    ))
+    let spec = RunSpec::fleet(fleet(rates, secs), Catalog::table_ii(), ELASTIC, cfg);
+    let shards = Some(shards);
+    fingerprint(&paldia_cluster::run(RunSpec { shards, ..spec }).results)
 }
 
 proptest! {

@@ -11,7 +11,7 @@
 //! the JSONL-vs-ring sink equivalence on a real capture, and the
 //! attribution of an iteration-level LLM capture read back from JSONL.
 
-use paldia_cluster::{run_fleet_traced, FailoverPolicyKind, FaultPlan, FleetDeployment, SimConfig};
+use paldia_cluster::{run, FailoverPolicyKind, FaultPlan, FleetDeployment, RunSpec, SimConfig};
 use paldia_core::PaldiaScheduler;
 use paldia_experiments::llm_iter::{capture_llm_run, LlmRunOpts};
 use paldia_experiments::scenarios::azure_workload_truncated;
@@ -109,13 +109,11 @@ fn fleet_attribution_matches_metrics_per_tenant() {
     let seed = 1_000u64;
     let cfg = SimConfig::with_seed(seed);
     let mut sink = RingSink::new(1_000_000);
-    let results = run_fleet_traced(
-        fleet_deployments(seed),
-        Catalog::table_ii(),
-        1,
-        &cfg,
-        &mut sink,
-    );
+    let results = run(RunSpec {
+        sink: Some(&mut sink),
+        ..RunSpec::fleet(fleet_deployments(seed), Catalog::table_ii(), 1, &cfg)
+    })
+    .results;
     let events = sink.into_events();
     let attribution = TraceAttribution::from_events(&events);
     assert_eq!(attribution.scopes(), vec![1, 2], "one scope per tenant");

@@ -7,8 +7,7 @@
 //! cannot grow wall-clock reads or hash-order iteration.
 
 use paldia_cluster::{
-    run_fleet, run_fleet_traced, run_simulation, run_simulation_traced, FleetDeployment, RunResult,
-    SimConfig,
+    run, FailoverPolicyKind, FaultPlan, FleetDeployment, RunOutput, RunResult, RunSpec, SimConfig,
 };
 use paldia_core::PaldiaScheduler;
 use paldia_experiments::scenarios::azure_workload_truncated;
@@ -16,6 +15,7 @@ use paldia_hw::{Catalog, InstanceKind};
 use paldia_obs::{
     chrome_trace_json, completed_request_ids, explain_request, RingSink, TraceEvent, TraceEventKind,
 };
+use paldia_sim::{SimDuration, SimTime};
 use paldia_workloads::MlModel;
 
 /// Every bit of observable output of one run, as raw u64 words (the
@@ -36,30 +36,26 @@ fn fingerprint(r: &RunResult) -> Vec<u64> {
     bits
 }
 
-fn capture_single(seed: u64, traced: bool) -> (Vec<TraceEvent>, RunResult) {
+/// One Paldia run of a lone deployment, recording into a sink when
+/// `traced`. Returns the captured stream and the run output.
+fn capture_single(seed: u64, traced: bool) -> (Vec<TraceEvent>, RunOutput) {
     let workloads = vec![azure_workload_truncated(MlModel::GoogleNet, seed, 90)];
-    let catalog = Catalog::table_ii();
     let cfg = SimConfig::with_seed(seed);
     let mut s = PaldiaScheduler::new();
-    if traced {
-        let mut sink = RingSink::new(1_000_000);
-        let r = run_simulation_traced(
-            &workloads,
-            &mut s,
-            InstanceKind::C6i_2xlarge,
-            catalog,
-            &cfg,
-            &mut sink,
-        );
-        (sink.into_events(), r)
-    } else {
-        let r = run_simulation(&workloads, &mut s, InstanceKind::C6i_2xlarge, catalog, &cfg);
-        (Vec::new(), r)
-    }
+    let hw = InstanceKind::C6i_2xlarge;
+    let spec = RunSpec::lone(&workloads, &mut s, hw, Catalog::table_ii(), &cfg);
+    let mut sink = RingSink::new(1_000_000);
+    let out = run(RunSpec {
+        sink: traced.then_some(&mut sink),
+        ..spec
+    });
+    (sink.into_events(), out)
 }
 
-fn fleet_deployments(seed: u64) -> Vec<FleetDeployment> {
-    [(MlModel::GoogleNet, 0u64), (MlModel::SeNet18, 1u64)]
+/// A two-tenant Paldia fleet on one unit of each kind under two sampled
+/// node crashes, recording into a sink when `traced`.
+fn capture_fleet(seed: u64, traced: bool) -> (Vec<TraceEvent>, RunOutput) {
+    let deployments = [(MlModel::GoogleNet, 0u64), (MlModel::SeNet18, 1u64)]
         .iter()
         .map(|&(model, off)| FleetDeployment {
             name: format!("{model}"),
@@ -67,42 +63,57 @@ fn fleet_deployments(seed: u64) -> Vec<FleetDeployment> {
             scheduler: Box::new(PaldiaScheduler::new()),
             initial_hw: InstanceKind::C6i_2xlarge,
         })
-        .collect()
+        .collect();
+    let plan =
+        FaultPlan::sampled_crashes(seed, SimTime::from_secs(90), 2, SimDuration::from_secs(8));
+    let cfg = SimConfig::with_seed(seed).with_faults(plan, FailoverPolicyKind::SameTierSpread);
+    let mut sink = RingSink::new(1_000_000);
+    let out = run(RunSpec {
+        sink: traced.then_some(&mut sink),
+        ..RunSpec::fleet(deployments, Catalog::table_ii(), 1, &cfg)
+    });
+    (sink.into_events(), out)
+}
+
+/// Tracing perturbs neither results nor the returned event count, and the
+/// count is the one the stream's `RunSummary` reports. Returns the stream.
+fn assert_observation_only(
+    label: &str,
+    capture: impl Fn(bool) -> (Vec<TraceEvent>, RunOutput),
+) -> Vec<TraceEvent> {
+    let (events, traced) = capture(true);
+    let (_, untraced) = capture(false);
+    let fingerprints = |o: &RunOutput| o.results.iter().map(fingerprint).collect::<Vec<_>>();
+    assert_eq!(
+        fingerprints(&traced),
+        fingerprints(&untraced),
+        "{label}: tracing perturbed it"
+    );
+    let summary = events.iter().find_map(|e| match e.kind {
+        TraceEventKind::RunSummary { events, .. } => Some(events),
+        _ => None,
+    });
+    assert_eq!(summary, Some(traced.events), "{label}: RunSummary count");
+    assert_eq!(traced.events, untraced.events, "{label}: untraced count");
+    events
 }
 
 #[test]
 fn traced_single_tenant_run_is_bit_identical() {
     for seed in [1_000u64, 4_242] {
-        let (events, traced) = capture_single(seed, true);
-        let (_, untraced) = capture_single(seed, false);
-        assert_eq!(
-            fingerprint(&traced),
-            fingerprint(&untraced),
-            "seed {seed}: tracing perturbed the simulation"
-        );
+        let events = assert_observation_only(&format!("seed {seed}"), |traced| {
+            capture_single(seed, traced)
+        });
         assert!(!events.is_empty());
     }
 }
 
 #[test]
 fn traced_fleet_run_is_bit_identical() {
-    let seed = 1_000u64;
-    let cfg = SimConfig::with_seed(seed);
-    let catalog = Catalog::table_ii();
-    let mut sink = RingSink::new(1_000_000);
-    let traced = run_fleet_traced(fleet_deployments(seed), catalog.clone(), 1, &cfg, &mut sink);
-    let untraced = run_fleet(fleet_deployments(seed), catalog, 1, &cfg);
-    assert_eq!(traced.len(), untraced.len());
-    for (t, u) in traced.iter().zip(&untraced) {
-        assert_eq!(
-            fingerprint(t),
-            fingerprint(u),
-            "fleet tracing perturbed tenant {}",
-            t.scheme
-        );
-    }
+    let events = assert_observation_only("fleet", |traced| capture_fleet(1_000, traced));
+    let faulted = |e: &TraceEvent| matches!(e.kind, TraceEventKind::FaultEdge { .. });
+    assert!(events.iter().any(faulted), "the crash plan fired no edge");
     // Tenant scoping: both tenants (scopes 1 and 2) emit events.
-    let events = sink.into_events();
     assert!(events.iter().any(|e| e.scope == 1));
     assert!(events.iter().any(|e| e.scope == 2));
 }
@@ -145,10 +156,10 @@ fn chrome_export_has_the_documented_shape() {
 
 #[test]
 fn explain_renders_a_request_lifecycle() {
-    let (events, result) = capture_single(1_000, true);
+    let (events, out) = capture_single(1_000, true);
     let ids = completed_request_ids(&events);
     assert!(!ids.is_empty());
-    assert!(ids.len() <= result.completed.len());
+    assert!(ids.len() <= out.into_lone().completed.len());
     let text = explain_request(&events, ids[ids.len() / 2]).expect("known id must render");
     for needle in [
         "arrived",
@@ -189,14 +200,17 @@ fn ring_sink_stays_bounded() {
     let cfg = SimConfig::with_seed(1_000);
     let mut s = PaldiaScheduler::new();
     let mut sink = RingSink::new(64);
-    let _ = run_simulation_traced(
+    let spec = RunSpec::lone(
         &workloads,
         &mut s,
         InstanceKind::C6i_2xlarge,
         Catalog::table_ii(),
         &cfg,
-        &mut sink,
     );
+    run(RunSpec {
+        sink: Some(&mut sink),
+        ..spec
+    });
     assert!(sink.len() <= 64);
     assert!(sink.dropped() > 0, "a 64-slot ring must have evicted");
     // The survivors are the newest events, still ordered.
