@@ -52,8 +52,7 @@ use crate::worker::{Worker, WorkerId, WorkerState};
 use paldia_hw::{Catalog, CostMeter, InstanceKind};
 use paldia_obs::{BatchTrigger, TraceEventKind, Tracer};
 use paldia_sim::{
-    run_partition, Calendar, EventKey, EventQueue, PartitionCalendar, PartitionWorld, Rail,
-    SimDuration, SimTime, WakeEvent, World,
+    run_partition, Calendar, EventKey, PartitionCalendar, SimDuration, SimTime, WakeEvent, World,
 };
 use paldia_traces::{Predictor, RateWindow};
 use paldia_workloads::tokens::{iteration_ms, TokenCard};
@@ -1294,38 +1293,34 @@ impl<'a> FleetHarness<'a> {
 impl<'a> World for FleetHarness<'a> {
     type Event = FEv;
 
-    fn handle(&mut self, now: SimTime, ev: FEv, q: &mut EventQueue<FEv>) {
-        self.on_event(now, ev, q);
-    }
-}
-
-impl<'a> PartitionWorld for FleetHarness<'a> {
-    fn handle_part(&mut self, now: SimTime, ev: FEv, cal: &mut PartitionCalendar<FEv>) {
+    fn handle(&mut self, now: SimTime, ev: FEv, cal: &mut PartitionCalendar<FEv>) {
         self.on_event(now, ev, cal);
     }
 }
 
-/// One event loop of the batch engine: a harness, its partitioned
-/// calendar, and the pre-sorted arrival rail.
+/// One event loop: a harness and its calendar. The serial batch engine,
+/// every fleet shard and the incremental [`crate::SimSession`] each hold
+/// one, built by [`Partition::new`].
 ///
-/// Arrivals ride the rail instead of the heap and device wakes live in
-/// per-worker registers, with virtual sequence numbers keeping the
+/// Arrivals ride the calendar's rail instead of its heap and device wakes
+/// live in per-worker registers, with virtual sequence numbers keeping the
 /// `(time, seq)` total order — and therefore every tie-break and every
-/// output byte — identical to a heap calendar fed the same schedule (as
-/// [`crate::SimSession`] is; `tests/partitioned_parity.rs`).
+/// output byte — identical to a plain heap calendar fed the same schedule
+/// (`tests::heap_reference_*`).
 pub(crate) struct Partition<'a> {
     pub(crate) harness: FleetHarness<'a>,
     pub(crate) cal: PartitionCalendar<FEv>,
-    rail: Rail<FEv>,
 }
 
 impl<'a> Partition<'a> {
     /// Put `arrivals` (per local tenant, in schedule order) on the rail,
-    /// which owns the run's first sequence numbers, then seed the calendar
+    /// which owns the run's first sequence numbers, reserve the next
+    /// `reserved` for arrivals injected later, then seed the calendar
     /// ([`FleetHarness::seed`]).
     pub(crate) fn new(
         mut harness: FleetHarness<'a>,
         arrivals: Vec<Vec<SampledArrival>>,
+        reserved: u64,
         fault_edges: bool,
     ) -> Self {
         let items: Vec<(SimTime, FEv)> = arrivals
@@ -1342,17 +1337,9 @@ impl<'a> Partition<'a> {
                 })
             })
             .collect();
-        let mut q: EventQueue<FEv> = EventQueue::new();
-        // Rail entries own the run's smallest seqs so their proxy key
-        // `(t, 0)` sorts them before any same-instant heap event.
-        q.skip_seqs(items.len() as u64);
-        let mut cal = PartitionCalendar::new(q);
+        let mut cal = PartitionCalendar::new(items, reserved);
         harness.seed(&mut cal, fault_edges);
-        Partition {
-            harness,
-            cal,
-            rail: Rail::from_schedule_order(items),
-        }
+        Partition { harness, cal }
     }
 
     /// Run every event ordered before `bound`; returns how many ran.
@@ -1360,7 +1347,6 @@ impl<'a> Partition<'a> {
         run_partition(
             &mut self.harness,
             &mut self.cal,
-            &mut self.rail,
             bound,
             paldia_sim::engine::DEFAULT_EVENT_BUDGET,
         )
@@ -1382,7 +1368,7 @@ pub(crate) fn run_serial<'a>(
 ) -> RunOutput {
     let horizon = trace_end + cfg.drain_grace;
     let harness = FleetHarness::new(cfg, catalog, inventory, tenants, trace_end, tracer, None);
-    let mut part = Partition::new(harness, arrivals, true);
+    let mut part = Partition::new(harness, arrivals, 0, true);
     let events = part.run_to(EventKey::new(horizon, 0));
     let mut harness = part.harness;
     harness.emit_summary(horizon, events);
@@ -1395,7 +1381,12 @@ pub(crate) fn run_serial<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FailoverPolicyKind, FaultWindow};
+    use crate::faults::{FailoverPolicyKind, FaultPlan, FaultWindow};
+    use crate::harness::sample_arrivals;
+    use crate::policy::ModelDecision;
+    use paldia_obs::{TraceEvent, VecSink};
+    use paldia_sim::EventQueue;
+    use paldia_traces::RateTrace;
     use std::sync::{Arc, Mutex};
 
     /// Wants one kind; logs whether that kind was offered to it.
@@ -1476,7 +1467,7 @@ mod tests {
                 edge(33, 1, FaultEdge::End),
             ],
         };
-        let mut part = Partition::new(harness, vec![vec![], vec![]], true);
+        let mut part = Partition::new(harness, vec![vec![], vec![]], 0, true);
         part.run_to(EventKey::new(end, 0));
         let t1 = &part.harness.tenants[1].hw_timeline;
         assert!(t1.iter().any(|&(t, k)| k == a && t < 8.0), "{t1:?}");
@@ -1496,5 +1487,187 @@ mod tests {
             offered(33, 60).iter().any(|&on| on),
             "A back after the last window"
         );
+    }
+
+    /// Fixed hardware (switching to `then` after `switch_after` decisions),
+    /// default batching, optional spatial cap.
+    struct Fixed {
+        hw: InstanceKind,
+        then: InstanceKind,
+        switch_after: u32,
+        total_cap: Option<u32>,
+        decisions: u32,
+    }
+
+    impl Fixed {
+        fn on(hw: InstanceKind) -> Self {
+            Fixed {
+                hw,
+                then: hw,
+                switch_after: 0,
+                total_cap: None,
+                decisions: 0,
+            }
+        }
+    }
+
+    impl Scheduler for Fixed {
+        fn name(&self) -> &str {
+            "fixed"
+        }
+        fn decide(&mut self, obs: &Observation) -> Decision {
+            self.decisions += 1;
+            let hw = if self.decisions > self.switch_after {
+                self.then
+            } else {
+                self.hw
+            };
+            let per_model = obs.models.iter().map(|m| {
+                let batch_size = Profile::default_batch(m.model);
+                let spatial_cap = u32::MAX;
+                (
+                    m.model,
+                    ModelDecision {
+                        batch_size,
+                        spatial_cap,
+                    },
+                )
+            });
+            Decision {
+                hw,
+                total_cap: self.total_cap,
+                per_model: per_model.collect(),
+            }
+        }
+    }
+
+    fn steady(model: MlModel, rps: f64, secs: u64) -> WorkloadSpec {
+        let (dur, step) = (SimDuration::from_secs(secs), SimDuration::from_secs(1));
+        WorkloadSpec::new(model, RateTrace::constant(rps, dur, step))
+    }
+
+    /// The `RunSummary` event count of a traced stream, zeroed in place.
+    fn take_summary_count(events: &mut [TraceEvent]) -> u64 {
+        let mut count = None;
+        for e in events {
+            if let TraceEventKind::RunSummary { events, .. } = &mut e.kind {
+                assert!(count.is_none(), "one summary per stream");
+                count = Some(std::mem::take(events));
+            }
+        }
+        count.expect("traced stream ends in a summary")
+    }
+
+    /// Run a lone deployment twice, traced: through [`run_serial`] on the
+    /// calendar, and on the reference heap — every arrival scheduled
+    /// first, every wake pushed as an ordinary event, popped until the
+    /// horizon. Results and streams must match byte for byte, except the
+    /// `RunSummary` count: the heap also pops superseded wakes as no-ops.
+    fn assert_heap_reference(
+        sched: impl Fn() -> Fixed,
+        specs: &[WorkloadSpec],
+        cfg: &SimConfig,
+    ) -> RunResult {
+        let (arrivals, trace_end) = sample_arrivals(specs, cfg.seed);
+        let models: Vec<MlModel> = specs.iter().map(|s| s.model).collect();
+        let horizon = trace_end + cfg.drain_grace;
+        let (mut cal_sched, mut heap_sched) = (sched(), sched());
+        let hw = cal_sched.hw;
+
+        let mut cal_sink = VecSink::new();
+        let tenant = Tenant::new(&mut cal_sched, models.clone(), hw, cfg, None, 0);
+        let cal = run_serial(
+            vec![tenant],
+            vec![arrivals.clone()],
+            Catalog::table_ii(),
+            u32::MAX,
+            cfg,
+            trace_end,
+            Tracer::new(&mut cal_sink),
+        );
+
+        let mut heap_sink = VecSink::new();
+        let tenant = Tenant::new(&mut heap_sched, models, hw, cfg, None, 0);
+        let mut harness = FleetHarness::new(
+            cfg,
+            Catalog::table_ii(),
+            u32::MAX,
+            vec![tenant],
+            trace_end,
+            Tracer::new(&mut heap_sink),
+            None,
+        );
+        let mut q = EventQueue::new();
+        for sa in &arrivals {
+            let req = Request {
+                id: sa.id,
+                model: sa.model,
+                arrival: sa.at,
+            };
+            q.schedule(sa.at, FEv::Arrival(0, req));
+        }
+        harness.seed(&mut q, true);
+        let mut events = 0;
+        while q.peek_time().is_some_and(|t| t < horizon) {
+            let (now, ev) = q.pop().expect("peeked");
+            events += 1;
+            harness.on_event(now, ev, &mut q);
+        }
+        harness.emit_summary(horizon, events);
+        let heap = harness.into_results(horizon);
+
+        assert_eq!(format!("{:?}", cal.results), format!("{heap:?}"));
+        assert!(
+            events >= cal.events,
+            "heap {events} < calendar {}",
+            cal.events
+        );
+        let (mut a, mut b) = (cal_sink.into_events(), heap_sink.into_events());
+        assert_eq!(take_summary_count(&mut a), cal.events);
+        assert_eq!(take_summary_count(&mut b), events);
+        assert!(a.len() > 1, "traced run emits events");
+        assert_eq!(a, b, "traced streams diverged");
+        cal.results.into_iter().next().expect("one tenant")
+    }
+
+    #[test]
+    fn heap_reference_overload_with_transitions() {
+        // A one-at-a-time cap under overload keeps the batch-deadline and
+        // hold-back paths hot; the switch exercises a transition.
+        let sched = || Fixed {
+            then: InstanceKind::P3_2xlarge,
+            switch_after: 10,
+            total_cap: Some(1),
+            ..Fixed::on(InstanceKind::G3s_xlarge)
+        };
+        let specs = [steady(MlModel::ResNet50, 700.0, 45)];
+        let result = assert_heap_reference(sched, &specs, &SimConfig::with_seed(12));
+        assert!(result.transitions >= 1, "scenario must exercise a switch");
+    }
+
+    #[test]
+    fn heap_reference_every_fault_kind() {
+        let mut cfg = SimConfig::with_seed(15);
+        cfg.faults = FaultPlan::new()
+            .crash(SimTime::from_secs(20), SimDuration::from_secs(25))
+            .degrade(SimTime::from_secs(10), SimDuration::from_secs(30), 0.4)
+            .straggler(SimTime::from_secs(35), SimDuration::from_secs(20), 3.0)
+            .cold_start_storm(SimTime::from_secs(60));
+        cfg.failover = FailoverPolicyKind::CheapestMorePerformant;
+        let sched = || Fixed::on(InstanceKind::G3s_xlarge);
+        let specs = [steady(MlModel::ResNet50, 50.0, 90)];
+        assert_heap_reference(sched, &specs, &cfg);
+    }
+
+    #[test]
+    fn heap_reference_iterative_llm_mode() {
+        let cfg = SimConfig::with_seed(16).with_iterative_batching();
+        let sched = || Fixed::on(InstanceKind::P3_2xlarge);
+        let specs = [
+            steady(MlModel::Bert, 20.0, 30),
+            steady(MlModel::FunnelTransformer, 20.0, 30),
+        ];
+        let result = assert_heap_reference(sched, &specs, &cfg);
+        assert!(!result.completed.is_empty());
     }
 }

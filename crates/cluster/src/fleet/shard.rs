@@ -9,8 +9,8 @@
 //! set of synchronization points, so the run decomposes into *epochs*:
 //!
 //! 1. chunk the deployments contiguously into `shards` groups, each its
-//!    own `Partition`: a `FleetHarness`, a `PartitionCalendar` and an
-//!    arrival `Rail`;
+//!    own `Partition`: a `FleetHarness` and a `PartitionCalendar` with the
+//!    chunk's arrivals on its rail;
 //! 2. run every shard up to the next edge's [`EventKey`] bound (exclusive
 //!    at `(edge.at, 0)`, i.e. *before* anything else at that instant) on
 //!    the `paldia_core::pool` worker pool;
@@ -113,6 +113,7 @@ pub(crate) fn drive<'a>(
             Mutex::new(Partition::new(
                 harness,
                 arrivals.by_ref().take(hi - lo).collect(),
+                0,
                 false,
             ))
         })

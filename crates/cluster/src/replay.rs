@@ -35,6 +35,25 @@ use paldia_hw::InstanceKind;
 use paldia_sim::{SimDuration, SimTime};
 use paldia_workloads::MlModel;
 
+/// The largest value a replay accepts for a time in microseconds
+/// (`duration_us`, an arrival's `at_us`, a live session's length) and for
+/// a sequence-number reservation (`reserve`), in files and on the wire.
+/// 2^48 us is about 8.9 years of virtual time: far beyond any trace, and
+/// far enough below `u64::MAX` that no horizon, tick or sequence number
+/// derived from an accepted value can overflow.
+pub const REPLAY_BOUND: u64 = 1 << 48;
+
+/// `value` if it is at most [`REPLAY_BOUND`]; otherwise an error naming
+/// `field`.
+pub fn within_replay_bound(field: &str, value: u64) -> Result<u64, String> {
+    if value > REPLAY_BOUND {
+        return Err(format!(
+            "`{field}` {value} exceeds the replay bound {REPLAY_BOUND}"
+        ));
+    }
+    Ok(value)
+}
+
 /// Canonical lower-case token for a model name: letters and digits only
 /// ("ResNet 50" → `resnet50`, "EfficientNet-B0" → `efficientnetb0`).
 /// Model names contain spaces; tokens keep the line format whitespace-split.
@@ -162,8 +181,17 @@ impl RecordedTrace {
     /// Parse the line format. Blank lines and `#` comments are ignored;
     /// every arrival must name a declared model and arrive in `(at, seq)`
     /// order; the trailing `end` marker guards against truncated files.
+    /// Refused: a header or model given twice, a record with trailing
+    /// tokens, and a `duration_us`, `reserve` or `at_us` above
+    /// [`REPLAY_BOUND`].
     pub fn parse(text: &str) -> Result<Self, ParseError> {
         let err = |line: usize, message: String| ParseError { line, message };
+        let set_once = |line: usize, tag: &str, was_set: bool| {
+            if was_set {
+                return Err(err(line, format!("repeated `{tag}` header")));
+            }
+            Ok(())
+        };
         let mut seed: Option<u64> = None;
         let mut duration: Option<SimDuration> = None;
         let mut reserve: Option<u64> = None;
@@ -188,32 +216,45 @@ impl RecordedTrace {
                     .and_then(|s| s.parse::<u64>().ok())
                     .ok_or_else(|| err(lineno, format!("expected integer {field}")))
             };
+            let bounded =
+                |field: &str, v: u64| within_replay_bound(field, v).map_err(|m| err(lineno, m));
             match tag {
-                "seed" => seed = Some(num("seed")?),
-                "duration_us" => duration = Some(SimDuration::from_micros(num("duration_us")?)),
-                "reserve" => reserve = Some(num("reserve")?),
+                "seed" => {
+                    let n = num("seed")?;
+                    set_once(lineno, tag, seed.replace(n).is_some())?;
+                }
+                "duration_us" => {
+                    let us = bounded("duration_us", num("duration_us")?)?;
+                    let d = SimDuration::from_micros(us);
+                    set_once(lineno, tag, duration.replace(d).is_some())?;
+                }
+                "reserve" => {
+                    let n = bounded("reserve", num("reserve")?)?;
+                    set_once(lineno, tag, reserve.replace(n).is_some())?;
+                }
                 "initial_hw" => {
                     let tok = parts
                         .next()
                         .ok_or_else(|| err(lineno, "expected instance name".to_string()))?;
-                    initial_hw =
-                        Some(instance_from_token(tok).ok_or_else(|| {
-                            err(lineno, format!("unknown instance kind `{tok}`"))
-                        })?);
+                    let kind = instance_from_token(tok)
+                        .ok_or_else(|| err(lineno, format!("unknown instance kind `{tok}`")))?;
+                    set_once(lineno, tag, initial_hw.replace(kind).is_some())?;
                 }
                 "model" => {
                     let tok = parts
                         .next()
                         .ok_or_else(|| err(lineno, "expected model token".to_string()))?;
-                    models.push(
-                        model_from_token(tok)
-                            .ok_or_else(|| err(lineno, format!("unknown model `{tok}`")))?,
-                    );
+                    let model = model_from_token(tok)
+                        .ok_or_else(|| err(lineno, format!("unknown model `{tok}`")))?;
+                    if models.contains(&model) {
+                        return Err(err(lineno, format!("repeated model `{tok}`")));
+                    }
+                    models.push(model);
                 }
                 "arrival" => {
                     let seq = num("seq")?;
                     let id = num("id")?;
-                    let at = SimTime::from_micros(num("at_us")?);
+                    let at = SimTime::from_micros(bounded("at_us", num("at_us")?)?);
                     let tok = parts
                         .next()
                         .ok_or_else(|| err(lineno, "expected model token".to_string()))?;
@@ -239,6 +280,9 @@ impl RecordedTrace {
                 }
                 "end" => ended = true,
                 other => return Err(err(lineno, format!("unknown record `{other}`"))),
+            }
+            if let Some(extra) = parts.next() {
+                return Err(err(lineno, format!("trailing token `{extra}`")));
             }
         }
         if !ended {
@@ -377,5 +421,68 @@ mod tests {
         assert_eq!(cut.reserve, 4);
         assert_eq!(cut.duration, SimDuration::from_millis(1_400));
         RecordedTrace::parse(&cut.to_text()).expect("truncated trace still parses");
+    }
+
+    /// A one-arrival trace text with `duration_us`, `reserve` and `at_us`
+    /// as given.
+    fn text_with(duration_us: u64, reserve: u64, at_us: u64) -> String {
+        format!(
+            "seed 1\nduration_us {duration_us}\nreserve {reserve}\ninitial_hw m4.xlarge\n\
+             model googlenet\narrival 0 1 {at_us} googlenet\nend\n"
+        )
+    }
+
+    #[test]
+    fn parse_accepts_the_bound_and_refuses_one_past_it() {
+        let at = RecordedTrace::parse(&text_with(REPLAY_BOUND, REPLAY_BOUND, REPLAY_BOUND))
+            .expect("values at the bound parse");
+        assert_eq!(at.duration.as_micros(), REPLAY_BOUND);
+        assert_eq!(at.reserve, REPLAY_BOUND);
+        assert_eq!(at.arrivals[0].at.as_micros(), REPLAY_BOUND);
+        let past = REPLAY_BOUND + 1;
+        for (text, field, line) in [
+            (text_with(past, 1, 10), "duration_us", 2),
+            (text_with(10, past, 10), "reserve", 3),
+            (text_with(10, 1, past), "at_us", 6),
+            (text_with(u64::MAX, 1, 10), "duration_us", 2),
+            (text_with(10, u64::MAX, 10), "reserve", 3),
+        ] {
+            let e = RecordedTrace::parse(&text).expect_err("past the bound");
+            assert!(e.message.contains(field), "{e}");
+            assert!(e.message.contains("replay bound"), "{e}");
+            assert_eq!(e.line, line, "{e}");
+        }
+    }
+
+    #[test]
+    fn parse_refuses_trailing_tokens_and_repeats() {
+        let good = text_with(10, 1, 5);
+        RecordedTrace::parse(&good).expect("baseline parses");
+        for (from, to, needle) in [
+            ("seed 1\n", "seed 1 junk\n", "trailing token `junk`"),
+            ("seed 1\n", "seed 1\nseed 2\n", "repeated `seed`"),
+            (
+                "reserve 1\n",
+                "reserve 1\nreserve 1\n",
+                "repeated `reserve`",
+            ),
+            (
+                "initial_hw m4.xlarge\n",
+                "initial_hw m4.xlarge\ninitial_hw m4.xlarge\n",
+                "repeated `initial_hw`",
+            ),
+            (
+                "model googlenet\n",
+                "model googlenet\nmodel googlenet\n",
+                "repeated model",
+            ),
+            ("end\n", "end now\n", "trailing token `now`"),
+            ("5 googlenet\n", "5 googlenet x\n", "trailing token `x`"),
+        ] {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(bad, good, "{from:?} found in the baseline");
+            let e = RecordedTrace::parse(&bad).expect_err(needle);
+            assert!(e.message.contains(needle), "{needle}: {e}");
+        }
     }
 }

@@ -3,9 +3,9 @@
 //! injected from outside instead of pre-scheduled.
 //!
 //! This is the seam the serving shell (`paldia-serve`) plugs into. A
-//! [`SimSession`] owns the one-tenant [`crate::fleet`] harness the batch
-//! entry point builds — same construction, same calendar seeding, same
-//! single `on_event` domain logic — on a plain heap calendar, and exposes
+//! [`SimSession`] owns the one-tenant partition — harness plus calendar —
+//! that the batch entry point builds, through the same constructor: same
+//! calendar, same seeding, same single `on_event` domain logic. It exposes
 //! `step`/`inject` so a caller can interleave event processing with
 //! arrivals it learns about at runtime (from a socket, a replay file, a
 //! test).
@@ -21,15 +21,17 @@
 //! ([`SimSession::new`]'s `reserved_arrivals`) and each
 //! [`inject_recorded`](SimSession::inject_recorded) reclaims the arrival's
 //! original number, making the session's event order — and every
-//! scheduling decision, trace event, and output byte — identical to
-//! a lone [`crate::run`] on the same workloads (enforced by
-//! `tests/session_replay.rs` and `tests/partitioned_parity.rs`).
+//! scheduling decision, trace event, output byte and the engine event
+//! count — identical to a lone [`crate::run`] on the same workloads
+//! (enforced by `tests/session_replay.rs` and
+//! `tests/partitioned_parity.rs`).
 //!
 //! Recorded arrivals come from outside the process (a replay file, a TCP
 //! client), so `inject_recorded` checks the reservation contract in every
 //! build: a seq outside the block, a seq injected twice, an `(at, seq)`
-//! not after the previous recorded arrival, or an `at` before the
-//! session's now is refused with an error naming the seq.
+//! not after the previous recorded arrival, an `at` before the session's
+//! now, or an `at` at or past the horizon is refused with an error naming
+//! the seq.
 //!
 //! [`run_replay`] is the shared driver both executors of a recorded trace
 //! use: the DES side runs it with [`paldia_sim::VirtualClock`] and the
@@ -39,14 +41,14 @@
 //! `paldia-serve` asserts exactly that.
 
 use crate::config::SimConfig;
-use crate::fleet::{FEv, FleetHarness, Tenant};
+use crate::fleet::{FEv, FleetHarness, Partition, Tenant};
 use crate::harness::SampledArrival;
 use crate::policy::Scheduler;
 use crate::request::{CompletedRequest, Request, RequestId};
 use crate::result::RunResult;
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_obs::{TraceSink, Tracer};
-use paldia_sim::{engine::DEFAULT_EVENT_BUDGET, Clock, EventQueue, SimTime};
+use paldia_sim::{engine::DEFAULT_EVENT_BUDGET, Calendar, Clock, EventKey, SimTime};
 use paldia_workloads::MlModel;
 use std::collections::BTreeMap;
 
@@ -56,8 +58,7 @@ use std::collections::BTreeMap;
 /// module docs for the sequence-number reservation that keeps a replayed
 /// session bit-identical to a lone [`crate::run`].
 pub struct SimSession<'a> {
-    harness: FleetHarness<'a>,
-    q: EventQueue<FEv>,
+    part: Partition<'a>,
     horizon: SimTime,
     reserved: u64,
     /// Recorded seqs injected so far, as a sparse bitset: word
@@ -127,10 +128,10 @@ impl<'a> SimSession<'a> {
         )
     }
 
-    /// A one-tenant harness on elastic inventory over a heap calendar whose
-    /// first `reserved` sequence numbers belong to the recorded arrivals,
-    /// as they do in the batch engine; everything the calendar seeding
-    /// schedules starts after the block.
+    /// A one-tenant partition on elastic inventory with an empty rail and
+    /// the first `reserved` sequence numbers held for the recorded
+    /// arrivals, as the batch engine's rail holds them; everything the
+    /// calendar seeding schedules starts after the block.
     #[allow(clippy::too_many_arguments)]
     fn open(
         models: Vec<MlModel>,
@@ -143,7 +144,7 @@ impl<'a> SimSession<'a> {
         tracer: Tracer<'a>,
     ) -> Self {
         let tenant = Tenant::new(scheduler, models, initial_hw, cfg, None, 0);
-        let mut harness = FleetHarness::new(
+        let harness = FleetHarness::new(
             cfg,
             catalog,
             u32::MAX,
@@ -152,12 +153,8 @@ impl<'a> SimSession<'a> {
             tracer,
             None,
         );
-        let mut q: EventQueue<FEv> = EventQueue::new();
-        q.skip_seqs(reserved);
-        harness.seed(&mut q, true);
         SimSession {
-            harness,
-            q,
+            part: Partition::new(harness, vec![Vec::new()], reserved, true),
             horizon: trace_end + cfg.drain_grace,
             reserved,
             injected: BTreeMap::new(),
@@ -174,14 +171,15 @@ impl<'a> SimSession<'a> {
         self.horizon
     }
 
-    /// Firing time of the earliest pending event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.q.peek_time()
+    /// Firing time of the earliest pending event, if any. Takes `&mut`
+    /// because the calendar prunes superseded wakes as it looks.
+    pub fn next_event_time(&mut self) -> Option<SimTime> {
+        self.part.cal.peek_key().map(EventKey::time)
     }
 
     /// Simulated "now": the time of the last processed event.
     pub fn now(&self) -> SimTime {
-        self.q.floor()
+        self.part.cal.queue().floor()
     }
 
     /// Number of events processed so far.
@@ -195,10 +193,11 @@ impl<'a> SimSession<'a> {
     /// stepped ([`run_replay`] does both). Refused, with an error naming
     /// the seq and leaving the session untouched: a seq outside the
     /// reserved block, a seq already injected, an `(at, seq)` not after the
-    /// previous recorded arrival, or an `at` earlier than now.
+    /// previous recorded arrival, an `at` earlier than now, or an `at` at
+    /// or past the horizon (it could never be processed).
     pub fn inject_recorded(&mut self, sa: &SampledArrival) -> Result<(), String> {
         let seq = sa.seq;
-        let now = self.q.floor();
+        let now = self.now();
         if seq >= self.reserved {
             return Err(format!(
                 "arrival seq {seq} outside the reserved block of {}",
@@ -224,9 +223,16 @@ impl<'a> SimSession<'a> {
                 now.as_micros()
             ));
         }
+        if sa.at >= self.horizon {
+            return Err(format!(
+                "arrival seq {seq} at {} us is at or past the session's horizon ({} us)",
+                sa.at.as_micros(),
+                self.horizon.as_micros()
+            ));
+        }
         *self.injected.entry(word).or_insert(0) |= bit;
         self.last_recorded = Some((sa.at, seq));
-        self.q.schedule_reserved(
+        self.part.cal.queue_mut().schedule_reserved(
             sa.at,
             seq,
             FEv::Arrival(
@@ -245,10 +251,10 @@ impl<'a> SimSession<'a> {
     /// return its assigned request id. Live ids start after the reserved
     /// block, so mixing recorded and live arrivals cannot collide.
     pub fn inject_arrival(&mut self, at: SimTime, model: MlModel) -> RequestId {
-        let at = at.max(self.q.floor());
+        let at = at.max(self.now());
         self.next_live_id += 1;
         let id = RequestId(self.reserved + self.next_live_id);
-        self.q.schedule(
+        self.part.cal.schedule(
             at,
             FEv::Arrival(
                 0,
@@ -265,22 +271,27 @@ impl<'a> SimSession<'a> {
     /// Process the earliest pending event if it fires before the horizon;
     /// returns its time, or `None` when nothing is runnable.
     pub fn step(&mut self) -> Option<SimTime> {
-        let t = self.q.peek_time()?;
-        if t >= self.horizon || self.events >= DEFAULT_EVENT_BUDGET {
+        self.step_before(self.horizon, &mut paldia_sim::VirtualClock)
+    }
+
+    /// Pop the earliest event firing strictly before `bound` (and the
+    /// horizon), pace `clock` to it, then process it; one calendar peek
+    /// per event.
+    fn step_before<C: Clock>(&mut self, bound: SimTime, clock: &mut C) -> Option<SimTime> {
+        if self.events >= DEFAULT_EVENT_BUDGET {
             return None;
         }
-        let (now, ev) = self
-            .q
-            .pop()
-            .expect("invariant: peek_time returned Some, so pop cannot fail");
+        let Partition { harness, cal } = &mut self.part;
+        let (now, ev) = cal.pop_before(EventKey::new(bound.min(self.horizon), 0))?;
+        clock.pace(now);
         self.events += 1;
-        self.harness.on_event(now, ev, &mut self.q);
+        harness.on_event(now, ev, cal);
         Some(now)
     }
 
     /// Requests completed since the previous drain, in completion order.
     pub fn drain_completions(&mut self) -> Vec<CompletedRequest> {
-        let new: Vec<CompletedRequest> = self.harness.completed_from(0, self.drained).to_vec();
+        let new: Vec<CompletedRequest> = self.part.harness.completed_from(0, self.drained).to_vec();
         self.drained += new.len();
         new
     }
@@ -290,7 +301,7 @@ impl<'a> SimSession<'a> {
     pub fn finish(mut self) -> RunResult {
         while self.step().is_some() {}
         let SimSession {
-            mut harness,
+            part: Partition { mut harness, .. },
             horizon,
             events,
             ..
@@ -369,29 +380,16 @@ pub fn run_replay<S: ArrivalSource, C: Clock>(
     mut on_complete: impl FnMut(&CompletedRequest),
 ) -> Result<(), String> {
     while let ReplayItem::Arrival(sa) = source.next() {
-        while let Some(t) = session.next_event_time() {
-            if t >= sa.at {
-                break;
-            }
-            clock.pace(t);
-            if session.step().is_none() {
-                break;
-            }
+        while session.step_before(sa.at, clock).is_some() {
             for c in session.drain_completions() {
                 on_complete(&c);
             }
         }
-        clock.pace(sa.at);
+        // Never pace past the horizon: an arrival there is refused anyway.
+        clock.pace(sa.at.min(session.horizon()));
         session.inject_recorded(&sa)?;
     }
-    while let Some(t) = session.next_event_time() {
-        if t >= session.horizon() {
-            break;
-        }
-        clock.pace(t);
-        if session.step().is_none() {
-            break;
-        }
+    while session.step_before(session.horizon(), clock).is_some() {
         for c in session.drain_completions() {
             on_complete(&c);
         }

@@ -93,8 +93,8 @@ fn run_llm(seed: u64, rps_a: f64, rps_b: f64, secs: u64) -> (RunResult, Vec<Trac
     (result, sink.into_events())
 }
 
-/// The same run replayed through an incremental session (heap calendar)
-/// from its recorded arrivals.
+/// The same run replayed through an incremental session from its
+/// recorded arrivals.
 fn replay_llm(seed: u64, rps_a: f64, rps_b: f64, secs: u64) -> (RunResult, Vec<TraceEvent>) {
     let trace = RecordedTrace::record(
         &llm_specs(rps_a, rps_b, secs),
@@ -330,8 +330,9 @@ proptest! {
     }
 
     /// Executor invariance: the batch engine, an in-process rerun, and an
-    /// incremental session replaying the recorded arrivals on a heap
-    /// calendar emit the bit-identical iteration event stream — same
+    /// incremental session replaying the recorded arrivals (arrivals
+    /// injected one at a time instead of on the rail) emit the
+    /// bit-identical iteration event stream — same
     /// times, same sequence numbers, same payloads — and the same results.
     #[test]
     fn iteration_stream_is_engine_invariant(seed in 1u64..2_000, rps in 10u64..40) {

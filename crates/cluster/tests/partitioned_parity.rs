@@ -1,15 +1,18 @@
-//! Bit-identity of the partitioned batch engine against a heap calendar.
+//! Bit-identity of the batch engine and the incremental session.
 //!
-//! A lone `run` runs on the partitioned engine: arrivals on a
-//! pre-sorted rail, device wakes in per-worker registers. A `SimSession`
-//! replaying the same recorded arrivals drives the same harness on a plain
-//! binary-heap calendar, every wake included. The two must produce a
-//! `RunResult` that is byte-for-byte identical — same completions in the
-//! same order, same costs, same node stats, same timelines — across clean
-//! runs, overload, hardware transitions, and every fault kind. The
-//! comparison goes through `format!("{:?}")`, which for `f64` prints the
-//! shortest round-trip representation and therefore distinguishes any two
-//! different bit patterns outside of NaN/signed-zero (neither occurs here).
+//! A lone `run` puts its pre-sampled arrivals on the calendar's rail. A
+//! `SimSession` replaying the same recorded arrivals runs on the same
+//! calendar with an empty rail, injecting each arrival into the heap under
+//! its reserved sequence number just before it is due. The two must
+//! produce a `RunResult` that is byte-for-byte identical — same
+//! completions in the same order, same costs, same node stats, same
+//! timelines — and the same engine event count, across clean runs,
+//! overload, hardware transitions, and every fault kind. The comparison
+//! goes through `format!("{:?}")`, which for `f64` prints the shortest
+//! round-trip representation and therefore distinguishes any two different
+//! bit patterns outside of NaN/signed-zero (neither occurs here). (The
+//! calendar itself is held against a plain heap in `fleet.rs`'s unit
+//! tests.)
 
 use paldia_cluster::{
     run, run_replay_virtual, Decision, FailoverPolicyKind, FaultPlan, ModelDecision, Observation,
@@ -59,7 +62,7 @@ fn steady(model: MlModel, rps: f64, secs: u64) -> WorkloadSpec {
 
 /// Run the scenario on the batch engine and as a session replay of its
 /// recorded arrivals (a fresh scheduler from `sched` each), and demand
-/// identical output.
+/// identical output and event counts.
 fn assert_parity<S: Scheduler>(
     sched: impl Fn() -> S,
     hw: InstanceKind,
@@ -69,7 +72,9 @@ fn assert_parity<S: Scheduler>(
     let specs = std::slice::from_ref(spec);
     let mut batch_sched = sched();
     let spec = RunSpec::lone(specs, &mut batch_sched, hw, Catalog::table_ii(), cfg);
-    let batch = run(spec).into_lone();
+    let out = run(spec);
+    let batch_events = out.events;
+    let batch = out.into_lone();
     let trace = RecordedTrace::record(specs, cfg.seed, hw);
     let mut replay_sched = sched();
     let mut session = SimSession::new(
@@ -82,6 +87,11 @@ fn assert_parity<S: Scheduler>(
         trace.reserve,
     );
     run_replay_virtual(&mut session, &trace.arrivals).expect("recorded trace replays");
+    assert_eq!(
+        session.events(),
+        batch_events,
+        "engine event counts diverged"
+    );
     let replayed = session.finish();
     assert_identical(&batch, &replayed);
     batch

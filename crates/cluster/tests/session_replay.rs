@@ -16,7 +16,7 @@ use paldia_cluster::{
 };
 use paldia_core::PaldiaScheduler;
 use paldia_hw::{Catalog, InstanceKind};
-use paldia_obs::{diff_decision_streams, TraceEvent, TraceEventKind, VecSink};
+use paldia_obs::{diff_decision_streams, TraceEvent, VecSink};
 use paldia_sim::{SimDuration, SimTime, VirtualClock};
 use paldia_traces::RateTrace;
 use paldia_workloads::{MlModel, Profile};
@@ -216,22 +216,8 @@ fn traced_session_replay_matches_batch_decision_stream() {
     let replayed = session.finish();
     assert_identical(&batch, &replayed, "paldia/traced");
 
-    // The `RunSummary` counts dispatched engine events, and the batch
-    // engine never dispatches the superseded device wakes a heap calendar
-    // pops as no-ops; everything else must match.
-    let mask = |events: Vec<TraceEvent>| -> Vec<TraceEvent> {
-        events
-            .into_iter()
-            .map(|mut e| {
-                if let TraceEventKind::RunSummary { events, .. } = &mut e.kind {
-                    *events = 0;
-                }
-                e
-            })
-            .collect()
-    };
-    let a: Vec<TraceEvent> = mask(batch_sink.into_events());
-    let b: Vec<TraceEvent> = mask(session_sink.into_events());
+    let a: Vec<TraceEvent> = batch_sink.into_events();
+    let b: Vec<TraceEvent> = session_sink.into_events();
     assert!(!a.is_empty(), "traced batch run must emit events");
     assert_eq!(a, b, "full trace streams are identical");
     let fwd = diff_decision_streams(&a, &b);
@@ -306,10 +292,21 @@ fn malformed_injections_are_refused_without_panic() {
     session
         .inject_recorded(&arrival(2, 3_000))
         .expect("the session stays usable after a refusal");
+    // The horizon is exclusive: an arrival there could never be processed.
+    let horizon = session.horizon();
+    let at = |t: SimTime| SampledArrival {
+        at: t,
+        ..arrival(3, 0)
+    };
+    refused(session.inject_recorded(&at(horizon)), 3, "horizon");
+    let last = at(SimTime::from_micros(horizon.as_micros() - 1));
+    session
+        .inject_recorded(&last)
+        .expect("an arrival just before the horizon is accepted");
     let result = session.finish();
     let arrived: u64 = result.arrived_per_model.iter().map(|&(_, n)| n).sum();
-    assert_eq!(arrived, 2, "only the two accepted arrivals entered");
-    assert_eq!(result.completed.len() as u64 + result.unserved, 2);
+    assert_eq!(arrived, 3, "only the three accepted arrivals entered");
+    assert_eq!(result.completed.len() as u64 + result.unserved, 3);
 }
 
 /// The replay driver stops at the first refused arrival and reports it.

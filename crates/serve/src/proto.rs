@@ -29,7 +29,17 @@
 //!                                    # (replay: a refused arrival ends the
 //!                                    # replay, then summary and bye)
 //! ```
+//!
+//! A replay session runs on the batch engine's calendar, so the summary's
+//! `events=` count equals the engine event count of a lone
+//! `paldia_cluster::run` over the same recorded arrivals.
+//!
+//! Client lines are refused, with an `err`, when they carry trailing
+//! tokens, repeat a model in the hello's list, or give a `duration_us`,
+//! `reserve`, `at_us` or live length (in microseconds) above
+//! [`paldia_cluster::replay::REPLAY_BOUND`].
 
+use paldia_cluster::replay::within_replay_bound;
 use paldia_cluster::{
     instance_from_token, model_from_token, model_token, CompletedRequest, RecordedTrace, RequestId,
     RunResult, SampledArrival,
@@ -135,7 +145,8 @@ pub struct SummaryLine {
     pub cold_starts: u64,
     /// Hardware transitions taken.
     pub transitions: u64,
-    /// Engine events processed.
+    /// Engine events processed; for a replay, equal to a lone batch
+    /// run's count over the same arrivals.
     pub events: u64,
 }
 
@@ -148,9 +159,15 @@ fn models_csv(models: &[MlModel]) -> String {
 }
 
 fn parse_models_csv(csv: &str) -> Result<Vec<MlModel>, String> {
-    csv.split(',')
-        .map(|t| model_from_token(t).ok_or_else(|| format!("unknown model token `{t}`")))
-        .collect()
+    let mut models = Vec::new();
+    for t in csv.split(',') {
+        let m = model_from_token(t).ok_or_else(|| format!("unknown model token `{t}`"))?;
+        if models.contains(&m) {
+            return Err(format!("repeated model token `{t}`"));
+        }
+        models.push(m);
+    }
+    Ok(models)
 }
 
 /// Encode the replay hello for `trace`.
@@ -214,12 +231,21 @@ fn want<T: std::str::FromStr>(field: &str, v: Option<&str>) -> Result<T, String>
 /// Parse one client → server line.
 pub fn parse_client_line(line: &str) -> Result<ClientLine, String> {
     let mut f = line.split_whitespace();
+    let parsed = client_fields(&mut f)?;
+    match f.next() {
+        Some(extra) => Err(format!("trailing token `{extra}`")),
+        None => Ok(parsed),
+    }
+}
+
+fn client_fields<'l>(f: &mut impl Iterator<Item = &'l str>) -> Result<ClientLine, String> {
     match f.next() {
         Some("hello") => match f.next() {
             Some("replay") => {
                 let seed = want("seed", f.next())?;
-                let duration_us: u64 = want("duration_us", f.next())?;
-                let reserve = want("reserve", f.next())?;
+                let duration_us =
+                    within_replay_bound("duration_us", want("duration_us", f.next())?)?;
+                let reserve = within_replay_bound("reserve", want("reserve", f.next())?)?;
                 let hw_tok = f.next().ok_or("missing field `initial_hw`")?;
                 let initial_hw = instance_from_token(hw_tok)
                     .ok_or_else(|| format!("unknown hardware token `{hw_tok}`"))?;
@@ -233,7 +259,8 @@ pub fn parse_client_line(line: &str) -> Result<ClientLine, String> {
                 }))
             }
             Some("live") => {
-                let live_secs = want("live_secs", f.next())?;
+                let live_secs: u64 = want("live_secs", f.next())?;
+                within_replay_bound("live_secs (in us)", live_secs.saturating_mul(1_000_000))?;
                 let models = parse_models_csv(f.next().ok_or("missing field `models`")?)?;
                 Ok(ClientLine::HelloLive(LiveHello { live_secs, models }))
             }
@@ -242,7 +269,7 @@ pub fn parse_client_line(line: &str) -> Result<ClientLine, String> {
         Some("arr") => {
             let seq = want("seq", f.next())?;
             let id: u64 = want("id", f.next())?;
-            let at_us: u64 = want("at_us", f.next())?;
+            let at_us = within_replay_bound("at_us", want("at_us", f.next())?)?;
             let tok = f.next().ok_or("missing field `model`")?;
             let model =
                 model_from_token(tok).ok_or_else(|| format!("unknown model token `{tok}`"))?;
@@ -420,5 +447,55 @@ mod tests {
         assert!(e.contains("at_us"), "error names the field: {e}");
         assert!(parse_client_line("warble").is_err());
         assert!(parse_server_line("warble").is_err());
+    }
+
+    #[test]
+    fn client_values_at_the_bound_parse_and_one_past_is_refused() {
+        use paldia_cluster::replay::REPLAY_BOUND;
+        let b = REPLAY_BOUND;
+        let hello = |d: u64, r: u64| format!("hello replay 1 {d} {r} g3s.xlarge googlenet");
+        parse_client_line(&hello(b, b)).expect("hello at the bound");
+        parse_client_line(&format!("arr 0 1 {b} googlenet")).expect("arr at the bound");
+        let max_secs = b / 1_000_000;
+        parse_client_line(&format!("hello live {max_secs} googlenet")).expect("live at the bound");
+        for (line, field) in [
+            (hello(b + 1, 1), "duration_us"),
+            (hello(1, b + 1), "reserve"),
+            (hello(u64::MAX, 1), "duration_us"),
+            (format!("arr 0 1 {} googlenet", b + 1), "at_us"),
+            (
+                format!("hello live {} googlenet", max_secs + 1),
+                "live_secs",
+            ),
+            (format!("hello live {} googlenet", u64::MAX), "live_secs"),
+        ] {
+            let e = parse_client_line(&line).expect_err("past the bound");
+            assert!(
+                e.contains(field) && e.contains("replay bound"),
+                "{line}: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn trailing_tokens_and_repeated_models_are_refused() {
+        for (line, needle) in [
+            (
+                "hello replay 1 10 1 g3s.xlarge googlenet junk",
+                "trailing token `junk`",
+            ),
+            ("hello live 5 googlenet junk", "trailing token `junk`"),
+            ("arr 0 1 10 googlenet x", "trailing token `x`"),
+            ("inv googlenet x", "trailing token `x`"),
+            ("end now", "trailing token `now`"),
+            (
+                "hello replay 1 10 1 g3s.xlarge googlenet,resnet50,googlenet",
+                "repeated model token `googlenet`",
+            ),
+            ("hello live 5 googlenet,googlenet", "repeated model token"),
+        ] {
+            let e = parse_client_line(line).expect_err(needle);
+            assert!(e.contains(needle), "{line}: {e}");
+        }
     }
 }

@@ -1,40 +1,43 @@
-//! The partitioned calendar: the per-partition event sources of the
-//! sharded execution mode, plus the merged run loop that drives them.
+//! The calendar every executor runs on, plus the run loop that drives it.
 //!
-//! The serial engine keeps every future event in one binary heap
-//! ([`EventQueue`]). That is simple and exactly ordered, but for
-//! trace-driven runs the heap is dominated by two event classes with much
+//! A plain binary heap ([`EventQueue`]) is simple and exactly ordered, but
+//! for trace-driven runs it is dominated by two event classes with much
 //! cheaper natural representations:
 //!
-//! * **Arrivals** are pre-sampled in full before the run starts. Scheduling
-//!   half a million of them leaves a huge resident heap that every other
-//!   push/pop must sift through. A [`Rail`] stores them pre-sorted and pops
-//!   them by cursor in O(1).
+//! * **Arrivals** are pre-sampled in full before a batch run starts.
+//!   Scheduling half a million of them leaves a huge resident heap that
+//!   every other push/pop must sift through. The calendar's *rail* stores
+//!   them pre-sorted and pops them by cursor in O(1).
 //! * **Device wake-ups** are mostly stale: every occupancy change re-arms
 //!   the wake for a worker's next predicted completion and bumps a version,
-//!   so the heap fills with superseded wakes that pop as no-ops. A
+//!   so a heap fills with superseded wakes that pop as no-ops. A
 //!   per-worker wake register keeps only the *live* wake per worker and
 //!   drops superseded ones at arm time.
 //!
-//! The merged loop ([`run_partition`]) dispatches from whichever source
-//! holds the globally smallest `(time, seq)` key. Determinism is preserved
-//! bit-for-bit by *virtual sequence parity*: every schedule the serial
-//! engine would perform still consumes a sequence number here
-//! ([`EventQueue::skip_seq`]), whether or not an entry lands in the heap,
-//! so surviving heap events carry identical keys in both modes and every
-//! same-instant tie breaks the same way. Rail entries occupy the first
+//! [`PartitionCalendar::pop_before`] dispatches from whichever source
+//! holds the globally smallest `(time, seq)` key; [`run_partition`] loops
+//! over it, and an incremental executor calls it one event at a time.
+//! Determinism is preserved bit-for-bit by *virtual sequence parity*:
+//! every schedule a heap calendar would perform still consumes a sequence
+//! number here ([`EventQueue::skip_seq`]), whether or not an entry lands
+//! in the heap, so surviving heap events carry identical keys and every
+//! same-instant tie breaks the same way. The rail entries occupy the first
 //! sequence numbers of the run (arrivals are scheduled before anything
 //! else), so the rail wins every equal-time comparison without storing a
 //! sequence per entry.
 //!
 //! Dropping superseded wakes is safe because a wake whose version no longer
-//! matches its device is an observable no-op in the serial engine (the
+//! matches its device is an observable no-op on a heap calendar (the
 //! handler returns before any effect), and a re-armed wake for an
 //! *unchanged* version predicts the same completion instant — the earlier
-//! of the two entries does the work in both modes (the register keeps it;
+//! of the two entries does the work either way (the register keeps it;
 //! see [`PartitionCalendar::arm_wake`]).
+//!
+//! [`EventQueue`] also implements [`Calendar`]: driven by a plain pop loop
+//! with every wake pushed as an ordinary event, it is the reference the
+//! tests hold this calendar against.
 
-use crate::engine::{RunOutcome, World};
+use crate::engine::RunOutcome;
 use crate::event::{EventKey, EventQueue};
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
@@ -48,9 +51,9 @@ pub trait WakeEvent: Sized {
     fn make_wake(worker: u32, version: u64) -> Self;
 }
 
-/// What a simulation world schedules against: the serial [`EventQueue`] or
-/// the partitioned [`PartitionCalendar`]. Domain logic written against this
-/// trait runs unchanged — and bit-identically — on either engine.
+/// What a simulation world schedules against: the [`PartitionCalendar`]
+/// it runs on, or the reference [`EventQueue`]. Domain logic written
+/// against this trait runs unchanged — and bit-identically — on either.
 pub trait Calendar<E> {
     /// Schedule `payload` to fire at absolute time `at`.
     fn schedule(&mut self, at: SimTime, payload: E);
@@ -65,6 +68,9 @@ pub trait Calendar<E> {
     fn arm_wake(&mut self, worker: u32, at: SimTime, version: u64);
 }
 
+/// The reference calendar: every wake is pushed as an ordinary event, and
+/// superseded ones pop as no-ops. Tests drive a world on it with a plain
+/// pop loop and demand what [`PartitionCalendar`] produces.
 impl<E: WakeEvent> Calendar<E> for EventQueue<E> {
     fn schedule(&mut self, at: SimTime, payload: E) {
         EventQueue::schedule(self, at, payload);
@@ -75,56 +81,32 @@ impl<E: WakeEvent> Calendar<E> for EventQueue<E> {
     }
 }
 
-/// The pre-sorted arrival rail: events known in full before the run starts,
-/// holding the run's smallest sequence numbers. Popping is a cursor
-/// decrement — no heap traffic, no sift, sequential memory.
-pub struct Rail<E> {
-    /// Sorted by firing time *descending* (stable w.r.t. schedule order),
-    /// so `pop` takes from the back in FIFO `(time, seq)` order.
-    items: Vec<(SimTime, E)>,
-}
+/// Domain logic driven by [`run_partition`] (or an incremental executor
+/// popping [`PartitionCalendar::pop_before`] itself).
+///
+/// `handle` receives the current simulated time, the event, and the
+/// calendar so it can schedule follow-up events; `now` is non-decreasing
+/// across calls.
+pub trait World {
+    /// The event alphabet of this simulation.
+    type Event: WakeEvent;
 
-impl<E> Rail<E> {
-    /// Build a rail from entries in schedule order. The caller must have
-    /// consumed one sequence number per entry (before scheduling anything
-    /// else) via [`EventQueue::skip_seqs`], so rail entries order before
-    /// every heap event at equal times.
-    pub fn from_schedule_order(mut items: Vec<(SimTime, E)>) -> Self {
-        // Stable sort keeps schedule order within a tie; reversing then
-        // makes `Vec::pop` yield earliest-first with FIFO ties.
-        items.sort_by_key(|&(t, _)| t);
-        items.reverse();
-        Rail { items }
-    }
-
-    /// Firing time of the earliest pending entry.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.items.last().map(|&(t, _)| t)
-    }
-
-    /// Remove and return the earliest entry.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.items.pop()
-    }
-
-    /// Number of pending entries.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True if no entries are pending.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
+    /// Process one event at simulated time `now`.
+    fn handle(&mut self, now: SimTime, ev: Self::Event, cal: &mut PartitionCalendar<Self::Event>);
 }
 
 /// One armed wake register: ordering key plus device version.
 type WakeSlot = (EventKey, u64);
 
-/// The partitioned calendar: a (small) heap for ordinary events plus the
-/// per-worker wake registers. Arrivals live outside in a [`Rail`].
+/// The calendar: the pre-sorted arrival rail, a (small) heap for ordinary
+/// events, and the per-worker wake registers.
 pub struct PartitionCalendar<E> {
     q: EventQueue<E>,
+    /// Entries known before the run starts, holding its smallest sequence
+    /// numbers. Sorted by firing time *descending* (stable w.r.t.
+    /// schedule order), so `Vec::pop` takes them in FIFO `(time, seq)`
+    /// order.
+    rail: Vec<(SimTime, E)>,
     /// Live wake per worker id; absent when nothing is armed. Keyed
     /// sparsely: sharded fleets namespace worker ids as
     /// `(global deployment << 20) | ordinal`, so a dense table would
@@ -136,11 +118,22 @@ pub struct PartitionCalendar<E> {
 }
 
 impl<E> PartitionCalendar<E> {
-    /// Wrap a queue (which may already hold events and consumed sequence
-    /// numbers from setup).
-    pub fn new(q: EventQueue<E>) -> Self {
+    /// A calendar whose first `rail.len() + reserved` sequence numbers are
+    /// taken before anything is scheduled: `rail` (entries in schedule
+    /// order) gets the first of them, and the other `reserved` stay
+    /// with the caller for [`EventQueue::schedule_reserved`]. A batch run
+    /// puts its pre-sampled arrivals on the rail; an incremental session
+    /// passes an empty rail and reserves its recorded arrivals' block.
+    pub fn new(mut rail: Vec<(SimTime, E)>, reserved: u64) -> Self {
+        let mut q = EventQueue::new();
+        q.skip_seqs(rail.len() as u64 + reserved);
+        // Stable sort keeps schedule order within a tie; reversing then
+        // makes `Vec::pop` yield earliest-first with FIFO ties.
+        rail.sort_by_key(|&(t, _)| t);
+        rail.reverse();
         PartitionCalendar {
             q,
+            rail,
             slots: BTreeMap::new(),
             order: BinaryHeap::new(),
         }
@@ -156,6 +149,14 @@ impl<E> PartitionCalendar<E> {
         &mut self.q
     }
 
+    /// Key of the earliest rail entry. The rail holds the run's smallest
+    /// seqs, so a proxy seq of 0 orders it before any heap or wake key at
+    /// the same instant (heap and wake seqs are strictly positive whenever
+    /// the rail is non-empty).
+    fn peek_rail(&self) -> Option<EventKey> {
+        self.rail.last().map(|&(t, _)| EventKey::new(t, 0))
+    }
+
     /// Key of the earliest *live* armed wake, discarding superseded index
     /// entries on the way.
     fn peek_wake(&mut self) -> Option<EventKey> {
@@ -168,14 +169,36 @@ impl<E> PartitionCalendar<E> {
         None
     }
 
-    /// Pop the earliest live wake (the caller must have just seen it via
-    /// `peek_wake`), clearing its register.
-    fn pop_wake(&mut self) -> Option<(EventKey, u32, u64)> {
-        let key = self.peek_wake()?;
-        let Reverse((k, worker, version)) = self.order.pop()?;
-        debug_assert_eq!(k, key);
-        self.slots.remove(&worker);
-        Some((k, worker, version))
+    /// Key of the earliest pending event across all three sources.
+    pub fn peek_key(&mut self) -> Option<EventKey> {
+        let (rail, heap, wake) = (self.peek_rail(), self.q.peek_key(), self.peek_wake());
+        [rail, heap, wake].into_iter().flatten().min()
+    }
+}
+
+impl<E: WakeEvent> PartitionCalendar<E> {
+    /// Remove and return the earliest pending event if its key orders
+    /// before `bound` (exclusive), advancing the clamp floor to its time.
+    /// Superseded wakes are never returned.
+    pub fn pop_before(&mut self, bound: EventKey) -> Option<(SimTime, E)> {
+        let (rail, heap, wake) = (self.peek_rail(), self.q.peek_key(), self.peek_wake());
+        let next = [rail, heap, wake].into_iter().flatten().min()?;
+        if next >= bound {
+            return None;
+        }
+        if rail == Some(next) {
+            let (now, ev) = self.rail.pop()?;
+            self.q.advance_floor(now);
+            Some((now, ev))
+        } else if heap == Some(next) {
+            self.q.pop()
+        } else {
+            // `peek_wake` left the live wake on top of the index.
+            let Reverse((key, worker, version)) = self.order.pop()?;
+            self.slots.remove(&worker);
+            self.q.advance_floor(key.time());
+            Some((key.time(), E::make_wake(worker, version)))
+        }
     }
 }
 
@@ -185,21 +208,26 @@ impl<E: WakeEvent> Calendar<E> for PartitionCalendar<E> {
     }
 
     fn arm_wake(&mut self, worker: u32, at: SimTime, version: u64) {
-        // Every arm consumes a sequence number — the serial engine would
-        // push a heap event here — regardless of whether the register
-        // changes, keeping later schedules' keys identical across modes.
+        debug_assert!(
+            at >= self.q.floor(),
+            "arming a wake in the past: {at:?} < {:?}",
+            self.q.floor()
+        );
+        // Every arm consumes a sequence number — a heap calendar would
+        // push an event here — regardless of whether the register
+        // changes, keeping later schedules' keys identical across both.
         let seq = self.q.skip_seq();
         let key = EventKey::new(at.max(self.q.floor()), seq);
         match self.slots.get(&worker) {
             // Same device version ⇒ the device is untouched since the
             // earlier arm, which therefore predicts the same instant with a
-            // smaller seq. The earlier entry does the work in the serial
-            // engine (the later pops as a stale no-op after the earlier
-            // bumped the version) — keep it.
+            // smaller seq. On a heap the earlier entry does the work (the
+            // later pops as a stale no-op after the earlier bumped the
+            // version) — keep it.
             Some(&(_, armed_version)) if armed_version == version => {}
             // New version ⇒ any previously armed wake is superseded: when
             // it would fire, its version can no longer match (versions only
-            // grow), so the serial engine treats it as a no-op. Replace.
+            // grow), so a heap calendar treats it as a no-op. Replace.
             _ => {
                 self.slots.insert(worker, (key, version));
                 self.order.push(Reverse((key, worker, version)));
@@ -208,104 +236,58 @@ impl<E: WakeEvent> Calendar<E> for PartitionCalendar<E> {
     }
 }
 
-/// A [`World`] that can also run on the partitioned calendar. Implementors
-/// route both entry points through one generic handler over [`Calendar`],
-/// so the domain logic exists exactly once.
-pub trait PartitionWorld: World {
-    /// Process one event, scheduling follow-ups on the partitioned
-    /// calendar.
-    fn handle_part(
-        &mut self,
-        now: SimTime,
-        ev: Self::Event,
-        cal: &mut PartitionCalendar<Self::Event>,
-    );
-}
-
-/// Run one partition until `bound` (exclusive, a full `(time, seq)` key) or
-/// until every source drains. Dispatches rail entries, heap events, and
-/// live wakes in exact global `(time, seq)` order; superseded wakes are
-/// never dispatched.
+/// Run `world` until `bound` (exclusive, a full `(time, seq)` key) or
+/// until every source drains. Events are dispatched in exact global
+/// `(time, seq)` order; superseded wakes are never dispatched.
 ///
 /// Bounding on a key rather than a time lets the fleet coordinator stop a
 /// partition *between* two same-instant events — everything ordered before
 /// a cross-partition fault edge runs, everything after waits for the
-/// barrier. For a plain horizon, pass `EventKey::new(horizon, 0)`
-/// (exclusive, like [`crate::engine::run_until`]); the loop is resumable.
-pub fn run_partition<W>(
+/// barrier. For a plain horizon, pass `EventKey::new(horizon, 0)`, which
+/// excludes every event at the horizon itself; the loop is resumable, so
+/// running to one bound and then a later one processes each event once.
+/// After `budget` events the loop stops with
+/// [`RunOutcome::BudgetExhausted`] (a runaway-loop backstop).
+pub fn run_partition<W: World>(
     world: &mut W,
     cal: &mut PartitionCalendar<W::Event>,
-    rail: &mut Rail<W::Event>,
     bound: EventKey,
     budget: u64,
-) -> RunOutcome
-where
-    W: PartitionWorld,
-    W::Event: WakeEvent,
-{
+) -> RunOutcome {
     let mut events: u64 = 0;
     let mut last_event = SimTime::ZERO;
-    loop {
-        // The rail holds the run's smallest seqs: a proxy seq of 0 orders
-        // it before any heap/wake key at the same instant. (Heap seqs are
-        // strictly positive whenever the rail is non-empty, because the
-        // rail consumed seqs first.)
-        let rail_key = rail.peek_time().map(|t| EventKey::new(t, 0));
-        let heap_key = cal.q.peek_key();
-        let wake_key = cal.peek_wake();
-
-        let Some(next) = [rail_key, heap_key, wake_key].into_iter().flatten().min() else {
-            return RunOutcome::Drained { last_event, events };
+    while events < budget {
+        let Some((now, ev)) = cal.pop_before(bound) else {
+            break;
         };
-        if next >= bound {
-            return RunOutcome::HorizonReached {
-                horizon: bound.time(),
-                events,
-            };
-        }
-        if events >= budget {
-            return RunOutcome::BudgetExhausted {
-                at: next.time(),
-                budget,
-            };
-        }
-
-        if rail_key == Some(next) {
-            let (now, ev) = rail.pop().expect("invariant: peeked rail entry exists");
-            cal.q.advance_floor(now);
-            debug_assert!(now >= last_event, "time went backwards");
-            last_event = now;
-            events += 1;
-            world.handle_part(now, ev, cal);
-        } else if heap_key == Some(next) {
-            let (now, ev) = cal.q.pop().expect("invariant: peeked heap entry exists");
-            debug_assert!(now >= last_event, "time went backwards");
-            last_event = now;
-            events += 1;
-            world.handle_part(now, ev, cal);
-        } else {
-            let (key, worker, version) =
-                cal.pop_wake().expect("invariant: peeked wake entry exists");
-            let now = key.time();
-            cal.q.advance_floor(now);
-            debug_assert!(now >= last_event, "time went backwards");
-            last_event = now;
-            events += 1;
-            world.handle_part(now, W::Event::make_wake(worker, version), cal);
-        }
+        debug_assert!(now >= last_event, "time went backwards");
+        last_event = now;
+        events += 1;
+        world.handle(now, ev, cal);
+    }
+    match cal.peek_key() {
+        None => RunOutcome::Drained { last_event, events },
+        Some(next) if next >= bound => RunOutcome::HorizonReached {
+            horizon: bound.time(),
+            events,
+        },
+        Some(next) => RunOutcome::BudgetExhausted {
+            at: next.time(),
+            budget,
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_until;
 
-    /// A miniature versioned-device world exercised on both engines: `n`
-    /// workers each hold a version counter; arrivals bump a worker's
-    /// version and re-arm its wake for `now + latency`; live wakes record
-    /// and re-arm once more at double latency. Superseded and duplicate
-    /// wakes must behave identically across engines.
+    /// A miniature versioned-device world exercised on the calendar and on
+    /// the reference heap: `n` workers each hold a version counter;
+    /// arrivals bump a worker's version and re-arm its wake for
+    /// `now + latency`; live wakes record and re-arm once more at double
+    /// latency. Superseded and duplicate wakes must behave identically on
+    /// both.
     #[derive(Clone, Debug, PartialEq, Eq)]
     enum Ev {
         Arrival { worker: u32 },
@@ -365,13 +347,7 @@ mod tests {
 
     impl World for Mini {
         type Event = Ev;
-        fn handle(&mut self, now: SimTime, ev: Ev, q: &mut EventQueue<Ev>) {
-            self.on_event(now, ev, q);
-        }
-    }
-
-    impl PartitionWorld for Mini {
-        fn handle_part(&mut self, now: SimTime, ev: Ev, cal: &mut PartitionCalendar<Ev>) {
+        fn handle(&mut self, now: SimTime, ev: Ev, cal: &mut PartitionCalendar<Ev>) {
             self.on_event(now, ev, cal);
         }
     }
@@ -391,92 +367,188 @@ mod tests {
         v
     }
 
-    fn run_serial(horizon: SimTime) -> Vec<(u64, &'static str, u32, u64)> {
+    /// The reference: every event, wakes included, on one heap, popped
+    /// until the exclusive horizon.
+    fn run_heap(horizon: SimTime) -> (Vec<(u64, &'static str, u32, u64)>, u64) {
         let mut w = Mini::new(3);
         let mut q = EventQueue::new();
         for (t, ev) in arrivals() {
             q.schedule(t, ev);
         }
         q.schedule(SimTime::from_micros(5), Ev::Tick(40));
-        run_until(&mut w, &mut q, horizon);
-        w.log
+        let mut events = 0;
+        while q.peek_time().is_some_and(|t| t < horizon) {
+            let (now, ev) = q.pop().expect("peeked");
+            events += 1;
+            w.on_event(now, ev, &mut q);
+        }
+        (w.log, events)
     }
 
-    fn run_part(horizon: SimTime) -> Vec<(u64, &'static str, u32, u64)> {
+    fn run_part(horizon: SimTime) -> (Vec<(u64, &'static str, u32, u64)>, RunOutcome) {
         let mut w = Mini::new(3);
-        let mut q = EventQueue::new();
-        let items = arrivals();
-        q.skip_seqs(items.len() as u64);
-        q.schedule(SimTime::from_micros(5), Ev::Tick(40));
-        let mut cal = PartitionCalendar::new(q);
-        let mut rail = Rail::from_schedule_order(items);
-        run_partition(
-            &mut w,
-            &mut cal,
-            &mut rail,
-            EventKey::new(horizon, 0),
-            u64::MAX,
-        );
-        w.log
+        let mut cal = PartitionCalendar::new(arrivals(), 0);
+        cal.schedule(SimTime::from_micros(5), Ev::Tick(40));
+        let out = run_partition(&mut w, &mut cal, EventKey::new(horizon, 0), u64::MAX);
+        (w.log, out)
     }
 
     #[test]
     fn partitioned_replay_is_bit_identical_to_serial() {
         let horizon = SimTime::from_secs(10);
-        assert_eq!(run_serial(horizon), run_part(horizon));
+        let (heap, heap_events) = run_heap(horizon);
+        let (part, out) = run_part(horizon);
+        assert_eq!(heap, part);
+        // The heap also pops every superseded wake as a no-op.
+        assert!(heap_events > out.events(), "{heap_events} vs {out:?}");
     }
 
     #[test]
     fn mid_run_bound_preserves_prefix_order() {
         let horizon = SimTime::from_micros(300);
-        let serial = run_serial(horizon);
-        let part = run_part(horizon);
-        assert!(!serial.is_empty());
-        assert_eq!(serial, part);
+        let (heap, _) = run_heap(horizon);
+        let (part, out) = run_part(horizon);
+        assert!(!heap.is_empty());
+        assert_eq!(heap, part);
+        assert!(matches!(out, RunOutcome::HorizonReached { .. }), "{out:?}");
+    }
+
+    #[test]
+    fn horizon_is_exclusive_and_resumable() {
+        let mut w = Mini::new(1);
+        let mut cal = PartitionCalendar::new(Vec::new(), 0);
+        for ms in [10, 20, 30] {
+            cal.schedule(SimTime::from_millis(ms), Ev::Tick(0));
+        }
+        let bound = |ms| EventKey::new(SimTime::from_millis(ms), 0);
+        let out = run_partition(&mut w, &mut cal, bound(20), u64::MAX);
+        assert_eq!(
+            out,
+            RunOutcome::HorizonReached {
+                horizon: SimTime::from_millis(20),
+                events: 1
+            }
+        );
+        // Resuming picks up the event exactly at the old bound.
+        let out = run_partition(&mut w, &mut cal, bound(100), u64::MAX);
+        assert_eq!(
+            out,
+            RunOutcome::Drained {
+                last_event: SimTime::from_millis(30),
+                events: 2
+            }
+        );
+        assert_eq!(w.log.len(), 3);
+    }
+
+    #[test]
+    fn budget_stops_runaway_loops() {
+        struct Loop;
+        impl World for Loop {
+            type Event = Ev;
+            fn handle(&mut self, now: SimTime, ev: Ev, cal: &mut PartitionCalendar<Ev>) {
+                cal.schedule_in(now, SimDuration::from_micros(1), ev);
+            }
+        }
+        let mut cal = PartitionCalendar::new(Vec::new(), 0);
+        cal.schedule(SimTime::ZERO, Ev::Tick(0));
+        let bound = EventKey::new(SimTime::MAX, 0);
+        let out = run_partition(&mut Loop, &mut cal, bound, 1_000);
+        assert_eq!(
+            out,
+            RunOutcome::BudgetExhausted {
+                at: SimTime::from_micros(1_000),
+                budget: 1_000
+            }
+        );
+        // The backstop leaves the calendar intact: the run can resume.
+        let out = run_partition(&mut Loop, &mut cal, bound, 10);
+        assert_eq!(out.events(), 10);
     }
 
     #[test]
     fn rail_pops_fifo_within_ties() {
-        let mut rail = Rail::from_schedule_order(vec![
-            (SimTime::from_micros(5), "b"),
-            (SimTime::from_micros(1), "a"),
-            (SimTime::from_micros(5), "c"),
-        ]);
-        assert_eq!(rail.len(), 3);
-        assert_eq!(rail.pop(), Some((SimTime::from_micros(1), "a")));
-        assert_eq!(rail.pop(), Some((SimTime::from_micros(5), "b")));
-        assert_eq!(rail.pop(), Some((SimTime::from_micros(5), "c")));
-        assert!(rail.is_empty());
+        let arrival = |worker| Ev::Arrival { worker };
+        let mut cal = PartitionCalendar::new(
+            vec![
+                (SimTime::from_micros(5), arrival(1)),
+                (SimTime::from_micros(1), arrival(0)),
+                (SimTime::from_micros(5), arrival(2)),
+            ],
+            0,
+        );
+        // The rail took the first three seqs; a same-instant heap event
+        // orders after every rail entry.
+        assert_eq!(cal.queue().next_seq(), 3);
+        cal.schedule(SimTime::from_micros(5), Ev::Tick(0));
+        let bound = EventKey::new(SimTime::MAX, 0);
+        let mut order = Vec::new();
+        while let Some((t, ev)) = cal.pop_before(bound) {
+            order.push((t.as_micros(), ev));
+        }
+        assert_eq!(
+            order,
+            vec![
+                (1, arrival(0)),
+                (5, arrival(1)),
+                (5, arrival(2)),
+                (5, Ev::Tick(0))
+            ]
+        );
     }
 
     #[test]
     fn superseded_wakes_are_never_dispatched() {
         // Arm twice with different versions: only the second survives.
-        let mut cal: PartitionCalendar<Ev> = PartitionCalendar::new(EventQueue::new());
+        let mut cal: PartitionCalendar<Ev> = PartitionCalendar::new(Vec::new(), 0);
         cal.arm_wake(0, SimTime::from_micros(10), 1);
         cal.arm_wake(0, SimTime::from_micros(20), 2);
         assert_eq!(
-            cal.peek_wake().map(|k| (k.time(), k.seq())),
+            cal.peek_key().map(|k| (k.time(), k.seq())),
             Some((SimTime::from_micros(20), 1))
         );
-        let (key, worker, version) = cal.pop_wake().unwrap();
+        let bound = EventKey::new(SimTime::MAX, 0);
         assert_eq!(
-            (key.time(), worker, version),
-            (SimTime::from_micros(20), 0, 2)
+            cal.pop_before(bound),
+            Some((
+                SimTime::from_micros(20),
+                Ev::Wake {
+                    worker: 0,
+                    version: 2
+                }
+            ))
         );
-        assert_eq!(cal.peek_wake(), None);
+        assert_eq!(cal.peek_key(), None);
     }
 
     #[test]
     fn same_version_rearm_keeps_the_earlier_entry() {
-        let mut cal: PartitionCalendar<Ev> = PartitionCalendar::new(EventQueue::new());
+        let mut cal: PartitionCalendar<Ev> = PartitionCalendar::new(Vec::new(), 2);
         cal.arm_wake(4, SimTime::from_micros(10), 7);
         cal.arm_wake(4, SimTime::from_micros(10), 7);
-        let (key, worker, version) = cal.pop_wake().unwrap();
-        // seq 0 = the first arm; the duplicate consumed seq 1 silently.
-        assert_eq!(key.seq(), 0);
-        assert_eq!((worker, version), (4, 7));
-        assert_eq!(cal.queue().next_seq(), 2);
-        assert_eq!(cal.pop_wake(), None);
+        // seq 2 = the first arm after the reserved block; the duplicate
+        // consumed seq 3 silently.
+        assert_eq!(cal.peek_key().map(EventKey::seq), Some(2));
+        assert_eq!(cal.queue().next_seq(), 4);
+        let bound = EventKey::new(SimTime::MAX, 0);
+        let (_, ev) = cal.pop_before(bound).expect("one live wake");
+        assert_eq!(
+            ev,
+            Ev::Wake {
+                worker: 4,
+                version: 7
+            }
+        );
+        assert_eq!(cal.pop_before(bound), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "arming a wake in the past")]
+    fn past_wake_arm_panics_in_debug() {
+        let mut cal: PartitionCalendar<Ev> = PartitionCalendar::new(Vec::new(), 0);
+        cal.schedule(SimTime::from_millis(10), Ev::Tick(0));
+        cal.pop_before(EventKey::new(SimTime::MAX, 0));
+        cal.arm_wake(0, SimTime::from_millis(5), 1);
     }
 }

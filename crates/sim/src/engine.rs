@@ -1,22 +1,7 @@
-//! The event loop: pops events in time order and dispatches them to a
-//! caller-supplied [`World`] until a horizon is reached or the calendar
-//! drains.
+//! Run-loop outcomes and the runaway-loop backstop shared by every
+//! executor. The loop itself is [`crate::calendar::run_partition`].
 
-use crate::event::EventQueue;
 use crate::time::SimTime;
-
-/// Domain logic driven by the engine.
-///
-/// `handle` receives the current simulated time, the event, and the calendar
-/// so it can schedule follow-up events. The engine guarantees `now` is
-/// non-decreasing across calls.
-pub trait World {
-    /// The event alphabet of this simulation.
-    type Event;
-
-    /// Process one event at simulated time `now`.
-    fn handle(&mut self, now: SimTime, ev: Self::Event, q: &mut EventQueue<Self::Event>);
-}
 
 /// Why a run loop returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,141 +43,3 @@ impl RunOutcome {
 /// Default backstop: no realistic experiment in this repo schedules more than
 /// a few hundred million events; anything beyond this is a bug.
 pub const DEFAULT_EVENT_BUDGET: u64 = 2_000_000_000;
-
-/// Run until the calendar drains or an event at/after `horizon` would fire.
-///
-/// Events scheduled exactly at `horizon` are **not** processed (the horizon
-/// is exclusive), so `run_until(w, q, end)` followed by another
-/// `run_until(w, q, later_end)` processes each event exactly once.
-pub fn run_until<W: World>(
-    world: &mut W,
-    q: &mut EventQueue<W::Event>,
-    horizon: SimTime,
-) -> RunOutcome {
-    run_with_budget(world, q, horizon, DEFAULT_EVENT_BUDGET)
-}
-
-/// Run until the calendar fully drains (horizon = end of time).
-pub fn run_to_completion<W: World>(world: &mut W, q: &mut EventQueue<W::Event>) -> RunOutcome {
-    run_with_budget(world, q, SimTime::MAX, DEFAULT_EVENT_BUDGET)
-}
-
-/// Run with an explicit event budget; see [`run_until`] for horizon
-/// semantics.
-pub fn run_with_budget<W: World>(
-    world: &mut W,
-    q: &mut EventQueue<W::Event>,
-    horizon: SimTime,
-    budget: u64,
-) -> RunOutcome {
-    let mut events: u64 = 0;
-    let mut last_event = SimTime::ZERO;
-    loop {
-        let Some(next) = q.peek_time() else {
-            return RunOutcome::Drained { last_event, events };
-        };
-        if next >= horizon {
-            return RunOutcome::HorizonReached { horizon, events };
-        }
-        if events >= budget {
-            return RunOutcome::BudgetExhausted { at: next, budget };
-        }
-        let (now, ev) = q
-            .pop()
-            .expect("invariant: peek_time returned Some, so pop cannot fail");
-        debug_assert!(now >= last_event, "time went backwards");
-        last_event = now;
-        events += 1;
-        world.handle(now, ev, q);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::time::SimDuration;
-
-    struct Recorder {
-        seen: Vec<(SimTime, u32)>,
-    }
-
-    enum Ev {
-        Mark(u32),
-        Chain(u32),
-    }
-
-    impl World for Recorder {
-        type Event = Ev;
-        fn handle(&mut self, now: SimTime, ev: Ev, q: &mut EventQueue<Ev>) {
-            match ev {
-                Ev::Mark(id) => self.seen.push((now, id)),
-                Ev::Chain(n) => {
-                    self.seen.push((now, n));
-                    if n > 0 {
-                        q.schedule_in(now, SimDuration::from_millis(10), Ev::Chain(n - 1));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn processes_in_order_and_drains() {
-        let mut w = Recorder { seen: vec![] };
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(20), Ev::Mark(2));
-        q.schedule(SimTime::from_millis(10), Ev::Mark(1));
-        let out = run_to_completion(&mut w, &mut q);
-        assert_eq!(
-            w.seen,
-            vec![(SimTime::from_millis(10), 1), (SimTime::from_millis(20), 2)]
-        );
-        assert!(matches!(out, RunOutcome::Drained { events: 2, .. }));
-    }
-
-    #[test]
-    fn chained_events_fire() {
-        let mut w = Recorder { seen: vec![] };
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, Ev::Chain(3));
-        let out = run_to_completion(&mut w, &mut q);
-        assert_eq!(out.events(), 4);
-        assert_eq!(w.seen.last().unwrap().0, SimTime::from_millis(30));
-    }
-
-    #[test]
-    fn horizon_is_exclusive_and_resumable() {
-        let mut w = Recorder { seen: vec![] };
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(10), Ev::Mark(1));
-        q.schedule(SimTime::from_millis(20), Ev::Mark(2));
-        q.schedule(SimTime::from_millis(30), Ev::Mark(3));
-
-        let out = run_until(&mut w, &mut q, SimTime::from_millis(20));
-        assert!(matches!(out, RunOutcome::HorizonReached { events: 1, .. }));
-        assert_eq!(w.seen.len(), 1);
-
-        // Resuming picks up the event exactly at the old horizon.
-        let out = run_until(&mut w, &mut q, SimTime::from_millis(100));
-        assert!(matches!(out, RunOutcome::Drained { events: 2, .. }));
-        assert_eq!(w.seen.len(), 3);
-    }
-
-    #[test]
-    fn budget_stops_runaway_loops() {
-        struct Loop;
-        impl World for Loop {
-            type Event = ();
-            fn handle(&mut self, now: SimTime, _ev: (), q: &mut EventQueue<()>) {
-                q.schedule_in(now, SimDuration::from_micros(1), ());
-            }
-        }
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, ());
-        let out = run_with_budget(&mut Loop, &mut q, SimTime::MAX, 1_000);
-        assert!(matches!(
-            out,
-            RunOutcome::BudgetExhausted { budget: 1000, .. }
-        ));
-    }
-}

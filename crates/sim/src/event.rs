@@ -73,7 +73,6 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    scheduled_total: u64,
     /// Time of the most recently popped event: the simulation's "now" from
     /// the queue's perspective, and the clamp floor for late schedules.
     floor: SimTime,
@@ -88,17 +87,9 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Create an empty queue with pre-reserved capacity. Long-trace runs
-    /// know their arrival count up front; reserving avoids re-growing the
-    /// heap from zero through its largest size.
-    pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
+            heap: BinaryHeap::new(),
             next_seq: 0,
-            scheduled_total: 0,
             floor: SimTime::ZERO,
         }
     }
@@ -113,7 +104,6 @@ impl<E> EventQueue<E> {
         let at = at.max(self.floor);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         self.heap.push(Entry {
             key: EventKey::new(at, seq),
             payload,
@@ -126,15 +116,14 @@ impl<E> EventQueue<E> {
     }
 
     /// Consume (and return) the next FIFO sequence number without pushing an
-    /// event. The partitioned execution mode keeps some event classes out of
-    /// the heap (pre-sorted arrival rails, per-worker wake registers) but
-    /// must assign the remaining heap events the exact sequence numbers the
-    /// serial engine would, so the `(time, seq)` total order — and therefore
-    /// every tie-break — is bit-identical across modes.
+    /// event. The calendar ([`crate::PartitionCalendar`]) keeps some event
+    /// classes out of the heap (the pre-sorted arrival rail, per-worker wake
+    /// registers) but must assign the remaining heap events the exact
+    /// sequence numbers a plain heap would, so the `(time, seq)` total
+    /// order — and therefore every tie-break — is bit-identical to it.
     pub fn skip_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         seq
     }
 
@@ -143,7 +132,6 @@ impl<E> EventQueue<E> {
     /// is diverted out of the heap in one step.
     pub fn skip_seqs(&mut self, n: u64) {
         self.next_seq += n;
-        self.scheduled_total += n;
     }
 
     /// Schedule `payload` at `at` under a sequence number reserved earlier
@@ -161,9 +149,8 @@ impl<E> EventQueue<E> {
     /// `seq` must come from the reserved block (`seq < next_seq()`), be
     /// used once, and `at` must not lie before the floor; callers taking
     /// seqs from outside the program check all three first (the session
-    /// refuses such arrivals with an error). It was already counted by the
-    /// reservation, so `scheduled_total` does not move. A late `at` clamps
-    /// to the floor like [`Self::schedule`].
+    /// refuses such arrivals with an error). A late `at` clamps to the
+    /// floor like [`Self::schedule`].
     pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, payload: E) {
         debug_assert!(
             seq < self.next_seq,
@@ -198,9 +185,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Advance the clamp floor to `at`, as [`Self::pop`] would. The
-    /// partitioned run loop calls this when it dispatches an event from a
-    /// source other than this heap (rail, wake register), so late-schedule
-    /// detection keeps working against the true simulation clock.
+    /// calendar ([`crate::PartitionCalendar`]) calls this when it pops an
+    /// event from a source other than this heap (rail, wake register), so
+    /// late-schedule detection keeps working against the true simulation
+    /// clock.
     pub fn advance_floor(&mut self, at: SimTime) {
         debug_assert!(
             at >= self.floor,
@@ -234,16 +222,6 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled (monotone; diagnostics only).
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 
     /// Drain every pending event in firing order.
@@ -311,11 +289,11 @@ mod tests {
         q.schedule(SimTime::ZERO, 1);
         q.schedule(SimTime::ZERO, 2);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
+        assert_eq!(q.next_seq(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
-        assert_eq!(q.scheduled_total(), 2);
-        q.clear();
+        assert_eq!(q.next_seq(), 2);
+        q.pop();
         assert!(q.is_empty());
     }
 
@@ -329,7 +307,7 @@ mod tests {
         q.schedule_reserved(t, 1, "arrival-1");
         let order: Vec<_> = q.drain_ordered().into_iter().map(|(_, e)| e).collect();
         assert_eq!(order, vec!["arrival-0", "arrival-1", "tick"]);
-        assert_eq!(q.scheduled_total(), 3, "reservation counted the block once");
+        assert_eq!(q.next_seq(), 3, "reservation counted the block once");
     }
 
     #[test]

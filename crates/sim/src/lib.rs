@@ -14,29 +14,39 @@
 //!   broken by insertion order (FIFO), never by heap internals.
 //! * **No global state.** The engine owns nothing but the calendar; all
 //!   domain state lives in the caller's [`World`] implementation.
-//! * **Cheap events.** Events are plain enums moved by value; the queue is a
-//!   binary heap of `(SimTime, u64, E)` triples.
+//! * **One calendar.** Every executor — the batch run, the fleet shards,
+//!   the incremental session — runs on [`PartitionCalendar`]: pre-sorted
+//!   arrivals on a rail, device wakes in per-worker registers, everything
+//!   else on a binary heap of packed `(time, seq)` keys ([`EventQueue`]).
 //!
 //! ```
-//! use paldia_sim::{EventQueue, SimTime, SimDuration, World, run_until};
+//! use paldia_sim::{
+//!     run_partition, Calendar, EventKey, PartitionCalendar, SimDuration, SimTime, WakeEvent,
+//!     World,
+//! };
 //!
 //! struct Counter { fired: u32 }
-//! enum Ev { Tick }
+//! enum Ev { Tick, Wake }
+//!
+//! impl WakeEvent for Ev {
+//!     fn make_wake(_worker: u32, _version: u64) -> Self { Ev::Wake }
+//! }
 //!
 //! impl World for Counter {
 //!     type Event = Ev;
-//!     fn handle(&mut self, now: SimTime, _ev: Ev, q: &mut EventQueue<Ev>) {
+//!     fn handle(&mut self, now: SimTime, _ev: Ev, cal: &mut PartitionCalendar<Ev>) {
 //!         self.fired += 1;
 //!         if self.fired < 10 {
-//!             q.schedule(now + SimDuration::from_millis(100), Ev::Tick);
+//!             cal.schedule(now + SimDuration::from_millis(100), Ev::Tick);
 //!         }
 //!     }
 //! }
 //!
 //! let mut w = Counter { fired: 0 };
-//! let mut q = EventQueue::new();
-//! q.schedule(SimTime::ZERO, Ev::Tick);
-//! run_until(&mut w, &mut q, SimTime::from_secs(60));
+//! let mut cal = PartitionCalendar::new(Vec::new(), 0);
+//! cal.schedule(SimTime::ZERO, Ev::Tick);
+//! let horizon = EventKey::new(SimTime::from_secs(60), 0);
+//! run_partition(&mut w, &mut cal, horizon, u64::MAX);
 //! assert_eq!(w.fired, 10);
 //! ```
 
@@ -50,9 +60,9 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use calendar::{run_partition, Calendar, PartitionCalendar, PartitionWorld, Rail, WakeEvent};
+pub use calendar::{run_partition, Calendar, PartitionCalendar, WakeEvent, World};
 pub use clock::{Clock, VirtualClock};
-pub use engine::{run_to_completion, run_until, RunOutcome, World};
+pub use engine::RunOutcome;
 pub use event::{EventKey, EventQueue};
 pub use histogram::LogHistogram;
 pub use rng::SimRng;

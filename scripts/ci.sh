@@ -34,10 +34,14 @@
 #      virtual-clock session in both directions, at 20x (the server flushes
 #      before pacing sleeps; target/serve-report.json) and at 1e6x (it
 #      flushes when its input runs dry; target/serve-report-1e6.json)
-#  13. ysearch latency       — the full Table II y-search (Eq. 1 over every
+#  13. hostile replays       — paldia-serve --replay must refuse replay files
+#      it would overflow on or silently drop (a `duration_us` or `reserve`
+#      of u64::MAX, an arrival past the horizon, trailing junk): each run
+#      exits non-zero and never panics (files under target/hostile-*.replay)
+#  14. ysearch latency       — the full Table II y-search (Eq. 1 over every
 #      candidate kind) must average under the paper's 3 ms budget (§III) in
 #      every case of `cargo bench -p paldia-bench --bench ysearch_latency`
-#  14. cargo test --workspace — every crate's unit/property/integration tests
+#  15. cargo test --workspace — every crate's unit/property/integration tests
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -99,6 +103,29 @@ cargo run --release -q -p paldia-serve -- --smoke \
 # wait on an empty input channel.
 cargo run --release -q -p paldia-serve -- --smoke \
     --requests 200 --speed 1e6 --report target/serve-report-1e6.json
+
+echo "==> hostile replays (paldia-serve --replay refuses them without panicking)"
+# One GoogleNet arrival on g3s.xlarge; the arguments fill in duration_us,
+# reserve and the arrival's at_us.
+hostile_replay() {
+    printf '# paldia-replay v1\nseed 1\nduration_us %s\nreserve %s\n' "$1" "$2"
+    printf 'initial_hw g3s.xlarge\nmodel googlenet\narrival 0 1 %s googlenet\nend\n' "$3"
+}
+hostile_replay 18446744073709551615 1 1000 > target/hostile-duration.replay
+hostile_replay 1000000 18446744073709551615 1000 > target/hostile-reserve.replay
+hostile_replay 1000000 1 900000000 > target/hostile-late-arrival.replay
+hostile_replay 1000000 1 1000 | sed 's/^seed 1$/seed 1 junk/' > target/hostile-junk.replay
+for f in target/hostile-{duration,reserve,late-arrival,junk}.replay; do
+    if out=$(cargo run --release -q -p paldia-serve -- --replay "$f" --speed 1e6 2>&1); then
+        printf '%s\n%s: exit 0, but the file must be refused\n' "$out" "$f"
+        exit 1
+    fi
+    if grep -q panicked <<<"$out"; then
+        printf '%s\n%s: panicked\n' "$out" "$f"
+        exit 1
+    fi
+    echo "$f: refused ($(tail -n 1 <<<"$out"))"
+done
 
 echo "==> ysearch latency (every case's mean < 3 ms, the paper's §III budget)"
 cargo bench -q -p paldia-bench --bench ysearch_latency | tee target/ysearch-latency.txt
