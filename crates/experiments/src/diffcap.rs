@@ -23,7 +23,7 @@ use paldia_cluster::{
 use paldia_core::{PaldiaConfig, PaldiaScheduler};
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_obs::{
-    diff_decision_streams, event_to_jsonl, read_jsonl_file, DiffReport, TraceEvent, TraceEventKind,
+    append_jsonl, diff_decision_streams, read_jsonl_file, DiffReport, TraceEvent, TraceEventKind,
     TunableDelta, VecSink,
 };
 use paldia_sim::{SimDuration, SimTime};
@@ -260,7 +260,7 @@ pub(crate) fn write_decisions(path: &Path, decisions: &[TraceEvent]) -> Result<u
     }
     let mut out = String::new();
     for event in decisions {
-        out.push_str(&event_to_jsonl(event));
+        append_jsonl(&mut out, event);
         out.push('\n');
     }
     std::fs::write(path, out).map_err(|e| format!("writing {}: {e}", path.display()))?;

@@ -351,7 +351,7 @@ mod tests {
     use super::*;
     use crate::event::BatchTrigger;
     use crate::jsonl::tests::sample_events;
-    use crate::jsonl::{event_to_jsonl, Json};
+    use crate::jsonl::{event_to_jsonl, Json, Obj};
 
     fn ev(seq: u64, at_us: u64, kind: TraceEventKind) -> TraceEvent {
         TraceEvent {
@@ -395,14 +395,15 @@ mod tests {
             assert!(json.contains(&args), "{json}\nlacks {args}");
 
             let doc = Json::parse(&json).expect("chrome export is JSON");
-            let Ok(Json::Arr(entries)) = doc.field("traceEvents") else {
+            let Ok(Json::Arr(entries)) = Obj::of(&doc).get("traceEvents") else {
                 panic!("no traceEvents array");
             };
             let entry = entries
                 .iter()
-                .find(|e| !matches!(e.field("ph"), Ok(Json::Str(ph)) if ph == "M"))
+                .find(|e| !matches!(Obj::of(e).get("ph"), Ok(Json::Str(ph)) if ph == "M"))
                 .expect("an event entry");
-            let back = TraceEventKind::read_payload(event.kind.tag(), entry.field("args").unwrap());
+            let args = Obj::of(entry).get("args").expect("an args object");
+            let back = TraceEventKind::read_payload(event.kind.tag(), &Obj::of(args));
             assert_eq!(back.as_ref(), Ok(&event.kind));
         }
     }

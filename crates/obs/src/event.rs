@@ -15,7 +15,7 @@ use paldia_hw::InstanceKind;
 use paldia_sim::SimTime;
 use paldia_workloads::MlModel;
 
-use crate::jsonl::{get_field, put_field, Field, Json};
+use crate::jsonl::{get_field, put_field, Field, Json, Obj};
 
 /// One record in a trace: where (`scope`), when (`at`, `seq`), and what
 /// (`kind`).
@@ -94,7 +94,7 @@ macro_rules! trace_event_kinds {
             }
 
             /// Read the payload of kind `tag` from the members of `obj`.
-            pub(crate) fn read_payload(tag: &str, obj: &Json) -> Result<Self, String> {
+            pub(crate) fn read_payload(tag: &str, obj: &Obj) -> Result<Self, String> {
                 Ok(match tag {
                     $($tag => Self::$v { $($field: get_field(obj, stringify!($b))?),* },)*
                     other => return Err(format!("unknown kind {other:?}")),
@@ -124,7 +124,8 @@ macro_rules! payload_structs {
             }
 
             fn get(v: &Json) -> Result<Self, String> {
-                Ok($name { $($f: get_field(v, stringify!($f))?,)* })
+                let obj = Obj::of(v);
+                Ok($name { $($f: get_field(&obj, stringify!($f))?,)* })
             }
         }
     )*};

@@ -77,8 +77,8 @@ pub use event::{
 };
 pub use explain::{completed_request_ids, explain_request};
 pub use jsonl::{
-    event_from_jsonl, event_to_jsonl, events_from_jsonl, read_jsonl_file, JsonlError, JsonlSink,
-    DEFAULT_FLUSH_EVERY,
+    append_jsonl, event_from_jsonl, event_to_jsonl, events_from_jsonl, read_jsonl_file, JsonlError,
+    JsonlSink, DEFAULT_FLUSH_EVERY, MIN_CHUNK,
 };
 pub use merge::{merge_streams, VecSink};
 pub use sink::{CountingSink, RingSink, TraceSink, Tracer};

@@ -25,7 +25,9 @@
 #  10. trace export           — a capture-only repro run writes the chrome
 #      trace and the JSONL log, reads the log back, attributes it and
 #      triages it at a 200 ms SLO; the chrome file must load as JSON and the
-#      JSONL log must diff empty against itself
+#      JSONL log must diff empty against itself. A second run at --jobs 1
+#      must write the same log byte for byte and print the same triage, so
+#      the reader's chunked decode on the worker pool does not show
 #  11. repro --llm-smoke      — the iteration-level LLM storm fleet at
 #      shards 1 and 3, decision streams diffed empty in both directions
 #      (target/llm-report.json)
@@ -75,14 +77,23 @@ cargo test -q
 echo "==> repro --diff-golden (decision-log regression gates, quick + llm + fleet)"
 cargo run --release -q -p paldia-experiments --bin repro -- --diff-golden
 
-echo "==> trace export (chrome JSON parses, JSONL log triages and self-diffs empty)"
+echo "==> trace export (chrome JSON parses, JSONL log triages, self-diffs empty, reads the same at --jobs 1)"
 # --trace/--trace-file with no figure ids runs the capture only; with
 # --trace-file, --triage reads the log back before attributing it.
 cargo run --release -q -p paldia-experiments --bin repro -- \
-    --trace target/ci.trace.json --trace-file target/ci.trace.jsonl --triage 200
+    --trace target/ci.trace.json --trace-file target/ci.trace.jsonl --triage 200 \
+    | tee target/ci.triage.txt
 python3 -c 'import json,sys; json.load(open(sys.argv[1]))' target/ci.trace.json
 cargo run --release -q -p paldia-experiments --bin repro -- \
     --diff target/ci.trace.jsonl target/ci.trace.jsonl
+# Width invariance on a real log: the capture (~15 MB, 93k lines) decodes
+# in chunks on the pool by default and on one thread at --jobs 1. The
+# outputs differ only in the lines naming the files written.
+cargo run --release -q -p paldia-experiments --bin repro -- \
+    --jobs 1 --trace-file target/ci.trace.j1.jsonl --triage 200 > target/ci.triage.j1.txt
+cmp target/ci.trace.jsonl target/ci.trace.j1.jsonl
+diff <(grep -v ' written to ' target/ci.triage.txt) \
+    <(grep -v ' written to ' target/ci.triage.j1.txt)
 
 echo "==> repro --llm-smoke (iteration-level shard-invariance gate)"
 # Runs the quick LLM storm fleet at shards 1 and 3 and requires the
