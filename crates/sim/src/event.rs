@@ -1,7 +1,7 @@
 //! The calendar queue: a binary-heap priority queue of timestamped events
 //! with deterministic FIFO tie-breaking.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -110,11 +110,6 @@ impl<E> EventQueue<E> {
         });
     }
 
-    /// Schedule `payload` to fire `delay` after `now`.
-    pub fn schedule_in(&mut self, now: SimTime, delay: SimDuration, payload: E) {
-        self.schedule(now + delay, payload);
-    }
-
     /// Consume (and return) the next FIFO sequence number without pushing an
     /// event. The calendar ([`crate::PartitionCalendar`]) keeps some event
     /// classes out of the heap (the pre-sorted arrival rail, per-worker wake
@@ -209,11 +204,6 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.key.time())
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -222,15 +212,6 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Drain every pending event in firing order.
-    pub fn drain_ordered(&mut self) -> Vec<(SimTime, E)> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some((t, e)) = self.pop() {
-            out.push((t, e));
-        }
-        out
     }
 }
 
@@ -244,7 +225,7 @@ mod tests {
         q.schedule(SimTime::from_millis(30), "c");
         q.schedule(SimTime::from_millis(10), "a");
         q.schedule(SimTime::from_millis(20), "b");
-        let order: Vec<_> = q.drain_ordered().into_iter().map(|(_, e)| e).collect();
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
     }
 
@@ -255,7 +236,7 @@ mod tests {
         for i in 0..100 {
             q.schedule(t, i);
         }
-        let order: Vec<_> = q.drain_ordered().into_iter().map(|(_, e)| e).collect();
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
@@ -268,18 +249,11 @@ mod tests {
         q.schedule(t1, "t1-first");
         q.schedule(t2, "t2-second");
         q.schedule(t1, "t1-second");
-        let order: Vec<_> = q.drain_ordered().into_iter().map(|(_, e)| e).collect();
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(
             order,
             vec!["t1-first", "t1-second", "t2-first", "t2-second"]
         );
-    }
-
-    #[test]
-    fn schedule_in_offsets_from_now() {
-        let mut q = EventQueue::new();
-        q.schedule_in(SimTime::from_millis(100), SimDuration::from_millis(50), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(150)));
     }
 
     #[test]
@@ -305,7 +279,7 @@ mod tests {
         q.schedule(t, "tick"); // seq 2
         q.schedule_reserved(t, 0, "arrival-0");
         q.schedule_reserved(t, 1, "arrival-1");
-        let order: Vec<_> = q.drain_ordered().into_iter().map(|(_, e)| e).collect();
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!["arrival-0", "arrival-1", "tick"]);
         assert_eq!(q.next_seq(), 3, "reservation counted the block once");
     }

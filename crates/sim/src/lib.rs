@@ -54,17 +54,13 @@ pub mod calendar;
 pub mod clock;
 pub mod engine;
 pub mod event;
-pub mod histogram;
 pub mod pool;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub use calendar::{run_partition, Calendar, PartitionCalendar, WakeEvent, World};
 pub use clock::{Clock, VirtualClock};
 pub use engine::RunOutcome;
 pub use event::{EventKey, EventQueue};
-pub use histogram::LogHistogram;
 pub use rng::SimRng;
-pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};

@@ -7,8 +7,8 @@
 //! paper-reproduction harness, which pins expected metric values.
 //!
 //! Distribution helpers cover everything the traces and workloads need:
-//! uniform, exponential (inter-arrival times), Poisson (per-bin arrival
-//! counts), and normal (noise on diurnal traces).
+//! uniform, Poisson (per-bin arrival counts), and normal (noise on diurnal
+//! traces).
 
 /// xoshiro256++ generator with SplitMix64 seeding.
 #[derive(Clone, Debug)]
@@ -86,16 +86,6 @@ impl SimRng {
         lo + (hi - lo) * self.next_f64()
     }
 
-    /// Exponentially distributed sample with the given rate (events per unit
-    /// time). Returns `f64::INFINITY` for a zero rate.
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        if rate <= 0.0 {
-            return f64::INFINITY;
-        }
-        // Inverse-CDF; 1 - u avoids ln(0).
-        -(1.0 - self.next_f64()).ln() / rate
-    }
-
     /// Poisson-distributed sample with the given mean.
     ///
     /// Knuth's product method for small means; for large means we use the
@@ -140,22 +130,9 @@ impl SimRng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
     /// Bernoulli trial with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
     }
 }
 
@@ -199,22 +176,6 @@ mod tests {
             seen[x] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn exponential_mean_close() {
-        let mut rng = SimRng::new(13);
-        let rate = 4.0;
-        let n = 100_000;
-        let sum: f64 = (0..n).map(|_| rng.exponential(rate)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 0.25).abs() < 0.01, "mean was {mean}");
-    }
-
-    #[test]
-    fn exponential_zero_rate_is_infinite() {
-        let mut rng = SimRng::new(13);
-        assert!(rng.exponential(0.0).is_infinite());
     }
 
     #[test]
@@ -262,17 +223,6 @@ mod tests {
         let mut c2 = parent.fork(2);
         let same = (0..100).filter(|_| c1.next_u64() == c2.next_u64()).count();
         assert!(same < 3);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(31);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

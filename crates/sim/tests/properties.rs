@@ -1,7 +1,12 @@
 //! Property-based tests for the DES engine primitives.
 
-use paldia_sim::{EventKey, EventQueue, OnlineStats, SimDuration, SimRng, SimTime};
+use paldia_sim::{EventKey, EventQueue, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
+
+/// Pop every pending event, in firing order.
+fn drain<E>(q: &mut EventQueue<E>) -> Vec<(SimTime, E)> {
+    std::iter::from_fn(|| q.pop()).collect()
+}
 
 proptest! {
     /// `EventKey` ordering is a total order: antisymmetric and transitive
@@ -46,7 +51,7 @@ proptest! {
         for (i, &t) in times.iter().enumerate() {
             q.schedule(SimTime::from_micros(t), i);
         }
-        let drained = q.drain_ordered();
+        let drained = drain(&mut q);
         // Non-decreasing times.
         for w in drained.windows(2) {
             prop_assert!(w[0].0 <= w[1].0);
@@ -94,36 +99,11 @@ proptest! {
         }
     }
 
-    /// OnlineStats::merge is equivalent to pushing everything sequentially.
+    /// Poisson sampling terminates on both sides of the normal-approximation
+    /// switch.
     #[test]
-    fn stats_merge_associative(
-        xs in proptest::collection::vec(-1e6f64..1e6, 0..100),
-        ys in proptest::collection::vec(-1e6f64..1e6, 0..100),
-    ) {
-        let mut merged = OnlineStats::new();
-        for &x in &xs { merged.push(x); }
-        let mut right = OnlineStats::new();
-        for &y in &ys { right.push(y); }
-        merged.merge(&right);
-
-        let mut seq = OnlineStats::new();
-        for &x in xs.iter().chain(ys.iter()) { seq.push(x); }
-
-        prop_assert_eq!(merged.count(), seq.count());
-        if !seq.is_empty() {
-            prop_assert!((merged.mean() - seq.mean()).abs() < 1e-6);
-            prop_assert!((merged.variance() - seq.variance()).abs() < 1e-3);
-        }
-    }
-
-    /// Exponential samples are non-negative; Poisson means are tracked.
-    #[test]
-    fn distributions_sane(seed in any::<u64>(), rate in 0.01f64..100.0) {
+    fn distributions_sane(seed in any::<u64>(), mean in 0.01f64..100.0) {
         let mut rng = SimRng::new(seed);
-        for _ in 0..50 {
-            prop_assert!(rng.exponential(rate) >= 0.0);
-        }
-        let mean = rate; // reuse as a Poisson mean
         for _ in 0..20 {
             let _ = rng.poisson(mean); // must not hang or panic
         }
@@ -142,7 +122,7 @@ proptest! {
         for (i, &t) in times.iter().enumerate() {
             q.schedule(SimTime::from_micros(t), i);
         }
-        let drained = q.drain_ordered();
+        let drained = drain(&mut q);
         // Group by timestamp and check each group is an increasing
         // subsequence of insertion indices equal to the scheduled set.
         for instant in 0u64..50 {
