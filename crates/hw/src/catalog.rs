@@ -89,22 +89,6 @@ impl Catalog {
         v
     }
 
-    /// GPU kinds only, cheapest first.
-    pub fn gpus_by_cost(&self) -> Vec<InstanceKind> {
-        self.by_cost_ascending()
-            .into_iter()
-            .filter(|k| k.is_gpu())
-            .collect()
-    }
-
-    /// CPU kinds only, cheapest first.
-    pub fn cpus_by_cost(&self) -> Vec<InstanceKind> {
-        self.by_cost_ascending()
-            .into_iter()
-            .filter(|k| !k.is_gpu())
-            .collect()
-    }
-
     /// The most performant kind in the catalog, if any.
     pub fn most_performant(&self) -> Option<InstanceKind> {
         self.by_performance_descending().first().copied()
@@ -141,8 +125,7 @@ mod tests {
     fn table_ii_has_six_nodes() {
         let c = Catalog::table_ii();
         assert_eq!(c.len(), 6);
-        assert_eq!(c.gpus_by_cost().len(), 3);
-        assert_eq!(c.cpus_by_cost().len(), 3);
+        assert_eq!(c.kinds().iter().filter(|k| k.is_gpu()).count(), 3);
     }
 
     #[test]
@@ -205,6 +188,6 @@ mod tests {
     fn restricted_catalog_for_exhaustion_study() {
         let v100_only = Catalog::of(&[InstanceKind::P3_2xlarge]);
         assert_eq!(v100_only.most_performant(), Some(InstanceKind::P3_2xlarge));
-        assert!(v100_only.cpus_by_cost().is_empty());
+        assert!(v100_only.kinds().iter().all(|k| k.is_gpu()));
     }
 }

@@ -81,35 +81,6 @@ impl GpuModel {
         }
     }
 
-    /// Streaming multiprocessor count (for MPS partition granularity).
-    pub fn sm_count(self) -> u32 {
-        match self {
-            GpuModel::K80 => 13,
-            GpuModel::M60 => 16,
-            GpuModel::V100 => 80,
-        }
-    }
-
-    /// Whether the device supports MPS spatial sharing. All Kepler-or-newer
-    /// parts do (the paper notes MPS exists "from the Kepler-based GPUs").
-    pub fn supports_mps(self) -> bool {
-        true
-    }
-
-    /// Strict performance ordering (more performant = higher factor).
-    pub fn is_more_performant_than(self, other: GpuModel) -> bool {
-        self.compute_factor() > other.compute_factor()
-    }
-
-    /// The next more performant GPU, if any (used when the optimal range is
-    /// invalid and the scheduler escalates, §III).
-    pub fn next_more_performant(self) -> Option<GpuModel> {
-        match self {
-            GpuModel::K80 => Some(GpuModel::M60),
-            GpuModel::M60 => Some(GpuModel::V100),
-            GpuModel::V100 => None,
-        }
-    }
 }
 
 impl fmt::Display for GpuModel {
@@ -129,21 +100,9 @@ mod tests {
 
     #[test]
     fn performance_ordering_matches_paper() {
-        assert!(GpuModel::V100.is_more_performant_than(GpuModel::M60));
-        assert!(GpuModel::M60.is_more_performant_than(GpuModel::K80));
-        assert!(!GpuModel::K80.is_more_performant_than(GpuModel::V100));
-    }
-
-    #[test]
-    fn escalation_chain_reaches_v100() {
-        let mut g = GpuModel::K80;
-        let mut hops = 0;
-        while let Some(next) = g.next_more_performant() {
-            g = next;
-            hops += 1;
-        }
-        assert_eq!(g, GpuModel::V100);
-        assert_eq!(hops, 2);
+        let f = GpuModel::compute_factor;
+        assert!(f(GpuModel::V100) > f(GpuModel::M60));
+        assert!(f(GpuModel::M60) > f(GpuModel::K80));
     }
 
     #[test]
@@ -160,11 +119,6 @@ mod tests {
         // the paper's Fig. 1 exploits.
         let gap = GpuModel::V100.compute_factor() / GpuModel::M60.compute_factor();
         assert!(gap > 2.0 && gap < 3.0, "gap {gap}");
-    }
-
-    #[test]
-    fn all_support_mps() {
-        assert!(GpuModel::ALL.iter().all(|g| g.supports_mps()));
     }
 
     #[test]

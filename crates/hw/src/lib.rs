@@ -28,7 +28,7 @@ pub mod pricing;
 pub use catalog::Catalog;
 pub use cpu::{CpuConfig, CpuModel};
 pub use gpu::GpuModel;
-pub use mps::{client_overhead_factor, mps_slowdown, mps_slowdown_uniform, InterferenceModel};
+pub use mps::{client_overhead_factor, mps_slowdown, mps_slowdown_uniform};
 pub use node::{ComputeKind, InstanceKind, InstanceSpec};
 pub use power::PowerModel;
 pub use pricing::CostMeter;

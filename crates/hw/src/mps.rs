@@ -44,42 +44,6 @@ pub fn mps_slowdown_uniform(concurrent_batches: f64, fbr: f64) -> f64 {
     (concurrent_batches * fbr).max(1.0) * client_overhead_factor(concurrent_batches)
 }
 
-/// The interference model as an object, for policies that want to be generic
-/// over it (the host-aware extension of Table III swaps this out).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct InterferenceModel {
-    /// Extra multiplicative penalty from co-resident host-CPU workloads
-    /// (SeBS mixed-workload experiment, Table III). 0.0 = no co-location.
-    pub host_contention: f64,
-}
-
-impl InterferenceModel {
-    /// Model with no host-side contention (the primary experiments).
-    pub fn pure_gpu() -> Self {
-        InterferenceModel {
-            host_contention: 0.0,
-        }
-    }
-
-    /// Model with co-resident CPU-bound serverless workloads stealing host
-    /// cycles (data staging, batching, container runtime all slow down).
-    pub fn with_host_contention(factor: f64) -> Self {
-        InterferenceModel {
-            host_contention: factor.max(0.0),
-        }
-    }
-
-    /// Slowdown applied to a set of co-located batches with the given FBRs.
-    pub fn slowdown(&self, fbrs: &[f64]) -> f64 {
-        mps_slowdown(fbrs) * (1.0 + self.host_contention)
-    }
-
-    /// Uniform-case slowdown (Eq. (1) form).
-    pub fn slowdown_uniform(&self, concurrent_batches: f64, fbr: f64) -> f64 {
-        mps_slowdown_uniform(concurrent_batches, fbr) * (1.0 + self.host_contention)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,22 +81,5 @@ mod tests {
     fn heterogeneous_mix_sums_demand() {
         let s = mps_slowdown(&[0.8, 0.3, 0.4]);
         assert!((s - 1.5 * 1.08).abs() < 1e-12);
-    }
-
-    #[test]
-    fn host_contention_compounds() {
-        let pure = InterferenceModel::pure_gpu();
-        let mixed = InterferenceModel::with_host_contention(0.25);
-        let fbrs = [0.7, 0.7];
-        assert!((pure.slowdown(&fbrs) - 1.4 * 1.04).abs() < 1e-12);
-        assert!((mixed.slowdown(&fbrs) - 1.75 * 1.04).abs() < 1e-12);
-        // Contention hurts even an unsaturated GPU (host does the staging).
-        assert!((mixed.slowdown(&[0.1]) - 1.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn negative_contention_clamped() {
-        let m = InterferenceModel::with_host_contention(-1.0);
-        assert_eq!(m.host_contention, 0.0);
     }
 }

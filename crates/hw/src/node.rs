@@ -67,13 +67,6 @@ impl InstanceKind {
         InstanceKind::P3_2xlarge,
     ];
 
-    /// The CPU-only kinds, cheapest first.
-    pub const CPUS: [InstanceKind; 3] = [
-        InstanceKind::M4_xlarge,
-        InstanceKind::C6i_2xlarge,
-        InstanceKind::C6i_4xlarge,
-    ];
-
     /// Full static description of the instance.
     pub fn spec(self) -> InstanceSpec {
         match self {
@@ -219,6 +212,10 @@ pub struct InstanceSpec {
 mod tests {
     use super::*;
 
+    fn cpus() -> impl Iterator<Item = InstanceKind> {
+        InstanceKind::ALL.into_iter().filter(|k| !k.is_gpu())
+    }
+
     #[test]
     fn table_ii_prices() {
         // Pinned against the paper's Table II.
@@ -256,11 +253,6 @@ mod tests {
             .map(|k| k.price_per_hour())
             .collect();
         assert!(prices.windows(2).all(|w| w[0] <= w[1]));
-        let prices: Vec<f64> = InstanceKind::CPUS
-            .iter()
-            .map(|k| k.price_per_hour())
-            .collect();
-        assert!(prices.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
@@ -277,7 +269,7 @@ mod tests {
                 > InstanceKind::G3s_xlarge.kv_capacity_tokens()
         );
         // Every CPU node sits below every GPU node.
-        for c in InstanceKind::CPUS {
+        for c in cpus() {
             for g in InstanceKind::GPUS {
                 assert!(c.kv_capacity_tokens() < g.kv_capacity_tokens());
             }
@@ -297,7 +289,7 @@ mod tests {
     #[test]
     fn any_gpu_outranks_any_cpu() {
         for g in InstanceKind::GPUS {
-            for c in InstanceKind::CPUS {
+            for c in cpus() {
                 assert!(g.performance_index() > c.performance_index());
             }
         }

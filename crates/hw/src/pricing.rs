@@ -41,22 +41,12 @@ impl CostMeter {
             .sum()
     }
 
-    /// Total node-hours across all kinds.
-    pub fn total_hours(&self) -> f64 {
-        self.usage.iter().map(|&(_, h)| h).sum()
-    }
-
     /// Hours accumulated on a specific kind.
     pub fn hours_on(&self, kind: InstanceKind) -> f64 {
         self.usage
             .iter()
             .find(|(k, _)| *k == kind)
             .map_or(0.0, |&(_, h)| h)
-    }
-
-    /// Dollars accumulated on a specific kind.
-    pub fn dollars_on(&self, kind: InstanceKind) -> f64 {
-        self.hours_on(kind) * kind.price_per_hour()
     }
 
     /// Per-kind breakdown, most expensive first.
@@ -68,13 +58,6 @@ impl CostMeter {
             .collect();
         out.sort_by(|a, b| b.1.total_cmp(&a.1));
         out
-    }
-
-    /// Merge another meter into this one.
-    pub fn merge(&mut self, other: &CostMeter) {
-        for &(k, h) in &other.usage {
-            self.add_usage_hours(k, h);
-        }
     }
 }
 
@@ -122,7 +105,7 @@ mod tests {
         m.add_usage_hours(InstanceKind::M4_xlarge, -1.0);
         m.add_usage_hours(InstanceKind::M4_xlarge, 0.0);
         assert_eq!(m.total_dollars(), 0.0);
-        assert_eq!(m.total_hours(), 0.0);
+        assert!(m.usage.is_empty());
     }
 
     #[test]
@@ -132,18 +115,6 @@ mod tests {
         m.add_usage_hours(InstanceKind::C6i_2xlarge, 2.0);
         assert_eq!(m.hours_on(InstanceKind::C6i_2xlarge), 3.0);
         assert_eq!(m.usage.len(), 1);
-    }
-
-    #[test]
-    fn merge_sums() {
-        let mut a = CostMeter::new();
-        a.add_usage_hours(InstanceKind::P2_xlarge, 1.0);
-        let mut b = CostMeter::new();
-        b.add_usage_hours(InstanceKind::P2_xlarge, 1.0);
-        b.add_usage_hours(InstanceKind::M4_xlarge, 5.0);
-        a.merge(&b);
-        assert_eq!(a.hours_on(InstanceKind::P2_xlarge), 2.0);
-        assert_eq!(a.hours_on(InstanceKind::M4_xlarge), 5.0);
     }
 
     #[test]
