@@ -20,13 +20,11 @@
 //!   FBRs than vision models (batch 8, peak 8 rps);
 //! * CPU nodes sustain only ~25 rps for high-FBR workloads (§IV-A).
 
-pub mod cards;
 pub mod model;
 pub mod profile;
 pub mod sebs;
 pub mod tokens;
 
-pub use cards::{card, ModelCard};
 pub use model::{MlModel, ModelClass};
 pub use profile::Profile;
 pub use sebs::SebsWorkload;

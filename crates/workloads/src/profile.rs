@@ -225,15 +225,6 @@ impl Profile {
         kind.gpu().map_or(0.0, |g| Self::fbr(model, g))
     }
 
-    /// FBR of a batch of `batch` requests (instead of the full default
-    /// batch). Bandwidth demand tracks the *item throughput* of the batch:
-    /// a partial batch streams fewer activations per second (the fixed
-    /// launch overhead dilutes it), so its bandwidth share shrinks
-    /// accordingly. Equal to [`Self::fbr_on`] at the default batch size.
-    pub fn fbr_for_batch(model: MlModel, kind: InstanceKind, batch: u32) -> f64 {
-        Self::batch_scale(model, kind, batch) * Self::fbr_on(model, kind)
-    }
-
     /// SM (compute) occupancy of one executing batch: the fraction of the
     /// device's compute throughput the batch's kernels keep busy. Small on
     /// the V100 (80 SMs — concurrency is nearly free, which is why the (P)
@@ -260,7 +251,9 @@ impl Profile {
         }
     }
 
-    /// Effective share of a partial batch (scaled like [`Self::fbr_for_batch`]).
+    /// Effective share of a batch of `batch` requests: demand tracks the
+    /// batch's *item throughput*, so a partial batch's share shrinks. Equal
+    /// to [`Self::effective_share`] at the default batch size.
     pub fn effective_share_for_batch(model: MlModel, kind: InstanceKind, batch: u32) -> f64 {
         Self::batch_scale(model, kind, batch) * Self::effective_share(model, kind)
     }
@@ -283,11 +276,6 @@ impl Profile {
     /// batches can be spatially co-located on a device.
     pub fn batch_mem_gib(model: MlModel) -> f64 {
         raw(model).mem_gib
-    }
-
-    /// Maximum number of batches that fit in the device memory at once.
-    pub fn max_resident_batches(model: MlModel, gpu: GpuModel) -> u32 {
-        ((gpu.memory_gib() / raw(model).mem_gib).floor() as u32).max(1)
     }
 
     /// Whether the paper classes this model as "high-FBR" (peak trace rate
@@ -559,12 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn resident_batch_limits() {
-        assert!(Profile::max_resident_batches(MlModel::FunnelTransformer, GpuModel::M60) <= 2);
-        assert!(Profile::max_resident_batches(MlModel::MobileNet, GpuModel::V100) >= 16);
-    }
-
-    #[test]
     fn solo_monotone_in_batch() {
         for m in [MlModel::ResNet50, MlModel::Bert] {
             for k in [InstanceKind::P3_2xlarge, InstanceKind::C6i_4xlarge] {
@@ -579,23 +561,26 @@ mod tests {
     }
 
     #[test]
-    fn fbr_scales_with_batch_size() {
+    fn share_scales_with_batch_size() {
         let m = MlModel::GoogleNet;
         let k = InstanceKind::G3s_xlarge;
-        let full = Profile::fbr_for_batch(m, k, Profile::default_batch(m));
-        assert!((full - Profile::fbr_on(m, k)).abs() < 1e-12);
-        let small = Profile::fbr_for_batch(m, k, 8);
+        let full = Profile::effective_share_for_batch(m, k, Profile::default_batch(m));
+        assert!((full - Profile::effective_share(m, k)).abs() < 1e-12);
+        let small = Profile::effective_share_for_batch(m, k, 8);
         assert!(small < full, "partial batches demand less bandwidth");
         assert!(small > 0.0);
         // Monotone in batch size.
         let mut prev = 0.0;
         for bs in [1, 4, 16, 64] {
-            let f = Profile::fbr_for_batch(m, k, bs);
+            let f = Profile::effective_share_for_batch(m, k, bs);
             assert!(f >= prev);
             prev = f;
         }
         // CPU nodes contend on nothing.
-        assert_eq!(Profile::fbr_for_batch(m, InstanceKind::C6i_4xlarge, 8), 0.0);
+        assert_eq!(
+            Profile::effective_share_for_batch(m, InstanceKind::C6i_4xlarge, 8),
+            0.0
+        );
     }
 
     #[test]

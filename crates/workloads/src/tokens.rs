@@ -93,20 +93,6 @@ impl TokenCard {
             }
         }
     }
-
-    /// Expected KV-token footprint of one request (mean prefill + decode),
-    /// used by the scheduler to turn an observed request rate into KV
-    /// demand.
-    pub fn mean_kv_tokens(self) -> f64 {
-        match self {
-            TokenCard::ShortChat => (16.0 + 64.0) / 2.0 + (8.0 + 32.0) / 2.0,
-            TokenCard::LongDoc => (128.0 + 256.0) / 2.0 + (48.0 + 96.0) / 2.0,
-            TokenCard::Bimodal => {
-                0.8 * ((16.0 + 32.0) / 2.0 + (4.0 + 8.0) / 2.0)
-                    + 0.2 * ((192.0 + 256.0) / 2.0 + (64.0 + 128.0) / 2.0)
-            }
-        }
-    }
 }
 
 /// One request's concrete token lengths.
@@ -232,7 +218,11 @@ mod tests {
         let per_seq_share = |m: MlModel| {
             Profile::effective_share(m, InstanceKind::P3_2xlarge) / Profile::default_batch(m) as f64
         };
-        let by_kv = |c: TokenCard| kv_cap / c.mean_kv_tokens();
+        // Mean prefill + decode of each card's uniform draw ranges.
+        let by_kv = |c: TokenCard| match c {
+            TokenCard::LongDoc => kv_cap / ((128.0 + 256.0) / 2.0 + (48.0 + 96.0) / 2.0),
+            _ => kv_cap / ((16.0 + 64.0) / 2.0 + (8.0 + 32.0) / 2.0),
+        };
         let by_share = |m: MlModel| 1.0 / per_seq_share(m);
         assert!(
             by_kv(TokenCard::LongDoc) < by_share(MlModel::Bert),
