@@ -141,19 +141,6 @@ impl Batcher {
         }
     }
 
-    /// Unconditionally close whatever is pending (used when draining a
-    /// worker during a hardware transition).
-    pub fn flush_all(&mut self, now: SimTime, alloc: &mut impl FnMut() -> BatchId) -> Vec<Batch> {
-        let mut out = Vec::new();
-        while !self.pending.is_empty() {
-            let b = self
-                .close(now, alloc)
-                .expect("invariant: close always yields a batch while requests are pending");
-            out.push(b);
-        }
-        out
-    }
-
     /// When the current oldest request's effective window expires (for
     /// scheduling the next flush check).
     pub fn next_deadline(&self) -> Option<SimTime> {
@@ -242,22 +229,6 @@ mod tests {
             .unwrap();
         assert_eq!(batch.size(), 2);
         assert_eq!(b.pending(), 1);
-    }
-
-    #[test]
-    fn flush_all_drains_in_batch_sized_chunks() {
-        let (mut b, mut alloc) = mk();
-        for i in 0..10 {
-            // Avoid the size trigger by growing the batch size first.
-            b.set_batch_size(100);
-            b.push(req(i, 0), SimTime::ZERO, &mut alloc);
-        }
-        b.set_batch_size(4);
-        let batches = b.flush_all(SimTime::from_millis(1), &mut alloc);
-        assert_eq!(batches.len(), 3);
-        assert_eq!(batches[0].size(), 4);
-        assert_eq!(batches[2].size(), 2);
-        assert_eq!(b.pending(), 0);
     }
 
     #[test]

@@ -147,14 +147,6 @@ impl SharedDevice {
         self.version
     }
 
-    /// Forcibly remove a job (node failure); returns it if present.
-    pub fn evict(&mut self, now: SimTime, batch: BatchId) -> Option<DeviceJob> {
-        self.advance(now);
-        let idx = self.active.iter().position(|j| j.batch == batch)?;
-        self.version += 1;
-        Some(self.active.swap_remove(idx))
-    }
-
     /// Remove every job (node failure); returns them.
     pub fn evict_all(&mut self, now: SimTime) -> Vec<DeviceJob> {
         self.advance(now);
@@ -224,13 +216,6 @@ impl SharedDevice {
     /// Accumulated non-idle seconds.
     pub fn busy_seconds(&self) -> f64 {
         self.busy_s
-    }
-
-    /// Update the host-contention factor (mixed-workload study).
-    pub fn set_host_contention(&mut self, now: SimTime, factor: f64) {
-        self.advance(now);
-        self.host_contention = factor.max(0.0);
-        self.version += 1;
     }
 
     /// Set the injected MPS-degradation severity (fault layer). Advances
@@ -616,16 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn evict_returns_partial_work() {
-        let mut d = SharedDevice::new(SimTime::ZERO, 0.0);
-        d.admit(SimTime::ZERO, BatchId(1), MlModel::ResNet50, 0.3, 0.100);
-        let j = d.evict(ms(40), BatchId(1)).unwrap();
-        assert!((j.remaining_s - 0.06).abs() < 1e-9);
-        assert!(d.evict(ms(40), BatchId(1)).is_none());
-        assert!(!d.is_busy());
-    }
-
-    #[test]
     fn evict_all_for_node_failure() {
         let mut d = SharedDevice::new(SimTime::ZERO, 0.0);
         d.admit(SimTime::ZERO, BatchId(1), MlModel::ResNet50, 0.3, 0.1);
@@ -660,15 +635,6 @@ mod tests {
         d.admit(SimTime::ZERO, BatchId(1), MlModel::ResNet50, 0.3, 0.0);
         assert_eq!(d.next_completion(), Some(SimTime::ZERO));
         assert_eq!(d.pop_completed(SimTime::ZERO).len(), 1);
-    }
-
-    #[test]
-    fn set_host_contention_mid_flight() {
-        let mut d = SharedDevice::new(SimTime::ZERO, 0.0);
-        d.admit(SimTime::ZERO, BatchId(1), MlModel::ResNet50, 0.3, 0.100);
-        d.set_host_contention(ms(50), 1.0);
-        // 50 ms of work left, now at half speed → completes at 150 ms.
-        assert_eq!(d.next_completion(), Some(ms(150)));
     }
 
     #[test]

@@ -63,16 +63,6 @@ impl Observation {
         self.models.iter().find(|o| o.model == m)
     }
 
-    /// Total predicted rate across models.
-    pub fn total_predicted_rps(&self) -> f64 {
-        self.models.iter().map(|m| m.predicted_rps).sum()
-    }
-
-    /// Total pending requests across models.
-    pub fn total_pending(&self) -> u64 {
-        self.models.iter().map(|m| m.pending_requests).sum()
-    }
-
     /// Total KV-token demand across models (0 under request-level mode).
     pub fn total_kv_demand(&self) -> u64 {
         self.models.iter().map(|m| m.kv_demand_tokens).sum()
@@ -184,9 +174,7 @@ mod tests {
         };
         assert_eq!(obs.model(MlModel::ResNet50).unwrap().pending_requests, 10);
         assert!(obs.model(MlModel::Bert).is_none());
-        assert_eq!(obs.total_pending(), 15);
         assert_eq!(obs.total_kv_demand(), 96);
-        assert!((obs.total_predicted_rps() - 145.0).abs() < 1e-12);
     }
 
     #[test]

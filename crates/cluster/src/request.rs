@@ -94,12 +94,6 @@ impl CompletedRequest {
         (self.batch_closed - self.arrival).as_millis_f64()
     }
 
-    /// The dispatch share of the wait: batch close → execution start
-    /// (container + device queueing), ms.
-    pub fn dispatch_wait_ms(&self) -> f64 {
-        (self.exec_start - self.batch_closed).as_millis_f64()
-    }
-
     /// Actual execution time, ms.
     pub fn exec_ms(&self) -> f64 {
         (self.completed - self.exec_start).as_millis_f64()
@@ -147,8 +141,6 @@ mod tests {
             c.queue_ms() + c.solo_ms + c.interference_ms(),
             c.latency_ms()
         );
-        // The wait splits exactly into batching + dispatch.
-        assert_eq!(c.batching_ms() + c.dispatch_wait_ms(), c.queue_ms());
     }
 
     #[test]

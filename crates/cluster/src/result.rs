@@ -78,25 +78,6 @@ impl RunResult {
         ok as f64 / total as f64
     }
 
-    /// Per-model SLO compliance (multi-model runs). Uses the arrival count
-    /// as the denominator so unserved requests count as violations.
-    pub fn slo_compliance_of(&self, model: paldia_workloads::MlModel, slo_ms: f64) -> f64 {
-        let arrived = self
-            .arrived_per_model
-            .iter()
-            .find(|&&(m, _)| m == model)
-            .map_or(0, |&(_, n)| n);
-        if arrived == 0 {
-            return 1.0;
-        }
-        let ok = self
-            .completed
-            .iter()
-            .filter(|c| c.model == model && c.within_slo(slo_ms))
-            .count() as u64;
-        ok as f64 / arrived as f64
-    }
-
     /// Total dollars spent.
     pub fn total_cost(&self) -> f64 {
         self.cost.total_dollars()

@@ -80,15 +80,6 @@ struct IterState {
     running: bool,
 }
 
-/// Why admission stopped for a model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdmissionBlock {
-    /// Needs a container; reactive scale-up should spawn one.
-    NoContainer,
-    /// Device-side cap or memory limit reached; wait for a completion.
-    CapReached,
-}
-
 impl Worker {
     /// Lease a new worker. `provision_delay` covers VM launch plus warming
     /// the `initial_warm` containers; the worker is routable afterwards.
@@ -323,25 +314,9 @@ impl Worker {
         }
     }
 
-    /// True while an iteration is in flight (joins must wait for the
-    /// boundary tick).
-    pub fn iter_running(&self) -> bool {
-        self.iter.as_ref().is_some_and(|it| it.running)
-    }
-
-    /// Current engine version, for boundary-tick staleness checks.
-    pub fn iter_version(&self) -> Option<u64> {
-        self.iter.as_ref().map(|it| it.engine.version())
-    }
-
     /// Sequences waiting to join.
     pub fn iter_waiting(&self) -> u32 {
         self.iter.as_ref().map_or(0, |it| it.wait.len() as u32)
-    }
-
-    /// Sequences resident in the running batch.
-    pub fn iter_residents(&self) -> u32 {
-        self.iter.as_ref().map_or(0, |it| it.engine.residents())
     }
 
     /// KV tokens demanded by this model's live sequences (resident plus
@@ -558,28 +533,6 @@ impl Worker {
                 .as_ref()
                 .is_none_or(|it| !it.engine.is_busy() && it.wait.is_empty())
     }
-
-    /// Total requests sitting in this worker (queued + executing).
-    pub fn backlog_requests(&self, model: MlModel) -> u64 {
-        let queued = self.queued_requests(model);
-        let executing: u64 = self
-            .executing
-            .values()
-            .filter(|b| b.model == model)
-            .map(|b| b.size() as u64)
-            .sum();
-        let resident = self
-            .iter
-            .as_ref()
-            .map_or(0, |it| it.engine.resident_count_of(model)) as u64;
-        queued + executing + resident
-    }
-
-    /// Lease span in hours up to `now` (or to the lease end for released
-    /// workers — tracked by the harness).
-    pub fn lease_hours(&self, until: SimTime) -> f64 {
-        until.saturating_since(self.lease_start).as_hours_f64()
-    }
 }
 
 #[cfg(test)]
@@ -744,16 +697,6 @@ mod tests {
         let t = w.device.next_completion().unwrap();
         w.collect_completions(t);
         assert!(w.is_idle());
-    }
-
-    #[test]
-    fn backlog_counts_queued_and_executing() {
-        let mut w = gpu_worker(InstanceKind::G3s_xlarge, 1);
-        w.set_caps(Some(1), &[]);
-        w.enqueue(batch(1, MlModel::ResNet50, 64, SimTime::ZERO));
-        w.enqueue(batch(2, MlModel::ResNet50, 32, SimTime::ZERO));
-        w.admit_ready(SimTime::ZERO, &mut Tracer::disabled());
-        assert_eq!(w.backlog_requests(MlModel::ResNet50), 96);
     }
 
     #[test]
