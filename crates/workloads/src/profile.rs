@@ -220,11 +220,6 @@ impl Profile {
         (raw(model).bw_demand_gbps / gpu.mem_bandwidth_gbps()).min(1.0)
     }
 
-    /// FBR on an instance kind; zero for CPU nodes (no GPU to contend on).
-    pub fn fbr_on(model: MlModel, kind: InstanceKind) -> f64 {
-        kind.gpu().map_or(0.0, |g| Self::fbr(model, g))
-    }
-
     /// SM (compute) occupancy of one executing batch: the fraction of the
     /// device's compute throughput the batch's kernels keep busy. Small on
     /// the V100 (80 SMs — concurrency is nearly free, which is why the (P)
