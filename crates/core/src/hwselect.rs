@@ -141,11 +141,6 @@ impl Hysteresis {
         self.wait_ctr = 0;
         self.last_choice = None;
     }
-
-    /// Current consecutive-mismatch count.
-    pub fn pending_mismatches(&self) -> u32 {
-        self.wait_ctr
-    }
 }
 
 #[cfg(test)]
@@ -270,7 +265,7 @@ mod tests {
         assert_eq!(h.update(cur, want, 3), None);
         assert_eq!(h.update(cur, want, 3), None);
         assert_eq!(h.update(cur, want, 3), Some(want));
-        assert_eq!(h.pending_mismatches(), 0);
+        assert_eq!(h.wait_ctr, 0);
     }
 
     #[test]

@@ -60,43 +60,9 @@ impl TmaxInputs {
         queued + spatial
     }
 
-    /// The paper's validity constraints on a candidate `y`:
-    /// (i) `N > y`, (ii) `((N − y)/BS) · FBR > 1`.
-    pub fn is_valid_y(&self, y: u64) -> bool {
-        if y >= self.n_requests {
-            return false;
-        }
-        let bs = self.batch_size.max(1) as f64;
-        ((self.n_requests - y) as f64 / bs) * self.fbr > 1.0
-    }
-
-    /// The paper's "optimal range": all `y` satisfying both constraints,
-    /// i.e. `0 ≤ y < N − BS/FBR`. `None` when the range is empty (too few
-    /// requests to co-locate enough batches — the interference regime is
-    /// never entered).
-    pub fn optimal_range(&self) -> Option<std::ops::Range<u64>> {
-        if self.fbr <= 0.0 || self.n_requests == 0 {
-            return None;
-        }
-        let bs = self.batch_size.max(1) as f64;
-        // y < N − BS/FBR (strict): largest integer y is ceil(N − BS/FBR) − 1.
-        let bound = self.n_requests as f64 - bs / self.fbr;
-        if bound <= 0.0 {
-            return None;
-        }
-        let hi = bound.ceil() as u64; // exclusive upper bound
-        Some(0..hi.min(self.n_requests))
-    }
-
-    /// Candidate `y` values to probe: batch-granular steps across `[0, N]`
-    /// (queueing a fraction of a batch changes nothing — batches are the
-    /// scheduling unit), always including the endpoints.
-    pub fn candidate_ys(&self) -> Vec<u64> {
-        self.probe_ys().collect()
-    }
-
-    /// The values of [`candidate_ys`](Self::candidate_ys), ascending,
-    /// without allocating.
+    /// Candidate `y` values to probe, ascending: batch-granular steps
+    /// across `[0, N]` (queueing a fraction of a batch changes nothing —
+    /// batches are the scheduling unit), always including both endpoints.
     fn probe_ys(&self) -> impl Iterator<Item = u64> {
         let bs = u64::from(self.batch_size.max(1));
         let n = self.n_requests;
@@ -105,10 +71,10 @@ impl TmaxInputs {
         })
     }
 
-    /// Exhaustively minimize `T_max` over batch-granular `y` (preferring,
-    /// per the paper, values in the optimal range — spatial sharing must
-    /// stay meaningfully loaded — but falling back to the `max(1,·)`
-    /// extension when the range is empty). Returns `(best_y, T_max(best_y))`.
+    /// Exhaustively minimize `T_max` over the batch-granular `y` of
+    /// `probe_ys`. The whole of `[0, N]` is searched rather than only the
+    /// paper's optimal range, because the `max(1, ·)` extension keeps
+    /// `T_max` meaningful outside it. Returns `(best_y, T_max(best_y))`.
     /// Deterministic: ties break toward smaller `y` (more spatial sharing).
     pub fn best_y(&self) -> (u64, f64) {
         let mut best = (0u64, f64::INFINITY);
@@ -160,31 +126,12 @@ mod tests {
     }
 
     #[test]
-    fn constraints_match_paper() {
-        let i = inputs(100.0, 64, 0.5, 256);
-        // (N − y)/BS · FBR > 1 ⇔ (256 − y)/64 > 2 ⇔ y < 128.
-        assert!(i.is_valid_y(0));
-        assert!(i.is_valid_y(127));
-        assert!(!i.is_valid_y(128));
-        assert!(!i.is_valid_y(256));
-        let r = i.optimal_range().unwrap();
-        assert_eq!(r, 0..128);
-    }
-
-    #[test]
-    fn optimal_range_empty_for_light_load() {
+    fn light_load_runs_at_solo_speed() {
         // One batch's worth of requests never enters the interference
-        // regime on any FBR < 1 device.
+        // regime on any FBR < 1 device; t_max still works via the max(1,·)
+        // extension.
         let i = inputs(100.0, 64, 0.5, 64);
-        assert!(i.optimal_range().is_none());
-        // ...but t_max still works via the max(1,·) extension.
         assert!((i.t_max(0) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn optimal_range_empty_for_zero_fbr_or_no_requests() {
-        assert!(inputs(100.0, 64, 0.0, 1_000).optimal_range().is_none());
-        assert!(inputs(100.0, 64, 0.5, 0).optimal_range().is_none());
     }
 
     #[test]
@@ -193,35 +140,33 @@ mod tests {
         // > 0 while saturated, so y = 0 is optimal; once unsaturated the
         // spatial term pins at Solo and queueing grows linearly.
         let i = inputs(100.0, 32, 0.8, 320);
-        let ts: Vec<f64> = i.candidate_ys().iter().map(|&y| i.t_max(y)).collect();
+        let ts: Vec<f64> = i.probe_ys().map(|y| i.t_max(y)).collect();
         let min = ts.iter().copied().fold(f64::INFINITY, f64::min);
         assert!((i.t_max(0) - min).abs() < 1e-9);
     }
 
     #[test]
-    fn candidate_ys_are_batch_granular_with_endpoints() {
+    fn probe_ys_are_batch_granular_with_endpoints() {
         let i = inputs(100.0, 64, 0.5, 200);
-        let ys = i.candidate_ys();
+        let ys: Vec<u64> = i.probe_ys().collect();
         assert_eq!(ys, vec![0, 64, 128, 192, 200]);
     }
 
     #[test]
-    fn candidate_ys_match_stepped_range_plus_endpoint() {
+    fn probe_ys_match_stepped_range_plus_endpoint() {
         for bs in [1u32, 3, 8, 64, 500] {
             for n in [0u64, 1, 2, 7, 8, 9, 63, 64, 65, 200, 1_000] {
                 let mut want: Vec<u64> = (0..=n).step_by(bs as usize).collect();
                 if want.last() != Some(&n) {
                     want.push(n);
                 }
-                assert_eq!(
-                    inputs(100.0, bs, 0.5, n).candidate_ys(),
-                    want,
-                    "bs {bs} n {n}"
-                );
+                let got: Vec<u64> = inputs(100.0, bs, 0.5, n).probe_ys().collect();
+                assert_eq!(got, want, "bs {bs} n {n}");
             }
         }
         // Batch size 0 probes like 1.
-        assert_eq!(inputs(100.0, 0, 0.5, 3).candidate_ys(), vec![0, 1, 2, 3]);
+        let ys: Vec<u64> = inputs(100.0, 0, 0.5, 3).probe_ys().collect();
+        assert_eq!(ys, vec![0, 1, 2, 3]);
     }
 
     #[test]
