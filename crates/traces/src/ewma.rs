@@ -81,12 +81,6 @@ impl EwmaPredictor {
         }
     }
 
-    /// The defaults used by the Hardware Selection module: reactive level,
-    /// mild trend.
-    pub fn paldia_default() -> Self {
-        EwmaPredictor::new(0.5, 0.2)
-    }
-
     /// Plain EWMA (no trend) with the given alpha.
     pub fn plain(alpha: f64) -> Self {
         EwmaPredictor::new(alpha, 0.0)
@@ -114,11 +108,6 @@ impl EwmaPredictor {
     /// Current smoothed level.
     pub fn level(&self) -> f64 {
         self.level
-    }
-
-    /// True once at least one observation has been fed.
-    pub fn is_initialized(&self) -> bool {
-        self.initialized
     }
 }
 
@@ -155,7 +144,7 @@ mod tests {
 
     #[test]
     fn first_observation_initializes_level() {
-        let mut p = EwmaPredictor::paldia_default();
+        let mut p = EwmaPredictor::new(0.5, 0.2);
         p.observe(120.0);
         assert_eq!(p.level(), 120.0);
         assert_eq!(p.predict(4.0), 120.0);

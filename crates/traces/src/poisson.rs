@@ -9,14 +9,6 @@
 use crate::trace::RateTrace;
 use paldia_sim::SimDuration;
 
-/// Default duration of the exhaustion experiment.
-pub const POISSON_DURATION_SECS: u64 = 10 * 60;
-
-/// Constant-rate trace at `rate_rps` for the default duration.
-pub fn poisson_trace(rate_rps: f64) -> RateTrace {
-    poisson_trace_with(rate_rps, SimDuration::from_secs(POISSON_DURATION_SECS))
-}
-
 /// Constant-rate trace with explicit duration.
 pub fn poisson_trace_with(rate_rps: f64, duration: SimDuration) -> RateTrace {
     RateTrace::constant(rate_rps, duration, SimDuration::from_secs(1))
@@ -30,7 +22,7 @@ mod tests {
 
     #[test]
     fn constant_rate() {
-        let t = poisson_trace(700.0);
+        let t = poisson_trace_with(700.0, SimDuration::from_secs(600));
         assert_eq!(t.peak(), 700.0);
         assert_eq!(t.mean(), 700.0);
         assert_eq!(t.peak_to_mean(), 1.0);
