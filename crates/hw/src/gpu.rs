@@ -80,7 +80,6 @@ impl GpuModel {
             GpuModel::V100 => 4_096,
         }
     }
-
 }
 
 impl fmt::Display for GpuModel {

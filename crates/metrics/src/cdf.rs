@@ -48,17 +48,6 @@ impl Cdf {
         let rank = ((q * self.sorted.len() as f64).ceil() as usize).max(1);
         self.sorted[rank - 1]
     }
-
-    /// Sample the curve at evenly spaced quantiles (for plotting/printing):
-    /// returns (quantile, latency) pairs.
-    pub fn sample_points(&self, n: usize) -> Vec<(f64, f64)> {
-        (1..=n)
-            .map(|i| {
-                let q = i as f64 / n as f64;
-                (q, self.quantile(q))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -85,15 +74,6 @@ mod tests {
             let back = c.fraction_at_or_below(x);
             assert!((back - q).abs() < 0.002, "q {q} → {x} → {back}");
         }
-    }
-
-    #[test]
-    fn sample_points_monotone() {
-        let c = Cdf::from_samples(vec![3.0, 1.0, 2.0, 8.0, 5.0]);
-        let pts = c.sample_points(10);
-        assert_eq!(pts.len(), 10);
-        assert!(pts.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert_eq!(pts.last().unwrap().1, 8.0);
     }
 
     #[test]

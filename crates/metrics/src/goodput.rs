@@ -24,18 +24,6 @@ pub fn goodput_in_window(
     ok as f64 / window_s
 }
 
-/// Offered rate over the same window (arrivals per second), for the
-/// goodput-vs-offered comparison line of Fig. 7a. Counts both served and
-/// violating requests that arrived in the window.
-pub fn offered_in_window(arrivals_in_window: usize, from: SimTime, to: SimTime) -> f64 {
-    let window_s = (to - from).as_secs_f64();
-    if window_s <= 0.0 {
-        0.0
-    } else {
-        arrivals_in_window as f64 / window_s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,11 +68,5 @@ mod tests {
             goodput_in_window(&[], SimTime::from_secs(5), SimTime::from_secs(5), 200.0),
             0.0
         );
-    }
-
-    #[test]
-    fn offered_rate() {
-        let r = offered_in_window(500, SimTime::from_secs(0), SimTime::from_secs(10));
-        assert!((r - 50.0).abs() < 1e-12);
     }
 }

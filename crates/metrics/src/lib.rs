@@ -26,6 +26,6 @@ pub use cdf::Cdf;
 pub use faults::FaultImpact;
 pub use goodput::goodput_in_window;
 pub use latency::{percentile, LatencyStats};
-pub use summary::{average_with_outlier_rejection, SchemeSummary};
+pub use summary::average_with_outlier_rejection;
 pub use table::TextTable;
 pub use timeseries::TimeSeries;

@@ -1,47 +1,4 @@
-//! Per-scheme summaries and repetition averaging.
-
-use crate::latency::LatencyStats;
-use paldia_cluster::RunResult;
-
-/// The headline numbers for one scheme on one experiment.
-#[derive(Clone, Debug)]
-pub struct SchemeSummary {
-    /// Scheme name (paper legend label).
-    pub scheme: String,
-    /// SLO compliance in `[0, 1]`.
-    pub slo_compliance: f64,
-    /// Total cost, $.
-    pub cost: f64,
-    /// Latency statistics.
-    pub latency: LatencyStats,
-    /// Mean power draw, W.
-    pub mean_power_w: f64,
-    /// GPU-node utilization (None if no GPU leased).
-    pub gpu_utilization: Option<f64>,
-    /// CPU-node utilization (None if no CPU leased).
-    pub cpu_utilization: Option<f64>,
-    /// Cold starts paid.
-    pub cold_starts: u64,
-    /// Hardware transitions performed.
-    pub transitions: u64,
-}
-
-impl SchemeSummary {
-    /// Summarize a run at the given SLO.
-    pub fn from_run(run: &RunResult, slo_ms: f64) -> SchemeSummary {
-        SchemeSummary {
-            scheme: run.scheme.clone(),
-            slo_compliance: run.slo_compliance(slo_ms),
-            cost: run.total_cost(),
-            latency: LatencyStats::from_completed(&run.completed),
-            mean_power_w: run.mean_power_w(),
-            gpu_utilization: run.gpu_utilization(),
-            cpu_utilization: run.cpu_utilization(),
-            cold_starts: run.cold_starts,
-            transitions: run.transitions,
-        }
-    }
-}
+//! Repetition averaging.
 
 /// Average repetition values, ignoring outliers beyond 2.5σ of the mean —
 /// the paper's stated procedure ("outliers of more than 2.5× the standard

@@ -29,12 +29,6 @@ impl TextTable {
         self
     }
 
-    /// Append a row of string slices.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -79,66 +73,24 @@ impl TextTable {
     }
 }
 
-impl TextTable {
-    /// Render as GitHub-flavoured Markdown.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        let row = |cells: &[String]| format!("| {} |\n", cells.join(" | "));
-        out.push_str(&row(&self.header));
-        out.push_str(&format!(
-            "|{}\n",
-            self.header.iter().map(|_| "---|").collect::<String>()
-        ));
-        for r in &self.rows {
-            out.push_str(&row(r));
-        }
-        out
-    }
-
-    /// Render as CSV (cells containing commas or quotes are quoted).
-    pub fn to_csv(&self) -> String {
-        let esc = |c: &String| {
-            if c.contains(',') || c.contains('"') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.clone()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(&self.header.iter().map(esc).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.iter().map(esc).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Format a fraction as a percentage with two decimals ("99.55%").
-pub fn pct(x: f64) -> String {
-    format!("{:.2}%", 100.0 * x)
-}
-
 /// Format milliseconds ("123.4ms").
 pub fn ms(x: f64) -> String {
     format!("{x:.1}ms")
-}
-
-/// Format dollars ("$1.2345").
-pub fn dollars(x: f64) -> String {
-    format!("${x:.4}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn cells(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn renders_aligned() {
         let mut t = TextTable::new(&["scheme", "SLO", "cost"]);
-        t.row_str(&["Paldia", "99.55%", "$0.31"]);
-        t.row_str(&["INFless/Llama ($)", "89.43%", "$0.30"]);
+        t.row(&cells(&["Paldia", "99.55%", "$0.31"]));
+        t.row(&cells(&["INFless/Llama ($)", "89.43%", "$0.30"]));
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -154,29 +106,11 @@ mod tests {
     #[should_panic]
     fn row_width_mismatch_panics() {
         let mut t = TextTable::new(&["a", "b"]);
-        t.row_str(&["only one"]);
-    }
-
-    #[test]
-    fn markdown_export() {
-        let mut t = TextTable::new(&["a", "b"]);
-        t.row_str(&["1", "2"]);
-        let md = t.to_markdown();
-        assert_eq!(md, "| a | b |\n|---|---|\n| 1 | 2 |\n");
-    }
-
-    #[test]
-    fn csv_export_escapes() {
-        let mut t = TextTable::new(&["name", "value"]);
-        t.row_str(&["has,comma", "has\"quote"]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "name,value\n\"has,comma\",\"has\"\"quote\"\n");
+        t.row(&cells(&["only one"]));
     }
 
     #[test]
     fn formatters() {
-        assert_eq!(pct(0.9955), "99.55%");
         assert_eq!(ms(123.44), "123.4ms");
-        assert_eq!(dollars(1.23456), "$1.2346");
     }
 }
