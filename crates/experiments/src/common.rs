@@ -183,29 +183,6 @@ pub fn run_once(
     run(spec).into_lone()
 }
 
-/// Run `opts.reps` repetitions with derived seeds. Routed through the
-/// parallel runner: repetitions execute as independent pool cells and come
-/// back in seed order.
-pub fn run_reps(
-    scheme: &SchemeKind,
-    workloads: &[WorkloadSpec],
-    catalog: &Catalog,
-    cfg: &SimConfig,
-    opts: &RunOpts,
-) -> Vec<RunResult> {
-    crate::runner::run_grid(
-        vec![crate::runner::GridCell::new(
-            scheme.clone(),
-            workloads.to_vec(),
-            cfg.clone(),
-        )],
-        catalog,
-        opts,
-    )
-    .pop()
-    .expect("one cell in, one cell out")
-}
-
 /// Outlier-rejected average of a per-run metric.
 pub fn avg_metric(runs: &[RunResult], f: impl Fn(&RunResult) -> f64) -> f64 {
     let vals: Vec<f64> = runs.iter().map(f).collect();
@@ -239,11 +216,6 @@ pub struct ExperimentReport {
 }
 
 impl ExperimentReport {
-    /// True when every shape check held.
-    pub fn all_hold(&self) -> bool {
-        self.checks.iter().all(|c| c.holds)
-    }
-
     /// Render the report (table + checks) for the repro binary.
     pub fn render(&self) -> String {
         let mut out = format!("== {} — {} ==\n{}\n", self.id, self.title, self.table);
@@ -334,7 +306,10 @@ mod tests {
             seed_base: 7,
             ..RunOpts::quick()
         };
-        let rs = run_reps(&SchemeKind::Paldia, &w, &c, &cfg, &opts);
+        let cell = crate::runner::GridCell::new(SchemeKind::Paldia, w, cfg);
+        let rs = crate::runner::run_grid(vec![cell], &c, &opts)
+            .pop()
+            .expect("one cell in, one cell out");
         assert_eq!(rs.len(), 2);
         // Different seeds → different arrival samples.
         assert_ne!(rs[0].completed.len(), rs[1].completed.len());
@@ -353,7 +328,6 @@ mod tests {
                 holds: true,
             }],
         };
-        assert!(r.all_hold());
         assert!(r.render().contains("[ok] w"));
     }
 }

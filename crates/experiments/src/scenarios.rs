@@ -3,7 +3,7 @@
 use crate::common::scale_for_model;
 use paldia_cluster::WorkloadSpec;
 use paldia_sim::SimDuration;
-use paldia_traces::{azure, poisson, twitter, wiki, RateTrace};
+use paldia_traces::{azure, poisson, twitter, wiki};
 use paldia_workloads::MlModel;
 
 /// The primary setting: one model under the Azure serverless trace, scaled
@@ -99,11 +99,6 @@ pub fn azure_peak_window() -> (paldia_sim::SimTime, paldia_sim::SimTime) {
     )
 }
 
-/// Convenience re-export for experiments needing a raw trace.
-pub fn raw_azure(seed: u64) -> RateTrace {
-    azure::azure_trace(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,7 +132,7 @@ mod tests {
     #[test]
     fn peak_window_covers_first_surge() {
         let (from, to) = azure_peak_window();
-        let t = raw_azure(1).scale_to_peak(Profile::peak_rps(MlModel::DenseNet121));
+        let t = azure::azure_trace(1).scale_to_peak(Profile::peak_rps(MlModel::DenseNet121));
         // The peak bin of the whole trace falls inside the window.
         let peak_rate = t.peak();
         let mut found = false;

@@ -48,16 +48,6 @@ impl StressSpec {
         }
     }
 
-    /// A miniature spec for tests: same shape, seconds of work.
-    pub fn smoke() -> Self {
-        StressSpec {
-            tenants: 8,
-            rps: 20.0,
-            secs: 10,
-            seed: 4242,
-        }
-    }
-
     /// Expected arrival count (rate × duration × tenants).
     pub fn arrivals(&self) -> u64 {
         (self.rps * self.secs as f64).round() as u64 * self.tenants as u64
@@ -148,7 +138,13 @@ mod tests {
 
     #[test]
     fn smoke_stress_conserves_and_is_shard_invariant() {
-        let spec = StressSpec::smoke();
+        // Same shape as the full spec, seconds of work.
+        let spec = StressSpec {
+            tenants: 8,
+            rps: 20.0,
+            secs: 10,
+            seed: 4242,
+        };
         let a = run_stress(&spec, 1);
         let b = run_stress(&spec, 3);
         assert_eq!(
