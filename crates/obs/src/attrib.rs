@@ -652,14 +652,6 @@ impl TraceAttribution {
             p99: self.breakdown(scope, 99.0)?,
         })
     }
-
-    /// Per-scope rollups for every scope present, ascending scope order.
-    pub fn rollups(&self) -> Vec<ScopeRollup> {
-        self.scopes()
-            .into_iter()
-            .filter_map(|s| self.rollup(Some(s)))
-            .collect()
-    }
 }
 
 /// Time-weighted KV-cache occupancy of one worker's iterative device,
