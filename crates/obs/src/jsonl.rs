@@ -852,19 +852,40 @@ fn string(s: &str, i: usize) -> Result<(Cow<'_, str>, usize), String> {
             Some(b'b') => out.push('\u{8}'),
             Some(b'f') => out.push('\u{c}'),
             Some(b'u') => {
-                let hex = s
-                    .get(i..i + 4)
-                    .ok_or_else(|| "truncated \\u escape".to_string())?;
-                let code =
-                    u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u escape: {e}"))?;
-                out.push(
-                    char::from_u32(code).ok_or_else(|| format!("bad \\u codepoint {code:#x}"))?,
-                );
-                i += 4;
+                let (c, end) = unicode_escape(b, i - 2)?;
+                out.push(c);
+                i = end;
             }
             other => return Err(format!("bad escape {other:?} at byte {}", i - 1)),
         }
     }
+}
+
+/// The `\uXXXX` escape whose backslash sits at `at`: exactly four ASCII
+/// hex digits, with a high surrogate joined to the `\uDC00`–`\uDFFF` that
+/// must follow it. Returns the char and the offset past the escape.
+fn unicode_escape(b: &[u8], at: usize) -> Result<(char, usize), String> {
+    let hex4 = |i: usize| {
+        b.get(i..i + 4)?
+            .iter()
+            .try_fold(0u32, |acc, &d| Some(acc << 4 | char::from(d).to_digit(16)?))
+    };
+    let unpaired = |code: u32| format!("unpaired surrogate \\u{code:04x} at byte {at}");
+    let hi = hex4(at + 2).ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+    let (code, end) = match hi {
+        0xd800..=0xdbff => {
+            let lo = (b.get(at + 6..at + 8) == Some(b"\\u"))
+                .then(|| hex4(at + 8))
+                .flatten()
+                .filter(|lo| (0xdc00..=0xdfff).contains(lo))
+                .ok_or_else(|| unpaired(hi))?;
+            (0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00), at + 12)
+        }
+        0xdc00..=0xdfff => return Err(unpaired(hi)),
+        code => (code, at + 6),
+    };
+    let c = char::from_u32(code).ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+    Ok((c, end))
 }
 
 /// The offset of the first `"` or `\` in `b` at or after `i`, else
@@ -1309,6 +1330,42 @@ pub(crate) mod tests {
                 }
                 mutated[pos] = bytes[pos];
             }
+        }
+    }
+
+    /// `\u` escapes: exactly four hex digits, surrogate pairs joined into
+    /// one char, lone or reversed surrogates refused with the offset of
+    /// their backslash.
+    #[test]
+    fn unicode_escapes_follow_the_json_grammar() {
+        let read = |lit: &str| string(lit, 0).map(|(v, end)| (v.into_owned(), end));
+        assert_eq!(read(r#""\u0041""#), Ok(("A".to_string(), 8)));
+        assert_eq!(read(r#""\u00E9x""#), Ok(("\u{e9}x".to_string(), 9)));
+        assert_eq!(
+            read(r#""a\ud83d\ude00b""#),
+            Ok(("a\u{1f600}b".to_string(), 16))
+        );
+        for (bad, at) in [
+            (r#""\u+041""#, 1),
+            (r#""\u-041""#, 1),
+            (r#""\u 041""#, 1),
+            (r#""\u041""#, 1),
+            (r#""x\u00\u00e9""#, 2),
+            (r#""\ud83d""#, 1),
+            (r#""\ud83dx""#, 1),
+            (r#""\ud83d\u0041""#, 1),
+            (r#""\ud83d\ud83d""#, 1),
+            (r#""\ude00\ud83d""#, 1),
+            (r#""ab\udfff""#, 3),
+        ] {
+            let err = read(bad).expect_err(bad);
+            assert!(err.ends_with(&format!("at byte {at}")), "{bad}: {err}");
+        }
+        // The writer's control-character escapes read back.
+        for c in (0u8..0x20).map(char::from) {
+            let mut out = String::new();
+            escape_into(&c.to_string(), &mut out);
+            assert_eq!(read(&out), Ok((c.to_string(), out.len())), "{out}");
         }
     }
 

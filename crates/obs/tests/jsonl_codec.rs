@@ -182,8 +182,10 @@ fn unknown_keys_are_ignored() {
 }
 
 /// Fragments that steer a random line into the reader's deeper paths.
-/// The last three are number tokens Rust's `parse` takes but JSON forbids.
-const TOKENS: [&str; 27] = [
+/// Three are number tokens Rust's `parse` takes but JSON forbids; the last
+/// four are the halves of a surrogate pair and hex runs `from_str_radix`
+/// would take but a `\u` escape must not.
+const TOKENS: [&str; 31] = [
     "{",
     "}",
     "[",
@@ -211,6 +213,10 @@ const TOKENS: [&str; 27] = [
     "+5",
     "007",
     "1.",
+    "\\ud83d",
+    "\\ude00",
+    "+041",
+    "d83d",
 ];
 
 proptest! {
