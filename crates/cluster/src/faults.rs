@@ -163,6 +163,7 @@ impl FaultPlan {
     }
 
     /// Add an MPS-degradation window.
+    // lint:allow(u1) builds fault plans in cluster/tests/partitioned_parity.rs
     pub fn degrade(self, start: SimTime, dur: SimDuration, severity: f64) -> Self {
         self.with_window(FaultWindow {
             start,
@@ -174,6 +175,7 @@ impl FaultPlan {
     }
 
     /// Add a container-straggler window.
+    // lint:allow(u1) builds fault plans in cluster/tests and tests/shard_invariance.rs
     pub fn straggler(self, start: SimTime, dur: SimDuration, multiplier: f64) -> Self {
         self.with_window(FaultWindow {
             start,

@@ -29,6 +29,7 @@ pub const QUICK_CAPTURE_SECS: u64 = 120;
 /// `quick` truncates the trace to [`QUICK_CAPTURE_SECS`]. Returns the
 /// captured events (ordered by sim time + sequence number) and the run's
 /// metrics.
+// lint:allow(u1) the fixed capture tests/trace_attribution.rs attributes
 pub fn capture_primary_run(quick: bool, seed: u64) -> (Vec<TraceEvent>, RunResult) {
     let mut sink = RingSink::new(CAPTURE_CAPACITY);
     let result = capture_primary_run_with(quick, seed, None, &mut sink);

@@ -95,6 +95,7 @@ impl Catalog {
     }
 
     /// Remove a kind (node-failure scenario) — returns a new catalog.
+    // lint:allow(u1) builds failover catalogs in hw/tests/properties.rs
     pub fn without(&self, kind: InstanceKind) -> Catalog {
         Catalog {
             kinds: self.kinds.iter().copied().filter(|&k| k != kind).collect(),

@@ -27,6 +27,7 @@ pub const MPS_CLIENT_OVERHEAD: f64 = 0.04;
 /// binds) of each concurrent batch. Returns the multiplicative slowdown
 /// (≥ 1.0) applied to every batch in the set: resource contention times the
 /// per-client MPS overhead.
+// lint:allow(u1) the reference the device slowdown and the uniform form are tested against
 pub fn mps_slowdown(fbrs: &[f64]) -> f64 {
     let demand: f64 = fbrs.iter().sum();
     let k = fbrs.len() as f64;
@@ -40,6 +41,7 @@ pub fn client_overhead_factor(clients: f64) -> f64 {
 
 /// Slowdown for the homogeneous case of Eq. (1): `k` concurrent batches each
 /// with the same `fbr`.
+// lint:allow(u1) the Eq. 1 prediction tests/model_agreement.rs holds the simulator to
 pub fn mps_slowdown_uniform(concurrent_batches: f64, fbr: f64) -> f64 {
     (concurrent_batches * fbr).max(1.0) * client_overhead_factor(concurrent_batches)
 }

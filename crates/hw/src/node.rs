@@ -61,6 +61,7 @@ impl InstanceKind {
     ];
 
     /// The GPU-equipped kinds, cheapest first.
+    // lint:allow(u1) the GPU kinds tests/headline_shapes.rs and tests/model_agreement.rs sweep
     pub const GPUS: [InstanceKind; 3] = [
         InstanceKind::G3s_xlarge,
         InstanceKind::P2_xlarge,

@@ -42,6 +42,7 @@ impl CostMeter {
     }
 
     /// Hours accumulated on a specific kind.
+    // lint:allow(u1) per-kind hours the cluster and root integration tests assert on
     pub fn hours_on(&self, kind: InstanceKind) -> f64 {
         self.usage
             .iter()

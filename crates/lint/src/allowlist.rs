@@ -62,7 +62,7 @@ mod tests {
         for a in ALLOWLIST {
             assert!(
                 !crate::rules::BOUNDARY_RULES.contains(&a.rule),
-                "{}: boundary rules (b1/b2/reach/stale-allow) must ship with an \
+                "{}: boundary rules (b1/b2/reach/u1/stale-allow) must ship with an \
                  empty allowlist; fix the graph instead",
                 a.rule
             );

@@ -9,7 +9,7 @@
 //! `crates/criterion` — so it runs in the offline build container and
 //! never drifts with external lint frameworks.
 //!
-//! Three layers (DESIGN.md §13; full rule table in `crates/lint/README.md`):
+//! Four layers (DESIGN.md §13; full rule table in `crates/lint/README.md`):
 //!
 //! 1. **Token rules** over each file's masked token stream:
 //!
@@ -20,6 +20,7 @@
 //!    | d3 | sim-facing crates   | float `==`/`!=`, `partial_cmp().unwrap()`  |
 //!    | r1 | library crates      | bare `unwrap()`, weak `expect`, `panic!`   |
 //!    | r2 | event/time files    | narrowing `as` casts                       |
+//!    | u1 | program crates      | uncalled `pub` items (workspace pass 4)    |
 //!
 //! 2. **Crate-graph rules** over every workspace `Cargo.toml` plus the
 //!    committed classification manifest (`crates/lint/classification.toml`):
@@ -34,12 +35,20 @@
 //!    methods; any path to a fenced symbol is reported as a call-chain
 //!    narrative.
 //!
+//! 4. **Unused surface** (`u1`, `src/unused.rs`): a `pub` item of a
+//!    deterministic-core, sim-facing or shell crate that no non-test token
+//!    names outside its own definition, `use` declarations and (for a type)
+//!    its own `impl` blocks. Callers count from every walked file —
+//!    `bin/`, `benches/`, `examples/`, the root facade and `perfbench/` —
+//!    but never from `/tests/` paths or `#[cfg(test)]` regions.
+//!
 //! Escape hatches: a `// lint:allow(<rule>)` comment on the offending line
 //! (or the line above) suppresses one site; `src/allowlist.rs` holds the
 //! reviewed per-file table. Hatches and entries that suppress nothing are
 //! themselves flagged (`stale-allow`). `#[cfg(test)]` items, `/tests/`,
 //! `/benches/`, `/examples/`, `/bin/` paths, and the CLI facade are out of
-//! token-rule scope; the graph passes still see every crate's manifest.
+//! token-rule scope; the graph passes still see every crate's manifest, and
+//! `u1` reads every non-test file as a caller.
 
 pub mod allowlist;
 pub mod graph;
@@ -47,6 +56,7 @@ pub mod lexer;
 pub mod parse;
 pub mod reach;
 pub mod rules;
+pub mod unused;
 
 pub use rules::Diagnostic;
 
@@ -60,7 +70,8 @@ use std::path::{Path, PathBuf};
 pub struct Report {
     /// All surviving diagnostics, sorted by (path, line, rule).
     pub diagnostics: Vec<Diagnostic>,
-    /// Number of non-exempt `.rs` files lexed, parsed, and checked.
+    /// Number of non-test `.rs` files lexed and parsed (token-rule-exempt
+    /// files included: they are read for `u1` callers).
     pub files_scanned: usize,
     /// Every discovered workspace crate with its declared class
     /// (`"unclassified"` when the manifest misses it), sorted by dir.
@@ -73,6 +84,8 @@ struct Scanned {
     lexed: lexer::Lexed,
     ast: Option<parse::FileAst>,
     raw: Vec<Diagnostic>,
+    /// False for token-rule-exempt files, which only `u1` reads.
+    in_scope: bool,
 }
 
 /// Lint every `.rs` file under `root`, returning diagnostics not covered by
@@ -96,6 +109,13 @@ pub fn parse_workspace(root: &Path) -> io::Result<Vec<parse::FileAst>> {
 
 /// Sorted relative paths of every `.rs` file in token-rule scope.
 fn scannable_files(root: &Path) -> io::Result<Vec<String>> {
+    let mut files = non_test_files(root)?;
+    files.retain(|rel| !rules::exempt_path(rel));
+    Ok(files)
+}
+
+/// Sorted relative paths of every `.rs` file outside `/tests/` paths.
+fn non_test_files(root: &Path) -> io::Result<Vec<String>> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     files.sort();
@@ -106,13 +126,13 @@ fn scannable_files(root: &Path) -> io::Result<Vec<String>> {
                 .expect("invariant: collected paths are valid UTF-8")
                 .replace('\\', "/")
         })
-        .filter(|rel| !rules::exempt_path(rel))
+        .filter(|rel| !rel.contains("/tests/") && !rel.starts_with("tests/"))
         .collect())
 }
 
-/// Run the full three-layer analysis over the workspace at `root`.
+/// Run the full four-layer analysis over the workspace at `root`.
 pub fn analyze(root: &Path) -> io::Result<Report> {
-    let rels = scannable_files(root)?;
+    let rels = non_test_files(root)?;
 
     // Per-file work (read + lex + parse + token rules) is independent; fan
     // it out on the bounded worker pool. Results come back in index order,
@@ -128,6 +148,7 @@ pub fn analyze(root: &Path) -> io::Result<Report> {
             lexed,
             ast: Some(ast),
             raw,
+            in_scope: !rules::exempt_path(rel),
         })
     });
     let mut scanned: Vec<Scanned> = scanned.into_iter().collect::<io::Result<_>>()?;
@@ -136,7 +157,27 @@ pub fn analyze(root: &Path) -> io::Result<Report> {
     // Pass 2: crate graph — manifest coverage, b1 edges, b2 re-exports.
     let (crate_graph, mut diags) = graph::load(root)?;
     diags.extend(graph::check_b1(&crate_graph));
-    let asts: Vec<parse::FileAst> = scanned.iter_mut().filter_map(|s| s.ast.take()).collect();
+
+    // Pass 4 (before the ASTs move out): unused public surface. Its raw
+    // diagnostics join each file's token diagnostics for hatch filtering.
+    {
+        let files: Vec<(&parse::FileAst, &lexer::Lexed)> = scanned
+            .iter()
+            .filter_map(|s| Some((s.ast.as_ref()?, &s.lexed)))
+            .collect();
+        let u1 = unused::check_u1(&crate_graph, &files);
+        for d in u1 {
+            if let Some(s) = scanned.iter_mut().find(|s| s.rel == d.path) {
+                s.raw.push(d);
+            }
+        }
+    }
+
+    let asts: Vec<parse::FileAst> = scanned
+        .iter_mut()
+        .filter(|s| s.in_scope)
+        .filter_map(|s| s.ast.take())
+        .collect();
     diags.extend(graph::check_b2(&crate_graph, &asts));
 
     // Token diagnostics, with every suppression that fires recorded so the
@@ -213,7 +254,7 @@ pub fn analyze(root: &Path) -> io::Result<Report> {
             } else {
                 format!(
                     "`lint:allow({rule})` names an unknown rule (known: d1 d2 d3 r1 r2 b1 b2 \
-                     reach); fix or remove the hatch"
+                     reach u1); fix or remove the hatch"
                 )
             };
             diags.push(Diagnostic {

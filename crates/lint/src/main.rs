@@ -41,8 +41,9 @@ fn main() -> ExitCode {
                      \n\
                      Statically checks the workspace against the determinism &\n\
                      robustness token rules d1/d2/d3/r1/r2, the crate-boundary\n\
-                     rules b1/b2, the fenced-symbol reachability gate, and the\n\
-                     stale-hatch audit (see crates/lint/README.md and\n\
+                     rules b1/b2, the fenced-symbol reachability gate, the\n\
+                     unused-pub-surface rule u1, and the stale-hatch audit\n\
+                     (see crates/lint/README.md and\n\
                      DESIGN.md \u{a7}13). Exits 1 if any violation is found.\n\
                      --json-artifact writes the full report object (crate\n\
                      classes, file count, diagnostics) to FILE for CI."

@@ -6,9 +6,12 @@
 //! a file, its `use` declarations (with nested groups, globs, and `as`
 //! renames flattened to one leaf each), its `fn` items (with the `impl`
 //! type they hang off, when any), and the call sites inside each body
-//! (free/path calls and `.method(…)` calls). Macro bodies, trait bounds,
-//! and expression structure are ignored; `#[cfg(test)]` regions are skipped
-//! entirely, matching the token rules' scope.
+//! (free/path calls and `.method(…)` calls). For the unused-surface rule
+//! (`u1`) it also records every `pub` item with its token span, the token
+//! span of each `use` declaration, and each `impl` block's self type and
+//! span. Macro bodies, trait bounds, and expression structure are ignored;
+//! `#[cfg(test)]` regions are skipped entirely, matching the token rules'
+//! scope.
 
 use crate::lexer::{Lexed, Tok, Token};
 
@@ -82,6 +85,35 @@ pub struct FnItem {
     pub calls: Vec<CallSite>,
 }
 
+/// One `pub` item: a free fn, inherent-impl method, struct, enum, const,
+/// static, type alias, or trait.
+#[derive(Clone, Debug)]
+pub struct PubItem {
+    /// The item keyword: `fn`, `struct`, `enum`, `const`, `static`, `type`
+    /// or `trait`.
+    pub kind: &'static str,
+    pub name: String,
+    /// The `impl` type a method or associated const hangs off.
+    pub self_ty: Option<String>,
+    /// 1-based line of the `pub` keyword.
+    pub line: usize,
+    /// Token span `[start, end)`: from `pub` through the closing `}`/`;`.
+    pub span: (usize, usize),
+}
+
+/// An `impl` block's self type and token span.
+#[derive(Clone, Debug)]
+pub struct ImplSpan {
+    /// The self type (`Type` in both `impl Type` and `impl Trait for Type`).
+    pub ty: String,
+    /// Token index of the `impl` keyword.
+    pub head: usize,
+    /// Token index of the opening `{`.
+    pub start: usize,
+    /// Token index one past the matching `}`.
+    pub end: usize,
+}
+
 /// The parsed view of one source file.
 #[derive(Debug)]
 pub struct FileAst {
@@ -92,7 +124,11 @@ pub struct FileAst {
     /// Module path derived from the file's location under `src/`.
     pub module: Vec<String>,
     pub uses: Vec<UseDecl>,
+    /// Token spans `[use, ;]` of every non-test `use` declaration.
+    pub use_spans: Vec<(usize, usize)>,
     pub fns: Vec<FnItem>,
+    pub impls: Vec<ImplSpan>,
+    pub items: Vec<PubItem>,
 }
 
 impl FileAst {
@@ -160,17 +196,21 @@ pub fn parse(path: &str, lexed: &Lexed) -> FileAst {
     let module = module_path(path, &krate);
     let toks = &lexed.tokens;
 
-    let uses = parse_uses(toks, lexed);
+    let (uses, use_spans) = parse_uses(toks, lexed);
     let impls = find_impl_spans(toks);
     let mut fns = find_fns(toks, lexed, &impls);
     attribute_calls(toks, lexed, &mut fns);
+    let items = find_pub_items(toks, lexed, &impls);
 
     FileAst {
         path: path.to_string(),
         krate,
         module,
         uses,
+        use_spans,
         fns: fns.into_iter().map(|f| f.item).collect(),
+        impls,
+        items,
     }
 }
 
@@ -208,8 +248,9 @@ fn item_position(toks: &[Token], i: usize) -> bool {
     }
 }
 
-fn parse_uses(toks: &[Token], lexed: &Lexed) -> Vec<UseDecl> {
+fn parse_uses(toks: &[Token], lexed: &Lexed) -> (Vec<UseDecl>, Vec<(usize, usize)>) {
     let mut out = Vec::new();
+    let mut spans = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
         let is_use = matches!(&toks[i].tok, Tok::Ident(s) if s == "use");
@@ -234,9 +275,10 @@ fn parse_uses(toks: &[Token], lexed: &Lexed) -> Vec<UseDecl> {
             is_pub,
             &mut out,
         );
+        spans.push((i, (end + 1).min(toks.len())));
         i = end + 1;
     }
-    out
+    (out, spans)
 }
 
 /// True when the item at token `i` carries a `pub` / `pub(crate)` prefix.
@@ -322,13 +364,6 @@ fn parse_use_tree(
     }
 }
 
-/// An `impl` block's type name and brace-matched token span.
-struct ImplSpan {
-    ty: String,
-    start: usize,
-    end: usize,
-}
-
 fn find_impl_spans(toks: &[Token]) -> Vec<ImplSpan> {
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -360,7 +395,12 @@ fn find_impl_spans(toks: &[Token]) -> Vec<ImplSpan> {
         if j < toks.len() && matches!(&toks[j].tok, Tok::Op('{')) {
             let end = match_brace(toks, j);
             if let (Some(ty), Some(end)) = (ty, end) {
-                out.push(ImplSpan { ty, start: j, end });
+                out.push(ImplSpan {
+                    ty,
+                    head: i,
+                    start: j,
+                    end,
+                });
             }
             i = j + 1;
         } else {
@@ -386,6 +426,77 @@ fn match_brace(toks: &[Token], open: usize) -> Option<usize> {
         }
     }
     None
+}
+
+/// Item keywords a `pub` item can carry, in the `u1` rule's scope.
+const ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "const", "static", "type", "trait"];
+
+/// Every plain-`pub` item outside test code. `pub(crate)` and narrower
+/// items are rustc's `dead_code` business, not part of the public surface.
+fn find_pub_items(toks: &[Token], lexed: &Lexed, impls: &[ImplSpan]) -> Vec<PubItem> {
+    let ident = |k: usize| match toks.get(k).map(|t| &t.tok) {
+        Some(Tok::Ident(s)) => Some(s.as_str()),
+        _ => None,
+    };
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        if ident(i) != Some("pub") || lexed.in_test_code(i) || !item_position(toks, i) {
+            continue;
+        }
+        // Skip fn qualifiers (`const`/`unsafe`/`async`/`extern "C"`).
+        let mut k = i + 1;
+        loop {
+            match (ident(k), ident(k + 1)) {
+                (Some("unsafe" | "async" | "extern"), _) => k += 1,
+                (Some("const"), Some("fn" | "unsafe" | "async" | "extern")) => k += 1,
+                _ if matches!(toks.get(k).map(|t| &t.tok), Some(Tok::Str(_))) => k += 1,
+                _ => break,
+            }
+        }
+        let Some(kind) = ident(k).and_then(|kw| ITEM_KINDS.iter().copied().find(|&c| c == kw))
+        else {
+            continue;
+        };
+        let name_at = if ident(k + 1) == Some("mut") {
+            k + 2
+        } else {
+            k + 1
+        };
+        let Some(name) = ident(name_at) else {
+            continue;
+        };
+        let self_ty = impls
+            .iter()
+            .find(|s| s.start < i && i < s.end)
+            .map(|s| s.ty.clone());
+        out.push(PubItem {
+            kind,
+            name: name.to_string(),
+            self_ty,
+            line: toks[i].line,
+            span: (i, item_end(toks, name_at, kind)),
+        });
+    }
+    out
+}
+
+/// One past the last token of the item whose name sits at `from`: the
+/// matching `}` of a braced body, or the `;` that ends the item.
+fn item_end(toks: &[Token], from: usize, kind: &str) -> usize {
+    let braced = matches!(kind, "fn" | "struct" | "enum" | "trait");
+    let mut depth = 0isize;
+    for j in from..toks.len() {
+        match &toks[j].tok {
+            Tok::Op('{') if depth == 0 && braced => {
+                return match_brace(toks, j).unwrap_or(toks.len());
+            }
+            Tok::Op('(' | '[' | '{') => depth += 1,
+            Tok::Op(')' | ']' | '}') => depth -= 1,
+            Tok::Op(';') if depth == 0 => return j + 1,
+            _ => {}
+        }
+    }
+    toks.len()
 }
 
 struct FnSpan {
@@ -637,6 +748,51 @@ fn prod() { visible_call(); }
         assert!(a.uses.is_empty(), "test-gated uses are skipped");
         let prod = a.fns.iter().find(|f| f.name == "prod").expect("prod");
         assert_eq!(prod.calls[0].path, vec!["visible_call".to_string()]);
+    }
+
+    #[test]
+    fn pub_items_record_kind_owner_and_span() {
+        let src = "
+pub struct Point { pub x: u32 }
+impl Point {
+    pub const fn origin() -> Point { Point { x: 0 } }
+    pub(crate) fn hidden(&self) {}
+}
+impl Default for Point { fn default() -> Self { Point::origin() } }
+pub const LIMIT: [u8; 2] = [1, 2];
+pub static mut COUNT: u32 = 0;
+pub type Alias = Point;
+pub trait Shape { fn area(&self) -> f64; }
+pub enum Kind { A, B }
+#[cfg(test)]
+pub fn test_only() {}
+";
+        let a = ast(src);
+        let got: Vec<(&str, &str, Option<&str>, usize)> = a
+            .items
+            .iter()
+            .map(|it| (it.kind, it.name.as_str(), it.self_ty.as_deref(), it.line))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("struct", "Point", None, 2),
+                ("fn", "origin", Some("Point"), 4),
+                ("const", "LIMIT", None, 8),
+                ("static", "COUNT", None, 9),
+                ("type", "Alias", None, 10),
+                ("trait", "Shape", None, 11),
+                ("enum", "Kind", None, 12),
+            ]
+        );
+        // Spans cover the whole item: the struct's fields, the const's
+        // initializer through its `;`.
+        let toks = &lex(src).tokens;
+        let last = |i: usize| &toks[a.items[i].span.1 - 1].tok;
+        assert_eq!(last(0), &Tok::Op('}'));
+        assert_eq!(last(2), &Tok::Op(';'));
+        assert_eq!(a.impls.len(), 2);
+        assert!(a.impls.iter().all(|s| s.ty == "Point"));
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub struct Diagnostic {
     /// 1-based source line.
     pub line: usize,
     /// Rule id: a token rule (`d1`, `d2`, `d3`, `r1`, `r2`) or an analyzer
-    /// rule (`b1`, `b2`, `reach`, `stale-allow`).
+    /// rule (`b1`, `b2`, `reach`, `u1`, `stale-allow`).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -68,8 +68,8 @@ const NARROWING: &[&str] = &[
 pub const ALL_RULES: &[&str] = &["d1", "d2", "d3", "r1", "r2"];
 
 /// Workspace-analyzer rule ids (crate graph, re-export fence, reachability,
-/// and the stale-hatch audit).
-pub const BOUNDARY_RULES: &[&str] = &["b1", "b2", "reach", "stale-allow"];
+/// unused public surface, and the stale-hatch audit).
+pub const BOUNDARY_RULES: &[&str] = &["b1", "b2", "reach", "u1", "stale-allow"];
 
 /// True when `path` (relative, `/`-separated) is exempt from every
 /// token-level rule. The analyzer passes still see exempt crates through

@@ -54,6 +54,17 @@ fn corpus_produces_exactly_the_seeded_violations() {
         ("crates/core/src/r1_cases.rs".into(), 11, "r1"),
         ("crates/core/src/r1_cases.rs".into(), 15, "r1"),
         ("crates/core/src/r1_cases.rs".into(), 19, "r1"),
+        // u1: an uncalled pub fn; a type named only by its own impls and a
+        // `pub use`; items named only in `#[cfg(test)]` or under `/tests/`;
+        // and a u1 hatch on an item the bin target calls, which is stale.
+        // Items called from `bin/`, `benches/`, `examples/`, `perfbench/`
+        // or a format string, the trait-impl method and the hatched dead
+        // item stay quiet.
+        ("crates/core/src/u1_cases.rs".into(), 3, "u1"),
+        ("crates/core/src/u1_cases.rs".into(), 8, "u1"),
+        ("crates/core/src/u1_cases.rs".into(), 23, "u1"),
+        ("crates/core/src/u1_cases.rs".into(), 27, "u1"),
+        ("crates/core/src/u1_cases.rs".into(), 69, "stale-allow"),
         // r2: narrowing cast in the event-key file.
         ("crates/sim/src/event.rs".into(), 5, "r2"),
     ];
@@ -71,6 +82,7 @@ fn every_rule_has_a_positive_and_a_negative_case() {
         fired.contains("stale-allow"),
         "no positive fixture case for the stale-hatch audit"
     );
+    assert!(fired.contains("u1"), "no positive fixture case for u1");
     // Negatives: each fixture file contains sanctioned idioms and hatched
     // sites beyond the pinned lines; the exact-set assertion above proves
     // none of them fire. The exempt-path fixture is the per-rule blanket

@@ -232,6 +232,7 @@ impl AttributedBreakdown {
     /// arrival → execution start): batching + cold start + transition +
     /// residual queueing. This is the value to hold against
     /// `TailBreakdown::queueing_ms` in differential tests.
+    // lint:allow(u1) the oracle tests/trace_attribution.rs holds against metrics queueing
     pub fn combined_queueing_ms(&self) -> f64 {
         self.batching_ms + self.cold_start_ms + self.transition_ms + self.queueing_ms
     }
@@ -643,6 +644,7 @@ impl TraceAttribution {
 
     /// P50/P99 rollup for one scope (`None` = all requests), or `None` if
     /// the scope has no attributed requests.
+    // lint:allow(u1) fingerprinted by tests/determinism_replay.rs and the serve differential test
     pub fn rollup(&self, scope: Option<u32>) -> Option<ScopeRollup> {
         let requests = self.for_scope(scope).len();
         Some(ScopeRollup {

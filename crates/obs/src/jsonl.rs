@@ -925,6 +925,7 @@ fn decode_line<'a>(line: &'a str, members: &mut Vec<Member<'a>>) -> Result<Trace
 }
 
 /// Parse one JSONL line back into a [`TraceEvent`].
+// lint:allow(u1) the one-line decode oracle of obs/tests/jsonl_codec.rs
 pub fn event_from_jsonl(line: &str) -> Result<TraceEvent, String> {
     decode_line(line, &mut Vec::new())
 }

@@ -8,8 +8,9 @@
 #   2. cargo clippy           — zero warnings across every target (-D warnings)
 #   3. paldia-lint            — token rules (d1/d2/d3/r1/r2) plus the
 #      boundary-graph passes: crate classification coverage, b1 dependency
-#      edges, b2 re-export leaks, call-graph reachability narratives, and
-#      the stale-hatch audit. Emits target/lint-report.json for CI tooling.
+#      edges, b2 re-export leaks, call-graph reachability narratives, u1
+#      (pub items no non-test code calls), and the stale-hatch audit.
+#      Emits target/lint-report.json for CI tooling.
 #   4. cargo doc --no-deps    — rustdoc builds warning-free (missing docs, bad links)
 #   5. cargo doc (core/obs/serve) — the documented-API crates additionally
 #      build under -D missing_docs: every public item has rustdoc
@@ -53,7 +54,7 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> paldia-lint --deny-all (token + boundary passes)"
+echo "==> paldia-lint --deny-all (token + boundary passes + u1 unused surface)"
 mkdir -p target
 cargo run -q -p paldia-lint -- --deny-all --json-artifact target/lint-report.json
 
