@@ -107,8 +107,6 @@ pub struct ImplSpan {
     /// The self type (`Type` in both `impl Type` and `impl Trait for Type`).
     pub ty: String,
     /// Token index of the `impl` keyword.
-    pub head: usize,
-    /// Token index of the opening `{`.
     pub start: usize,
     /// Token index one past the matching `}`.
     pub end: usize,
@@ -395,12 +393,7 @@ fn find_impl_spans(toks: &[Token]) -> Vec<ImplSpan> {
         if j < toks.len() && matches!(&toks[j].tok, Tok::Op('{')) {
             let end = match_brace(toks, j);
             if let (Some(ty), Some(end)) = (ty, end) {
-                out.push(ImplSpan {
-                    ty,
-                    head: i,
-                    start: j,
-                    end,
-                });
+                out.push(ImplSpan { ty, start: i, end });
             }
             i = j + 1;
         } else {

@@ -135,13 +135,13 @@ pub fn check_u1(graph: &CrateGraph, files: &[(&FileAst, &Lexed)]) -> Vec<Diagnos
         for item in &ast.items {
             let name = item.name.as_str();
             let mut own = count_in(&per_file[fi], name, item.span);
-            if item.kind != "fn" && item.kind != "const" && item.kind != "static" {
+            if matches!(item.kind, "struct" | "enum" | "type" | "trait") {
                 for (gi, (other, _)) in files.iter().enumerate() {
                     if other.krate != ast.krate || !candidate_path(&other.path) {
                         continue;
                     }
                     for imp in other.impls.iter().filter(|s| s.ty == name) {
-                        own += count_in(&per_file[gi], name, (imp.head, imp.end));
+                        own += count_in(&per_file[gi], name, (imp.start, imp.end));
                     }
                 }
             }
