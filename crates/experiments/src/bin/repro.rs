@@ -48,11 +48,12 @@
 //! KEY=VALUE` runs the primary setting twice in-process — default
 //! tunables vs one flipped knob — and diffs the decision streams, naming
 //! the responsible tunable delta in the narrative; `--diff-golden` is the
-//! CI regression gate (current build must reproduce the committed
-//! `tests/golden/decision_log_quick.jsonl` bit for bit); `--bless-golden`
-//! regenerates that log after an intentional policy change
-//! (`scripts/rebless.sh`). A `--faults` schedule composes with
-//! `--diff-flip`.
+//! CI regression gate: it re-runs every row of the golden registry
+//! (`diffcap::GOLDENS`), requires each committed `tests/golden/` log to
+//! reproduce bit for bit, and names every row that diverged;
+//! `--bless-golden` regenerates every row's log after an intentional
+//! policy change (`scripts/rebless.sh`). A `--faults` schedule composes
+//! with `--diff-flip`.
 //!
 //! `--replay-capture FILE` records the quick scenario's sampled arrivals
 //! in the `# paldia-replay v1` line format, for `paldia-serve --replay`
@@ -67,11 +68,11 @@
 //! 3, diffs the decision streams in both directions (both must be empty),
 //! writes the headline
 //! numbers to `target/llm-report.json` (`--report FILE` overrides), and
-//! exits 1 on any shard divergence. The LLM golden decision log
-//! (`tests/golden/decision_log_llm.jsonl`) and the fleet one
-//! (`tests/golden/decision_log_fleet.jsonl`: three tenants, one unit per
-//! kind, one node-crash window) are blessed and gated by the same
-//! `--bless-golden` / `--diff-golden` flags as the quick log.
+//! exits 1 on any shard divergence.
+//!
+//! An argument `repro` cannot use exits 2 before anything runs: an
+//! unknown experiment id (a bare number included), or a value flag whose
+//! value is missing or does not parse.
 //!
 //! `--faults SPEC` injects a deterministic fault schedule into every
 //! experiment whose cells do not already carry one (Fig. 13b keeps its
@@ -86,6 +87,7 @@ use paldia_core::{pool, ysearch};
 use paldia_experiments::timings::{append_entry, default_bench_path, FigureTiming, TimingReport};
 use paldia_experiments::*;
 use paldia_sim::{SimDuration, SimTime};
+use std::num::NonZeroU32;
 use std::time::Instant;
 
 /// Short hash of the commit the binary runs from, "unknown" outside git.
@@ -288,7 +290,7 @@ fn run_diff_flip(
     let Some((key, value)) = spec.split_once('=') else {
         eprintln!(
             "--diff-flip needs KEY=VALUE (known keys: {})",
-            diffcap::TUNABLE_KEYS.join(", ")
+            diffcap::tunable_keys()
         );
         std::process::exit(2);
     };
@@ -325,58 +327,63 @@ fn run_diff_flip(
     std::process::exit(if report.is_empty() { 0 } else { 1 });
 }
 
-/// Run one golden gate (named for the output), printing its diff.
-/// Returns whether the committed log reproduced bit for bit.
-fn gate_one(
-    name: &str,
-    path: &std::path::Path,
-    gate: impl FnOnce() -> Result<paldia_obs::DiffReport, String>,
-) -> bool {
-    match gate() {
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-        Ok(report) => {
-            print!(
-                "{}",
-                paldia_obs::render_diff(&report, &path.display().to_string(), "current build", &[])
-            );
-            if report.is_empty() {
-                println!("{name} golden decision-log gate OK");
-                true
-            } else {
-                false
+/// `--diff-golden`: the CI regression gate — re-run every golden scenario
+/// and require bit-identical decision streams vs the committed logs. Every
+/// row is gated before the exit: 0 when all reproduce, 1 naming the rows
+/// that diverged, 2 when a log is missing or unreadable.
+fn gate_goldens() -> ! {
+    let (mut diverged, mut unreadable) = (Vec::new(), false);
+    for golden in diffcap::GOLDENS {
+        match golden.gate() {
+            Err(e) => {
+                eprintln!("{e}");
+                unreadable = true;
+            }
+            Ok(report) => {
+                let committed = golden.path().display().to_string();
+                print!(
+                    "{}",
+                    paldia_obs::render_diff(&report, &committed, "current build", &[])
+                );
+                if report.is_empty() {
+                    println!("{} golden decision-log gate OK", golden.name);
+                } else {
+                    diverged.push(golden.name);
+                }
             }
         }
     }
-}
-
-/// `--diff-golden`: the CI regression gate — re-run the three golden
-/// scenarios (the quick primary setting, the iteration-level LLM storm,
-/// and the three-tenant fleet under a node crash) and require
-/// bit-identical decision streams vs the committed logs.
-fn run_golden_gate() -> ! {
-    let quick_ok = gate_one("quick", &diffcap::golden_path(), diffcap::golden_gate);
-    let llm_ok = gate_one(
-        "llm",
-        &llm_iter::llm_golden_path(),
-        llm_iter::llm_golden_gate,
-    );
-    let fleet_ok = gate_one(
-        "fleet",
-        &diffcap::fleet_golden_path(),
-        diffcap::fleet_golden_gate,
-    );
-    if quick_ok && llm_ok && fleet_ok {
+    if unreadable {
+        std::process::exit(2);
+    }
+    if diverged.is_empty() {
         std::process::exit(0);
     }
     eprintln!(
         "golden decision-log gate FAILED: the scheduler no longer reproduces the \
-         committed decision log.\nIf this change is intentional (a policy/tunable \
-         change), re-bless with scripts/rebless.sh and review the new log in the diff."
+         committed decision log of row(s) {}.\nIf this change is intentional (a \
+         policy/tunable change), re-bless with scripts/rebless.sh and review the new \
+         logs in the diff.",
+        diverged.join(", ")
     );
     std::process::exit(1);
+}
+
+/// `--bless-golden`: regenerate every golden row's committed log.
+fn bless_goldens() {
+    for golden in diffcap::GOLDENS {
+        match golden.bless() {
+            Ok(n) => println!(
+                "{} golden decision log re-blessed: {n} decision(s) -> {}",
+                golden.name,
+                golden.path().display()
+            ),
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(2);
+            }
+        }
+    }
 }
 
 /// `--llm-smoke`: the iteration-level CI gate — quick fleet LLM storm at
@@ -385,7 +392,7 @@ fn run_golden_gate() -> ! {
 fn run_llm_smoke_cmd(seed: u64, report_path: &str) -> ! {
     println!(
         "llm smoke — iterative storm scenario, seed {seed}, {}s, fleet at shards 1 vs 3",
-        llm_iter::LLM_GOLDEN_SECS
+        diffcap::GOLDEN_SECS
     );
     let report = llm_iter::run_llm_smoke(seed);
     println!(
@@ -414,261 +421,14 @@ fn run_llm_smoke_cmd(seed: u64, report_path: &str) -> ! {
     std::process::exit(1);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let timings_on = args.iter().any(|a| a == "--timings");
-    // Resolve the bench file before any work, so a run outside a checkout
-    // fails in the first second rather than after the figures.
-    let bench_path = if timings_on {
-        match default_bench_path() {
-            Ok(p) => Some(p),
-            Err(e) => {
-                eprintln!("--timings: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        None
-    };
-    let mut opts = if quick {
-        RunOpts::quick()
-    } else {
-        RunOpts::full()
-    };
-    let mut label = String::from("repro");
-    let mut flag_values = Vec::new();
-    if let Some(i) = args.iter().position(|a| a == "--seed") {
-        if let Some(s) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-            opts.seed_base = s;
-            flag_values.push(i + 1);
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        if let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-            pool::set_jobs(n);
-            flag_values.push(i + 1);
-        }
-    }
-    let mut shards = common::default_shards();
-    if let Some(i) = args.iter().position(|a| a == "--shards") {
-        match args.get(i + 1).and_then(|v| v.parse::<u32>().ok()) {
-            Some(n) if n >= 1 => {
-                shards = n;
-                flag_values.push(i + 1);
-            }
-            _ => {
-                eprintln!("--shards needs a positive shard count (e.g. --shards 3)");
-                std::process::exit(2);
-            }
-        }
-    }
-    if args.iter().any(|a| a == "--stress") {
-        run_stress_report(shards);
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--faults") {
-        // A missing spec is the empty spec: refused like any bad one.
-        let spec = args.get(i + 1).map_or("", String::as_str);
-        let Some(plan) = parse_fault_spec(spec) else {
-            eprintln!("unrecognized --faults spec '{spec}' (use fig13b or crashes:COUNT:SEED)");
-            std::process::exit(2);
-        };
-        opts = opts.with_faults(plan, FailoverPolicyKind::CheapestMorePerformant);
-        flag_values.push(i + 1);
-    }
-    // Decision-log diff subcommands: none of them run the experiment
-    // sweep, so they exit directly (0 empty diff / 1 divergent / 2 usage
-    // or IO error).
-    if let Some(i) = args.iter().position(|a| a == "--diff") {
-        let (Some(a), Some(b)) = (args.get(i + 1), args.get(i + 2)) else {
-            eprintln!("--diff needs two JSONL capture paths (e.g. --diff a.jsonl b.jsonl)");
-            std::process::exit(2);
-        };
-        run_file_diff(a, b);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--diff-flip") {
-        let Some(spec) = args.get(i + 1) else {
-            eprintln!(
-                "--diff-flip needs KEY=VALUE (known keys: {})",
-                diffcap::TUNABLE_KEYS.join(", ")
-            );
-            std::process::exit(2);
-        };
-        run_diff_flip(
-            quick,
-            opts.seed_base,
-            opts.faults.clone().map(|plan| (plan, opts.failover)),
-            spec,
-        );
-    }
-    if args.iter().any(|a| a == "--diff-golden") {
-        run_golden_gate();
-    }
-    if args.iter().any(|a| a == "--llm-smoke") {
-        let report_path = args
-            .iter()
-            .position(|a| a == "--report")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| "target/llm-report.json".to_string());
-        run_llm_smoke_cmd(opts.seed_base, &report_path);
-    }
-    // Replay-trace capture for the serving shell (DESIGN.md §14): record
-    // the sampled arrivals of the quick scenario so `paldia-serve
-    // --replay` and the DES can execute the identical request sequence.
-    if let Some(i) = args.iter().position(|a| a == "--replay-capture") {
-        let Some(path) = args.get(i + 1) else {
-            eprintln!("--replay-capture needs an output path (e.g. --replay-capture trace.txt)");
-            std::process::exit(2);
-        };
-        let trace = replaycap::quick_replay_trace(opts.seed_base);
-        match replaycap::write_replay_trace(std::path::Path::new(path), &trace) {
-            Ok(n) => {
-                println!(
-                    "replay trace captured: {n} arrival(s) over {:.1}s -> {path}",
-                    trace.duration.as_secs_f64()
-                );
-                return;
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if args.iter().any(|a| a == "--bless-golden") {
-        let path = diffcap::golden_path();
-        match diffcap::write_golden(&path) {
-            Ok(n) => println!(
-                "golden decision log re-blessed: {n} decision(s) -> {}",
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-        let llm_path = llm_iter::llm_golden_path();
-        match llm_iter::write_llm_golden(&llm_path) {
-            Ok(n) => println!(
-                "llm golden decision log re-blessed: {n} decision(s) -> {}",
-                llm_path.display()
-            ),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-        let fleet_path = diffcap::fleet_golden_path();
-        match diffcap::write_fleet_golden(&fleet_path) {
-            Ok(n) => {
-                println!(
-                    "fleet golden decision log re-blessed: {n} decision(s) -> {}",
-                    fleet_path.display()
-                );
-                return;
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--label") {
-        if let Some(l) = args.get(i + 1) {
-            label = l.clone();
-            flag_values.push(i + 1);
-        }
-    }
-    let mut trace_out: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--trace") {
-        if let Some(path) = args.get(i + 1) {
-            trace_out = Some(path.clone());
-            flag_values.push(i + 1);
-        }
-    }
-    let mut trace_file: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--trace-file") {
-        if let Some(path) = args.get(i + 1) {
-            trace_file = Some(path.clone());
-            flag_values.push(i + 1);
-        } else {
-            eprintln!("--trace-file needs an output path");
-            std::process::exit(2);
-        }
-    }
-    let mut triage_slo: Option<f64> = None;
-    if let Some(i) = args.iter().position(|a| a == "--triage") {
-        match args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) {
-            Some(slo) if slo.is_finite() && slo > 0.0 => {
-                triage_slo = Some(slo);
-                flag_values.push(i + 1);
-            }
-            _ => {
-                eprintln!("--triage needs a positive SLO in milliseconds (e.g. --triage 200)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let mut explain_ids: Vec<u64> = Vec::new();
-    if let Some(i) = args.iter().position(|a| a == "--explain") {
-        if let Some(id) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-            explain_ids.push(id);
-            flag_values.push(i + 1);
-        } else {
-            eprintln!("--explain needs a numeric request id");
-            std::process::exit(2);
-        }
-    }
-    let mut selected: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--") && a.parse::<u64>().is_err() && !flag_values.contains(i)
-        })
-        .map(|(_, a)| a.as_str())
-        .collect();
-    // `--llm` is sugar for the positional id: with no other ids it runs
-    // the LLM study alone, never silently enlarging the default sweep.
-    if args.iter().any(|a| a == "--llm") && !selected.contains(&"llm") {
-        selected.push("llm");
-    }
-    let want = |id: &str| selected.is_empty() || selected.contains(&id);
+/// One experiment: its positional id and its runner.
+type Experiment = (&'static str, Box<dyn Fn(&RunOpts) -> ExperimentReport>);
 
-    if trace_out.is_some()
-        || trace_file.is_some()
-        || triage_slo.is_some()
-        || !explain_ids.is_empty()
-    {
-        run_capture(
-            quick,
-            opts.seed_base,
-            opts.faults.clone().map(|plan| (plan, opts.failover)),
-            trace_out.as_deref(),
-            trace_file.as_deref(),
-            triage_slo,
-            &explain_ids,
-        );
-        if selected.is_empty() {
-            return;
-        }
-    }
-
-    println!(
-        "Paldia reproduction harness — {} mode, {} rep(s), seed base {}, {} job(s), {} shard(s)",
-        if quick { "quick" } else { "full" },
-        opts.reps,
-        opts.seed_base,
-        pool::max_jobs(),
-        shards
-    );
-    println!("{}", "=".repeat(72));
-
-    ysearch::reset_cache_counters();
-
-    type Runner = Box<dyn Fn(&RunOpts) -> ExperimentReport>;
-    let experiments: Vec<(&str, Runner)> = vec![
+/// Every experiment `repro` can run, in sweep order. `llm` is opt-in
+/// (never part of the default sweep — see `--llm` in the module docs), and
+/// the id `fig10` selects `fig9`, which shares its module.
+fn experiments(quick: bool) -> Vec<Experiment> {
+    vec![
         (
             "fig1",
             Box::new(move |o: &RunOpts| {
@@ -703,15 +463,239 @@ fn main() {
         ),
         ("table3", Box::new(|o: &RunOpts| table3_mixed::run(o))),
         ("llm", Box::new(|o: &RunOpts| llm_iter::run(o))),
-    ];
+    ]
+}
+
+/// Check positional experiment ids against `known` and the `fig10`
+/// alias. `Err` names the unknown ids and lists the known ones.
+fn check_ids(selected: &[&str], known: &[&str]) -> Result<(), String> {
+    let unknown: Vec<&str> = selected
+        .iter()
+        .copied()
+        .filter(|id| *id != "fig10" && !known.contains(id))
+        .collect();
+    if unknown.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "unknown experiment id(s): {}\nknown ids: {} (fig10 selects fig9)",
+        unknown.join(" "),
+        known.join(" ")
+    ))
+}
+
+/// The command line, plus the indices of the flag values read so far.
+struct Cli {
+    args: Vec<String>,
+    taken: Vec<usize>,
+}
+
+impl Cli {
+    fn has(&self, flag: &str) -> bool {
+        self.args.iter().any(|a| a == flag)
+    }
+
+    /// The value after `flag`, when the flag is given. Exits 2 naming
+    /// `usage` when the value is missing (absent, or another `--flag`) or
+    /// `parse` refuses it; otherwise the value is taken, so it is not read
+    /// as an experiment id.
+    fn value_with<T>(
+        &mut self,
+        flag: &str,
+        usage: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Option<T> {
+        let i = self.args.iter().position(|a| a == flag)?;
+        let value = self.args.get(i + 1).filter(|v| !v.starts_with("--"));
+        let Some(parsed) = value.and_then(|v| parse(v)) else {
+            let got = value.map_or(String::new(), |v| format!(", got {v:?}"));
+            eprintln!("{flag} needs {usage}{got}");
+            std::process::exit(2);
+        };
+        self.taken.push(i + 1);
+        Some(parsed)
+    }
+
+    /// [`Cli::value_with`] for a value read with [`str::parse`].
+    fn value<T: std::str::FromStr>(&mut self, flag: &str, usage: &str) -> Option<T> {
+        self.value_with(flag, usage, |v| v.parse().ok())
+    }
+
+    /// The arguments left once every flag and taken value is removed: the
+    /// experiment ids.
+    fn positional(&self) -> Vec<&str> {
+        let free = |(i, a): &(usize, &String)| !a.starts_with("--") && !self.taken.contains(i);
+        self.args
+            .iter()
+            .enumerate()
+            .filter(free)
+            .map(|(_, a)| a.as_str())
+            .collect()
+    }
+}
+
+fn main() {
+    let mut cli = Cli {
+        args: std::env::args().skip(1).collect(),
+        taken: Vec::new(),
+    };
+    let quick = cli.has("--quick");
+    // Resolve the bench file before any work, so a run outside a checkout
+    // fails in the first second rather than after the figures.
+    let bench_path = if cli.has("--timings") {
+        match default_bench_path() {
+            Ok(p) => Some(p),
+            Err(e) => {
+                eprintln!("--timings: {e}");
+                std::process::exit(2);
+            }
+        }
+    } else {
+        None
+    };
+    let mut opts = if quick {
+        RunOpts::quick()
+    } else {
+        RunOpts::full()
+    };
+    if let Some(seed) = cli.value("--seed", "a numeric seed") {
+        opts.seed_base = seed;
+    }
+    if let Some(n) = cli.value("--jobs", "a worker count") {
+        pool::set_jobs(n);
+    }
+    let shards = cli
+        .value("--shards", "a positive shard count (e.g. --shards 3)")
+        .map_or_else(common::default_shards, NonZeroU32::get);
+    if cli.has("--stress") {
+        run_stress_report(shards);
+        return;
+    }
+    let fault_usage = "a spec: fig13b or crashes:COUNT:SEED";
+    if let Some(plan) = cli.value_with("--faults", fault_usage, parse_fault_spec) {
+        opts = opts.with_faults(plan, FailoverPolicyKind::CheapestMorePerformant);
+    }
+    // Decision-log diff subcommands: none of them run the experiment
+    // sweep, so they exit directly (0 empty diff / 1 divergent / 2 usage
+    // or IO error).
+    if let Some(i) = cli.args.iter().position(|a| a == "--diff") {
+        let (Some(a), Some(b)) = (cli.args.get(i + 1), cli.args.get(i + 2)) else {
+            eprintln!("--diff needs two JSONL capture paths (e.g. --diff a.jsonl b.jsonl)");
+            std::process::exit(2);
+        };
+        run_file_diff(a, b);
+    }
+    if let Some(i) = cli.args.iter().position(|a| a == "--diff-flip") {
+        let Some(spec) = cli.args.get(i + 1) else {
+            eprintln!(
+                "--diff-flip needs KEY=VALUE (known keys: {})",
+                diffcap::tunable_keys()
+            );
+            std::process::exit(2);
+        };
+        run_diff_flip(
+            quick,
+            opts.seed_base,
+            opts.faults.clone().map(|plan| (plan, opts.failover)),
+            spec,
+        );
+    }
+    if cli.has("--diff-golden") {
+        gate_goldens();
+    }
+    if cli.has("--llm-smoke") {
+        let report_path = cli
+            .args
+            .iter()
+            .position(|a| a == "--report")
+            .and_then(|i| cli.args.get(i + 1))
+            .map_or("target/llm-report.json", String::as_str);
+        run_llm_smoke_cmd(opts.seed_base, report_path);
+    }
+    // Replay-trace capture for the serving shell (DESIGN.md §14): record
+    // the sampled arrivals of the quick scenario so `paldia-serve
+    // --replay` and the DES can execute the identical request sequence.
+    if let Some(i) = cli.args.iter().position(|a| a == "--replay-capture") {
+        let Some(path) = cli.args.get(i + 1) else {
+            eprintln!("--replay-capture needs an output path (e.g. --replay-capture trace.txt)");
+            std::process::exit(2);
+        };
+        let trace = replaycap::quick_replay_trace(opts.seed_base);
+        match replaycap::write_replay_trace(std::path::Path::new(path), &trace) {
+            Ok(n) => {
+                println!(
+                    "replay trace captured: {n} arrival(s) over {:.1}s -> {path}",
+                    trace.duration.as_secs_f64()
+                );
+                return;
+            }
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(2);
+            }
+        }
+    }
+    if cli.has("--bless-golden") {
+        bless_goldens();
+        return;
+    }
+    let label: Option<String> = cli.value("--label", "a name");
+    let label = label.unwrap_or_else(|| "repro".to_string());
+    let trace_out: Option<String> = cli.value("--trace", "an output path");
+    let trace_file: Option<String> = cli.value("--trace-file", "an output path");
+    let slo_usage = "a positive SLO in milliseconds (e.g. --triage 200)";
+    let triage_slo = cli.value_with("--triage", slo_usage, |v| {
+        v.parse()
+            .ok()
+            .filter(|slo: &f64| slo.is_finite() && *slo > 0.0)
+    });
+    let explain: Option<u64> = cli.value("--explain", "a numeric request id");
+    let mut selected = cli.positional();
+    // `--llm` is sugar for the positional id: with no other ids it runs
+    // the LLM study alone, never silently enlarging the default sweep.
+    if cli.has("--llm") && !selected.contains(&"llm") {
+        selected.push("llm");
+    }
+    let experiments = experiments(quick);
+    let known: Vec<&str> = experiments.iter().map(|(id, _)| *id).collect();
+    if let Err(e) = check_ids(&selected, &known) {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
+    let want = |id: &str| selected.is_empty() || selected.contains(&id);
+
+    if trace_out.is_some() || trace_file.is_some() || triage_slo.is_some() || explain.is_some() {
+        run_capture(
+            quick,
+            opts.seed_base,
+            opts.faults.clone().map(|plan| (plan, opts.failover)),
+            trace_out.as_deref(),
+            trace_file.as_deref(),
+            triage_slo,
+            explain.as_slice(),
+        );
+        if selected.is_empty() {
+            return;
+        }
+    }
+
+    println!(
+        "Paldia reproduction harness — {} mode, {} rep(s), seed base {}, {} job(s), {} shard(s)",
+        if quick { "quick" } else { "full" },
+        opts.reps,
+        opts.seed_base,
+        pool::max_jobs(),
+        shards
+    );
+    println!("{}", "=".repeat(72));
+
+    ysearch::reset_cache_counters();
 
     let mut reports = Vec::new();
     let mut figure_times = Vec::new();
     let t0 = Instant::now();
 
     for (id, run) in &experiments {
-        // fig10 shares a module with fig9; llm is opt-in (never part of
-        // the default sweep — see `--llm` in the module docs).
         let wanted = if *id == "llm" {
             selected.contains(&"llm")
         } else {
@@ -798,6 +782,34 @@ mod tests {
             "",
         ] {
             assert_eq!(parse_fault_spec(bad), None, "{bad:?} must be refused");
+        }
+    }
+
+    #[test]
+    fn experiment_ids_check_exactly() {
+        let experiments = experiments(true);
+        let known: Vec<&str> = experiments.iter().map(|(id, _)| *id).collect();
+        let cases: [(&[&str], bool); 10] = [
+            (&[], true),
+            (&["fig5"], true),
+            (&["fig10"], true),
+            (&["llm"], true),
+            (&["fig1", "fig13a", "fig13b", "table3"], true),
+            (&["fig99"], false),
+            (&["5"], false),
+            (&["fig5", "abc"], false),
+            (&["Fig5"], false),
+            (&["fig13"], false),
+        ];
+        for (ids, ok) in cases {
+            match check_ids(ids, &known) {
+                Ok(()) => assert!(ok, "{ids:?} must be refused"),
+                Err(e) => {
+                    assert!(!ok, "{ids:?} must be accepted, got: {e}");
+                    assert!(e.contains(ids[ids.len() - 1]), "{e} names the bad id");
+                    assert!(e.contains(&known.join(" ")), "{e} lists the known ids");
+                }
+            }
         }
     }
 }

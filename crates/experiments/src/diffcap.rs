@@ -1,21 +1,22 @@
 //! Decision-log capture and diffing for the repro binary: run two Paldia
 //! configurations over the same trace and diff their decision streams
 //! ([`paldia_obs::diff_decision_streams`]), plus the golden-decision-log
-//! regression gate wired into `scripts/ci.sh`.
+//! registry ([`GOLDENS`]) behind the regression gate in `scripts/ci.sh`.
 //!
 //! The differ itself lives in `paldia-obs` and only sees event streams;
 //! this module supplies the run harness around it — building a
 //! [`PaldiaScheduler`] from an explicit [`PaldiaConfig`], capturing the
 //! trace into a [`VecSink`], naming the tunable knobs
 //! ([`apply_tunable`] / [`tunable_deltas`]) so `repro --diff-flip` can
-//! annotate narratives with the responsible deltas, and maintaining the
-//! committed golden decision log (`tests/golden/decision_log_quick.jsonl`)
-//! that a tunable-free refactor must match bit-for-bit
+//! annotate narratives with the responsible deltas, and registering the
+//! committed golden decision logs (`tests/golden/*.jsonl`, one [`Golden`]
+//! row each) that a tunable-free refactor must match bit-for-bit
 //! (`repro --diff-golden`, re-blessed via `scripts/rebless.sh`).
 
 use std::path::{Path, PathBuf};
 
 use crate::common::SchemeKind;
+use crate::llm_iter::{self, LlmRunOpts};
 use crate::scenarios;
 use paldia_cluster::{
     run, FailoverPolicyKind, FaultPlan, FleetDeployment, RunResult, RunSpec, SimConfig,
@@ -24,18 +25,18 @@ use paldia_core::{PaldiaConfig, PaldiaScheduler};
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_obs::{
     append_jsonl, diff_decision_streams, read_jsonl_file, DiffReport, TraceEvent, TraceEventKind,
-    TunableDelta, VecSink,
+    TraceSink, TunableDelta, VecSink,
 };
 use paldia_sim::{SimDuration, SimTime};
 use paldia_workloads::MlModel;
 
-/// Seed of the committed golden decision log.
+/// Seed of the committed golden decision logs (and the LLM smoke gate).
 pub const GOLDEN_SEED: u64 = 42;
 
-/// Trace length (seconds) of the golden capture: long enough to cross
-/// several load regimes (idle → ramp → surge) so the log exercises
-/// upgrades, distress, and hysteresis, short enough to keep the committed
-/// file and the CI gate cheap.
+/// Trace length (seconds) of the golden captures: long enough to cross
+/// several load regimes (idle → ramp → surge, and both LLM storm edges) so
+/// the logs exercise upgrades, distress, and hysteresis, short enough to
+/// keep the committed files and the CI gate cheap.
 pub const GOLDEN_SECS: u64 = 90;
 
 /// One side of an in-process decision diff: the primary evaluation setting
@@ -71,13 +72,19 @@ impl DiffRunOpts {
 
 /// Run one side and capture its full trace (decision events included).
 pub fn capture_decision_run(opts: &DiffRunOpts) -> (Vec<TraceEvent>, RunResult) {
+    let mut sink = VecSink::new();
     let mut sched = PaldiaScheduler::with_config(opts.config);
-    capture_with(opts, &mut sched)
+    let result = record_with(opts, &mut sched, &mut sink);
+    (sink.into_events(), result)
 }
 
-/// [`capture_decision_run`] on a caller-owned scheduler, so its state
+/// Run one side into `sink` on a caller-owned scheduler, so its state
 /// (the y-search plan cache) can be inspected after the run.
-fn capture_with(opts: &DiffRunOpts, sched: &mut PaldiaScheduler) -> (Vec<TraceEvent>, RunResult) {
+fn record_with(
+    opts: &DiffRunOpts,
+    sched: &mut PaldiaScheduler,
+    sink: &mut dyn TraceSink,
+) -> RunResult {
     let workloads = if opts.capture_secs > 0 {
         vec![scenarios::azure_workload_truncated(
             opts.model,
@@ -97,13 +104,12 @@ fn capture_with(opts: &DiffRunOpts, sched: &mut PaldiaScheduler) -> (Vec<TraceEv
     // tunable diff start on the same node and every divergence is the
     // scheduler's own doing.
     let initial = SchemeKind::Paldia.initial_hw(&workloads, &catalog, cfg.slo_ms);
-    let mut sink = VecSink::new();
-    let result = run(RunSpec {
-        sink: Some(&mut sink),
+    run(RunSpec {
+        // `as _` narrows the sink's trait-object lifetime to the spec's.
+        sink: Some(sink as _),
         ..RunSpec::lone(&workloads, sched, initial, catalog, &cfg)
     })
-    .into_lone();
-    (sink.into_events(), result)
+    .into_lone()
 }
 
 /// Run both sides over the same trace and diff their decision streams.
@@ -115,48 +121,58 @@ pub fn diff_runs(a: &DiffRunOpts, b: &DiffRunOpts) -> (DiffReport, RunResult, Ru
     (diff_decision_streams(&ea, &eb), ra, rb)
 }
 
-/// The scheduler tunables `repro --diff-flip KEY=VALUE` can flip, with
-/// their meanings. Order matters: it is the `--help` listing order.
-pub const TUNABLE_KEYS: [&str; 8] = [
-    "ramp_headroom",
-    "distress_boost",
-    "oracle_horizon_s",
-    "selection.slo_safety_ms",
-    "selection.performance_margin_ms",
-    "selection.wait_limit",
-    "selection.wait_limit_down",
-    "selection.downgrade_budget_frac",
+/// A tunable's field in a [`PaldiaConfig`]: the `f64` or `u32` it names.
+enum Field<'a> {
+    F64(&'a mut f64),
+    U32(&'a mut u32),
+}
+
+/// Where a tunable lives in a [`PaldiaConfig`].
+type FieldOf = fn(&mut PaldiaConfig) -> Field<'_>;
+
+/// The scheduler tunables `repro --diff-flip KEY=VALUE` can flip, each
+/// dotted key named once with the field it reads and writes. Order
+/// matters: it is the usage listing order and the [`tunable_deltas`] order.
+const TUNABLES: [(&str, FieldOf); 8] = [
+    ("ramp_headroom", |c| Field::F64(&mut c.ramp_headroom)),
+    ("distress_boost", |c| Field::F64(&mut c.distress_boost)),
+    ("oracle_horizon_s", |c| Field::F64(&mut c.oracle_horizon_s)),
+    ("selection.slo_safety_ms", |c| {
+        Field::F64(&mut c.selection.slo_safety_ms)
+    }),
+    ("selection.performance_margin_ms", |c| {
+        Field::F64(&mut c.selection.performance_margin_ms)
+    }),
+    ("selection.wait_limit", |c| {
+        Field::U32(&mut c.selection.wait_limit)
+    }),
+    ("selection.wait_limit_down", |c| {
+        Field::U32(&mut c.selection.wait_limit_down)
+    }),
+    ("selection.downgrade_budget_frac", |c| {
+        Field::F64(&mut c.selection.downgrade_budget_frac)
+    }),
 ];
 
+/// The tunable keys, comma-separated, for usage messages.
+pub fn tunable_keys() -> String {
+    TUNABLES.map(|(key, _)| key).join(", ")
+}
+
 /// Set one named tunable on a [`PaldiaConfig`]. Keys are the dotted paths
-/// of [`TUNABLE_KEYS`]; values parse as `f64` (or `u32` for the wait
+/// of [`tunable_keys`]; values parse as `f64` (or `u32` for the wait
 /// limits).
 pub fn apply_tunable(cfg: &mut PaldiaConfig, key: &str, value: &str) -> Result<(), String> {
-    let as_f64 = || -> Result<f64, String> {
-        value
-            .parse::<f64>()
-            .map_err(|_| format!("tunable {key}: expected a number, got {value:?}"))
+    let Some((_, field)) = TUNABLES.iter().find(|(k, _)| *k == key) else {
+        return Err(format!(
+            "unknown tunable {key:?}; known: {}",
+            tunable_keys()
+        ));
     };
-    let as_u32 = || -> Result<u32, String> {
-        value
-            .parse::<u32>()
-            .map_err(|_| format!("tunable {key}: expected a non-negative integer, got {value:?}"))
-    };
-    match key {
-        "ramp_headroom" => cfg.ramp_headroom = as_f64()?,
-        "distress_boost" => cfg.distress_boost = as_f64()?,
-        "oracle_horizon_s" => cfg.oracle_horizon_s = as_f64()?,
-        "selection.slo_safety_ms" => cfg.selection.slo_safety_ms = as_f64()?,
-        "selection.performance_margin_ms" => cfg.selection.performance_margin_ms = as_f64()?,
-        "selection.wait_limit" => cfg.selection.wait_limit = as_u32()?,
-        "selection.wait_limit_down" => cfg.selection.wait_limit_down = as_u32()?,
-        "selection.downgrade_budget_frac" => cfg.selection.downgrade_budget_frac = as_f64()?,
-        _ => {
-            return Err(format!(
-                "unknown tunable {key:?}; known: {}",
-                TUNABLE_KEYS.join(", ")
-            ))
-        }
+    let bad = |what: &str| format!("tunable {key}: expected {what}, got {value:?}");
+    match field(cfg) {
+        Field::F64(v) => *v = value.parse().map_err(|_| bad("a number"))?,
+        Field::U32(v) => *v = value.parse().map_err(|_| bad("a non-negative integer"))?,
     }
     Ok(())
 }
@@ -164,63 +180,21 @@ pub fn apply_tunable(cfg: &mut PaldiaConfig, key: &str, value: &str) -> Result<(
 /// The named knobs on which two configurations differ, rendered for
 /// [`paldia_obs::render_diff`]'s "responsible tunable deltas" section.
 pub fn tunable_deltas(a: &PaldiaConfig, b: &PaldiaConfig) -> Vec<TunableDelta> {
-    let fields: [(&str, String, String); 8] = [
-        (
-            "ramp_headroom",
-            a.ramp_headroom.to_string(),
-            b.ramp_headroom.to_string(),
-        ),
-        (
-            "distress_boost",
-            a.distress_boost.to_string(),
-            b.distress_boost.to_string(),
-        ),
-        (
-            "oracle_horizon_s",
-            a.oracle_horizon_s.to_string(),
-            b.oracle_horizon_s.to_string(),
-        ),
-        (
-            "selection.slo_safety_ms",
-            a.selection.slo_safety_ms.to_string(),
-            b.selection.slo_safety_ms.to_string(),
-        ),
-        (
-            "selection.performance_margin_ms",
-            a.selection.performance_margin_ms.to_string(),
-            b.selection.performance_margin_ms.to_string(),
-        ),
-        (
-            "selection.wait_limit",
-            a.selection.wait_limit.to_string(),
-            b.selection.wait_limit.to_string(),
-        ),
-        (
-            "selection.wait_limit_down",
-            a.selection.wait_limit_down.to_string(),
-            b.selection.wait_limit_down.to_string(),
-        ),
-        (
-            "selection.downgrade_budget_frac",
-            a.selection.downgrade_budget_frac.to_string(),
-            b.selection.downgrade_budget_frac.to_string(),
-        ),
-    ];
-    fields
-        .into_iter()
+    let render = |field: Field| match field {
+        Field::F64(v) => v.to_string(),
+        Field::U32(v) => v.to_string(),
+    };
+    let (mut a, mut b) = (*a, *b);
+    TUNABLES
+        .iter()
+        .map(|(name, field)| (name, render(field(&mut a)), render(field(&mut b))))
         .filter(|(_, va, vb)| va != vb)
-        .map(|(name, va, vb)| TunableDelta {
+        .map(|(name, a, b)| TunableDelta {
             name: name.to_string(),
-            a: va,
-            b: vb,
+            a,
+            b,
         })
         .collect()
-}
-
-/// Path of the committed golden decision log, anchored to the workspace
-/// root (works from any test/binary cwd).
-pub fn golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/decision_log_quick.jsonl")
 }
 
 /// The golden scenario: [`GOLDEN_SEED`]/[`GOLDEN_SECS`], GoogleNet,
@@ -235,26 +209,94 @@ pub fn golden_opts() -> DiffRunOpts {
     }
 }
 
-/// Run the golden scenario and keep only its decision events (the full
-/// span stream would be megabytes; decisions are a few hundred lines and
-/// are all the differ aligns on).
-pub fn capture_golden_decisions() -> Vec<TraceEvent> {
-    let (events, _) = capture_decision_run(&golden_opts());
-    events
-        .into_iter()
-        .filter(|e| matches!(e.kind, TraceEventKind::Decision(_)))
-        .collect()
+/// One committed golden decision log: a named scenario whose decision
+/// stream the current build must reproduce bit for bit.
+pub struct Golden {
+    /// Row name, printed by `repro --diff-golden` and `--bless-golden`.
+    pub name: &'static str,
+    /// File name of the committed log under `tests/golden/`.
+    pub file: &'static str,
+    /// Run the scenario with `sink` attached.
+    record: fn(&mut dyn TraceSink),
 }
 
-/// Regenerate the committed golden decision log (`repro --bless-golden`,
-/// `scripts/rebless.sh`). Returns the number of decisions written.
-pub fn write_golden(path: &Path) -> Result<usize, String> {
-    write_decisions(path, &capture_golden_decisions())
+/// The golden registry. `repro --diff-golden`, `repro --bless-golden`
+/// (`scripts/rebless.sh`) and `tests/decision_diff.rs` walk every row, so
+/// a new golden is one row plus its blessed file.
+pub const GOLDENS: &[Golden] = &[
+    // The primary setting: GoogleNet over the truncated Azure trace,
+    // default tunables, serial engine.
+    Golden {
+        name: "quick",
+        file: "decision_log_quick.jsonl",
+        record: |sink| {
+            let opts = golden_opts();
+            record_with(&opts, &mut PaldiaScheduler::with_config(opts.config), sink);
+        },
+    },
+    // The iteration-level LLM storm scenario.
+    Golden {
+        name: "llm",
+        file: "decision_log_llm.jsonl",
+        record: |sink| {
+            llm_iter::run_llm_into(&LlmRunOpts::golden(), Some(sink));
+        },
+    },
+    // Three Paldia tenants over one unit per Table II kind, with one
+    // node-crash window.
+    Golden {
+        name: "fleet",
+        file: "decision_log_fleet.jsonl",
+        record: |sink| {
+            let cfg = fleet_golden_config();
+            let spec = RunSpec::fleet(fleet_golden_deployments(), Catalog::table_ii(), 1, &cfg);
+            run(RunSpec {
+                sink: Some(sink as _), // as in `record_with`
+                ..spec
+            });
+        },
+    },
+];
+
+impl Golden {
+    /// Path of the committed log, anchored to the workspace root (works
+    /// from any test or binary cwd).
+    pub fn path(&self) -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/golden")
+            .join(self.file)
+    }
+
+    /// Run the scenario and keep only its decision events (the full span
+    /// stream would be megabytes; decisions are a few hundred lines and
+    /// are all the differ aligns on).
+    fn decisions(&self) -> Vec<TraceEvent> {
+        let mut sink = VecSink::new();
+        (self.record)(&mut sink);
+        sink.into_events()
+            .into_iter()
+            .filter(|e| matches!(e.kind, TraceEventKind::Decision(_)))
+            .collect()
+    }
+
+    /// Regenerate the committed log (`repro --bless-golden`,
+    /// `scripts/rebless.sh`). Returns the number of decisions written.
+    pub fn bless(&self) -> Result<usize, String> {
+        write_decisions(&self.path(), &self.decisions())
+    }
+
+    /// The regression gate: re-run the scenario in-process and diff it
+    /// against the committed log. `Ok(report)` may still be non-empty —
+    /// the caller decides the exit code; `Err` means the log is missing or
+    /// unreadable (run `scripts/rebless.sh`).
+    pub fn gate(&self) -> Result<DiffReport, String> {
+        gate_against(&self.path(), self.name, &self.decisions())
+    }
 }
 
 /// Write a decision log as JSONL, one event per line (the committed
 /// golden format). Returns the number of decisions written.
-pub(crate) fn write_decisions(path: &Path, decisions: &[TraceEvent]) -> Result<usize, String> {
+fn write_decisions(path: &Path, decisions: &[TraceEvent]) -> Result<usize, String> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     }
@@ -269,32 +311,14 @@ pub(crate) fn write_decisions(path: &Path, decisions: &[TraceEvent]) -> Result<u
 
 /// Diff a freshly captured decision stream against a committed golden
 /// log (`name` labels the read error).
-pub(crate) fn gate_against(
-    path: &Path,
-    name: &str,
-    current: &[TraceEvent],
-) -> Result<DiffReport, String> {
+fn gate_against(path: &Path, name: &str, current: &[TraceEvent]) -> Result<DiffReport, String> {
     let committed = read_jsonl_file(path).map_err(|e| {
         format!(
-            "reading {name} decision log {}: {e}\n(regenerate with scripts/rebless.sh)",
+            "reading {name} golden decision log {}: {e}\n(regenerate with scripts/rebless.sh)",
             path.display()
         )
     })?;
     Ok(diff_decision_streams(&committed, current))
-}
-
-/// The CI regression gate: re-run the golden scenario in-process and diff
-/// it against the committed log. `Ok(report)` may still be non-empty —
-/// the caller decides the exit code; `Err` means the golden file is
-/// missing or unreadable (run `scripts/rebless.sh`).
-pub fn golden_gate() -> Result<DiffReport, String> {
-    gate_against(&golden_path(), "golden", &capture_golden_decisions())
-}
-
-/// Path of the committed fleet golden decision log, anchored to the
-/// workspace root.
-pub fn fleet_golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/decision_log_fleet.jsonl")
 }
 
 /// Models of the fleet golden scenario, one per tenant.
@@ -331,37 +355,6 @@ pub fn fleet_golden_config() -> SimConfig {
     )
 }
 
-/// Run the fleet golden scenario (one unit per Table II kind) and keep
-/// only its decision events, scoped `1 + tenant`.
-pub fn capture_fleet_golden_decisions() -> Vec<TraceEvent> {
-    let mut sink = VecSink::new();
-    let cfg = fleet_golden_config();
-    let spec = RunSpec::fleet(fleet_golden_deployments(), Catalog::table_ii(), 1, &cfg);
-    run(RunSpec {
-        sink: Some(&mut sink),
-        ..spec
-    });
-    sink.into_events()
-        .into_iter()
-        .filter(|e| matches!(e.kind, TraceEventKind::Decision(_)))
-        .collect()
-}
-
-/// Regenerate the committed fleet golden decision log. Returns the number
-/// of decisions written.
-pub fn write_fleet_golden(path: &Path) -> Result<usize, String> {
-    write_decisions(path, &capture_fleet_golden_decisions())
-}
-
-/// The fleet golden gate: same contract as [`golden_gate`].
-pub fn fleet_golden_gate() -> Result<DiffReport, String> {
-    gate_against(
-        &fleet_golden_path(),
-        "fleet golden",
-        &capture_fleet_golden_decisions(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,16 +388,22 @@ mod tests {
     #[test]
     fn golden_plan_cache_counts_are_pinned() {
         let mut sched = PaldiaScheduler::with_config(golden_opts().config);
-        let _ = capture_with(&golden_opts(), &mut sched);
+        let _ = record_with(&golden_opts(), &mut sched, &mut VecSink::new());
         let cache = sched.plan_cache();
         assert_eq!((cache.hits(), cache.misses()), (598, 655));
     }
 
+    /// Each row's setter and reader name the same field: applying a key
+    /// makes that key, and only it, the delta against the default.
     #[test]
     fn every_tunable_key_is_applicable() {
-        for key in TUNABLE_KEYS {
-            let mut cfg = PaldiaConfig::default();
-            apply_tunable(&mut cfg, key, "2").expect("listed key applies");
+        let default = PaldiaConfig::default();
+        for (key, _) in TUNABLES {
+            let mut flipped = default;
+            apply_tunable(&mut flipped, key, "2").expect("listed key applies");
+            let deltas = tunable_deltas(&default, &flipped);
+            let names: Vec<&str> = deltas.iter().map(|d| d.name.as_str()).collect();
+            assert_eq!(names, vec![key], "applying {key} moved {names:?}");
         }
     }
 }

@@ -10,14 +10,13 @@
 //! batching the serving literature measures in *token* latency. This module
 //! runs the two modes head-to-head — Paldia under both, plus a
 //! continuous-batching-aware fixed baseline (INFless/Llama `$` under the
-//! iterative device) — and hosts the LLM golden decision log, the fleet
-//! LLM scenario (three tenants on elastic inventory), and the `llm-smoke`
+//! iterative device) — and hosts the LLM golden scenario (a
+//! [`crate::diffcap::GOLDENS`] row), the fleet LLM scenario (three tenants on elastic inventory), and the `llm-smoke`
 //! CI gate (the fleet scenario at shards 1 vs 3, decision streams diffed
 //! both ways).
 
-use std::path::{Path, PathBuf};
-
 use crate::common::{Check, ExperimentReport, RunOpts, SchemeKind};
+use crate::diffcap::{GOLDEN_SECS, GOLDEN_SEED};
 use crate::scenarios;
 use paldia_baselines::Variant;
 use paldia_cluster::{
@@ -25,9 +24,7 @@ use paldia_cluster::{
 };
 use paldia_hw::Catalog;
 use paldia_metrics::{percentile, TextTable};
-use paldia_obs::{
-    diff_decision_streams, DiffReport, TraceEvent, TraceEventKind, TraceSink, VecSink,
-};
+use paldia_obs::{diff_decision_streams, TraceEvent, TraceEventKind, TraceSink, VecSink};
 use paldia_sim::SimTime;
 use paldia_workloads::{tokens::TokenCard, MlModel};
 
@@ -35,13 +32,6 @@ use paldia_workloads::{tokens::TokenCard, MlModel};
 /// Funnel-Transformer the bimodal one — the two length distributions where
 /// run-to-completion batching hurts most.
 pub const LLM_MODELS: [MlModel; 2] = [MlModel::Bert, MlModel::FunnelTransformer];
-
-/// Seed of the committed LLM golden decision log (and the smoke gate).
-pub const LLM_GOLDEN_SEED: u64 = 42;
-
-/// Trace length (seconds) of the LLM golden/smoke scenario: long enough to
-/// cross both storm edges, short enough to keep the CI gate cheap.
-pub const LLM_GOLDEN_SECS: u64 = 90;
 
 /// The cold-start storm the LLM scenario runs under: every warm container
 /// is purged at one-third and two-thirds of the trace, so both modes
@@ -81,8 +71,8 @@ impl LlmRunOpts {
     /// The golden/smoke scenario: Paldia, iterative, storm.
     pub fn golden() -> Self {
         LlmRunOpts {
-            seed: LLM_GOLDEN_SEED,
-            secs: LLM_GOLDEN_SECS,
+            seed: GOLDEN_SEED,
+            secs: GOLDEN_SECS,
             scheme: SchemeKind::Paldia,
             iterative: true,
             storm: true,
@@ -102,7 +92,7 @@ impl LlmRunOpts {
 }
 
 /// Run one side, recording into `sink` when one is given.
-fn run_llm_into(opts: &LlmRunOpts, sink: Option<&mut dyn TraceSink>) -> RunResult {
+pub(crate) fn run_llm_into(opts: &LlmRunOpts, sink: Option<&mut dyn TraceSink>) -> RunResult {
     let workloads = llm_workloads(opts.seed, opts.secs);
     let catalog = Catalog::table_ii();
     let cfg = opts.config();
@@ -120,7 +110,7 @@ pub fn run_llm(opts: &LlmRunOpts) -> RunResult {
 }
 
 /// Run one side with the observability sink attached (decision events
-/// included — the smoke gate and the golden log feed on them).
+/// included — the smoke gate feeds on them).
 pub fn capture_llm_run(opts: &LlmRunOpts) -> (Vec<TraceEvent>, RunResult) {
     let mut sink = VecSink::new();
     let result = run_llm_into(opts, Some(&mut sink));
@@ -198,38 +188,6 @@ pub fn p99_token_latency_ms(result: &RunResult, seed: u64) -> f64 {
     percentile(&per_token, 99.0)
 }
 
-/// Path of the committed LLM golden decision log, anchored to the
-/// workspace root.
-pub fn llm_golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/decision_log_llm.jsonl")
-}
-
-/// Run the LLM golden scenario and keep only its decision events.
-pub fn capture_llm_golden_decisions() -> Vec<TraceEvent> {
-    let (events, _) = capture_llm_run(&LlmRunOpts::golden());
-    events
-        .into_iter()
-        .filter(|e| matches!(e.kind, TraceEventKind::Decision(_)))
-        .collect()
-}
-
-/// Regenerate the committed LLM golden decision log
-/// (`repro --bless-golden`, `scripts/rebless.sh`). Returns the number of
-/// decisions written.
-pub fn write_llm_golden(path: &Path) -> Result<usize, String> {
-    crate::diffcap::write_decisions(path, &capture_llm_golden_decisions())
-}
-
-/// The LLM golden gate: re-run the scenario in-process and diff against
-/// the committed log (same contract as [`crate::diffcap::golden_gate`]).
-pub fn llm_golden_gate() -> Result<DiffReport, String> {
-    crate::diffcap::gate_against(
-        &llm_golden_path(),
-        "LLM golden",
-        &capture_llm_golden_decisions(),
-    )
-}
-
 /// What `repro --llm-smoke` measures: the quick fleet LLM scenario at
 /// shards 1 and 3, decision streams diffed both directions, plus the two
 /// modes' headline numbers on the single-deployment scenario for
@@ -305,7 +263,7 @@ pub fn run_llm_smoke(seed: u64) -> LlmSmokeReport {
         .count();
     LlmSmokeReport {
         seed,
-        secs: LLM_GOLDEN_SECS,
+        secs: base.secs,
         completed: r1.completed.len(),
         unserved: r1.unserved,
         decisions,

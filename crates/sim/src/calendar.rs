@@ -39,7 +39,7 @@
 
 use crate::engine::RunOutcome;
 use crate::event::{EventKey, EventQueue};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -57,11 +57,6 @@ pub trait WakeEvent: Sized {
 pub trait Calendar<E> {
     /// Schedule `payload` to fire at absolute time `at`.
     fn schedule(&mut self, at: SimTime, payload: E);
-
-    /// Schedule `payload` to fire `delay` after `now`.
-    fn schedule_in(&mut self, now: SimTime, delay: SimDuration, payload: E) {
-        self.schedule(now + delay, payload);
-    }
 
     /// Arm (or re-arm) the completion wake-up for `worker` at `at`, tagged
     /// with the device `version` current at arm time.
@@ -281,6 +276,7 @@ pub fn run_partition<W: World>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     /// A miniature versioned-device world exercised on the calendar and on
     /// the reference heap: `n` workers each hold a version counter;
@@ -329,7 +325,7 @@ mod tests {
                 Ev::Tick(n) => {
                     self.log.push((now.as_micros(), "tick", n, 0));
                     if n > 0 {
-                        q.schedule_in(now, SimDuration::from_micros(30), Ev::Tick(n - 1));
+                        q.schedule(now + SimDuration::from_micros(30), Ev::Tick(n - 1));
                     }
                 }
                 Ev::Wake { worker, version } => {
@@ -446,7 +442,7 @@ mod tests {
         impl World for Loop {
             type Event = Ev;
             fn handle(&mut self, now: SimTime, ev: Ev, cal: &mut PartitionCalendar<Ev>) {
-                cal.schedule_in(now, SimDuration::from_micros(1), ev);
+                cal.schedule(now + SimDuration::from_micros(1), ev);
             }
         }
         let mut cal = PartitionCalendar::new(Vec::new(), 0);

@@ -20,9 +20,10 @@
 #      change to anything it calls by name (separate target dir, as
 #      perfbench/run.py uses)
 #   8. cargo test -q          — root integration tests (tier-1 gate)
-#   9. repro --diff-golden    — the current build must reproduce the three
-#      committed golden decision logs (quick, LLM, fleet) bit for bit
-#      (re-bless intentional policy changes with scripts/rebless.sh)
+#   9. repro --diff-golden    — the current build must reproduce the
+#      committed decision log of every golden registry row
+#      (diffcap::GOLDENS) bit for bit (re-bless intentional policy changes
+#      with scripts/rebless.sh)
 #  10. trace export           — a capture-only repro run writes the chrome
 #      trace and the JSONL log, reads the log back, attributes it and
 #      triages it at a 200 ms SLO; the chrome file must load as JSON and the
@@ -75,7 +76,7 @@ CARGO_TARGET_DIR=target/perfbench \
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> repro --diff-golden (decision-log regression gates, quick + llm + fleet)"
+echo "==> repro --diff-golden (decision-log regression gate, every golden registry row)"
 cargo run --release -q -p paldia-experiments --bin repro -- --diff-golden
 
 echo "==> trace export (chrome JSON parses, JSONL log triages, self-diffs empty, reads the same at --jobs 1)"

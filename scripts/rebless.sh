@@ -4,14 +4,10 @@
 #
 #   scripts/rebless.sh
 #
-# Regenerates tests/golden/decision_log_quick.jsonl (the golden scenario:
-# seed 42, 90 s truncated Azure trace, GoogleNet, default tunables, serial
-# engine — see experiments::diffcap), decision_log_llm.jsonl (the
-# iteration-level LLM storm scenario — see experiments::llm_iter) and
-# decision_log_fleet.jsonl (three Paldia tenants over one unit per node
-# kind with one node-crash window — see experiments::diffcap) from the
-# current build, then re-runs the gate to confirm all three new logs are
-# reproducible. Review the resulting file diffs like code: every changed
+# Regenerates the committed log of every row of the golden registry
+# (experiments::diffcap::GOLDENS, one file under tests/golden/ per row)
+# from the current build, then re-runs the gate to confirm every new log
+# is reproducible. Review the resulting file diffs like code: every changed
 # line is a scheduling decision your change altered, and
 # `repro --diff <old> <new>` narrates the first one.
 #
@@ -23,7 +19,7 @@ cd "$(dirname "$0")/.."
 echo "==> repro --bless-golden"
 cargo run --release -q -p paldia-experiments --bin repro -- --bless-golden
 
-echo "==> repro --diff-golden (verifying the new log reproduces)"
+echo "==> repro --diff-golden (verifying the new logs reproduce)"
 cargo run --release -q -p paldia-experiments --bin repro -- --diff-golden
 
 echo "==> re-blessed; review the diffs under tests/golden/ like code"

@@ -2,9 +2,10 @@
 //!
 //! Three layers, matching DESIGN.md §12:
 //!
-//! * the **golden gate** — the unmodified tree must reproduce the
-//!   committed `tests/golden/decision_log_quick.jsonl` bit for bit (the
-//!   same check `repro --diff-golden` runs in `scripts/ci.sh`);
+//! * the **golden gate** — the unmodified tree must reproduce every
+//!   committed log of the golden registry (`diffcap::GOLDENS`) bit for
+//!   bit (the same check `repro --diff-golden` runs in `scripts/ci.sh`),
+//!   and `tests/golden/` holds exactly the registry's files;
 //! * **pinned ablation pairs** — a tunable flip and a cold-start-storm
 //!   window each diverge at a pinned first decision (tick, scope, class)
 //!   with a pinned narrative, so renderer or alignment regressions are
@@ -18,7 +19,7 @@
 
 use paldia_cluster::{FailoverPolicyKind, FaultPlan, RunResult};
 use paldia_experiments::diffcap::{
-    self, apply_tunable, capture_decision_run, golden_opts, tunable_deltas,
+    apply_tunable, capture_decision_run, golden_opts, tunable_deltas, GOLDENS,
 };
 use paldia_obs::{diff_decision_streams, render_diff, DivergenceClass, TraceEvent};
 use paldia_sim::SimTime;
@@ -45,51 +46,67 @@ fn first_metric_delta_us(a: &RunResult, b: &RunResult) -> Option<u64> {
     None
 }
 
-/// The unmodified tree reproduces the committed golden decision log —
+/// The unmodified tree reproduces every committed golden decision log —
 /// the in-process version of the `repro --diff-golden` CI gate.
 #[test]
-fn golden_gate_reproduces_committed_log() {
-    let report = diffcap::golden_gate().expect("golden log readable (scripts/rebless.sh)");
-    assert!(
-        report.is_empty(),
-        "golden decision-log gate failed; first divergence:\n{}",
-        render_diff(&report, "committed golden", "current build", &[])
-    );
-    assert!(report.aligned > 100, "golden log suspiciously short");
+fn goldens_reproduce_committed_logs() {
+    for golden in GOLDENS {
+        let name = golden.name;
+        let report = golden
+            .gate()
+            .expect("golden log readable (scripts/rebless.sh)");
+        assert!(
+            report.is_empty(),
+            "{name} golden decision-log gate failed; first divergence:\n{}",
+            render_diff(&report, "committed golden", "current build", &[])
+        );
+        assert!(report.aligned > 100, "{name} golden log suspiciously short");
+    }
 }
 
-/// Same gate for the iteration-level LLM storm scenario: the committed
-/// `tests/golden/decision_log_llm.jsonl` must reproduce bit for bit
-/// (re-blessable via the same `scripts/rebless.sh` flow).
+/// The fleet golden (three tenants, one unit per kind, one node-crash
+/// window) carries every tenant's decision scope.
 #[test]
-fn llm_golden_gate_reproduces_committed_log() {
-    let report = paldia_experiments::llm_iter::llm_golden_gate()
-        .expect("llm golden log readable (scripts/rebless.sh)");
-    assert!(
-        report.is_empty(),
-        "llm golden decision-log gate failed; first divergence:\n{}",
-        render_diff(&report, "committed llm golden", "current build", &[])
-    );
-    assert!(report.aligned > 100, "llm golden log suspiciously short");
-}
-
-/// Same gate for the three-tenant fleet scenario (one unit per kind, one
-/// node-crash window): the committed `tests/golden/decision_log_fleet.jsonl`
-/// must reproduce bit for bit, and it must carry every tenant's scope.
-#[test]
-fn fleet_golden_gate_reproduces_committed_log() {
-    let report = diffcap::fleet_golden_gate().expect("fleet golden log readable");
-    assert!(
-        report.is_empty(),
-        "fleet golden decision-log gate failed; first divergence:\n{}",
-        render_diff(&report, "committed fleet golden", "current build", &[])
-    );
-    let committed = paldia_obs::read_jsonl_file(diffcap::fleet_golden_path())
-        .expect("fleet golden log readable");
+fn fleet_golden_has_one_scope_per_tenant() {
+    let fleet = GOLDENS
+        .iter()
+        .find(|g| g.name == "fleet")
+        .expect("fleet row");
+    let committed = paldia_obs::read_jsonl_file(fleet.path()).expect("fleet golden log readable");
     let mut scopes: Vec<u32> = committed.iter().map(|e| e.scope).collect();
     scopes.sort_unstable();
     scopes.dedup();
     assert_eq!(scopes, vec![1, 2, 3], "one decision scope per tenant");
+}
+
+/// `tests/golden/` and the registry name the same logs: every committed
+/// `*.jsonl` file is a row, every row's file exists, and names are unique,
+/// so an orphaned log or an unblessed row fails here.
+#[test]
+fn golden_corpus_matches_registry() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+        .expect("tests/golden readable")
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|file| file.ends_with(".jsonl"))
+        .collect();
+    on_disk.sort();
+    let mut files: Vec<String> = GOLDENS.iter().map(|g| g.file.to_string()).collect();
+    files.sort();
+    assert_eq!(on_disk, files, "tests/golden/*.jsonl vs the GOLDENS rows");
+    for golden in GOLDENS {
+        assert!(golden.path().is_file(), "{} is not blessed", golden.name);
+    }
+    let mut names: Vec<&str> = GOLDENS.iter().map(|g| g.name).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), GOLDENS.len(), "golden row names are unique");
 }
 
 /// `diff(A, A)` is empty for a real seeded run, and the pinned
@@ -219,21 +236,27 @@ fn headroom_flip_precedes_metrics_and_mirrors() {
     assert_eq!(mfirst.b, first.a);
 }
 
-/// The committed golden log survives a JSONL round-trip: parsing it and
+/// Every committed golden log survives a JSONL round-trip: parsing it and
 /// re-serializing yields the same decisions the differ aligns on (diff
 /// against the in-process capture stays empty either way).
 #[test]
 fn golden_log_round_trip_keeps_diff_empty() {
-    let committed: Vec<TraceEvent> =
-        paldia_obs::read_jsonl_file(diffcap::golden_path()).expect("golden log readable");
-    let reserialized: Vec<TraceEvent> = committed
-        .iter()
-        .map(|e| {
-            let line = paldia_obs::event_to_jsonl(e);
-            paldia_obs::event_from_jsonl(&line).expect("golden line round-trips")
-        })
-        .collect();
-    let report = diff_decision_streams(&committed, &reserialized);
-    assert!(report.is_empty(), "round-trip changed the decision stream");
-    assert_eq!(report.aligned, committed.len());
+    for golden in GOLDENS {
+        let committed: Vec<TraceEvent> =
+            paldia_obs::read_jsonl_file(golden.path()).expect("golden log readable");
+        let reserialized: Vec<TraceEvent> = committed
+            .iter()
+            .map(|e| {
+                let line = paldia_obs::event_to_jsonl(e);
+                paldia_obs::event_from_jsonl(&line).expect("golden line round-trips")
+            })
+            .collect();
+        let report = diff_decision_streams(&committed, &reserialized);
+        assert!(
+            report.is_empty(),
+            "{}: round-trip changed the stream",
+            golden.name
+        );
+        assert_eq!(report.aligned, committed.len());
+    }
 }
