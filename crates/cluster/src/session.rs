@@ -30,8 +30,9 @@
 //! client), so `inject_recorded` checks the reservation contract in every
 //! build: a seq outside the block, a seq injected twice, an `(at, seq)`
 //! not after the previous recorded arrival, an `at` before the session's
-//! now, or an `at` at or past the horizon is refused with an error naming
-//! the seq.
+//! now, an `at` at or past the horizon, or a model the session does not
+//! serve is refused with an error naming the seq. Live arrivals
+//! ([`SimSession::inject_arrival`]) are refused for an unserved model too.
 //!
 //! [`run_replay`] is the shared driver both executors of a recorded trace
 //! use: the DES side runs it with [`paldia_sim::VirtualClock`] and the
@@ -44,6 +45,7 @@ use crate::config::SimConfig;
 use crate::fleet::{FEv, FleetHarness, Partition, Tenant};
 use crate::harness::SampledArrival;
 use crate::policy::Scheduler;
+use crate::replay::model_token;
 use crate::request::{CompletedRequest, Request, RequestId};
 use crate::result::RunResult;
 use paldia_hw::{Catalog, InstanceKind};
@@ -59,6 +61,8 @@ use std::collections::BTreeMap;
 /// session bit-identical to a lone [`crate::run`].
 pub struct SimSession<'a> {
     part: Partition<'a>,
+    /// The models the session serves (a batcher each).
+    models: Vec<MlModel>,
     horizon: SimTime,
     reserved: u64,
     /// Recorded seqs injected so far, as a sparse bitset: word
@@ -143,7 +147,7 @@ impl<'a> SimSession<'a> {
         reserved: u64,
         tracer: Tracer<'a>,
     ) -> Self {
-        let tenant = Tenant::new(scheduler, models, initial_hw, cfg, None, 0);
+        let tenant = Tenant::new(scheduler, models.clone(), initial_hw, cfg, None, 0);
         let harness = FleetHarness::new(
             cfg,
             catalog,
@@ -155,6 +159,7 @@ impl<'a> SimSession<'a> {
         );
         SimSession {
             part: Partition::new(harness, vec![Vec::new()], reserved, true),
+            models,
             horizon: trace_end + cfg.drain_grace,
             reserved,
             injected: BTreeMap::new(),
@@ -193,8 +198,9 @@ impl<'a> SimSession<'a> {
     /// stepped ([`run_replay`] does both). Refused, with an error naming
     /// the seq and leaving the session untouched: a seq outside the
     /// reserved block, a seq already injected, an `(at, seq)` not after the
-    /// previous recorded arrival, an `at` earlier than now, or an `at` at
-    /// or past the horizon (it could never be processed).
+    /// previous recorded arrival, an `at` earlier than now, an `at` at or
+    /// past the horizon (it could never be processed), or a model the
+    /// session does not serve.
     pub fn inject_recorded(&mut self, sa: &SampledArrival) -> Result<(), String> {
         let seq = sa.seq;
         let now = self.now();
@@ -230,6 +236,8 @@ impl<'a> SimSession<'a> {
                 self.horizon.as_micros()
             ));
         }
+        self.check_served(sa.model)
+            .map_err(|e| format!("arrival seq {seq} {e}"))?;
         *self.injected.entry(word).or_insert(0) |= bit;
         self.last_recorded = Some((sa.at, seq));
         self.part.cal.queue_mut().schedule_reserved(
@@ -247,10 +255,25 @@ impl<'a> SimSession<'a> {
         Ok(())
     }
 
+    /// `Err` naming `model` when the session has no batcher for it.
+    fn check_served(&self, model: MlModel) -> Result<(), String> {
+        if self.models.contains(&model) {
+            return Ok(());
+        }
+        let token = model_token(model);
+        Err(format!(
+            "invokes model {token}, which this session does not serve"
+        ))
+    }
+
     /// Inject a live arrival at `at` (clamped to the session's "now") and
     /// return its assigned request id. Live ids start after the reserved
-    /// block, so mixing recorded and live arrivals cannot collide.
-    pub fn inject_arrival(&mut self, at: SimTime, model: MlModel) -> RequestId {
+    /// block, so mixing recorded and live arrivals cannot collide. Refused,
+    /// leaving the session untouched, for a model the session does not
+    /// serve.
+    pub fn inject_arrival(&mut self, at: SimTime, model: MlModel) -> Result<RequestId, String> {
+        self.check_served(model)
+            .map_err(|e| format!("live arrival {e}"))?;
         let at = at.max(self.now());
         self.next_live_id += 1;
         let id = RequestId(self.reserved + self.next_live_id);
@@ -265,7 +288,7 @@ impl<'a> SimSession<'a> {
                 },
             ),
         );
-        id
+        Ok(id)
     }
 
     /// Process the earliest pending event if it fires before the horizon;
@@ -407,4 +430,55 @@ pub fn run_replay_virtual(
     let mut source = SliceSource::new(arrivals);
     let mut clock = paldia_sim::VirtualClock;
     run_replay(session, &mut source, &mut clock, |_| {})
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::{Decision, Observation};
+
+    struct Stay;
+    impl Scheduler for Stay {
+        fn name(&self) -> &str {
+            "stay"
+        }
+        fn decide(&mut self, obs: &Observation) -> Decision {
+            Decision::stay(obs.current_hw)
+        }
+    }
+
+    /// An arrival for a model the session has no batcher for is refused,
+    /// naming the model, and leaves the session untouched.
+    #[test]
+    fn arrivals_for_unserved_models_are_refused() {
+        let (cfg, mut sched) = (SimConfig::with_seed(1), Stay);
+        let (hw, end) = (InstanceKind::C6i_2xlarge, SimTime::from_secs(10));
+        let models = vec![MlModel::GoogleNet];
+        let mut session =
+            SimSession::new(models, &mut sched, hw, Catalog::table_ii(), &cfg, end, 1);
+        let stray = SampledArrival {
+            seq: 0,
+            id: RequestId(1),
+            at: SimTime::from_secs(1),
+            model: MlModel::ResNet50,
+        };
+        let e = session.inject_recorded(&stray).expect_err("unserved model");
+        assert!(
+            e.starts_with("arrival seq 0 invokes model resnet50,"),
+            "{e}"
+        );
+        let e = session.inject_arrival(stray.at, MlModel::ResNet50);
+        assert!(e.expect_err("unserved model").contains("resnet50"));
+        let served = SampledArrival {
+            model: MlModel::GoogleNet,
+            ..stray
+        };
+        session
+            .inject_recorded(&served)
+            .expect("the seq is still free");
+        let live = session.inject_arrival(stray.at, MlModel::GoogleNet);
+        assert_eq!(live, Ok(RequestId(2)), "the first live id after the block");
+        let result = session.finish();
+        assert_eq!(result.completed.len() as u64 + result.unserved, 2);
+    }
 }

@@ -104,19 +104,7 @@ pub struct PaldiaScheduler {
 impl PaldiaScheduler {
     /// The online Paldia policy.
     pub fn new() -> Self {
-        PaldiaScheduler {
-            name: "Paldia".to_string(),
-            cfg: PaldiaConfig::default(),
-            hysteresis: Hysteresis::default(),
-            down_streak: 0,
-            distress_streak: 0,
-            ramp_streaks: Vec::new(),
-            oracle_traces: Vec::new(),
-            host_mix: paldia_workloads::sebs::SebsMix::none(),
-            plan_cache: PlanCache::new(),
-            record_decisions: false,
-            decision_log: Vec::new(),
-        }
+        PaldiaScheduler::with_config(PaldiaConfig::default())
     }
 
     /// The host-aware extension the paper leaves as future work: Paldia's
@@ -155,16 +143,8 @@ impl PaldiaScheduler {
         cfg.selection.wait_limit = 1;
         PaldiaScheduler {
             name: "Oracle".to_string(),
-            cfg,
-            hysteresis: Hysteresis::default(),
-            down_streak: 0,
-            distress_streak: 0,
-            ramp_streaks: Vec::new(),
             oracle_traces: traces,
-            host_mix: paldia_workloads::sebs::SebsMix::none(),
-            plan_cache: PlanCache::new(),
-            record_decisions: false,
-            decision_log: Vec::new(),
+            ..PaldiaScheduler::with_config(cfg)
         }
     }
 

@@ -6,7 +6,7 @@
 //!       [--faults SPEC] [--trace FILE] [--trace-file FILE]
 //!       [--explain ID] [--triage SLO_MS] [--stress]
 //!       [--diff A.jsonl B.jsonl] [--diff-flip KEY=VALUE]
-//!       [--diff-golden] [--bless-golden] [--replay-capture FILE]
+//!       [--diff-golden] [--bless-golden]
 //!       [--llm] [--llm-smoke [--report FILE]]
 //!       [fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig11 fig12 fig13a fig13b table3 llm]
 //! ```
@@ -28,8 +28,9 @@
 //! wall-clock, engine events/s, and conservation — a workload the serial
 //! engine cannot turn around interactively.
 //!
-//! `--trace FILE` re-runs the primary evaluation setting with the
-//! observability sink attached and writes the capture as a
+//! `--trace FILE` re-runs the primary evaluation setting
+//! ([`diffcap::PrimaryScenario`]: the quick 120 s slice with `--quick`, the
+//! full-day trace without) with the observability sink attached and writes the capture as a
 //! chrome://tracing JSON file; `--trace-file FILE` streams the same
 //! capture to an append-only JSONL file instead (readable back with
 //! `paldia_obs::read_jsonl_file`); `--explain ID` prints the plain-text
@@ -55,10 +56,6 @@
 //! policy change (`scripts/rebless.sh`). A `--faults` schedule composes
 //! with `--diff-flip`.
 //!
-//! `--replay-capture FILE` records the quick scenario's sampled arrivals
-//! in the `# paldia-replay v1` line format, for `paldia-serve --replay`
-//! and the serving shell's differential gate (DESIGN.md §14).
-//!
 //! `--llm` (or the positional id `llm`) runs the iteration-level LLM
 //! study: Paldia under continuous batching vs the request-level batcher,
 //! plus a continuous-batching-aware fixed baseline, on the token-card
@@ -70,9 +67,12 @@
 //! numbers to `target/llm-report.json` (`--report FILE` overrides), and
 //! exits 1 on any shard divergence.
 //!
-//! An argument `repro` cannot use exits 2 before anything runs: an
-//! unknown experiment id (a bare number included), or a value flag whose
-//! value is missing or does not parse.
+//! An argument `repro` cannot use exits 2 before anything runs, naming it:
+//! an unknown experiment id (a bare number included), an unknown or
+//! repeated flag, or a value flag whose value is missing, starts with
+//! `--`, or does not parse. Every flag is listed once, in [`FLAGS`].
+//! (The replay file of the serving shell is written by
+//! `paldia-serve --capture`.)
 //!
 //! `--faults SPEC` injects a deterministic fault schedule into every
 //! experiment whose cells do not already carry one (Fig. 13b keeps its
@@ -84,6 +84,8 @@
 
 use paldia_cluster::{FailoverPolicyKind, FaultPlan};
 use paldia_core::{pool, ysearch};
+use paldia_experiments::cli::{Cli, Flag};
+use paldia_experiments::diffcap::PrimaryScenario;
 use paldia_experiments::timings::{append_entry, default_bench_path, FigureTiming, TimingReport};
 use paldia_experiments::*;
 use paldia_sim::{SimDuration, SimTime};
@@ -155,63 +157,86 @@ fn parse_fault_spec(spec: &str) -> Option<FaultPlan> {
     Some(FaultPlan::sampled_crashes(seed, span, count, crash))
 }
 
+/// Ring capacity for captured runs. A full-day Azure run of the primary
+/// setting emits a few events per request; 4 M slots hold the whole run
+/// without eviction while bounding memory to a few hundred MB worst case.
+const CAPTURE_CAPACITY: usize = 4_000_000;
+
+/// Human-readable warning when a bounded capture evicted events, or `None`
+/// when the ring held the whole run. A silently truncated log poisons
+/// every downstream consumer — attribution under-counts, and a decision
+/// diff against it reports bogus structural desync — so the capture
+/// surfaces this on stderr and in its summary.
+fn dropped_warning(dropped: u64) -> Option<String> {
+    if dropped == 0 {
+        return None;
+    }
+    Some(format!(
+        "trace capture dropped {dropped} event(s) (ring capacity {CAPTURE_CAPACITY}); \
+         the log is truncated and diffs/attribution over it are unreliable"
+    ))
+}
+
+/// The primary scenario `--trace`, `--explain`, `--triage` and
+/// `--diff-flip` run: the quick slice with `--quick`, else the full day,
+/// under the `--faults` schedule if any.
+fn primary_scenario(quick: bool, opts: &RunOpts) -> PrimaryScenario {
+    let mut scenario = PrimaryScenario {
+        faults: opts.faults.clone().map(|plan| (plan, opts.failover)),
+        ..PrimaryScenario::quick(opts.seed_base)
+    };
+    if !quick {
+        scenario.capture_secs = 0; // the full-day trace
+    }
+    scenario
+}
+
 /// Run the primary-setting observability capture
 /// (`--trace`/`--trace-file`/`--explain`/`--triage`): write the
 /// chrome-trace JSON and/or JSONL capture, render request lifecycles, and
-/// triage SLO misses from the trace.
+/// triage SLO misses from the trace. `mode` ("quick"/"full") labels the
+/// banner.
 fn run_capture(
-    quick: bool,
-    seed: u64,
-    faults: Option<(FaultPlan, FailoverPolicyKind)>,
+    mode: &str,
+    scenario: &PrimaryScenario,
     trace_out: Option<&str>,
     trace_file: Option<&str>,
     triage_slo: Option<f64>,
     explain: &[u64],
 ) {
     println!(
-        "observability capture — {} primary run (Paldia / Azure / GoogleNet), seed {seed}",
-        if quick { "quick" } else { "full" }
+        "observability capture — {mode} primary run (Paldia / Azure / GoogleNet), seed {}",
+        scenario.seed
     );
+    let mut sched = scenario.scheduler();
     // Everything after the capture (chrome export, explain, triage) reads
     // the event stream back from memory; with `--trace-file` the stream
     // goes to disk first and is re-parsed, so the downstream consumers see
     // exactly what a later session would read from the file.
     let mut dropped = 0u64;
     let (events, result) = if let Some(path) = trace_file {
-        let mut sink = match paldia_obs::JsonlSink::create(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("  could not create {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let result = tracecap::capture_primary_run_with(quick, seed, faults, &mut sink);
-        match sink.finish() {
-            Ok(lines) => println!("  jsonl trace written to {path} ({lines} events)"),
-            Err(e) => {
-                eprintln!("  could not write {path}: {e}");
-                std::process::exit(2);
-            }
-        }
+        let sink = paldia_obs::JsonlSink::create(path);
+        let mut sink = or_exit(sink.map_err(|e| format!("  could not create {path}: {e}")));
+        let result = scenario.record(&mut sched, &mut sink);
+        let lines = or_exit(
+            sink.finish()
+                .map_err(|e| format!("  could not write {path}: {e}")),
+        );
+        println!("  jsonl trace written to {path} ({lines} events)");
         let events = if trace_out.is_some() || triage_slo.is_some() || !explain.is_empty() {
-            match paldia_obs::read_jsonl_file(path) {
-                Ok(evs) => evs,
-                Err(e) => {
-                    eprintln!("  could not read back {path}: {e}");
-                    std::process::exit(2);
-                }
-            }
+            let events = paldia_obs::read_jsonl_file(path);
+            or_exit(events.map_err(|e| format!("  could not read back {path}: {e}")))
         } else {
             Vec::new()
         };
         (events, result)
     } else {
-        let mut sink = paldia_obs::RingSink::new(tracecap::CAPTURE_CAPACITY);
-        let result = tracecap::capture_primary_run_with(quick, seed, faults, &mut sink);
+        let mut sink = paldia_obs::RingSink::new(CAPTURE_CAPACITY);
+        let result = scenario.record(&mut sched, &mut sink);
         dropped = sink.dropped();
         (sink.into_events(), result)
     };
-    if let Some(warning) = tracecap::dropped_warning(dropped) {
+    if let Some(warning) = dropped_warning(dropped) {
         eprintln!("  warning: {warning}");
     }
     // With `--trace-file` and no downstream consumer the stream went
@@ -231,14 +256,9 @@ fn run_capture(
         );
     }
     if let Some(path) = trace_out {
-        let json = paldia_obs::chrome_trace_json(&events);
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("  chrome trace written to {path} (load via chrome://tracing)"),
-            Err(e) => {
-                eprintln!("  could not write {path}: {e}");
-                std::process::exit(2);
-            }
-        }
+        let written = std::fs::write(path, paldia_obs::chrome_trace_json(&events));
+        or_exit(written.map_err(|e| format!("  could not write {path}: {e}")));
+        println!("  chrome trace written to {path} (load via chrome://tracing)");
     }
     if let Some(slo) = triage_slo {
         let attribution = paldia_obs::TraceAttribution::from_events(&events);
@@ -265,12 +285,9 @@ fn run_capture(
 /// `--diff A.jsonl B.jsonl`: align two captured decision logs and exit 0
 /// on an empty report, 1 with the first-divergence narrative otherwise.
 fn run_file_diff(path_a: &str, path_b: &str) -> ! {
-    let read = |path: &str| match paldia_obs::read_jsonl_file(path) {
-        Ok(events) => events,
-        Err(e) => {
-            eprintln!("could not read {path}: {e}");
-            std::process::exit(2);
-        }
+    let read = |path: &str| {
+        let events = paldia_obs::read_jsonl_file(path);
+        or_exit(events.map_err(|e| format!("could not read {path}: {e}")))
     };
     let (ea, eb) = (read(path_a), read(path_b));
     let report = paldia_obs::diff_decision_streams(&ea, &eb);
@@ -281,36 +298,20 @@ fn run_file_diff(path_a: &str, path_b: &str) -> ! {
 /// `--diff-flip KEY=VALUE`: run the primary setting twice in-process —
 /// default tunables vs one flipped — diff the decision streams, and
 /// narrate the first divergent decision with the responsible delta.
-fn run_diff_flip(
-    quick: bool,
-    seed: u64,
-    faults: Option<(FaultPlan, FailoverPolicyKind)>,
-    spec: &str,
-) -> ! {
-    let Some((key, value)) = spec.split_once('=') else {
-        eprintln!(
-            "--diff-flip needs KEY=VALUE (known keys: {})",
-            diffcap::tunable_keys()
-        );
-        std::process::exit(2);
-    };
-    let mut base = diffcap::DiffRunOpts::quick(seed);
-    base.faults = faults;
-    if !quick {
-        base.capture_secs = 0; // full-day trace
-    }
+fn run_diff_flip(mode: &str, base: PrimaryScenario, spec: &str) -> ! {
+    let keys = diffcap::tunable_keys();
+    let kv = spec.split_once('=');
+    let (key, value) =
+        or_exit(kv.ok_or(format!("--diff-flip needs KEY=VALUE (known keys: {keys})")));
     let mut flipped = base.clone();
-    if let Err(e) = diffcap::apply_tunable(&mut flipped.config, key, value) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
+    or_exit(diffcap::apply_tunable(&mut flipped.config, key, value));
     let deltas = diffcap::tunable_deltas(&base.config, &flipped.config);
     if deltas.is_empty() {
         println!("--diff-flip {spec}: value equals the default; both sides are identical runs");
     }
     println!(
-        "decision diff — {} primary run (Paldia / Azure / GoogleNet), seed {seed}: default vs {spec}",
-        if quick { "quick" } else { "full" }
+        "decision diff — {mode} primary run (Paldia / Azure / GoogleNet), seed {}: default vs {spec}",
+        base.seed
     );
     let (report, ra, rb) = diffcap::diff_runs(&base, &flipped);
     print!(
@@ -372,17 +373,12 @@ fn gate_goldens() -> ! {
 /// `--bless-golden`: regenerate every golden row's committed log.
 fn bless_goldens() {
     for golden in diffcap::GOLDENS {
-        match golden.bless() {
-            Ok(n) => println!(
-                "{} golden decision log re-blessed: {n} decision(s) -> {}",
-                golden.name,
-                golden.path().display()
-            ),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
+        let n = or_exit(golden.bless());
+        println!(
+            "{} golden decision log re-blessed: {n} decision(s) -> {}",
+            golden.name,
+            golden.path().display()
+        );
     }
 }
 
@@ -406,13 +402,9 @@ fn run_llm_smoke_cmd(seed: u64, report_path: &str) -> ! {
     if let Some(dir) = std::path::Path::new(report_path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    match std::fs::write(report_path, report.to_json()) {
-        Ok(()) => println!("  report written to {report_path}"),
-        Err(e) => {
-            eprintln!("  could not write {report_path}: {e}");
-            std::process::exit(2);
-        }
-    }
+    let written = std::fs::write(report_path, report.to_json());
+    or_exit(written.map_err(|e| format!("  could not write {report_path}: {e}")));
+    println!("  report written to {report_path}");
     if report.shard_invariant {
         println!("llm smoke OK: shards 1 and 3 bit-identical, decision diffs empty both ways");
         std::process::exit(0);
@@ -466,16 +458,51 @@ fn experiments(quick: bool) -> Vec<Experiment> {
     ]
 }
 
-/// Check positional experiment ids against `known` and the `fig10`
-/// alias. `Err` names the unknown ids and lists the known ones.
-fn check_ids(selected: &[&str], known: &[&str]) -> Result<(), String> {
-    let unknown: Vec<&str> = selected
+/// Every flag `repro` knows, once each, with what its values are.
+const FLAGS: &[Flag] = &[
+    ("--quick", 0, ""),
+    ("--seed", 1, "a numeric seed"),
+    ("--jobs", 1, "a worker count"),
+    ("--shards", 1, "a positive shard count (e.g. --shards 3)"),
+    ("--timings", 0, ""),
+    ("--label", 1, "a name"),
+    ("--faults", 1, "a spec: fig13b or crashes:COUNT:SEED"),
+    ("--trace", 1, "an output path"),
+    ("--trace-file", 1, "an output path"),
+    ("--explain", 1, "a numeric request id"),
+    ("--triage", 1, "a positive SLO in milliseconds (e.g. 200)"),
+    ("--stress", 0, ""),
+    ("--diff", 2, "two JSONL captures (e.g. a.jsonl b.jsonl)"),
+    ("--diff-flip", 1, "KEY=VALUE (a tunable key and its value)"),
+    ("--diff-golden", 0, ""),
+    ("--bless-golden", 0, ""),
+    ("--llm", 0, ""),
+    ("--llm-smoke", 0, ""),
+    ("--report", 1, "an output path"),
+];
+
+/// `Ok` as is; an `Err` is printed and exits 2 (a usage error).
+fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+/// Read the command line: every flag against [`FLAGS`], every other
+/// argument against the experiment ids (and the `fig10` alias). `Err`
+/// names the bad flag, or every unknown id and the known ones.
+fn read_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+    let cli = Cli::parse(FLAGS, args)?;
+    let known: Vec<&str> = experiments(false).iter().map(|(id, _)| *id).collect();
+    let unknown: Vec<&str> = cli
+        .positional
         .iter()
-        .copied()
+        .map(String::as_str)
         .filter(|id| *id != "fig10" && !known.contains(id))
         .collect();
     if unknown.is_empty() {
-        return Ok(());
+        return Ok(cli);
     }
     Err(format!(
         "unknown experiment id(s): {}\nknown ids: {} (fig10 selects fig9)",
@@ -484,193 +511,80 @@ fn check_ids(selected: &[&str], known: &[&str]) -> Result<(), String> {
     ))
 }
 
-/// The command line, plus the indices of the flag values read so far.
-struct Cli {
-    args: Vec<String>,
-    taken: Vec<usize>,
-}
-
-impl Cli {
-    fn has(&self, flag: &str) -> bool {
-        self.args.iter().any(|a| a == flag)
-    }
-
-    /// The value after `flag`, when the flag is given. Exits 2 naming
-    /// `usage` when the value is missing (absent, or another `--flag`) or
-    /// `parse` refuses it; otherwise the value is taken, so it is not read
-    /// as an experiment id.
-    fn value_with<T>(
-        &mut self,
-        flag: &str,
-        usage: &str,
-        parse: impl Fn(&str) -> Option<T>,
-    ) -> Option<T> {
-        let i = self.args.iter().position(|a| a == flag)?;
-        let value = self.args.get(i + 1).filter(|v| !v.starts_with("--"));
-        let Some(parsed) = value.and_then(|v| parse(v)) else {
-            let got = value.map_or(String::new(), |v| format!(", got {v:?}"));
-            eprintln!("{flag} needs {usage}{got}");
-            std::process::exit(2);
-        };
-        self.taken.push(i + 1);
-        Some(parsed)
-    }
-
-    /// [`Cli::value_with`] for a value read with [`str::parse`].
-    fn value<T: std::str::FromStr>(&mut self, flag: &str, usage: &str) -> Option<T> {
-        self.value_with(flag, usage, |v| v.parse().ok())
-    }
-
-    /// The arguments left once every flag and taken value is removed: the
-    /// experiment ids.
-    fn positional(&self) -> Vec<&str> {
-        let free = |(i, a): &(usize, &String)| !a.starts_with("--") && !self.taken.contains(i);
-        self.args
-            .iter()
-            .enumerate()
-            .filter(free)
-            .map(|(_, a)| a.as_str())
-            .collect()
-    }
-}
-
 fn main() {
-    let mut cli = Cli {
-        args: std::env::args().skip(1).collect(),
-        taken: Vec::new(),
-    };
+    let cli = or_exit(read_args(std::env::args().skip(1)));
     let quick = cli.has("--quick");
+    let mode = if quick { "quick" } else { "full" };
     // Resolve the bench file before any work, so a run outside a checkout
     // fails in the first second rather than after the figures.
-    let bench_path = if cli.has("--timings") {
-        match default_bench_path() {
-            Ok(p) => Some(p),
-            Err(e) => {
-                eprintln!("--timings: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        None
-    };
+    let bench_path = cli
+        .has("--timings")
+        .then(|| or_exit(default_bench_path().map_err(|e| format!("--timings: {e}"))));
     let mut opts = if quick {
         RunOpts::quick()
     } else {
         RunOpts::full()
     };
-    if let Some(seed) = cli.value("--seed", "a numeric seed") {
+    if let Some(seed) = or_exit(cli.parsed("--seed")) {
         opts.seed_base = seed;
     }
-    if let Some(n) = cli.value("--jobs", "a worker count") {
+    if let Some(n) = or_exit(cli.parsed("--jobs")) {
         pool::set_jobs(n);
     }
-    let shards = cli
-        .value("--shards", "a positive shard count (e.g. --shards 3)")
-        .map_or_else(common::default_shards, NonZeroU32::get);
-    if cli.has("--stress") {
-        run_stress_report(shards);
-        return;
-    }
-    let fault_usage = "a spec: fig13b or crashes:COUNT:SEED";
-    if let Some(plan) = cli.value_with("--faults", fault_usage, parse_fault_spec) {
+    let shards =
+        or_exit(cli.parsed("--shards")).map_or_else(common::default_shards, NonZeroU32::get);
+    let label = cli.value("--label").unwrap_or("repro").to_string();
+    if let Some(plan) = or_exit(cli.parsed_with("--faults", parse_fault_spec)) {
         opts = opts.with_faults(plan, FailoverPolicyKind::CheapestMorePerformant);
     }
-    // Decision-log diff subcommands: none of them run the experiment
-    // sweep, so they exit directly (0 empty diff / 1 divergent / 2 usage
-    // or IO error).
-    if let Some(i) = cli.args.iter().position(|a| a == "--diff") {
-        let (Some(a), Some(b)) = (cli.args.get(i + 1), cli.args.get(i + 2)) else {
-            eprintln!("--diff needs two JSONL capture paths (e.g. --diff a.jsonl b.jsonl)");
-            std::process::exit(2);
-        };
-        run_file_diff(a, b);
-    }
-    if let Some(i) = cli.args.iter().position(|a| a == "--diff-flip") {
-        let Some(spec) = cli.args.get(i + 1) else {
-            eprintln!(
-                "--diff-flip needs KEY=VALUE (known keys: {})",
-                diffcap::tunable_keys()
-            );
-            std::process::exit(2);
-        };
-        run_diff_flip(
-            quick,
-            opts.seed_base,
-            opts.faults.clone().map(|plan| (plan, opts.failover)),
-            spec,
-        );
-    }
-    if cli.has("--diff-golden") {
-        gate_goldens();
-    }
-    if cli.has("--llm-smoke") {
-        let report_path = cli
-            .args
-            .iter()
-            .position(|a| a == "--report")
-            .and_then(|i| cli.args.get(i + 1))
-            .map_or("target/llm-report.json", String::as_str);
-        run_llm_smoke_cmd(opts.seed_base, report_path);
-    }
-    // Replay-trace capture for the serving shell (DESIGN.md §14): record
-    // the sampled arrivals of the quick scenario so `paldia-serve
-    // --replay` and the DES can execute the identical request sequence.
-    if let Some(i) = cli.args.iter().position(|a| a == "--replay-capture") {
-        let Some(path) = cli.args.get(i + 1) else {
-            eprintln!("--replay-capture needs an output path (e.g. --replay-capture trace.txt)");
-            std::process::exit(2);
-        };
-        let trace = replaycap::quick_replay_trace(opts.seed_base);
-        match replaycap::write_replay_trace(std::path::Path::new(path), &trace) {
-            Ok(n) => {
-                println!(
-                    "replay trace captured: {n} arrival(s) over {:.1}s -> {path}",
-                    trace.duration.as_secs_f64()
-                );
-                return;
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if cli.has("--bless-golden") {
-        bless_goldens();
-        return;
-    }
-    let label: Option<String> = cli.value("--label", "a name");
-    let label = label.unwrap_or_else(|| "repro".to_string());
-    let trace_out: Option<String> = cli.value("--trace", "an output path");
-    let trace_file: Option<String> = cli.value("--trace-file", "an output path");
-    let slo_usage = "a positive SLO in milliseconds (e.g. --triage 200)";
-    let triage_slo = cli.value_with("--triage", slo_usage, |v| {
+    let triage_slo = or_exit(cli.parsed_with("--triage", |v| {
         v.parse()
             .ok()
             .filter(|slo: &f64| slo.is_finite() && *slo > 0.0)
-    });
-    let explain: Option<u64> = cli.value("--explain", "a numeric request id");
-    let mut selected = cli.positional();
+    }));
+    let explain: Option<u64> = or_exit(cli.parsed("--explain"));
+    let mut selected: Vec<&str> = cli.positional.iter().map(String::as_str).collect();
     // `--llm` is sugar for the positional id: with no other ids it runs
     // the LLM study alone, never silently enlarging the default sweep.
     if cli.has("--llm") && !selected.contains(&"llm") {
         selected.push("llm");
     }
-    let experiments = experiments(quick);
-    let known: Vec<&str> = experiments.iter().map(|(id, _)| *id).collect();
-    if let Err(e) = check_ids(&selected, &known) {
-        eprintln!("{e}");
-        std::process::exit(2);
+
+    if cli.has("--stress") {
+        run_stress_report(shards);
+        return;
     }
+    // Decision-log diff subcommands: none of them run the experiment
+    // sweep, so they exit directly (0 empty diff / 1 divergent / 2 usage
+    // or IO error).
+    if let Some([a, b]) = cli.values("--diff") {
+        run_file_diff(a, b);
+    }
+    if let Some(spec) = cli.value("--diff-flip") {
+        run_diff_flip(mode, primary_scenario(quick, &opts), spec);
+    }
+    if cli.has("--diff-golden") {
+        gate_goldens();
+    }
+    if cli.has("--llm-smoke") {
+        let report_path = cli.value("--report").unwrap_or("target/llm-report.json");
+        run_llm_smoke_cmd(opts.seed_base, report_path);
+    }
+    if cli.has("--bless-golden") {
+        bless_goldens();
+        return;
+    }
+    let trace_out = cli.value("--trace");
+    let trace_file = cli.value("--trace-file");
+    let experiments = experiments(quick);
     let want = |id: &str| selected.is_empty() || selected.contains(&id);
 
     if trace_out.is_some() || trace_file.is_some() || triage_slo.is_some() || explain.is_some() {
         run_capture(
-            quick,
-            opts.seed_base,
-            opts.faults.clone().map(|plan| (plan, opts.failover)),
-            trace_out.as_deref(),
-            trace_file.as_deref(),
+            mode,
+            &primary_scenario(quick, &opts),
+            trace_out,
+            trace_file,
             triage_slo,
             explain.as_slice(),
         );
@@ -681,7 +595,7 @@ fn main() {
 
     println!(
         "Paldia reproduction harness — {} mode, {} rep(s), seed base {}, {} job(s), {} shard(s)",
-        if quick { "quick" } else { "full" },
+        mode,
         opts.reps,
         opts.seed_base,
         pool::max_jobs(),
@@ -731,7 +645,7 @@ fn main() {
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_secs())
                 .unwrap_or(0),
-            mode: if quick { "quick" } else { "full" }.to_string(),
+            mode: mode.to_string(),
             commit: current_commit(),
             nproc: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -785,31 +699,66 @@ mod tests {
         }
     }
 
+    /// Each command line is accepted, or refused with an error naming the
+    /// bad argument.
     #[test]
-    fn experiment_ids_check_exactly() {
-        let experiments = experiments(true);
-        let known: Vec<&str> = experiments.iter().map(|(id, _)| *id).collect();
-        let cases: [(&[&str], bool); 10] = [
-            (&[], true),
-            (&["fig5"], true),
-            (&["fig10"], true),
-            (&["llm"], true),
-            (&["fig1", "fig13a", "fig13b", "table3"], true),
-            (&["fig99"], false),
-            (&["5"], false),
-            (&["fig5", "abc"], false),
-            (&["Fig5"], false),
-            (&["fig13"], false),
+    fn command_lines_check_exactly() {
+        let known = experiments(true)
+            .iter()
+            .map(|(id, _)| *id)
+            .collect::<Vec<_>>();
+        let cases: [(&str, Option<&str>); 21] = [
+            ("", None),
+            ("fig5", None),
+            ("fig10", None),
+            ("llm", None),
+            ("fig1 fig13a fig13b table3", None),
+            ("--quick --seed 7 --jobs 2 fig5", None),
+            ("--diff a.jsonl b.jsonl", None),
+            ("--llm-smoke --report r.json --quick", None),
+            ("fig99", Some("fig99")),
+            ("5", Some("5")),
+            ("fig5 abc", Some("abc")),
+            ("Fig5", Some("Fig5")),
+            ("fig13", Some("fig13")),
+            ("--bogus --diff-golden", Some("unknown flag --bogus")),
+            ("--quik", Some("unknown flag --quik")),
+            ("--replay-capture x", Some("unknown flag --replay-capture")),
+            (
+                "--explain 1 --explain 2 --quick",
+                Some("--explain given more than once"),
+            ),
+            ("--quick --quick", Some("--quick given more than once")),
+            (
+                "--llm-smoke --report --quick",
+                Some("--report needs an output path, got \"--quick\""),
+            ),
+            ("--trace", Some("--trace needs an output path")),
+            ("--diff a.jsonl", Some("--diff needs two JSONL captures")),
         ];
-        for (ids, ok) in cases {
-            match check_ids(ids, &known) {
-                Ok(()) => assert!(ok, "{ids:?} must be refused"),
-                Err(e) => {
-                    assert!(!ok, "{ids:?} must be accepted, got: {e}");
-                    assert!(e.contains(ids[ids.len() - 1]), "{e} names the bad id");
-                    assert!(e.contains(&known.join(" ")), "{e} lists the known ids");
+        for (line, refused) in cases {
+            match (
+                read_args(line.split_whitespace().map(String::from)),
+                refused,
+            ) {
+                (Ok(_), None) => {}
+                (Err(e), Some(needle)) => {
+                    assert!(e.contains(needle), "{line:?}: {e} must name {needle}");
+                    if e.starts_with("unknown experiment id(s)") {
+                        assert!(e.contains(&known.join(" ")), "{e} lists the known ids");
+                    }
                 }
+                (Ok(_), Some(_)) => panic!("{line:?} must be refused"),
+                (Err(e), None) => panic!("{line:?} must be accepted, got: {e}"),
             }
         }
+    }
+
+    #[test]
+    fn dropped_warning_only_fires_on_truncation() {
+        assert!(dropped_warning(0).is_none());
+        let w = dropped_warning(17).expect("non-zero drops warn");
+        assert!(w.contains("dropped 17 event(s)"));
+        assert!(w.contains("truncated"));
     }
 }

@@ -1,7 +1,9 @@
 //! Shared experiment machinery: scheme construction, warm-start hardware,
 //! repetition handling, and the paper-vs-measured report format.
 
-use paldia_baselines::{InflessLlama, Molecule, MpsOnly, OfflineHybrid, TimeSharedOnly, Variant};
+use paldia_baselines::{
+    InflessLlama, Molecule, MpsOnly, OfflineHybrid, RateLimited, TimeSharedOnly, Variant,
+};
 use paldia_cluster::{
     run, FailoverPolicyKind, FaultPlan, ModelObs, Observation, RunResult, RunSpec, Scheduler,
     SimConfig, WorkloadSpec,
@@ -24,6 +26,8 @@ pub enum SchemeKind {
     InflessLlama(Variant),
     /// Molecule (beta) ($) or (P).
     Molecule(Variant),
+    /// The §III rate-limited alternative the paper rejects.
+    RateLimited,
     /// Fig. 1: time sharing pinned to a GPU node.
     TimeSharedOnly(InstanceKind),
     /// Fig. 1: unbounded MPS pinned to a GPU node.
@@ -32,7 +36,30 @@ pub enum SchemeKind {
     OfflineHybrid(InstanceKind, Vec<(MlModel, u32)>),
 }
 
+/// The command-line names of the schemes (`paldia-run --scheme`), one row
+/// each; `-p` is the performance (P) variant, `-d` the cost-effective ($).
+pub const SCHEME_NAMES: [(&str, SchemeKind); 7] = [
+    ("paldia", SchemeKind::Paldia),
+    ("oracle", SchemeKind::Oracle),
+    ("infless-p", SchemeKind::InflessLlama(Variant::Performance)),
+    (
+        "infless-d",
+        SchemeKind::InflessLlama(Variant::CostEffective),
+    ),
+    ("molecule-p", SchemeKind::Molecule(Variant::Performance)),
+    ("molecule-d", SchemeKind::Molecule(Variant::CostEffective)),
+    ("rate-limited", SchemeKind::RateLimited),
+];
+
 impl SchemeKind {
+    /// The scheme a [`SCHEME_NAMES`] name stands for.
+    pub fn from_name(name: &str) -> Option<SchemeKind> {
+        SCHEME_NAMES
+            .into_iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, scheme)| scheme)
+    }
+
     /// The five schemes of the primary evaluation, in the paper's legend
     /// order.
     pub fn primary_roster() -> Vec<SchemeKind> {
@@ -58,6 +85,7 @@ impl SchemeKind {
             )),
             SchemeKind::InflessLlama(v) => Box::new(InflessLlama::new(*v)),
             SchemeKind::Molecule(v) => Box::new(Molecule::new(*v)),
+            SchemeKind::RateLimited => Box::new(RateLimited::new()),
             SchemeKind::TimeSharedOnly(k) => Box::new(TimeSharedOnly::new(*k)),
             SchemeKind::MpsOnly(k) => Box::new(MpsOnly::new(*k)),
             SchemeKind::OfflineHybrid(k, caps) => Box::new(OfflineHybrid::new(*k, caps.clone())),
@@ -268,6 +296,26 @@ mod tests {
                 "Paldia"
             ]
         );
+    }
+
+    /// Every command-line scheme name builds the scheme whose legend name
+    /// `repro` prints.
+    #[test]
+    fn scheme_names_map_to_legend_names() {
+        let legends: [&str; SCHEME_NAMES.len()] = [
+            "Paldia",
+            "Oracle",
+            "INFless/Llama (P)",
+            "INFless/Llama ($)",
+            "Molecule (beta) (P)",
+            "Molecule (beta) ($)",
+            "Rate Limited",
+        ];
+        for ((name, _), legend) in SCHEME_NAMES.iter().zip(legends) {
+            let scheme = SchemeKind::from_name(name).expect("listed name resolves");
+            assert_eq!(scheme.build(&[]).name(), legend, "{name}");
+        }
+        assert_eq!(SchemeKind::from_name("Paldia"), None);
     }
 
     #[test]

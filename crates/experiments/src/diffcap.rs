@@ -1,14 +1,18 @@
-//! Decision-log capture and diffing for the repro binary: run two Paldia
-//! configurations over the same trace and diff their decision streams
-//! ([`paldia_obs::diff_decision_streams`]), plus the golden-decision-log
-//! registry ([`GOLDENS`]) behind the regression gate in `scripts/ci.sh`.
+//! The primary scenario and the decision-log machinery around it.
+//!
+//! [`PrimaryScenario`] is this repo's run of the paper's main evaluation
+//! setting (§V): Paldia serving one model over the scaled Azure trace on
+//! the Table II catalog. It is the one definition behind `repro --trace` /
+//! `--trace-file` / `--triage` / `--explain` (a traced run),
+//! `repro --diff-flip` (two traced runs diffed), the `quick` golden row,
+//! and `paldia-serve --capture` / `--smoke` (its sampled arrivals as a
+//! replay trace), so every one of them runs the same scenario.
 //!
 //! The differ itself lives in `paldia-obs` and only sees event streams;
-//! this module supplies the run harness around it — building a
-//! [`PaldiaScheduler`] from an explicit [`PaldiaConfig`], capturing the
-//! trace into a [`VecSink`], naming the tunable knobs
-//! ([`apply_tunable`] / [`tunable_deltas`]) so `repro --diff-flip` can
-//! annotate narratives with the responsible deltas, and registering the
+//! this module supplies the run harness around it — diffing two
+//! configurations over the same trace ([`diff_runs`]), naming the tunable
+//! knobs ([`apply_tunable`] / [`tunable_deltas`]) so `repro --diff-flip`
+//! can annotate narratives with the responsible deltas, and registering the
 //! committed golden decision logs (`tests/golden/*.jsonl`, one [`Golden`]
 //! row each) that a tunable-free refactor must match bit-for-bit
 //! (`repro --diff-golden`, re-blessed via `scripts/rebless.sh`).
@@ -19,7 +23,8 @@ use crate::common::SchemeKind;
 use crate::llm_iter::{self, LlmRunOpts};
 use crate::scenarios;
 use paldia_cluster::{
-    run, FailoverPolicyKind, FaultPlan, FleetDeployment, RunResult, RunSpec, SimConfig,
+    run, FailoverPolicyKind, FaultPlan, FleetDeployment, RecordedTrace, RunResult, RunSpec,
+    SimConfig, WorkloadSpec,
 };
 use paldia_core::{PaldiaConfig, PaldiaScheduler};
 use paldia_hw::{Catalog, InstanceKind};
@@ -39,85 +44,102 @@ pub const GOLDEN_SEED: u64 = 42;
 /// keep the committed files and the CI gate cheap.
 pub const GOLDEN_SECS: u64 = 90;
 
-/// One side of an in-process decision diff: the primary evaluation setting
-/// (GoogleNet over the scaled Azure trace, Table II catalog) under an
-/// explicit Paldia configuration.
+/// The primary evaluation setting: `model` over the scaled Azure trace,
+/// Table II catalog, warm start on the Paldia scheme's opening node.
 #[derive(Clone, Debug)]
-pub struct DiffRunOpts {
+pub struct PrimaryScenario {
     /// RNG seed for the trace sample and simulation.
     pub seed: u64,
     /// Trace truncation in seconds; `0` runs the full-day trace.
     pub capture_secs: u64,
     /// Model served.
     pub model: MlModel,
-    /// Scheduler tunables for this side.
+    /// Scheduler tunables ([`Self::scheduler`]).
     pub config: PaldiaConfig,
     /// Optional deterministic fault schedule + failover policy.
     pub faults: Option<(FaultPlan, FailoverPolicyKind)>,
 }
 
-impl DiffRunOpts {
-    /// The quick setting: default config, 120 s truncated trace — the same
-    /// scenario as `repro --trace`'s quick capture.
+impl PrimaryScenario {
+    /// The quick setting: GoogleNet, default config, no faults, the Azure
+    /// trace truncated to 120 s (the slice the quick repro figures use).
     pub fn quick(seed: u64) -> Self {
-        DiffRunOpts {
+        PrimaryScenario {
             seed,
-            capture_secs: crate::tracecap::QUICK_CAPTURE_SECS,
+            capture_secs: 120,
             model: MlModel::GoogleNet,
             config: PaldiaConfig::default(),
             faults: None,
         }
     }
-}
 
-/// Run one side and capture its full trace (decision events included).
-pub fn capture_decision_run(opts: &DiffRunOpts) -> (Vec<TraceEvent>, RunResult) {
-    let mut sink = VecSink::new();
-    let mut sched = PaldiaScheduler::with_config(opts.config);
-    let result = record_with(opts, &mut sched, &mut sink);
-    (sink.into_events(), result)
-}
-
-/// Run one side into `sink` on a caller-owned scheduler, so its state
-/// (the y-search plan cache) can be inspected after the run.
-fn record_with(
-    opts: &DiffRunOpts,
-    sched: &mut PaldiaScheduler,
-    sink: &mut dyn TraceSink,
-) -> RunResult {
-    let workloads = if opts.capture_secs > 0 {
-        vec![scenarios::azure_workload_truncated(
-            opts.model,
-            opts.seed,
-            opts.capture_secs,
-        )]
-    } else {
-        vec![scenarios::azure_workload(opts.model, opts.seed)]
-    };
-    let catalog = Catalog::table_ii();
-    let mut cfg = SimConfig::with_seed(opts.seed);
-    if let Some((plan, policy)) = opts.faults.clone() {
-        cfg = cfg.with_faults(plan, policy);
+    /// The `quick` golden row's scenario: [`GOLDEN_SEED`], [`GOLDEN_SECS`].
+    pub fn golden() -> Self {
+        PrimaryScenario {
+            capture_secs: GOLDEN_SECS,
+            ..PrimaryScenario::quick(GOLDEN_SEED)
+        }
     }
-    // Initial hardware uses the scheme rule (cheapest capable for the
-    // opening rate), which does not read PaldiaConfig — so both sides of a
-    // tunable diff start on the same node and every divergence is the
-    // scheduler's own doing.
-    let initial = SchemeKind::Paldia.initial_hw(&workloads, &catalog, cfg.slo_ms);
-    run(RunSpec {
-        // `as _` narrows the sink's trait-object lifetime to the spec's.
-        sink: Some(sink as _),
-        ..RunSpec::lone(&workloads, sched, initial, catalog, &cfg)
-    })
-    .into_lone()
+
+    /// A fresh Paldia scheduler on this scenario's tunables.
+    pub fn scheduler(&self) -> PaldiaScheduler {
+        PaldiaScheduler::with_config(self.config)
+    }
+
+    /// The workloads, simulation config and warm-start node of the
+    /// scenario: the one place they are built.
+    fn setup(&self) -> (Vec<WorkloadSpec>, SimConfig, InstanceKind) {
+        let workload = if self.capture_secs > 0 {
+            scenarios::azure_workload_truncated(self.model, self.seed, self.capture_secs)
+        } else {
+            scenarios::azure_workload(self.model, self.seed)
+        };
+        let workloads = vec![workload];
+        let mut cfg = SimConfig::with_seed(self.seed);
+        if let Some((plan, policy)) = self.faults.clone() {
+            cfg = cfg.with_faults(plan, policy);
+        }
+        // The warm-start rule (cheapest capable for the opening rate) does
+        // not read PaldiaConfig, so both sides of a tunable diff start on
+        // the same node and every divergence is the scheduler's own doing.
+        let initial = SchemeKind::Paldia.initial_hw(&workloads, &Catalog::table_ii(), cfg.slo_ms);
+        (workloads, cfg, initial)
+    }
+
+    /// Run the scenario on `scheduler` with every trace event streamed into
+    /// `sink`. The scheduler is the caller's, so its state (the y-search
+    /// plan cache) can be read after the run. Tracing is observation-only:
+    /// the result is bit-identical to the same run without the sink.
+    pub fn record(&self, scheduler: &mut PaldiaScheduler, sink: &mut dyn TraceSink) -> RunResult {
+        let (workloads, cfg, initial) = self.setup();
+        run(RunSpec {
+            // `as _` narrows the sink's trait-object lifetime to the spec's.
+            sink: Some(sink as _),
+            ..RunSpec::lone(&workloads, scheduler, initial, Catalog::table_ii(), &cfg)
+        })
+        .into_lone()
+    }
+
+    /// The scenario's sampled arrivals as a replay trace (the
+    /// `# paldia-replay v1` file of `paldia-serve --capture`), so the
+    /// serving shell and the DES execute the identical request sequence.
+    /// Replay carries no fault plan: `faults` is not recorded.
+    pub fn replay_trace(&self) -> RecordedTrace {
+        let (workloads, _, initial) = self.setup();
+        RecordedTrace::record(&workloads, self.seed, initial)
+    }
 }
 
-/// Run both sides over the same trace and diff their decision streams.
+/// Run both scenarios over their traces and diff their decision streams.
 /// Returns the report plus each side's metrics (for "first metric delta"
 /// cross-checks).
-pub fn diff_runs(a: &DiffRunOpts, b: &DiffRunOpts) -> (DiffReport, RunResult, RunResult) {
-    let (ea, ra) = capture_decision_run(a);
-    let (eb, rb) = capture_decision_run(b);
+pub fn diff_runs(a: &PrimaryScenario, b: &PrimaryScenario) -> (DiffReport, RunResult, RunResult) {
+    let capture = |s: &PrimaryScenario| {
+        let mut sink = VecSink::new();
+        let result = s.record(&mut s.scheduler(), &mut sink);
+        (sink.into_events(), result)
+    };
+    let ((ea, ra), (eb, rb)) = (capture(a), capture(b));
     (diff_decision_streams(&ea, &eb), ra, rb)
 }
 
@@ -197,18 +219,6 @@ pub fn tunable_deltas(a: &PaldiaConfig, b: &PaldiaConfig) -> Vec<TunableDelta> {
         .collect()
 }
 
-/// The golden scenario: [`GOLDEN_SEED`]/[`GOLDEN_SECS`], GoogleNet,
-/// default tunables.
-pub fn golden_opts() -> DiffRunOpts {
-    DiffRunOpts {
-        seed: GOLDEN_SEED,
-        capture_secs: GOLDEN_SECS,
-        model: MlModel::GoogleNet,
-        config: PaldiaConfig::default(),
-        faults: None,
-    }
-}
-
 /// One committed golden decision log: a named scenario whose decision
 /// stream the current build must reproduce bit for bit.
 pub struct Golden {
@@ -230,8 +240,8 @@ pub const GOLDENS: &[Golden] = &[
         name: "quick",
         file: "decision_log_quick.jsonl",
         record: |sink| {
-            let opts = golden_opts();
-            record_with(&opts, &mut PaldiaScheduler::with_config(opts.config), sink);
+            let scenario = PrimaryScenario::golden();
+            scenario.record(&mut scenario.scheduler(), sink);
         },
     },
     // The iteration-level LLM storm scenario.
@@ -251,7 +261,7 @@ pub const GOLDENS: &[Golden] = &[
             let cfg = fleet_golden_config();
             let spec = RunSpec::fleet(fleet_golden_deployments(), Catalog::table_ii(), 1, &cfg);
             run(RunSpec {
-                sink: Some(sink as _), // as in `record_with`
+                sink: Some(sink as _), // as in `PrimaryScenario::record`
                 ..spec
             });
         },
@@ -387,10 +397,53 @@ mod tests {
     /// leave these counts exactly where they are.
     #[test]
     fn golden_plan_cache_counts_are_pinned() {
-        let mut sched = PaldiaScheduler::with_config(golden_opts().config);
-        let _ = record_with(&golden_opts(), &mut sched, &mut VecSink::new());
+        let scenario = PrimaryScenario::golden();
+        let mut sched = scenario.scheduler();
+        let _ = scenario.record(&mut sched, &mut VecSink::new());
         let cache = sched.plan_cache();
         assert_eq!((cache.hits(), cache.misses()), (598, 655));
+    }
+
+    /// The two uses of the scenario are one scenario: the replay trace
+    /// lists exactly the `(request id, at, model)` of the arrivals the
+    /// traced run records, in order, and both start on the same node.
+    /// The traced run's capture is ordered and complete.
+    #[test]
+    fn replay_trace_lists_the_traced_runs_arrivals() {
+        for seed in [42, 1_000] {
+            let scenario = PrimaryScenario::quick(seed);
+            let mut sink = VecSink::new();
+            let result = scenario.record(&mut scenario.scheduler(), &mut sink);
+            let events = sink.into_events();
+            // The capture is ordered by (sim time, sequence number) and
+            // covers the span taxonomy end to end.
+            assert!(events
+                .windows(2)
+                .all(|w| (w[0].at, w[0].seq) < (w[1].at, w[1].seq)));
+            let has = |f: fn(&TraceEventKind) -> bool| events.iter().any(|e| f(&e.kind));
+            assert!(has(|k| matches!(k, TraceEventKind::BatchFormed { .. })));
+            assert!(has(|k| matches!(k, TraceEventKind::BatchCompleted { .. })));
+            assert!(has(|k| matches!(k, TraceEventKind::Decision(_))));
+            assert!(has(|k| matches!(k, TraceEventKind::RunSummary { .. })));
+            let traced: Vec<(u64, SimTime, MlModel)> = events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    TraceEventKind::RequestArrived { request, model } => {
+                        Some((request, e.at, model))
+                    }
+                    _ => None,
+                })
+                .collect();
+            let trace = scenario.replay_trace();
+            let replayed: Vec<(u64, SimTime, MlModel)> = trace
+                .arrivals
+                .iter()
+                .map(|sa| (sa.id.0, sa.at, sa.model))
+                .collect();
+            assert!(!replayed.is_empty(), "seed {seed}: the trace has arrivals");
+            assert_eq!(replayed, traced, "seed {seed}");
+            assert_eq!(trace.initial_hw, result.hw_timeline[0].1, "seed {seed}");
+        }
     }
 
     /// Each row's setter and reader name the same field: applying a key

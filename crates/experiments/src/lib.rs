@@ -11,11 +11,13 @@
 //! ```
 //!
 //! `--trace out.json` / `--explain ID` capture the primary run with the
-//! `paldia-obs` observability sink attached (see [`tracecap`]);
-//! `--diff A.jsonl B.jsonl` / `--diff-flip KEY=VALUE` / `--diff-golden`
-//! align and diff two decision logs (see [`diffcap`]).
+//! `paldia-obs` observability sink attached, and `--diff A.jsonl B.jsonl` /
+//! `--diff-flip KEY=VALUE` / `--diff-golden` align and diff two decision
+//! logs; the primary run is [`diffcap::PrimaryScenario`]. `repro`,
+//! `paldia-serve` and `paldia-run` read their command lines through [`cli`].
 
 pub mod ablations;
+pub mod cli;
 pub mod common;
 pub mod diffcap;
 pub mod ext_fleet;
@@ -31,13 +33,11 @@ pub mod fig11_oracle;
 pub mod fig12_traces;
 pub mod fig13_adverse;
 pub mod llm_iter;
-pub mod replaycap;
 pub mod runner;
 pub mod scenarios;
 pub mod stress;
 pub mod table3_mixed;
 pub mod timings;
-pub mod tracecap;
 
 pub use common::{Check, ExperimentReport, RunOpts, SchemeKind};
 pub use runner::{run_grid, GridCell};

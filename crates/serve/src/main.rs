@@ -6,12 +6,21 @@
 //! paldia-serve --capture FILE [--seed N] [--secs N]
 //! paldia-serve --listen [--port P] [--speed X] [--decisions FILE]
 //! ```
+//!
+//! `--capture` writes the primary scenario's sampled arrivals
+//! ([`PrimaryScenario::replay_trace`]) as a `# paldia-replay v1` file, the
+//! format `--replay` reads; `--smoke` replays the same capture in process.
+//! Every flag is listed once, in [`FLAGS`]; an unknown or repeated flag, a
+//! stray argument, or a value that is missing, starts with `--` or does not
+//! parse exits non-zero before any work, naming it.
 
 use std::net::TcpListener;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use paldia_experiments::replaycap;
+use paldia_cluster::RecordedTrace;
+use paldia_experiments::cli::{Cli, Flag};
+use paldia_experiments::diffcap::PrimaryScenario;
 use paldia_obs::{JsonlSink, TraceSink};
 use paldia_serve::{
     run_differential, run_smoke, serve_once, ServeOpts, ServeOutcome, SmokeOpts, SmokeOutcome,
@@ -27,8 +36,7 @@ USAGE:
       Exit 0 only if the differential gate passes.
 
   paldia-serve --replay FILE [--speed X] [--port P] [--decisions FILE] [--report FILE]
-      Same differential, on a trace file recorded by --capture or
-      `repro --replay-capture`.
+      Same differential, on a trace file recorded by --capture.
 
   paldia-serve --capture FILE [--seed N] [--secs N]
       Record the replay trace (GoogleNet over the scaled Azure slice) to
@@ -44,53 +52,60 @@ DEFAULTS: --requests 200, --speed 20 (1.0 for --listen), --seed 42,
           --port 0 (ephemeral; 7979 for --listen), --secs 120
 ";
 
-struct Cli {
-    args: Vec<String>,
+/// Every flag `paldia-serve` knows, once each, with what its values are.
+const FLAGS: &[Flag] = &[
+    ("--help", 0, ""),
+    ("-h", 0, ""),
+    ("--smoke", 0, ""),
+    ("--replay", 1, "a replay file"),
+    ("--capture", 1, "an output path"),
+    ("--listen", 0, ""),
+    ("--requests", 1, "a request count"),
+    ("--speed", 1, "a speed-up factor"),
+    ("--seed", 1, "a numeric seed"),
+    ("--port", 1, "a TCP port"),
+    ("--secs", 1, "a trace length in seconds"),
+    ("--decisions", 1, "an output path"),
+    ("--report", 1, "an output path"),
+];
+
+/// Read the command line against [`FLAGS`]; every argument is a flag or a
+/// flag's value.
+fn read_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+    let cli = Cli::parse(FLAGS, args)?;
+    match cli.positional.first() {
+        Some(stray) => Err(format!("unexpected argument {stray:?}; try --help")),
+        None => Ok(cli),
+    }
 }
 
-impl Cli {
-    fn flag(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
-    }
-    fn value(&self, name: &str) -> Option<&str> {
-        self.args
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.args.get(i + 1))
-            .map(|s| s.as_str())
-    }
-    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("bad value for {name}: `{raw}`")),
-        }
-    }
+/// The value of `name` read with [`str::parse`], or `default` when absent.
+fn parsed<T: std::str::FromStr>(cli: &Cli, name: &str, default: T) -> Result<T, String> {
+    Ok(cli.parsed(name)?.unwrap_or(default))
 }
 
 fn main() -> ExitCode {
-    let cli = Cli {
-        args: std::env::args().skip(1).collect(),
-    };
-    if cli.flag("--help") || cli.flag("-h") || cli.args.is_empty() {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let empty = args.is_empty();
     let run = || -> Result<bool, String> {
-        if cli.flag("--smoke") {
+        let cli = read_args(args)?;
+        if cli.has("--help") || cli.has("-h") || empty {
+            print!("{USAGE}");
+            return Ok(true);
+        }
+        if cli.has("--smoke") {
             return cmd_smoke(&cli);
         }
-        if cli.value("--replay").is_some() {
-            return cmd_replay(&cli);
+        if let Some(path) = cli.value("--replay") {
+            return cmd_replay(&cli, path);
         }
-        if cli.value("--capture").is_some() {
-            return cmd_capture(&cli);
+        if let Some(path) = cli.value("--capture") {
+            return cmd_capture(&cli, path);
         }
-        if cli.flag("--listen") {
+        if cli.has("--listen") {
             return cmd_listen(&cli);
         }
-        Err(format!("no command in {:?}; try --help", cli.args))
+        Err("no command (--smoke, --replay, --capture or --listen); try --help".into())
     };
     match run() {
         Ok(true) => ExitCode::SUCCESS,
@@ -148,10 +163,10 @@ fn write_decisions(path: &str, outcome: &ServeOutcome) -> Result<(), String> {
 
 fn cmd_smoke(cli: &Cli) -> Result<bool, String> {
     let opts = SmokeOpts {
-        requests: cli.parsed("--requests", 200usize)?,
-        speed: cli.parsed("--speed", 20.0f64)?,
-        seed: cli.parsed("--seed", 42u64)?,
-        port: cli.parsed("--port", 0u16)?,
+        requests: parsed(cli, "--requests", 200usize)?,
+        speed: parsed(cli, "--speed", 20.0f64)?,
+        seed: parsed(cli, "--seed", 42u64)?,
+        port: parsed(cli, "--port", 0u16)?,
         report: cli.value("--report").map(PathBuf::from),
     };
     let outcome = run_smoke(&opts)?;
@@ -162,9 +177,9 @@ fn cmd_smoke(cli: &Cli) -> Result<bool, String> {
     Ok(outcome.pass())
 }
 
-fn cmd_replay(cli: &Cli) -> Result<bool, String> {
-    let path = cli.value("--replay").expect("checked by caller");
-    let trace = replaycap::read_replay_trace(std::path::Path::new(path))?;
+fn cmd_replay(cli: &Cli, path: &str) -> Result<bool, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let trace = RecordedTrace::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "replaying {}: {} arrivals over {:.1}s (virtual), seed {}",
         path,
@@ -172,8 +187,8 @@ fn cmd_replay(cli: &Cli) -> Result<bool, String> {
         trace.duration.as_secs_f64(),
         trace.seed
     );
-    let speed = cli.parsed("--speed", 20.0f64)?;
-    let port = cli.parsed("--port", 0u16)?;
+    let speed = parsed(cli, "--speed", 20.0f64)?;
+    let port = parsed(cli, "--port", 0u16)?;
     let outcome = run_differential(&trace, speed, port)?;
     print_verdict(&outcome);
     if let Some(p) = cli.value("--decisions") {
@@ -187,28 +202,37 @@ fn cmd_replay(cli: &Cli) -> Result<bool, String> {
             port,
             report: None,
         };
-        paldia_serve::report::write_report(std::path::Path::new(p), &opts, &outcome)?;
+        paldia_serve::report::write_report(Path::new(p), &opts, &outcome)?;
         println!("report: {p}");
     }
     Ok(outcome.pass())
 }
 
-fn cmd_capture(cli: &Cli) -> Result<bool, String> {
-    let path = cli.value("--capture").expect("checked by caller");
-    let seed = cli.parsed("--seed", 42u64)?;
-    let secs = cli.parsed("--secs", 120u64)?;
-    let trace = replaycap::capture_replay_trace(paldia_workloads::MlModel::GoogleNet, seed, secs);
-    let n = replaycap::write_replay_trace(std::path::Path::new(path), &trace)?;
+fn cmd_capture(cli: &Cli, path: &str) -> Result<bool, String> {
+    let seed = parsed(cli, "--seed", 42u64)?;
+    let scenario = PrimaryScenario {
+        capture_secs: parsed(cli, "--secs", 120u64)?,
+        ..PrimaryScenario::quick(seed)
+    };
+    let trace = scenario.replay_trace();
+    if let Some(dir) = Path::new(path)
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+    {
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    }
+    std::fs::write(path, trace.to_text()).map_err(|e| format!("writing {path}: {e}"))?;
     println!(
-        "captured {n} arrivals over {:.1}s (virtual) -> {path}",
+        "captured {} arrivals over {:.1}s (virtual) -> {path}",
+        trace.arrivals.len(),
         trace.duration.as_secs_f64()
     );
     Ok(true)
 }
 
 fn cmd_listen(cli: &Cli) -> Result<bool, String> {
-    let port = cli.parsed("--port", 7979u16)?;
-    let speed = cli.parsed("--speed", 1.0f64)?;
+    let port = parsed(cli, "--port", 7979u16)?;
+    let speed = parsed(cli, "--speed", 1.0f64)?;
     let opts = ServeOpts { speed };
     let listener = TcpListener::bind(("127.0.0.1", port))
         .map_err(|e| format!("binding 127.0.0.1:{port}: {e}"))?;
@@ -235,5 +259,54 @@ fn cmd_listen(cli: &Cli) -> Result<bool, String> {
             }
             Err(e) => eprintln!("session failed: {e}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each command line is accepted, or refused with an error naming the
+    /// bad argument; its values parse, or the error names the flag.
+    #[test]
+    fn command_lines_check_exactly() {
+        let cases: [(&str, Option<&str>); 12] = [
+            ("", None),
+            ("-h", None),
+            ("--smoke --requests 200 --speed 20", None),
+            ("--listen --port 0 --speed 20", None),
+            ("--capture t.replay --seed 42 --secs 30", None),
+            (
+                "--replay t.replay --decisions d.jsonl --report r.json",
+                None,
+            ),
+            (
+                "--replay t.replay --decisions --report r.json",
+                Some("--decisions needs an output path, got \"--report\""),
+            ),
+            ("--smoke --sped 5", Some("unknown flag --sped")),
+            (
+                "--smoke --seed 1 --seed 2",
+                Some("--seed given more than once"),
+            ),
+            ("--capture", Some("--capture needs an output path")),
+            ("--smoke extra", Some("unexpected argument \"extra\"")),
+            ("--smoke -5", Some("unexpected argument \"-5\"")),
+        ];
+        for (line, refused) in cases {
+            match (
+                read_args(line.split_whitespace().map(String::from)),
+                refused,
+            ) {
+                (Ok(_), None) => {}
+                (Err(e), Some(needle)) => assert!(e.contains(needle), "{line:?}: {e}"),
+                (Ok(_), Some(_)) => panic!("{line:?} must be refused"),
+                (Err(e), None) => panic!("{line:?} must be accepted, got: {e}"),
+            }
+        }
+        let cli = read_args(["--smoke", "--speed", "fast"].map(String::from)).expect("valid");
+        let speed = parsed(&cli, "--speed", 20.0f64).expect_err("not a number");
+        assert_eq!(speed, "--speed needs a speed-up factor, got \"fast\"");
+        assert_eq!(parsed(&cli, "--seed", 42u64), Ok(42));
     }
 }

@@ -11,7 +11,8 @@
 //!   the only wall-dependent act, the resulting decision stream diffs
 //!   clean against the simulation's — the differential gate.
 //! * **live** — the client invokes models ad hoc (`inv <model>`); each
-//!   arrival is stamped with the wall-derived virtual now and injected.
+//!   arrival is stamped with the wall-derived virtual now and injected
+//!   (an `inv` for a model the hello did not declare is answered `err`).
 //!   Live sessions are *not* replayable against a recorded trace (their
 //!   arrival times are wall-dependent by definition), but they still emit
 //!   the full `paldia-obs` decision taxonomy.
@@ -314,9 +315,18 @@ fn serve_live<W: Write>(h: &LiveHello, rx: &Inbox, wire: &Wire<W>, speed: f64) -
             match wire.recv(rx, wait) {
                 Ok(Ok(ClientLine::Inv(model))) => {
                     let at = clock.now_virtual().min(trace_end);
-                    let id = session.inject_arrival(at, model);
-                    let token = paldia_cluster::model_token(model);
-                    wire.line(&format!("acc {} {token} {}", id.0, at.as_micros()));
+                    match session.inject_arrival(at, model) {
+                        Ok(id) => {
+                            let token = paldia_cluster::model_token(model);
+                            wire.line(&format!("acc {} {token} {}", id.0, at.as_micros()));
+                        }
+                        // A refused invocation is answered and recorded;
+                        // the session keeps serving.
+                        Err(e) => {
+                            wire.line(&format!("err {e}"));
+                            errors.push(e);
+                        }
+                    }
                 }
                 Ok(Ok(ClientLine::End)) => break,
                 Ok(Ok(other)) => errors.push(format!("unexpected line in live mode: {other:?}")),
@@ -369,7 +379,9 @@ mod tests {
     /// `done` line.
     #[test]
     fn queued_replay_writes_in_buffer_sized_chunks() {
-        let trace = paldia_experiments::replaycap::quick_replay_trace(42).truncated(1000);
+        let trace = paldia_experiments::diffcap::PrimaryScenario::quick(42)
+            .replay_trace()
+            .truncated(1000);
         let (tx, rx) = mpsc::channel();
         for sa in &trace.arrivals {
             tx.send(Ok(ClientLine::Arr(*sa))).expect("queue arr");

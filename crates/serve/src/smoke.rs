@@ -14,7 +14,7 @@ use std::path::PathBuf;
 
 use paldia_cluster::{run_replay_virtual, RecordedTrace, RunResult, SimConfig, SimSession};
 use paldia_core::PaldiaScheduler;
-use paldia_experiments::replaycap;
+use paldia_experiments::diffcap::PrimaryScenario;
 use paldia_hw::Catalog;
 use paldia_obs::{diff_decision_streams, DiffReport, TraceEvent, VecSink};
 
@@ -161,7 +161,9 @@ pub fn run_differential(
 /// The CI smoke: capture the quick trace, truncate, run the differential,
 /// optionally write the report.
 pub fn run_smoke(opts: &SmokeOpts) -> Result<SmokeOutcome, String> {
-    let trace = replaycap::quick_replay_trace(opts.seed).truncated(opts.requests);
+    let trace = PrimaryScenario::quick(opts.seed)
+        .replay_trace()
+        .truncated(opts.requests);
     if trace.arrivals.is_empty() {
         return Err("quick capture produced no arrivals".into());
     }

@@ -6,16 +6,25 @@
 //! The inner half (virtual session ≡ batch engine) is proven in
 //! `crates/cluster/tests/session_replay.rs`; this is the outer half.
 
-use paldia_experiments::replaycap;
+use paldia_cluster::RecordedTrace;
+use paldia_experiments::diffcap::PrimaryScenario;
 use paldia_obs::TraceAttribution;
 use paldia_serve::run_differential;
+
+/// The replay trace of the first 30 s of the quick scenario.
+fn capture_30s() -> RecordedTrace {
+    PrimaryScenario {
+        capture_secs: 30,
+        ..PrimaryScenario::quick(42)
+    }
+    .replay_trace()
+}
 
 #[test]
 fn shell_and_sim_decision_streams_are_divergence_free() {
     // 30 s of the quick capture, first 150 requests, 400x compressed:
     // about a hundred wall-milliseconds of pacing.
-    let trace = replaycap::capture_replay_trace(paldia_workloads::MlModel::GoogleNet, 42, 30)
-        .truncated(150);
+    let trace = capture_30s().truncated(150);
     assert!(!trace.arrivals.is_empty(), "capture must produce arrivals");
 
     let o = run_differential(&trace, 400.0, 0).expect("differential runs");
@@ -112,8 +121,7 @@ fn server_refuses_an_over_long_line() {
     use std::net::{TcpListener, TcpStream};
     use std::time::Duration;
 
-    let trace =
-        replaycap::capture_replay_trace(paldia_workloads::MlModel::GoogleNet, 42, 30).truncated(3);
+    let trace = capture_30s().truncated(3);
     let hello = paldia_serve::proto::hello_replay_line(&trace);
     for (prefix, replies) in [
         (String::new(), &["err line too long", "bye"][..]),
@@ -157,23 +165,27 @@ fn server_refuses_an_over_long_line() {
 }
 
 /// Malformed replays over loopback: an arrival seq outside the reserved
-/// block, a seq sent twice, an arrival not after the previous one, and an
+/// block, a seq sent twice, an arrival not after the previous one, an
 /// arrival earlier than the session's now (the driver only steps events
 /// before the next arrival, so on the wire such an arrival is also out of
-/// order). The server answers `err` naming the seq, ends the replay,
-/// still drains and reports — and never panics.
+/// order), and an arrival for a model the hello did not declare. The
+/// server answers `err` naming the seq, ends the replay, still drains and
+/// reports — and never panics.
 #[test]
 fn server_refuses_malformed_replays_without_panic() {
     use paldia_cluster::SampledArrival;
     use std::net::TcpListener;
 
-    let base =
-        replaycap::capture_replay_trace(paldia_workloads::MlModel::GoogleNet, 42, 30).truncated(6);
+    let base = capture_30s().truncated(6);
     let a = base.arrivals.clone();
     assert!(a.len() >= 4, "fixture needs a few arrivals");
     let with_seq = |sa: SampledArrival, seq: u64| SampledArrival { seq, ..sa };
     let with_at = |sa: SampledArrival, from: SampledArrival| SampledArrival { at: from.at, ..sa };
-    let cases: [(&str, Vec<SampledArrival>, u64); 4] = [
+    let resnet = |sa: SampledArrival| SampledArrival {
+        model: paldia_workloads::MlModel::ResNet50,
+        ..sa
+    };
+    let cases: [(&str, Vec<SampledArrival>, u64); 5] = [
         (
             "seq outside the reserved block",
             vec![a[0], with_seq(a[1], base.reserve)],
@@ -189,6 +201,11 @@ fn server_refuses_malformed_replays_without_panic() {
             "arrival earlier than now",
             vec![a[0], a[1], a[2], with_at(a[3], a[0])],
             a[3].seq,
+        ),
+        (
+            "model the session does not serve",
+            vec![a[0], resnet(a[1])],
+            a[1].seq,
         ),
     ];
     for (label, arrivals, bad_seq) in cases {
@@ -219,4 +236,55 @@ fn server_refuses_malformed_replays_without_panic() {
             "{label}: the session still reports"
         );
     }
+}
+
+/// A live client invoking a model its hello did not declare gets `err`
+/// naming the model; the server records it and keeps serving.
+#[test]
+fn live_server_refuses_an_unserved_model_and_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let opts = paldia_serve::ServeOpts { speed: 1.0 };
+    let server = std::thread::spawn(move || paldia_serve::serve_once(&listener, &opts));
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let timeout = std::time::Duration::from_secs(10);
+    stream
+        .set_read_timeout(Some(timeout))
+        .expect("read timeout");
+    writeln!(
+        stream,
+        "hello live 3600 googlenet\ninv resnet50\ninv googlenet\nend"
+    )
+    .expect("send");
+    // The server's reader thread exits on our close, after `end`.
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("close the write half");
+    let replies: Vec<String> = BufReader::new(stream)
+        .lines()
+        .map_while(Result::ok)
+        .collect();
+    let kinds: Vec<&str> = replies.iter().filter_map(|l| l.split(' ').next()).collect();
+    assert_eq!(
+        kinds,
+        ["ready", "err", "acc", "done", "summary", "bye"],
+        "{replies:?}"
+    );
+    assert!(
+        replies[1].contains("resnet50"),
+        "the err names the model: {replies:?}"
+    );
+    let outcome = server.join().expect("no panic").expect("session reports");
+    assert!(outcome
+        .protocol_errors
+        .iter()
+        .any(|e| e.contains("resnet50")));
+    assert_eq!(
+        outcome.result.completed.len(),
+        1,
+        "the served inv completes"
+    );
 }

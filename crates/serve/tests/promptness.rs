@@ -10,7 +10,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use paldia_cluster::model_token;
-use paldia_experiments::replaycap;
+use paldia_experiments::diffcap::PrimaryScenario;
 use paldia_serve::proto::{self, ServerLine};
 use paldia_serve::{serve_once, ServeOpts, ServeOutcome};
 use paldia_sim::{SimDuration, SimTime};
@@ -96,7 +96,12 @@ fn slow_replay_delivers_done_lines_while_pacing() {
     // arrival arrives within the 1.5 s read timeout only if the server
     // flushes before its pacing sleeps.
     let speed = 50.0;
-    let mut trace = replaycap::capture_replay_trace(MlModel::GoogleNet, 42, 30).truncated(5);
+    let mut trace = PrimaryScenario {
+        capture_secs: 30,
+        ..PrimaryScenario::quick(42)
+    }
+    .replay_trace()
+    .truncated(5);
     let last = trace.arrivals.last_mut().expect("fixture has arrivals");
     last.at = SimTime::from_secs(150);
     trace.duration = SimDuration::from_secs(151);

@@ -38,10 +38,12 @@
 #      virtual-clock session in both directions, at 20x (the server flushes
 #      before pacing sleeps; target/serve-report.json) and at 1e6x (it
 #      flushes when its input runs dry; target/serve-report-1e6.json)
-#  13. hostile replays       — paldia-serve --replay must refuse replay files
+#  13. hostile inputs        — paldia-serve --replay must refuse replay files
 #      it would overflow on or silently drop (a `duration_us` or `reserve`
-#      of u64::MAX, an arrival past the horizon, trailing junk): each run
-#      exits non-zero and never panics (files under target/hostile-*.replay)
+#      of u64::MAX, an arrival past the horizon, trailing junk), and
+#      `repro --quik` / `paldia-serve --smoke --sped 5` must refuse the
+#      misspelled flag before any work: each run exits non-zero, names what
+#      it refused and never panics (files under target/hostile-*.replay)
 #  14. ysearch latency       — the full Table II y-search (Eq. 1 over every
 #      candidate kind) must average under the paper's 3 ms budget (§III) in
 #      every case of `cargo bench -p paldia-bench --bench ysearch_latency`
@@ -117,7 +119,7 @@ cargo run --release -q -p paldia-serve -- --smoke \
 cargo run --release -q -p paldia-serve -- --smoke \
     --requests 200 --speed 1e6 --report target/serve-report-1e6.json
 
-echo "==> hostile replays (paldia-serve --replay refuses them without panicking)"
+echo "==> hostile inputs (replay files and misspelled flags are refused without panicking)"
 # One GoogleNet arrival on g3s.xlarge; the arguments fill in duration_us,
 # reserve and the arrival's at_us.
 hostile_replay() {
@@ -138,6 +140,24 @@ for f in target/hostile-{duration,reserve,late-arrival,junk}.replay; do
         exit 1
     fi
     echo "$f: refused ($(tail -n 1 <<<"$out"))"
+done
+# A misspelled flag is refused by name before any work: the refusal is the
+# whole output, so no run (and no banner) started.
+for cmd in "repro --quik" "paldia-serve --smoke --sped 5"; do
+    read -r bin flags <<<"$cmd"
+    pkg=paldia-experiments
+    [ "$bin" = paldia-serve ] && pkg=paldia-serve
+    # $flags is word-split on purpose.
+    if out=$(cargo run --release -q -p "$pkg" --bin "$bin" -- $flags 2>&1); then
+        printf '%s\n%s: exit 0, but the flag must be refused\n' "$out" "$cmd"
+        exit 1
+    fi
+    if grep -q panicked <<<"$out" || [ "$(wc -l <<<"$out")" -ne 1 ] \
+        || ! grep -q "unknown flag --" <<<"$out"; then
+        printf '%s\n%s: not refused up front by name\n' "$out" "$cmd"
+        exit 1
+    fi
+    echo "$cmd: refused ($out)"
 done
 
 echo "==> ysearch latency (every case's mean < 3 ms, the paper's §III budget)"

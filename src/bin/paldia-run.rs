@@ -7,10 +7,15 @@
 //! paldia-run --model bert --trace poisson:6 --secs 300 --scheme molecule-d
 //! paldia-run --list
 //! ```
+//!
+//! Schemes resolve through `SchemeKind`'s name table (`SCHEME_NAMES`) and
+//! start on the same warm-start node `repro` gives them: the (P) variants
+//! on the most performant node (the V100), the others on the cheapest
+//! node capable of the trace's opening rate.
 
-use paldia::baselines::{InflessLlama, Molecule, RateLimited, Variant};
-use paldia::cluster::{RunResult, RunSpec, Scheduler, SimConfig, WorkloadSpec};
-use paldia::core::PaldiaScheduler;
+use paldia::cluster::{model_from_token, RunResult, RunSpec, SimConfig, WorkloadSpec};
+use paldia::experiments::cli::{Cli, Flag};
+use paldia::experiments::common::SCHEME_NAMES;
 use paldia::experiments::{scenarios, SchemeKind};
 use paldia::hw::Catalog;
 use paldia::metrics::{LatencyStats, TailBreakdown, TimeSeries};
@@ -21,83 +26,74 @@ use paldia::workloads::MlModel;
 struct Args {
     model: MlModel,
     trace: String,
-    scheme: String,
+    scheme: SchemeKind,
     seed: u64,
     secs: Option<u64>,
     slo_ms: f64,
 }
 
+/// The model named `name` in any spelling of its display name: case and
+/// punctuation are ignored (`resnet50`, `ResNet-50`, `"ResNet 50"`).
 fn parse_model(name: &str) -> Option<MlModel> {
-    let needle: String = name
+    let token: String = name
         .to_lowercase()
         .chars()
         .filter(|c| c.is_alphanumeric())
         .collect();
-    MlModel::ALL.into_iter().find(|m| {
-        let hay: String = m
-            .name()
-            .to_lowercase()
-            .chars()
-            .filter(|c| c.is_alphanumeric())
-            .collect();
-        hay == needle
-    })
+    model_from_token(&token)
+}
+
+/// The scheme names, space-separated, for usage and `--list`.
+fn scheme_names(sep: &str) -> String {
+    SCHEME_NAMES.map(|(name, _)| name).join(sep)
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: paldia-run [--model NAME] [--trace azure|wiki|twitter|poisson:RPS] \
-         [--scheme paldia|oracle|infless-p|infless-d|molecule-p|molecule-d|rate-limited] \
-         [--seed N] [--secs N] [--slo MS] [--list]"
+         [--scheme {}] [--seed N] [--secs N] [--slo MS] [--list]",
+        scheme_names("|")
     );
     std::process::exit(2)
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        model: MlModel::ResNet50,
-        trace: "azure".into(),
-        scheme: "paldia".into(),
-        seed: 42,
-        secs: None,
-        slo_ms: 200.0,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let next = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match argv[i].as_str() {
-            "--model" => {
-                let name = next(&mut i);
-                args.model = parse_model(&name).unwrap_or_else(|| {
-                    eprintln!("unknown model {name:?}; try --list");
-                    std::process::exit(2)
-                });
-            }
-            "--trace" => args.trace = next(&mut i),
-            "--scheme" => args.scheme = next(&mut i),
-            "--seed" => args.seed = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--secs" => args.secs = Some(next(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--slo" => args.slo_ms = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--list" => {
-                println!("models:");
-                for m in MlModel::ALL {
-                    println!("  {}", m.name());
-                }
-                println!(
-                    "schemes: paldia oracle infless-p infless-d molecule-p molecule-d rate-limited"
-                );
-                println!("traces:  azure wiki twitter poisson:<rps>");
-                std::process::exit(0)
-            }
-            _ => usage(),
-        }
-        i += 1;
+/// Every flag `paldia-run` knows, once each, with what its values are.
+const FLAGS: &[Flag] = &[
+    ("--model", 1, "a model name (see --list)"),
+    ("--trace", 1, "azure, wiki, twitter or poisson:RPS"),
+    ("--scheme", 1, "a scheme name (see --list)"),
+    ("--seed", 1, "a numeric seed"),
+    ("--secs", 1, "a trace length in seconds"),
+    ("--slo", 1, "an SLO in milliseconds"),
+    ("--list", 0, ""),
+];
+
+fn parse_args() -> Result<Args, String> {
+    let cli = Cli::parse(FLAGS, std::env::args().skip(1))?;
+    if let Some(stray) = cli.positional.first() {
+        return Err(format!("unexpected argument {stray:?}"));
     }
-    args
+    if cli.has("--list") {
+        println!("models:");
+        for m in MlModel::ALL {
+            println!("  {}", m.name());
+        }
+        println!("schemes: {}", scheme_names(" "));
+        println!("traces:  azure wiki twitter poisson:<rps>");
+        std::process::exit(0)
+    }
+    Ok(Args {
+        model: cli
+            .parsed_with("--model", parse_model)?
+            .unwrap_or(MlModel::ResNet50),
+        trace: cli.value("--trace").unwrap_or("azure").to_string(),
+        scheme: cli
+            .parsed_with("--scheme", SchemeKind::from_name)?
+            .unwrap_or(SchemeKind::Paldia),
+        seed: cli.parsed("--seed")?.unwrap_or(42),
+        secs: cli.parsed("--secs")?,
+        slo_ms: cli.parsed("--slo")?.unwrap_or(200.0),
+    })
 }
 
 fn build_trace(args: &Args) -> RateTrace {
@@ -123,28 +119,17 @@ fn build_trace(args: &Args) -> RateTrace {
 
 fn run(args: &Args, workloads: &[WorkloadSpec], cfg: &SimConfig) -> RunResult {
     let catalog = Catalog::table_ii();
-    let mut scheduler: Box<dyn Scheduler> = match args.scheme.as_str() {
-        "paldia" => Box::new(PaldiaScheduler::new()),
-        "oracle" => Box::new(PaldiaScheduler::oracle(
-            workloads
-                .iter()
-                .map(|w| (w.model, w.trace.clone()))
-                .collect(),
-        )),
-        "infless-p" => Box::new(InflessLlama::new(Variant::Performance)),
-        "infless-d" => Box::new(InflessLlama::new(Variant::CostEffective)),
-        "molecule-p" => Box::new(Molecule::new(Variant::Performance)),
-        "molecule-d" => Box::new(Molecule::new(Variant::CostEffective)),
-        "rate-limited" => Box::new(RateLimited::new()),
-        _ => usage(),
-    };
-    let initial = SchemeKind::Paldia.initial_hw(workloads, &catalog, cfg.slo_ms);
+    let mut scheduler = args.scheme.build(workloads);
+    let initial = args.scheme.initial_hw(workloads, &catalog, cfg.slo_ms);
     let spec = RunSpec::lone(workloads, scheduler.as_mut(), initial, catalog, cfg);
     paldia::cluster::run(spec).into_lone()
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
     let trace = build_trace(&args);
     let horizon_s = trace.duration().as_secs_f64();
     println!(

@@ -18,11 +18,16 @@
 //! golden log with `scripts/rebless.sh` and re-pin from the new narrative.
 
 use paldia_cluster::{FailoverPolicyKind, FaultPlan, RunResult};
-use paldia_experiments::diffcap::{
-    apply_tunable, capture_decision_run, golden_opts, tunable_deltas, GOLDENS,
-};
-use paldia_obs::{diff_decision_streams, render_diff, DivergenceClass, TraceEvent};
+use paldia_experiments::diffcap::{apply_tunable, tunable_deltas, PrimaryScenario, GOLDENS};
+use paldia_obs::{diff_decision_streams, render_diff, DivergenceClass, TraceEvent, VecSink};
 use paldia_sim::SimTime;
+
+/// Run `scenario` and keep its full trace (decision events included).
+fn capture_decision_run(scenario: &PrimaryScenario) -> (Vec<TraceEvent>, RunResult) {
+    let mut sink = VecSink::new();
+    let result = scenario.record(&mut scenario.scheduler(), &mut sink);
+    (sink.into_events(), result)
+}
 
 /// Sim-time (µs) of the first completed request whose timing, hardware,
 /// or latency differs between two runs — infinity when the metrics are
@@ -115,7 +120,7 @@ fn golden_corpus_matches_registry() {
 /// delta.
 #[test]
 fn wait_limit_flip_diverges_at_pinned_decision() {
-    let base = golden_opts();
+    let base = PrimaryScenario::golden();
     let mut flipped = base.clone();
     apply_tunable(&mut flipped.config, "selection.wait_limit", "1").expect("known tunable");
 
@@ -171,7 +176,7 @@ fn wait_limit_flip_diverges_at_pinned_decision() {
 /// at the pinned tick.
 #[test]
 fn cold_start_storm_diverges_as_candidate_drift() {
-    let clean = golden_opts();
+    let clean = PrimaryScenario::golden();
     let mut stormy = clean.clone();
     stormy.faults = Some((
         FaultPlan::new().cold_start_storm(SimTime::from_secs(10)),
@@ -207,7 +212,7 @@ fn cold_start_storm_diverges_as_candidate_drift() {
 /// in `crates/obs/tests/diff_props.rs`.
 #[test]
 fn headroom_flip_precedes_metrics_and_mirrors() {
-    let base = golden_opts();
+    let base = PrimaryScenario::golden();
     let mut flipped = base.clone();
     apply_tunable(&mut flipped.config, "ramp_headroom", "1").expect("known tunable");
 

@@ -16,13 +16,14 @@
 
 use paldia_cluster::{run, FailoverPolicyKind, FaultPlan, RunResult, RunSpec, SimConfig};
 use paldia_core::pool;
+use paldia_experiments::diffcap::{self, PrimaryScenario};
 use paldia_experiments::llm_iter::{capture_llm_fleet, LlmRunOpts};
 use paldia_experiments::scenarios::azure_workload_truncated;
-use paldia_experiments::{diffcap, run_grid, tracecap, GridCell, RunOpts, SchemeKind};
+use paldia_experiments::{run_grid, GridCell, RunOpts, SchemeKind};
 use paldia_hw::Catalog;
 use paldia_obs::{
-    diff_decision_streams, event_to_jsonl, RingSink, ScopeRollup, TraceAttribution, TraceEvent,
-    TraceEventKind,
+    diff_decision_streams, event_to_jsonl, ScopeRollup, TraceAttribution, TraceEvent,
+    TraceEventKind, VecSink,
 };
 use paldia_sim::{SimDuration, SimTime};
 use paldia_workloads::MlModel;
@@ -101,7 +102,7 @@ fn replaying_a_grid_is_bit_identical() {
 #[test]
 fn decision_stream_replays_bit_identical_across_shards() {
     let capture = |shards: u32| -> Vec<TraceEvent> {
-        let mut sink = RingSink::new(tracecap::CAPTURE_CAPACITY);
+        let mut sink = VecSink::new();
         let deployments = diffcap::fleet_golden_deployments();
         let cfg = diffcap::fleet_golden_config();
         run(RunSpec {
@@ -251,11 +252,14 @@ fn attribution_rollup_replays_bit_identical() {
     ];
     for (label, plan) in plans {
         let capture = || {
-            let faults = plan
-                .clone()
-                .map(|p| (p, FailoverPolicyKind::CheapestMorePerformant));
-            let mut sink = RingSink::new(tracecap::CAPTURE_CAPACITY);
-            let _ = tracecap::capture_primary_run_with(true, seed, faults, &mut sink);
+            let scenario = PrimaryScenario {
+                faults: plan
+                    .clone()
+                    .map(|p| (p, FailoverPolicyKind::CheapestMorePerformant)),
+                ..PrimaryScenario::quick(seed)
+            };
+            let mut sink = VecSink::new();
+            let _ = scenario.record(&mut scenario.scheduler(), &mut sink);
             let attribution = TraceAttribution::from_events(&sink.into_events());
             attribution
                 .rollup(None)

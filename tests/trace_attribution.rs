@@ -11,11 +11,13 @@
 //! the JSONL-vs-ring sink equivalence on a real capture, and the
 //! attribution of an iteration-level LLM capture read back from JSONL.
 
-use paldia_cluster::{run, FailoverPolicyKind, FaultPlan, FleetDeployment, RunSpec, SimConfig};
+use paldia_cluster::{
+    run, FailoverPolicyKind, FaultPlan, FleetDeployment, RunResult, RunSpec, SimConfig,
+};
 use paldia_core::PaldiaScheduler;
+use paldia_experiments::diffcap::PrimaryScenario;
 use paldia_experiments::llm_iter::{capture_llm_run, LlmRunOpts};
 use paldia_experiments::scenarios::azure_workload_truncated;
-use paldia_experiments::tracecap;
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_metrics::{tail_cohort, TailBreakdown};
 use paldia_obs::{
@@ -64,9 +66,25 @@ fn assert_breakdowns_agree(
     );
 }
 
+/// The quick primary scenario under `faults`, captured into a ring that
+/// holds the whole run.
+fn quick_capture(
+    seed: u64,
+    faults: Option<(FaultPlan, FailoverPolicyKind)>,
+) -> (Vec<TraceEvent>, RunResult) {
+    let scenario = PrimaryScenario {
+        faults,
+        ..PrimaryScenario::quick(seed)
+    };
+    let mut sink = RingSink::new(1_000_000);
+    let result = scenario.record(&mut scenario.scheduler(), &mut sink);
+    assert_eq!(sink.dropped(), 0, "the ring holds the whole capture");
+    (sink.into_events(), result)
+}
+
 #[test]
 fn single_tenant_attribution_matches_metrics() {
-    let (events, result) = tracecap::capture_primary_run(true, 1_000);
+    let (events, result) = quick_capture(1_000, None);
     let attribution = TraceAttribution::from_events(&events);
 
     // One-to-one with the harness's completed list: same requests, same
@@ -145,19 +163,15 @@ fn fleet_attribution_matches_metrics_per_tenant() {
 /// A quick primary capture with a cold-start storm injected mid-trace:
 /// every warm idle container dies every five seconds through the back half
 /// of the trace, so each recovery wave pays the full cold start again.
-fn storm_capture(seed: u64) -> (Vec<TraceEvent>, paldia_cluster::RunResult) {
+fn storm_capture(seed: u64) -> (Vec<TraceEvent>, RunResult) {
     let mut plan = FaultPlan::new();
-    for at in (60..tracecap::QUICK_CAPTURE_SECS).step_by(5) {
+    for at in (60..PrimaryScenario::quick(seed).capture_secs).step_by(5) {
         plan = plan.cold_start_storm(SimTime::from_secs(at));
     }
-    let mut sink = RingSink::new(tracecap::CAPTURE_CAPACITY);
-    let result = tracecap::capture_primary_run_with(
-        true,
+    quick_capture(
         seed,
         Some((plan, FailoverPolicyKind::CheapestMorePerformant)),
-        &mut sink,
-    );
-    (sink.into_events(), result)
+    )
 }
 
 #[test]
@@ -209,7 +223,7 @@ fn triage_surfaces_a_cold_start_cluster_under_a_storm() {
 #[test]
 fn every_request_phase_has_an_emitting_span() {
     // Clean capture: transitions must be explicit begin/end windows.
-    let (events, result) = tracecap::capture_primary_run(true, 1_000);
+    let (events, result) = quick_capture(1_000, None);
     let committed_ends: Vec<&TraceEvent> = events
         .iter()
         .filter(|e| {
@@ -282,11 +296,12 @@ fn jsonl_capture_is_equivalent_to_ring_capture() {
     // Same run, two sinks: the ring keeps events in memory, the JSONL sink
     // streams them through a writer. Reading the JSONL back must yield the
     // identical event stream — and therefore the identical attribution.
-    let (ring_events, _) = tracecap::capture_primary_run(true, 1_000);
+    let (ring_events, _) = quick_capture(1_000, None);
     let mut buf: Vec<u8> = Vec::new();
     {
         let mut sink = JsonlSink::new(&mut buf);
-        let _ = tracecap::capture_primary_run_with(true, 1_000, None, &mut sink);
+        let scenario = PrimaryScenario::quick(1_000);
+        let _ = scenario.record(&mut scenario.scheduler(), &mut sink);
         let written = sink.finish().expect("in-memory writer cannot fail");
         assert_eq!(written, ring_events.len() as u64);
     }
