@@ -1,32 +1,53 @@
-//! Simulation configuration: timing constants and study toggles.
+//! Simulation configuration: the paper's timing constants and the
+//! per-run study toggles.
 
 use crate::device::DeviceMode;
 use crate::faults::{FailoverPolicyKind, FaultPlan};
-use paldia_sim::{SimDuration, SimTime};
+use paldia_sim::SimDuration;
 use paldia_traces::PredictorKind;
 use paldia_workloads::sebs::SebsMix;
 
-/// All knobs of a cluster run. Defaults follow §IV/§V of the paper.
+/// Scheduler invocation period (`Monitor_Interval` of Algorithm 1).
+pub(crate) const MONITOR_INTERVAL: SimDuration = SimDuration::from_millis(500);
+
+/// Predictive scale-up period (~10 s, §IV-C).
+pub(crate) const PREDICTIVE_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
+/// Container cold-start delay ("up to multiple seconds", §II-A).
+pub(crate) const COLD_START: SimDuration = SimDuration::from_millis(1_800);
+
+/// Hardware procurement delay: VM launch + initial container warm-up.
+/// The ~4 s prediction look-ahead of §IV-A exists to hide this.
+pub(crate) const PROVISION_DELAY: SimDuration = SimDuration::from_secs(4);
+
+/// Keep-alive before delayed termination (~10 minutes, §IV-C).
+pub(crate) const KEEP_ALIVE: SimDuration = SimDuration::from_secs(600);
+
+/// Containers warmed during provisioning, before traffic is rerouted.
+pub(crate) const INITIAL_CONTAINERS: u32 = 2;
+
+/// Provisioning delay for the failover replacement. Much shorter than
+/// [`PROVISION_DELAY`]: the paper's 6-node cluster has every node
+/// physically present, so failover is a reroute plus container spin-up
+/// rather than a fresh VM acquisition.
+pub(crate) const FAILOVER_DELAY: SimDuration = SimDuration::from_millis(1_000);
+
+/// Grace period after the trace ends to let queues drain before
+/// unfinished requests are counted as violations.
+pub(crate) const DRAIN_GRACE: SimDuration = SimDuration::from_secs(30);
+
+/// The knobs a cluster run varies. Defaults follow §IV/§V of the paper.
+/// The paper's timing constants (monitor and predictive intervals, cold
+/// start, provisioning, keep-alive, warm containers, failover delay and the
+/// drain grace after the trace) are constants of this module, the same for
+/// every run.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Latency SLO, ms (200 ms for every workload in §V).
     pub slo_ms: f64,
-    /// Scheduler invocation period (`Monitor_Interval` of Algorithm 1).
-    pub monitor_interval: SimDuration,
-    /// Predictive scale-up period (~10 s, §IV-C).
-    pub predictive_interval: SimDuration,
     /// Batch formation window (flexible batching closes partial batches
     /// after this wait).
     pub batch_window: SimDuration,
-    /// Container cold-start delay ("up to multiple seconds", §II-A).
-    pub cold_start: SimDuration,
-    /// Hardware procurement delay: VM launch + initial container warm-up.
-    /// The ~4 s prediction look-ahead of §IV-A exists to hide this.
-    pub provision_delay: SimDuration,
-    /// Keep-alive before delayed termination (~10 minutes, §IV-C).
-    pub keep_alive: SimDuration,
-    /// Containers warmed during provisioning, before traffic is rerouted.
-    pub initial_containers: u32,
     /// Co-located SeBS background mix (Table III study); empty = none.
     pub sebs_mix: SebsMix,
     /// Declarative fault schedule (crashes, degradation, stragglers,
@@ -37,14 +58,6 @@ pub struct SimConfig {
     /// reproduces the pre-fault-layer harness (most performant survivor);
     /// Fig. 13b uses [`FailoverPolicyKind::CheapestMorePerformant`].
     pub failover: FailoverPolicyKind,
-    /// Provisioning delay for the failover replacement. Much shorter than
-    /// the normal `provision_delay`: the paper's 6-node cluster has every
-    /// node physically present, so failover is a reroute plus container
-    /// spin-up rather than a fresh VM acquisition.
-    pub failover_delay: SimDuration,
-    /// Grace period after the trace ends to let queues drain before
-    /// unfinished requests are counted as violations.
-    pub drain_grace: SimDuration,
     /// Root RNG seed for the run.
     pub seed: u64,
     /// Which request-rate predictor the gateway runs ("lightweight,
@@ -61,18 +74,10 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             slo_ms: 200.0,
-            monitor_interval: SimDuration::from_millis(500),
-            predictive_interval: SimDuration::from_secs(10),
             batch_window: SimDuration::from_millis(25),
-            cold_start: SimDuration::from_millis(1_800),
-            provision_delay: SimDuration::from_secs(4),
-            keep_alive: SimDuration::from_secs(600),
-            initial_containers: 2,
             sebs_mix: SebsMix::none(),
             faults: FaultPlan::new(),
             failover: FailoverPolicyKind::default(),
-            failover_delay: SimDuration::from_millis(1_000),
-            drain_grace: SimDuration::from_secs(30),
             seed: 42,
             predictor: PredictorKind::default(),
             device_mode: DeviceMode::default(),
@@ -96,14 +101,6 @@ impl SimConfig {
         self
     }
 
-    /// Add the Fig. 13b failure pattern: the active node fails for one
-    /// minute out of every two, starting at `first`, for `count` cycles,
-    /// with the paper's cheapest-more-performant failover rule.
-    pub fn with_minute_failures(self, first: SimTime, count: u32) -> Self {
-        let plan = FaultPlan::minute_crashes(first, count);
-        self.with_faults(plan, FailoverPolicyKind::CheapestMorePerformant)
-    }
-
     /// Switch every worker to iteration-level continuous batching (the LLM
     /// experiments; DESIGN.md § Iteration-level execution).
     pub fn with_iterative_batching(mut self) -> Self {
@@ -120,25 +117,16 @@ mod tests {
     fn defaults_match_paper_constants() {
         let c = SimConfig::default();
         assert_eq!(c.slo_ms, 200.0);
-        assert_eq!(c.predictive_interval, SimDuration::from_secs(10));
-        assert_eq!(c.keep_alive, SimDuration::from_secs(600));
-        assert_eq!(c.provision_delay, SimDuration::from_secs(4));
+        assert_eq!(c.batch_window, SimDuration::from_millis(25));
+        assert_eq!(MONITOR_INTERVAL, SimDuration::from_millis(500));
+        assert_eq!(PREDICTIVE_INTERVAL, SimDuration::from_secs(10));
+        assert_eq!(COLD_START, SimDuration::from_millis(1_800));
+        assert_eq!(PROVISION_DELAY, SimDuration::from_secs(4));
+        assert_eq!(KEEP_ALIVE, SimDuration::from_secs(600));
+        assert_eq!(INITIAL_CONTAINERS, 2);
+        assert_eq!(FAILOVER_DELAY, SimDuration::from_millis(1_000));
+        assert_eq!(DRAIN_GRACE, SimDuration::from_secs(30));
         assert!(c.faults.is_empty());
         assert_eq!(c.failover, FailoverPolicyKind::MostPerformant);
-    }
-
-    #[test]
-    fn minute_failures_pattern() {
-        use crate::faults::FaultKind;
-        let c = SimConfig::default().with_minute_failures(SimTime::from_secs(60), 3);
-        let w = c.faults.windows();
-        assert_eq!(w.len(), 3);
-        assert_eq!(w[0].start, SimTime::from_secs(60));
-        assert_eq!(w[1].start, SimTime::from_secs(180));
-        assert_eq!(w[2].start, SimTime::from_secs(300));
-        assert_eq!(c.failover, FailoverPolicyKind::CheapestMorePerformant);
-        assert!(w
-            .iter()
-            .all(|w| w.dur == SimDuration::from_secs(60) && w.fault == FaultKind::NodeCrash));
     }
 }

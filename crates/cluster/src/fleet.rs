@@ -40,7 +40,10 @@
 //! side can take the other's without moving results.
 
 use crate::batcher::Batcher;
-use crate::config::SimConfig;
+use crate::config::{
+    SimConfig, COLD_START, DRAIN_GRACE, FAILOVER_DELAY, INITIAL_CONTAINERS, KEEP_ALIVE,
+    MONITOR_INTERVAL, PREDICTIVE_INTERVAL, PROVISION_DELAY,
+};
 use crate::container::ContainerId;
 use crate::device::{DeviceMode, IterSeq};
 use crate::faults::{CompiledFaults, FailoverPolicy, FaultEdge, FaultEvent, FaultKind};
@@ -117,7 +120,7 @@ impl<'a> Tenant<'a> {
         label: Option<String>,
         scope: u32,
     ) -> Self {
-        let window = cfg.provision_delay.max(SimDuration::from_secs(2));
+        let window = PROVISION_DELAY.max(SimDuration::from_secs(2));
         Tenant {
             scheduler,
             retarget: label.is_none(),
@@ -298,7 +301,7 @@ pub(crate) struct FleetHarness<'a> {
 impl<'a> FleetHarness<'a> {
     /// A harness over `tenants` with nothing scheduled yet. The fault
     /// schedule is compiled against the run horizon
-    /// `trace_end + cfg.drain_grace`.
+    /// `trace_end + DRAIN_GRACE`.
     pub(crate) fn new(
         cfg: &'a SimConfig,
         catalog: Catalog,
@@ -323,7 +326,7 @@ impl<'a> FleetHarness<'a> {
             next_worker_id: 0,
             next_batch_id: 0,
             trace_end,
-            faults: cfg.faults.compile(trace_end + cfg.drain_grace),
+            faults: cfg.faults.compile(trace_end + DRAIN_GRACE),
             failover: cfg.failover.build(),
             unavailable: Vec::new(),
             crash_restore: BTreeMap::new(),
@@ -358,14 +361,8 @@ impl<'a> FleetHarness<'a> {
             self.tenants[dep].hw_timeline[0].1 = initial;
             let id = self.provision_worker(dep, initial, SimTime::ZERO, SimDuration::ZERO, q);
             self.tenants[dep].routing = id;
-            q.schedule(
-                SimTime::ZERO + self.cfg.monitor_interval,
-                FEv::MonitorTick(dep),
-            );
-            q.schedule(
-                SimTime::ZERO + self.cfg.predictive_interval,
-                FEv::PredictTick(dep),
-            );
+            q.schedule(SimTime::ZERO + MONITOR_INTERVAL, FEv::MonitorTick(dep));
+            q.schedule(SimTime::ZERO + PREDICTIVE_INTERVAL, FEv::PredictTick(dep));
         }
         q.schedule(SimTime::from_secs(60), FEv::KeepAliveTick);
         if fault_edges {
@@ -439,9 +436,9 @@ impl<'a> FleetHarness<'a> {
             kind,
             now,
             delay,
-            self.cfg.initial_containers,
-            self.cfg.cold_start,
-            self.cfg.keep_alive,
+            INITIAL_CONTAINERS,
+            COLD_START,
+            KEEP_ALIVE,
             host_contention,
         );
         // Faults already in progress apply to the newcomer too.
@@ -671,8 +668,7 @@ impl<'a> FleetHarness<'a> {
     }
 
     fn observation(&mut self, dep: usize, now: SimTime) -> Observation {
-        let lookahead =
-            self.cfg.provision_delay.as_secs_f64() / self.cfg.monitor_interval.as_secs_f64();
+        let lookahead = PROVISION_DELAY.as_secs_f64() / MONITOR_INTERVAL.as_secs_f64();
         // Kinds this tenant could procure: free units, plus whatever it
         // already holds (its current node is always "available" to it).
         let mut kinds = self.available().kinds().to_vec();
@@ -788,7 +784,7 @@ impl<'a> FleetHarness<'a> {
                 }
             };
             if go {
-                let id = self.provision_worker(dep, want, now, self.cfg.provision_delay, q);
+                let id = self.provision_worker(dep, want, now, PROVISION_DELAY, q);
                 self.tracer.emit(now, || TraceEventKind::TransitionBegan {
                     worker: id.0,
                     from: have,
@@ -868,7 +864,7 @@ impl<'a> FleetHarness<'a> {
             replacement: chosen,
             policy: policy.to_string(),
         });
-        let id = self.provision_worker(dep, replacement, now, self.cfg.failover_delay, q);
+        let id = self.provision_worker(dep, replacement, now, FAILOVER_DELAY, q);
         // Re-apply the last sharing decision to the replacement.
         let t = &self.tenants[dep];
         let per_model: Vec<(MlModel, u32)> = t
@@ -1164,7 +1160,7 @@ impl<'a> FleetHarness<'a> {
                     }
                 }
                 self.apply_decision(dep, decision, now, q);
-                let next = now + self.cfg.monitor_interval;
+                let next = now + MONITOR_INTERVAL;
                 if next < self.trace_end {
                     q.schedule(next, FEv::MonitorTick(dep));
                 }
@@ -1202,7 +1198,7 @@ impl<'a> FleetHarness<'a> {
                         }
                     }
                 }
-                let next = now + self.cfg.predictive_interval;
+                let next = now + PREDICTIVE_INTERVAL;
                 if next < self.trace_end {
                     q.schedule(next, FEv::PredictTick(dep));
                 }
@@ -1356,7 +1352,7 @@ impl<'a> Partition<'a> {
 
 /// The serial engine: every tenant with its `arrivals` in one
 /// [`Partition`], fault edges in its calendar, run to the horizon
-/// `trace_end + cfg.drain_grace`.
+/// `trace_end + DRAIN_GRACE`.
 pub(crate) fn run_serial<'a>(
     tenants: Vec<Tenant<'a>>,
     arrivals: Vec<Vec<SampledArrival>>,
@@ -1366,7 +1362,7 @@ pub(crate) fn run_serial<'a>(
     trace_end: SimTime,
     tracer: Tracer<'a>,
 ) -> RunOutput {
-    let horizon = trace_end + cfg.drain_grace;
+    let horizon = trace_end + DRAIN_GRACE;
     let harness = FleetHarness::new(cfg, catalog, inventory, tenants, trace_end, tracer, None);
     let mut part = Partition::new(harness, arrivals, 0, true);
     let events = part.run_to(EventKey::new(horizon, 0));
@@ -1570,7 +1566,7 @@ mod tests {
     ) -> RunResult {
         let (arrivals, trace_end) = sample_arrivals(specs, cfg.seed);
         let models: Vec<MlModel> = specs.iter().map(|s| s.model).collect();
-        let horizon = trace_end + cfg.drain_grace;
+        let horizon = trace_end + DRAIN_GRACE;
         let (mut cal_sched, mut heap_sched) = (sched(), sched());
         let hw = cal_sched.hw;
 

@@ -51,7 +51,7 @@ use paldia_obs::{TraceEventKind, Tracer};
 use paldia_sim::{pool, EventKey, SimTime};
 
 use super::{FleetHarness, Partition, Tenant};
-use crate::config::SimConfig;
+use crate::config::{SimConfig, DRAIN_GRACE};
 use crate::faults::{FaultEdge, FaultKind};
 use crate::harness::{RunOutput, SampledArrival};
 
@@ -86,7 +86,7 @@ pub(crate) fn drive<'a>(
     tracers: Vec<Tracer<'a>>,
     mut coord: Tracer<'a>,
 ) -> RunOutput {
-    let horizon = trace_end + cfg.drain_grace;
+    let horizon = trace_end + DRAIN_GRACE;
     let faults = cfg.faults.compile(horizon);
     let n = tenants.len();
     let k = tracers.len();

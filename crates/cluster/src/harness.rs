@@ -202,7 +202,7 @@ impl RunOutput {
     }
 }
 
-/// Run `spec` to its horizon, `trace_end + cfg.drain_grace`.
+/// Run `spec` to its horizon, `trace_end + DRAIN_GRACE`.
 pub fn run(spec: RunSpec<'_>) -> RunOutput {
     let cfg = spec.cfg;
     let mut fleet: Vec<FleetDeployment>;

@@ -85,7 +85,7 @@ pub struct RecordedTrace {
     /// re-samples).
     pub seed: u64,
     /// End of the arrival timeline — the session's `trace_end`, from which
-    /// the run horizon is `trace_end + drain_grace`.
+    /// the run horizon is `trace_end + DRAIN_GRACE`.
     pub duration: SimDuration,
     /// Sequence-number block to reserve before seeding the calendar:
     /// `max(seq) + 1` over the arrivals (see [`crate::session`]).

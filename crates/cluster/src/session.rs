@@ -41,7 +41,7 @@
 //! divergence-free by construction — the differential gate in
 //! `paldia-serve` asserts exactly that.
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, DRAIN_GRACE};
 use crate::fleet::{FEv, FleetHarness, Partition, Tenant};
 use crate::harness::SampledArrival;
 use crate::policy::Scheduler;
@@ -79,7 +79,7 @@ impl<'a> SimSession<'a> {
     /// Open an untraced session over `models`.
     ///
     /// `trace_end` is the end of the arrival timeline (the run horizon is
-    /// `trace_end + cfg.drain_grace`, as in the batch entry point);
+    /// `trace_end + DRAIN_GRACE`, as in the batch entry point);
     /// `reserved_arrivals` is the number of recorded arrivals that will be
     /// injected via [`Self::inject_recorded`] — pass the recorded trace's
     /// reservation, or 0 for a live session.
@@ -160,7 +160,7 @@ impl<'a> SimSession<'a> {
         SimSession {
             part: Partition::new(harness, vec![Vec::new()], reserved, true),
             models,
-            horizon: trace_end + cfg.drain_grace,
+            horizon: trace_end + DRAIN_GRACE,
             reserved,
             injected: BTreeMap::new(),
             last_recorded: None,
@@ -170,7 +170,7 @@ impl<'a> SimSession<'a> {
         }
     }
 
-    /// The run horizon (`trace_end + drain_grace`); events at or after it
+    /// The run horizon (`trace_end + DRAIN_GRACE`); events at or after it
     /// are never processed, matching the batch engines' exclusive horizon.
     pub fn horizon(&self) -> SimTime {
         self.horizon

@@ -5,23 +5,14 @@
 //! functional micro-benchmark harness, not statistics theatre: it warms up,
 //! runs timed samples until the measurement budget or sample count is
 //! exhausted, and prints mean / min per-iteration wall-clock. It covers the
-//! API surface the `paldia-bench` targets use: `criterion_group!` /
-//! `criterion_main!`, `Criterion::benchmark_group`, group configuration
-//! (`sample_size`, `measurement_time`, `warm_up_time`), `bench_function`,
-//! `Bencher::iter` / `iter_batched`, and `BatchSize`.
+//! API surface the `paldia-core` `ysearch_latency` bench uses:
+//! `criterion_group!` / `criterion_main!`, `Criterion::benchmark_group`,
+//! group configuration (`sample_size`, `measurement_time`, `warm_up_time`),
+//! `BenchmarkGroup::bench_function` and `Bencher::iter`.
 
 use std::time::{Duration, Instant};
 
-pub use std::hint::black_box;
-
-/// Batch sizing hint. The shim times one routine invocation per sample
-/// regardless, so the variants only exist for signature compatibility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    SmallInput,
-    LargeInput,
-    PerIteration,
-}
+use std::hint::black_box;
 
 #[derive(Debug, Clone, Copy)]
 struct SampleConfig {
@@ -53,13 +44,6 @@ impl Criterion {
             config: self.config,
             _criterion: self,
         }
-    }
-
-    pub fn bench_function<F>(&mut self, id: impl Into<String>, f: F)
-    where
-        F: FnMut(&mut Bencher),
-    {
-        run_benchmark(&id.into(), self.config, f);
     }
 }
 
@@ -117,32 +101,6 @@ impl Bencher {
         for _ in 0..self.config.sample_size {
             let start = Instant::now();
             black_box(f());
-            self.samples.push(start.elapsed());
-            if Instant::now() >= budget {
-                break;
-            }
-        }
-    }
-
-    /// Time `routine` on fresh inputs from `setup`; setup time is excluded.
-    pub fn iter_batched<I, O>(
-        &mut self,
-        mut setup: impl FnMut() -> I,
-        mut routine: impl FnMut(I) -> O,
-        _size: BatchSize,
-    ) {
-        let warm_until = Instant::now() + self.config.warm_up_time;
-        loop {
-            black_box(routine(setup()));
-            if Instant::now() >= warm_until {
-                break;
-            }
-        }
-        let budget = Instant::now() + self.config.measurement_time;
-        for _ in 0..self.config.sample_size {
-            let input = setup();
-            let start = Instant::now();
-            black_box(routine(input));
             self.samples.push(start.elapsed());
             if Instant::now() >= budget {
                 break;
@@ -226,16 +184,5 @@ mod shim_tests {
         });
         g.finish();
         assert!(ran > 0);
-    }
-
-    #[test]
-    fn iter_batched_consumes_inputs() {
-        let mut c = Criterion::default();
-        c.config.sample_size = 2;
-        c.config.measurement_time = Duration::from_millis(20);
-        c.config.warm_up_time = Duration::from_millis(1);
-        c.bench_function("batched", |b| {
-            b.iter_batched(|| vec![1u8, 2, 3], |v| v.len(), BatchSize::SmallInput)
-        });
     }
 }

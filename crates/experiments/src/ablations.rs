@@ -248,16 +248,3 @@ pub fn host_aware(opts: &RunOpts) -> ExperimentReport {
         }],
     }
 }
-
-/// Run every ablation.
-pub fn run_all(opts: &RunOpts) -> Vec<ExperimentReport> {
-    vec![
-        escalation(opts),
-        hysteresis_sweep(opts),
-        headroom_sweep(opts),
-        predictor_sweep(opts),
-        batch_window_sweep(opts),
-        slo_sensitivity(opts),
-        host_aware(opts),
-    ]
-}

@@ -9,18 +9,27 @@
 //!       [--diff-golden] [--bless-golden]
 //!       [--llm] [--llm-smoke [--report FILE]]
 //!       [fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig11 fig12 fig13a fig13b table3 llm]
+//!       [ablations | ablation-escalation ablation-hysteresis ablation-headroom
+//!        ablation-predictor ablation-batch-window ablation-slo
+//!        ablation-host-aware ext-fleet]
 //! ```
 //!
-//! Without experiment ids, everything runs. `--quick` uses one repetition
-//! (the paper uses five) and shortened heavy traces. Experiments execute on
-//! the bounded worker pool (`--jobs N` / `PALDIA_JOBS` override the cap;
-//! parallel output is bit-identical to `--jobs 1`). `--shards N` /
-//! `PALDIA_SHARDS` set the partition count of the `--stress` fleet
-//! (results are invariant across shard counts; shards compose with
-//! `--jobs`). `--timings` prints per-figure wall-clock plus the y-search
-//! plan-cache hit rate and appends an entry to `BENCH_repro.json` at the
-//! root of the workspace containing the working directory (exit 2 when
-//! there is none).
+//! Without experiment ids, every figure and table runs. `--quick` uses one
+//! repetition (the paper uses five) and shortened heavy traces. Experiments
+//! execute on the bounded worker pool (`--jobs N` / `PALDIA_JOBS` override
+//! the cap; parallel output is bit-identical to `--jobs 1`). `--shards N`
+//! sets the partition count of the `--stress` fleet (1 when absent;
+//! results are invariant across shard counts; shards compose with
+//! `--jobs`). `--timings` prints per-experiment wall-clock plus the
+//! y-search plan-cache hit rate and appends an entry to `BENCH_repro.json`
+//! at the root of the workspace containing the working directory (exit 2
+//! when there is none).
+//!
+//! The ablation and sensitivity studies are opt-in rows: each runs when
+//! named by its report id, and the alias `ablations` selects all eight
+//! (the seven `ablation-*` design-choice studies and the `ext-fleet`
+//! multi-tenant extension). They read only the seed base, so `--quick`
+//! does not change them.
 //!
 //! `--stress` skips the figure sweep and runs the partitioned engine at
 //! scale instead: 1000 Paldia tenants at 56 req/s each for 180 simulated
@@ -84,7 +93,7 @@
 
 use paldia_cluster::{FailoverPolicyKind, FaultPlan};
 use paldia_core::{pool, ysearch};
-use paldia_experiments::cli::{Cli, Flag};
+use paldia_experiments::cli::{emit, Cli, Flag};
 use paldia_experiments::diffcap::PrimaryScenario;
 use paldia_experiments::timings::{append_entry, default_bench_path, FigureTiming, TimingReport};
 use paldia_experiments::*;
@@ -109,7 +118,7 @@ fn current_commit() -> String {
 /// the run loses requests or the fleet never reaches 1000 node leases.
 fn run_stress_report(shards: u32) {
     let spec = stress::StressSpec::full();
-    println!(
+    outln!(
         "stress — {} tenants × {} req/s × {}s (~{:.2} M requests), {} shard(s), {} job(s)",
         spec.tenants,
         spec.rps,
@@ -121,15 +130,19 @@ fn run_stress_report(shards: u32) {
     let t0 = Instant::now();
     let out = stress::run_stress(&spec, shards);
     let wall = t0.elapsed().as_secs_f64();
-    println!(
+    outln!(
         "  {} arrived, {} completed, {} unserved across {} tenants",
-        out.arrived, out.completed, out.unserved, out.tenants
+        out.arrived,
+        out.completed,
+        out.unserved,
+        out.tenants
     );
-    println!(
+    outln!(
         "  {} node leases, {} engine events",
-        out.node_leases, out.engine_events
+        out.node_leases,
+        out.engine_events
     );
-    println!(
+    outln!(
         "  {:.1}s wall-clock — {:.2} M events/s, {:.2} M requests/s",
         wall,
         out.engine_events as f64 / wall / 1e6,
@@ -141,7 +154,7 @@ fn run_stress_report(shards: u32) {
         eprintln!("stress FAILED: conserved={conserved}, at_scale={at_scale}");
         std::process::exit(1);
     }
-    println!("stress OK");
+    outln!("stress OK");
 }
 
 /// Parse a `--faults` spec into a plan (see the module docs for values).
@@ -204,7 +217,7 @@ fn run_capture(
     triage_slo: Option<f64>,
     explain: &[u64],
 ) {
-    println!(
+    outln!(
         "observability capture — {mode} primary run (Paldia / Azure / GoogleNet), seed {}",
         scenario.seed
     );
@@ -222,7 +235,7 @@ fn run_capture(
             sink.finish()
                 .map_err(|e| format!("  could not write {path}: {e}")),
         );
-        println!("  jsonl trace written to {path} ({lines} events)");
+        outln!("  jsonl trace written to {path} ({lines} events)");
         let events = if trace_out.is_some() || triage_slo.is_some() || !explain.is_empty() {
             let events = paldia_obs::read_jsonl_file(path);
             or_exit(events.map_err(|e| format!("  could not read back {path}: {e}")))
@@ -242,9 +255,9 @@ fn run_capture(
     // With `--trace-file` and no downstream consumer the stream went
     // straight to disk (already reported above) and was never read back.
     if events.is_empty() && trace_file.is_some() {
-        println!("  {} requests served", result.completed.len());
+        outln!("  {} requests served", result.completed.len());
     } else {
-        println!(
+        outln!(
             "  {} requests served, {} trace events captured{}",
             result.completed.len(),
             events.len(),
@@ -258,16 +271,16 @@ fn run_capture(
     if let Some(path) = trace_out {
         let written = std::fs::write(path, paldia_obs::chrome_trace_json(&events));
         or_exit(written.map_err(|e| format!("  could not write {path}: {e}")));
-        println!("  chrome trace written to {path} (load via chrome://tracing)");
+        outln!("  chrome trace written to {path} (load via chrome://tracing)");
     }
     if let Some(slo) = triage_slo {
         let attribution = paldia_obs::TraceAttribution::from_events(&events);
         let report = paldia_obs::TriageReport::build(&attribution, slo);
-        println!("\n{}", paldia_obs::render_triage(&report, &events));
+        outln!("\n{}", paldia_obs::render_triage(&report, &events));
     }
     for &id in explain {
         match paldia_obs::explain_request(&events, id) {
-            Some(text) => println!("\n{text}"),
+            Some(text) => outln!("\n{text}"),
             None => {
                 let ids = paldia_obs::completed_request_ids(&events);
                 let sample: Vec<String> = ids.iter().take(10).map(|i| i.to_string()).collect();
@@ -279,7 +292,7 @@ fn run_capture(
             }
         }
     }
-    println!("{}", "=".repeat(72));
+    outln!("{}", "=".repeat(72));
 }
 
 /// `--diff A.jsonl B.jsonl`: align two captured decision logs and exit 0
@@ -291,7 +304,7 @@ fn run_file_diff(path_a: &str, path_b: &str) -> ! {
     };
     let (ea, eb) = (read(path_a), read(path_b));
     let report = paldia_obs::diff_decision_streams(&ea, &eb);
-    print!("{}", paldia_obs::render_diff(&report, path_a, path_b, &[]));
+    emit(&paldia_obs::render_diff(&report, path_a, path_b, &[]));
     std::process::exit(if report.is_empty() { 0 } else { 1 });
 }
 
@@ -307,18 +320,15 @@ fn run_diff_flip(mode: &str, base: PrimaryScenario, spec: &str) -> ! {
     or_exit(diffcap::apply_tunable(&mut flipped.config, key, value));
     let deltas = diffcap::tunable_deltas(&base.config, &flipped.config);
     if deltas.is_empty() {
-        println!("--diff-flip {spec}: value equals the default; both sides are identical runs");
+        outln!("--diff-flip {spec}: value equals the default; both sides are identical runs");
     }
-    println!(
+    outln!(
         "decision diff — {mode} primary run (Paldia / Azure / GoogleNet), seed {}: default vs {spec}",
         base.seed
     );
     let (report, ra, rb) = diffcap::diff_runs(&base, &flipped);
-    print!(
-        "{}",
-        paldia_obs::render_diff(&report, "default", spec, &deltas)
-    );
-    println!(
+    emit(&paldia_obs::render_diff(&report, "default", spec, &deltas));
+    outln!(
         "  A (default): {} completed, cost ${:.4} | B ({spec}): {} completed, cost ${:.4}",
         ra.completed.len(),
         ra.total_cost(),
@@ -342,12 +352,14 @@ fn gate_goldens() -> ! {
             }
             Ok(report) => {
                 let committed = golden.path().display().to_string();
-                print!(
-                    "{}",
-                    paldia_obs::render_diff(&report, &committed, "current build", &[])
-                );
+                emit(&paldia_obs::render_diff(
+                    &report,
+                    &committed,
+                    "current build",
+                    &[],
+                ));
                 if report.is_empty() {
-                    println!("{} golden decision-log gate OK", golden.name);
+                    outln!("{} golden decision-log gate OK", golden.name);
                 } else {
                     diverged.push(golden.name);
                 }
@@ -374,7 +386,7 @@ fn gate_goldens() -> ! {
 fn bless_goldens() {
     for golden in diffcap::GOLDENS {
         let n = or_exit(golden.bless());
-        println!(
+        outln!(
             "{} golden decision log re-blessed: {n} decision(s) -> {}",
             golden.name,
             golden.path().display()
@@ -386,27 +398,30 @@ fn bless_goldens() {
 /// shards 1 and 3, decision streams diffed both directions, headline
 /// numbers written as JSON. Exits 1 on any shard divergence.
 fn run_llm_smoke_cmd(seed: u64, report_path: &str) -> ! {
-    println!(
+    outln!(
         "llm smoke — iterative storm scenario, seed {seed}, {}s, fleet at shards 1 vs 3",
         diffcap::GOLDEN_SECS
     );
     let report = llm_iter::run_llm_smoke(seed);
-    println!(
+    outln!(
         "  {} completed, {} unserved, {} decision(s)",
-        report.completed, report.unserved, report.decisions
+        report.completed,
+        report.unserved,
+        report.decisions
     );
-    println!(
+    outln!(
         "  P99 token latency: {:.2} ms iterative vs {:.2} ms request-level",
-        report.p99_token_ms_iterative, report.p99_token_ms_request_level
+        report.p99_token_ms_iterative,
+        report.p99_token_ms_request_level
     );
     if let Some(dir) = std::path::Path::new(report_path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
     let written = std::fs::write(report_path, report.to_json());
     or_exit(written.map_err(|e| format!("  could not write {report_path}: {e}")));
-    println!("  report written to {report_path}");
+    outln!("  report written to {report_path}");
     if report.shard_invariant {
-        println!("llm smoke OK: shards 1 and 3 bit-identical, decision diffs empty both ways");
+        outln!("llm smoke OK: shards 1 and 3 bit-identical, decision diffs empty both ways");
         std::process::exit(0);
     }
     eprintln!("llm smoke FAILED: shard 1 and shard 3 runs diverged");
@@ -416,9 +431,24 @@ fn run_llm_smoke_cmd(seed: u64, report_path: &str) -> ! {
 /// One experiment: its positional id and its runner.
 type Experiment = (&'static str, Box<dyn Fn(&RunOpts) -> ExperimentReport>);
 
-/// Every experiment `repro` can run, in sweep order. `llm` is opt-in
-/// (never part of the default sweep — see `--llm` in the module docs), and
-/// the id `fig10` selects `fig9`, which shares its module.
+/// The rows the positional alias `ablations` selects: the design-choice
+/// ablations and the multi-tenant extension study, named by the report ids
+/// they print. They read only the seed base, so quick and full mode print
+/// the same reports.
+const ABLATIONS: [&str; 8] = [
+    "ablation-escalation",
+    "ablation-hysteresis",
+    "ablation-headroom",
+    "ablation-predictor",
+    "ablation-batch-window",
+    "ablation-slo",
+    "ablation-host-aware",
+    "ext-fleet",
+];
+
+/// Every experiment `repro` can run, in sweep order. `llm` and the
+/// [`ABLATIONS`] rows are opt-in: they run only when named (see
+/// [`selects`]). The id `fig10` selects `fig9`, which shares its module.
 fn experiments(quick: bool) -> Vec<Experiment> {
     vec![
         (
@@ -455,7 +485,30 @@ fn experiments(quick: bool) -> Vec<Experiment> {
         ),
         ("table3", Box::new(|o: &RunOpts| table3_mixed::run(o))),
         ("llm", Box::new(|o: &RunOpts| llm_iter::run(o))),
+        ("ablation-escalation", Box::new(ablations::escalation)),
+        ("ablation-hysteresis", Box::new(ablations::hysteresis_sweep)),
+        ("ablation-headroom", Box::new(ablations::headroom_sweep)),
+        ("ablation-predictor", Box::new(ablations::predictor_sweep)),
+        (
+            "ablation-batch-window",
+            Box::new(ablations::batch_window_sweep),
+        ),
+        ("ablation-slo", Box::new(ablations::slo_sensitivity)),
+        ("ablation-host-aware", Box::new(ablations::host_aware)),
+        ("ext-fleet", Box::new(ext_fleet::run)),
     ]
+}
+
+/// Whether the row `id` runs for the positional ids `selected`: a named
+/// row, a row an alias names (`fig10` → `fig9`, `ablations` → every
+/// [`ABLATIONS`] row), or, with no ids at all, every row but the opt-in
+/// ones (`llm` and the ablations).
+fn selects(selected: &[&str], id: &str) -> bool {
+    let opt_in = id == "llm" || ABLATIONS.contains(&id);
+    selected.contains(&id)
+        || (selected.is_empty() && !opt_in)
+        || (id == "fig9" && selected.contains(&"fig10"))
+        || (ABLATIONS.contains(&id) && selected.contains(&"ablations"))
 }
 
 /// Every flag `repro` knows, once each, with what its values are.
@@ -499,13 +552,14 @@ fn read_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
         .positional
         .iter()
         .map(String::as_str)
-        .filter(|id| *id != "fig10" && !known.contains(id))
+        .filter(|id| !["fig10", "ablations"].contains(id) && !known.contains(id))
         .collect();
     if unknown.is_empty() {
         return Ok(cli);
     }
     Err(format!(
-        "unknown experiment id(s): {}\nknown ids: {} (fig10 selects fig9)",
+        "unknown experiment id(s): {}\nknown ids: {} (fig10 selects fig9, ablations \
+         selects every ablation-* row and ext-fleet)",
         unknown.join(" "),
         known.join(" ")
     ))
@@ -531,8 +585,7 @@ fn main() {
     if let Some(n) = or_exit(cli.parsed("--jobs")) {
         pool::set_jobs(n);
     }
-    let shards =
-        or_exit(cli.parsed("--shards")).map_or_else(common::default_shards, NonZeroU32::get);
+    let shards = or_exit(cli.parsed("--shards")).map_or(1, NonZeroU32::get);
     let label = cli.value("--label").unwrap_or("repro").to_string();
     if let Some(plan) = or_exit(cli.parsed_with("--faults", parse_fault_spec)) {
         opts = opts.with_faults(plan, FailoverPolicyKind::CheapestMorePerformant);
@@ -577,7 +630,6 @@ fn main() {
     let trace_out = cli.value("--trace");
     let trace_file = cli.value("--trace-file");
     let experiments = experiments(quick);
-    let want = |id: &str| selected.is_empty() || selected.contains(&id);
 
     if trace_out.is_some() || trace_file.is_some() || triage_slo.is_some() || explain.is_some() {
         run_capture(
@@ -593,7 +645,7 @@ fn main() {
         }
     }
 
-    println!(
+    outln!(
         "Paldia reproduction harness — {} mode, {} rep(s), seed base {}, {} job(s), {} shard(s)",
         mode,
         opts.reps,
@@ -601,7 +653,7 @@ fn main() {
         pool::max_jobs(),
         shards
     );
-    println!("{}", "=".repeat(72));
+    outln!("{}", "=".repeat(72));
 
     ysearch::reset_cache_counters();
 
@@ -610,12 +662,7 @@ fn main() {
     let t0 = Instant::now();
 
     for (id, run) in &experiments {
-        let wanted = if *id == "llm" {
-            selected.contains(&"llm")
-        } else {
-            want(id) || (*id == "fig9" && selected.contains(&"fig10"))
-        };
-        if !wanted {
+        if !selects(&selected, id) {
             continue;
         }
         let tf = Instant::now();
@@ -631,12 +678,12 @@ fn main() {
     let mut holds = 0usize;
     let mut total = 0usize;
     for r in &reports {
-        println!("{}", r.render());
+        outln!("{}", r.render());
         holds += r.checks.iter().filter(|c| c.holds).count();
         total += r.checks.len();
     }
 
-    println!("{}", "=".repeat(72));
+    outln!("{}", "=".repeat(72));
     if let Some(path) = bench_path {
         let (cache_hits, cache_misses) = ysearch::cache_counters();
         let report = TimingReport {
@@ -658,14 +705,14 @@ fn main() {
             cache_hits,
             cache_misses,
         };
-        print!("{}", report.render());
+        emit(&report.render());
         match append_entry(&path, &report) {
-            Ok(()) => println!("recorded entry '{}' in {}", report.label, path.display()),
+            Ok(()) => outln!("recorded entry '{}' in {}", report.label, path.display()),
             Err(e) => eprintln!("could not write {}: {e}", path.display()),
         }
-        println!("{}", "=".repeat(72));
+        outln!("{}", "=".repeat(72));
     }
-    println!(
+    outln!(
         "{}/{} shape checks hold across {} experiments ({:.1}s total)",
         holds,
         total,
@@ -707,11 +754,15 @@ mod tests {
             .iter()
             .map(|(id, _)| *id)
             .collect::<Vec<_>>();
-        let cases: [(&str, Option<&str>); 21] = [
+        let cases: [(&str, Option<&str>); 25] = [
             ("", None),
             ("fig5", None),
             ("fig10", None),
             ("llm", None),
+            ("ablations", None),
+            ("ablation-slo ext-fleet", None),
+            ("ablation", Some("ablation")),
+            ("ablations-slo", Some("ablations-slo")),
             ("fig1 fig13a fig13b table3", None),
             ("--quick --seed 7 --jobs 2 fig5", None),
             ("--diff a.jsonl b.jsonl", None),
@@ -752,6 +803,39 @@ mod tests {
                 (Err(e), None) => panic!("{line:?} must be accepted, got: {e}"),
             }
         }
+    }
+
+    /// The default sweep is the 13 figure and table rows; `llm` and the
+    /// ablation rows run only when named, by id or by the `ablations` alias.
+    #[test]
+    fn opt_in_rows_run_only_when_named() {
+        let ids: Vec<&str> = experiments(true).iter().map(|(id, _)| *id).collect();
+        let runs = |selected: &[&str]| -> Vec<&str> {
+            ids.iter()
+                .copied()
+                .filter(|id| selects(selected, id))
+                .collect()
+        };
+        let opt_in: Vec<&str> = std::iter::once("llm").chain(ABLATIONS).collect();
+        let sweep = runs(&[]);
+        assert_eq!(sweep.len(), 13, "default sweep: {sweep:?}");
+        assert_eq!(sweep.len() + opt_in.len(), ids.len());
+        for id in &ids {
+            if opt_in.contains(id) {
+                assert_eq!(runs(&[id]), [*id], "{id} runs alone when named");
+                continue;
+            }
+            for unnamed in runs(&[id]).iter().chain(&sweep) {
+                assert!(!opt_in.contains(unnamed), "{unnamed} ran unnamed");
+            }
+        }
+        assert_eq!(runs(&["fig10"]), ["fig9"]);
+        assert_eq!(runs(&["ablations"]), ABLATIONS);
+        assert_eq!(
+            runs(&["ablation-slo", "ext-fleet"]),
+            ["ablation-slo", "ext-fleet"]
+        );
+        assert_eq!(runs(&["fig5", "ablations"]).len(), 9);
     }
 
     #[test]

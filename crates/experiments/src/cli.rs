@@ -4,8 +4,46 @@
 //! it before any work starts. A value never starts with `--`, so a
 //! forgotten value cannot swallow the next flag: `--report --quick` is
 //! refused rather than read as a file named `--quick`.
+//!
+//! `repro` and `paldia-run` print their reports through [`emit`] (and the
+//! [`outln!`](crate::outln) macro over it), so a reader that goes away
+//! early — `paldia-run ... | head -3` — ends the program quietly instead of
+//! panicking on the next write.
 
+use std::io::{ErrorKind, Write};
 use std::str::FromStr;
+
+/// The exit status of a report binary whose stdout was closed under it:
+/// 141, the 128 + SIGPIPE a shell reports for a program a broken pipe
+/// killed, so `set -o pipefail` scripts still see that the report was cut.
+pub const BROKEN_PIPE_EXIT: i32 = 141;
+
+/// Write `text` to stdout and flush it. When the reader has gone away
+/// (`BrokenPipe`) the process exits at once with [`BROKEN_PIPE_EXIT`],
+/// printing nothing; any other write error is reported on stderr and exits
+/// with the same status. Never panics, unlike `print!`.
+pub fn emit(text: &str) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("could not write to stdout: {e}");
+        }
+        std::process::exit(BROKEN_PIPE_EXIT);
+    }
+}
+
+/// `println!` through [`cli::emit`](crate::cli::emit): a closed stdout ends
+/// the process with [`BROKEN_PIPE_EXIT`](crate::cli::BROKEN_PIPE_EXIT)
+/// instead of panicking.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::cli::emit("\n")
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::emit(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// One known flag: its spelling, the number of values that follow it (0
 /// for a switch), and what those values are, for error messages.

@@ -138,22 +138,6 @@ impl SchemeKind {
     }
 }
 
-/// The process-default shard count of partitioned fleet runs
-/// (`repro --stress`): `PALDIA_SHARDS` when set to a positive integer,
-/// else 1. Resolved here — not in the simulation crates — so the engine
-/// itself stays free of environment reads. The env read is hatch-exempted
-/// like `PALDIA_JOBS` in `core::pool`: it only sets how many event loops a
-/// fleet is split across, and results are invariant across shard counts
-/// (`tests/determinism_replay.rs` and the shard-invariance proptests prove
-/// it), so it cannot affect replay.
-pub fn default_shards() -> u32 {
-    std::env::var("PALDIA_SHARDS") // lint:allow(d2)
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
 /// Global run options for the reproduction harness.
 #[derive(Clone, Debug)]
 pub struct RunOpts {

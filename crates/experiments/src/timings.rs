@@ -88,10 +88,12 @@ impl TimingReport {
             "timings ({} mode, {} core(s), {} job(s), {} shard(s), seed {}, commit {}):\n",
             self.mode, self.nproc, self.jobs, self.shards, self.seed, self.commit
         ));
+        // Ids pad to the longest (at least 8), so the seconds line up.
+        let width = self.figures.iter().map(|f| f.id.len()).fold(8, usize::max);
         for f in &self.figures {
-            out.push_str(&format!("  {:<8} {:>8.2}s\n", f.id, f.secs));
+            out.push_str(&format!("  {:<width$} {:>8.2}s\n", f.id, f.secs));
         }
-        out.push_str(&format!("  {:<8} {:>8.2}s\n", "total", self.total_s));
+        out.push_str(&format!("  {:<width$} {:>8.2}s\n", "total", self.total_s));
         out.push_str(&format!(
             "  y-search plan cache: {} hits / {} misses ({:.1}% hit rate)\n",
             self.cache_hits,
@@ -323,6 +325,18 @@ mod tests {
         assert!(text.contains("hit rate"));
         assert!(text.contains("fig1"));
         assert!(text.contains("total"));
+        assert!(text.contains("\n  fig1         1.25s\n"), "{text}");
+        let mut long = entry("x");
+        long.figures[1].id = "ablation-batch-window".into();
+        // Every seconds column ends where the longest id's does.
+        let ends: Vec<usize> = long
+            .render()
+            .lines()
+            .filter(|l| l.ends_with('s') && l.starts_with("  ") && !l.contains("cache"))
+            .map(str::len)
+            .collect();
+        assert_eq!(ends.len(), 3, "{}", long.render());
+        assert!(ends.iter().all(|&e| e == ends[0]), "{}", long.render());
     }
 
     #[test]

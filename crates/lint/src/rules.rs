@@ -2,8 +2,8 @@
 //!
 //! Rules operate on the token stream produced by [`crate::lexer`], so
 //! comments and string contents never trip them. Scoping is by path:
-//! vendored shims (`proptest`, `criterion`), the bench/CLI layer
-//! (`crates/bench`, any `/bin/` path, the root `src/` facade), and test
+//! vendored shims (`proptest`, `criterion`), the CLI layer (any `/bin/`
+//! path, the root `src/` facade), and test
 //! code (`/tests/`, `/benches/`, `/examples/`, `#[cfg(test)]` items) are
 //! exempt — the determinism contract binds the production simulation path,
 //! and test-side determinism is enforced dynamically by
@@ -76,7 +76,7 @@ pub const BOUNDARY_RULES: &[&str] = &["b1", "b2", "reach", "u1", "stale-allow"];
 /// their manifests; `crates/lint` itself is scanned so the stale-hatch
 /// audit covers the analyzer's own sources.
 pub fn exempt_path(path: &str) -> bool {
-    let skip_crates = ["crates/proptest/", "crates/criterion/", "crates/bench/"];
+    let skip_crates = ["crates/proptest/", "crates/criterion/"];
     if skip_crates.iter().any(|p| path.starts_with(p)) {
         return true;
     }

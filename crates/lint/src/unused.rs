@@ -179,7 +179,7 @@ mod tests {
         assert!(candidate_path("src/lib.rs"));
         assert!(!candidate_path("crates/experiments/src/bin/repro.rs"));
         assert!(!candidate_path("crates/serve/src/main.rs"));
-        assert!(!candidate_path("crates/bench/benches/components.rs"));
+        assert!(!candidate_path("crates/core/benches/ysearch_latency.rs"));
         assert!(!candidate_path("perfbench/src/sim.rs"));
         assert!(!candidate_path("examples/quickstart.rs"));
     }

@@ -37,7 +37,7 @@ fn every_workspace_crate_is_classified() {
         "crates missing from classification.toml: {unclassified:?}"
     );
     // The manifest pins the architecture: the simulation path is
-    // deterministic-core, the experiment drivers sim-facing, the CLI/bench
+    // deterministic-core, the experiment drivers sim-facing, the CLI
     // layer shell, and the vendored shims + this analyzer tooling.
     let class = |dir: &str| -> &str {
         report
@@ -62,13 +62,13 @@ fn every_workspace_crate_is_classified() {
     for sf in ["baselines", "experiments"] {
         assert_eq!(class(sf), "sim-facing", "{sf}");
     }
-    for sh in ["bench", "serve", "root"] {
+    for sh in ["serve", "root"] {
         assert_eq!(class(sh), "shell", "{sh}");
     }
     for tl in ["lint", "proptest", "criterion"] {
         assert_eq!(class(tl), "tooling", "{tl}");
     }
-    assert_eq!(report.crates.len(), 16, "{:?}", report.crates);
+    assert_eq!(report.crates.len(), 15, "{:?}", report.crates);
     assert!(
         report.files_scanned > 100,
         "suspiciously few files scanned: {}",

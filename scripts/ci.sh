@@ -46,7 +46,7 @@
 #      it refused and never panics (files under target/hostile-*.replay)
 #  14. ysearch latency       — the full Table II y-search (Eq. 1 over every
 #      candidate kind) must average under the paper's 3 ms budget (§III) in
-#      every case of `cargo bench -p paldia-bench --bench ysearch_latency`
+#      every case of `cargo bench -p paldia-core --bench ysearch_latency`
 #  15. cargo test --workspace — every crate's unit/property/integration tests
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -161,7 +161,7 @@ for cmd in "repro --quik" "paldia-serve --smoke --sped 5"; do
 done
 
 echo "==> ysearch latency (every case's mean < 3 ms, the paper's §III budget)"
-cargo bench -q -p paldia-bench --bench ysearch_latency | tee target/ysearch-latency.txt
+cargo bench -q -p paldia-core --bench ysearch_latency | tee target/ysearch-latency.txt
 # Shim output: "<id> mean <value> <unit> min <value> <unit> (<n> samples)".
 awk '
     /no samples recorded/ { print "no samples: " $1; bad++; next }

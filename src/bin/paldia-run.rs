@@ -8,6 +8,10 @@
 //! paldia-run --list
 //! ```
 //!
+//! The report goes to stdout through `experiments::cli::emit`, so piping it
+//! into `head` ends the run quietly, with exit status 141, once the reader
+//! closes the pipe.
+//!
 //! Schemes resolve through `SchemeKind`'s name table (`SCHEME_NAMES`) and
 //! start on the same warm-start node `repro` gives them: the (P) variants
 //! on the most performant node (the V100), the others on the cheapest
@@ -16,6 +20,7 @@
 use paldia::cluster::{model_from_token, RunResult, RunSpec, SimConfig, WorkloadSpec};
 use paldia::experiments::cli::{Cli, Flag};
 use paldia::experiments::common::SCHEME_NAMES;
+use paldia::experiments::outln;
 use paldia::experiments::{scenarios, SchemeKind};
 use paldia::hw::Catalog;
 use paldia::metrics::{LatencyStats, TailBreakdown, TimeSeries};
@@ -74,12 +79,12 @@ fn parse_args() -> Result<Args, String> {
         return Err(format!("unexpected argument {stray:?}"));
     }
     if cli.has("--list") {
-        println!("models:");
+        outln!("models:");
         for m in MlModel::ALL {
-            println!("  {}", m.name());
+            outln!("  {}", m.name());
         }
-        println!("schemes: {}", scheme_names(" "));
-        println!("traces:  azure wiki twitter poisson:<rps>");
+        outln!("schemes: {}", scheme_names(" "));
+        outln!("traces:  azure wiki twitter poisson:<rps>");
         std::process::exit(0)
     }
     Ok(Args {
@@ -132,7 +137,7 @@ fn main() {
     });
     let trace = build_trace(&args);
     let horizon_s = trace.duration().as_secs_f64();
-    println!(
+    outln!(
         "{} | {} trace | peak {:.0} rps mean {:.1} rps | {:.0}s | SLO {:.0} ms",
         args.model,
         args.trace,
@@ -148,34 +153,40 @@ fn main() {
     let r = run(&args, &workloads, &cfg);
     let stats = LatencyStats::from_completed(&r.completed);
 
-    println!("\nscheme          : {}", r.scheme);
-    println!(
+    outln!("\nscheme          : {}", r.scheme);
+    outln!(
         "SLO compliance  : {:.2}%",
         r.slo_compliance(cfg.slo_ms) * 100.0
     );
-    println!(
+    outln!(
         "requests        : {} served, {} unserved",
         r.completed.len(),
         r.unserved
     );
-    println!(
+    outln!(
         "latency ms      : p50 {:.0}  p90 {:.0}  p99 {:.0}  max {:.0}",
-        stats.p50, stats.p90, stats.p99, stats.max
+        stats.p50,
+        stats.p90,
+        stats.p99,
+        stats.max
     );
     if let Some(b) = TailBreakdown::at(&r.completed, 99.0) {
-        println!(
+        outln!(
             "P99 breakdown   : {:.0} min + {:.0} queue + {:.0} interference",
-            b.min_possible_ms, b.queueing_ms, b.interference_ms
+            b.min_possible_ms,
+            b.queueing_ms,
+            b.interference_ms
         );
     }
-    println!(
+    outln!(
         "cost            : ${:.4}   power {:.0} W",
         r.total_cost(),
         r.mean_power_w()
     );
-    println!(
+    outln!(
         "transitions     : {}   cold starts {}",
-        r.transitions, r.cold_starts
+        r.transitions,
+        r.cold_starts
     );
 
     let bucket = (horizon_s / 60.0).max(1.0);
@@ -183,7 +194,7 @@ fn main() {
     let offered_ts = TimeSeries::new(trace.bin_width().as_secs_f64(), offered);
     let completions = TimeSeries::completions(&r.completed, bucket, horizon_s);
     let violations = TimeSeries::violations(&r.completed, cfg.slo_ms, bucket, horizon_s);
-    println!("\noffered    {}", offered_ts.sparkline(60));
-    println!("served     {}", completions.sparkline(60));
-    println!("violations {}", violations.sparkline(60));
+    outln!("\noffered    {}", offered_ts.sparkline(60));
+    outln!("served     {}", completions.sparkline(60));
+    outln!("violations {}", violations.sparkline(60));
 }

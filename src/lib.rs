@@ -19,7 +19,7 @@
 //! | [`baselines`] | `paldia-baselines` | INFless/Llama, Molecule (beta), Fig. 1 schemes, rate limiting |
 //! | [`metrics`] | `paldia-metrics` | SLO/latency/cost/power/utilization metrics, tables, sparklines |
 //! | [`obs`] | `paldia-obs` | request spans, scheduler decision logs, chrome-trace export |
-//! | [`experiments`] | `paldia-experiments` | one module per paper figure/table + ablations |
+//! | [`experiments`] | `paldia-experiments` | one module per paper figure/table + ablations, run by `repro` |
 //! | — (binary crate) | `paldia-serve` | wall-clock serving shell: TCP front end, load generator, differential gate (DESIGN.md §14, OPERATIONS.md) |
 //!
 //! ## Five-minute tour

@@ -116,8 +116,9 @@ fn exhaustion_ordering_hybrid_ts_mps() {
 fn node_failures_upgrade_the_cost_schemes() {
     // Shape 6 (Fig. 13b): with the failover-upgrade rule, a failure pushes
     // the workload onto the V100 quickly and most traffic still completes.
-    let mut cfg = SimConfig::with_seed(1_000).with_minute_failures(SimTime::from_secs(60), 2);
-    cfg.seed = 1_000;
+    let plan = FaultPlan::minute_crashes(SimTime::from_secs(60), 2);
+    let cfg =
+        SimConfig::with_seed(1_000).with_faults(plan, FailoverPolicyKind::CheapestMorePerformant);
     let w = surge_slice(MlModel::DenseNet121);
     let r = common::run_once(&SchemeKind::Paldia, &w, &Catalog::table_ii(), &cfg);
     // The rule is "cheapest *more performant*": failing a CPU node lands on
