@@ -54,16 +54,30 @@ pub fn within_replay_bound(field: &str, value: u64) -> Result<u64, String> {
     Ok(value)
 }
 
-/// Canonical lower-case token for a model name: letters and digits only
-/// ("ResNet 50" → `resnet50`, "EfficientNet-B0" → `efficientnetb0`).
-/// Model names contain spaces; tokens keep the line format whitespace-split.
-pub fn model_token(model: MlModel) -> String {
-    model
-        .name()
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric())
-        .collect::<String>()
-        .to_ascii_lowercase()
+/// Canonical lower-case token for a model name: its letters and digits,
+/// lower-cased ("ResNet 50" → `resnet50`, "EfficientNet-B0" →
+/// `efficientnetb0`). Model names contain spaces; tokens keep the line
+/// format whitespace-split. A static table, so encoding and parsing a line
+/// allocate nothing for it.
+pub fn model_token(model: MlModel) -> &'static str {
+    match model {
+        MlModel::ResNet50 => "resnet50",
+        MlModel::GoogleNet => "googlenet",
+        MlModel::DenseNet121 => "densenet121",
+        MlModel::Dpn92 => "dpn92",
+        MlModel::Vgg19 => "vgg19",
+        MlModel::ResNet18 => "resnet18",
+        MlModel::MobileNet => "mobilenet",
+        MlModel::MobileNetV2 => "mobilenetv2",
+        MlModel::SeNet18 => "senet18",
+        MlModel::ShuffleNetV2 => "shufflenetv2",
+        MlModel::EfficientNetB0 => "efficientnetb0",
+        MlModel::SimplifiedDla => "simplifieddla",
+        MlModel::Albert => "albert",
+        MlModel::Bert => "bert",
+        MlModel::DistilBert => "distilbert",
+        MlModel::FunnelTransformer => "funneltransformer",
+    }
 }
 
 /// Resolve a [`model_token`] back to its model.
@@ -75,7 +89,7 @@ pub fn model_from_token(token: &str) -> Option<MlModel> {
 pub fn instance_from_token(token: &str) -> Option<InstanceKind> {
     InstanceKind::ALL
         .into_iter()
-        .find(|k| k.to_string() == token)
+        .find(|k| k.aws_name() == token)
 }
 
 /// A recorded arrival trace plus the context a replay session needs.
@@ -319,14 +333,26 @@ impl RecordedTrace {
 mod tests {
     use super::*;
 
+    /// Each static token is the name's ASCII letters and digits,
+    /// lower-cased, is unique, and resolves back to its model.
     #[test]
     fn model_tokens_are_unique_and_round_trip() {
         let mut seen = Vec::new();
         for m in MlModel::ALL {
             let tok = model_token(m);
+            let derived: String = m
+                .name()
+                .chars()
+                .filter(|c| c.is_ascii_alphanumeric())
+                .collect::<String>()
+                .to_ascii_lowercase();
+            assert_eq!(tok, derived, "{m:?}");
             assert!(!seen.contains(&tok), "token collision for {m:?}: `{tok}`");
-            assert_eq!(model_from_token(&tok), Some(m));
+            assert_eq!(model_from_token(tok), Some(m));
             seen.push(tok);
+        }
+        for bad in ["", "GoogleNet", "googlenet ", "resnet", "googlenet2"] {
+            assert_eq!(model_from_token(bad), None, "{bad:?}");
         }
     }
 
@@ -334,6 +360,10 @@ mod tests {
     fn instance_tokens_round_trip() {
         for k in InstanceKind::ALL {
             assert_eq!(instance_from_token(&k.to_string()), Some(k));
+            assert_eq!(instance_from_token(k.aws_name()), Some(k));
+        }
+        for bad in ["", "G3s.xlarge", "g3s", "g3s.xlarge "] {
+            assert_eq!(instance_from_token(bad), None, "{bad:?}");
         }
     }
 

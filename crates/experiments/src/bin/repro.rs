@@ -84,8 +84,10 @@
 //! `paldia-serve --capture`.)
 //!
 //! `--faults SPEC` injects a deterministic fault schedule into every
-//! experiment whose cells do not already carry one (Fig. 13b keeps its
-//! own). SPEC values:
+//! experiment whose cells do not already carry one (Fig. 13b and the LLM
+//! study keep their own). The ablation rows build their own
+//! configurations, which no schedule reaches, so `--faults` together with
+//! any of them exits 2 before anything runs, naming them. SPEC values:
 //!
 //! * `fig13b` — the Fig. 13b minute-crash pattern, paper failover rule
 //! * `crashes:COUNT:SEED` — COUNT 30-second crashes sampled over the first
@@ -544,25 +546,38 @@ fn or_exit<T>(result: Result<T, String>) -> T {
 
 /// Read the command line: every flag against [`FLAGS`], every other
 /// argument against the experiment ids (and the `fig10` alias). `Err`
-/// names the bad flag, or every unknown id and the known ones.
+/// names the bad flag, or every unknown id and the known ones, or the
+/// [`ABLATIONS`] rows selected together with `--faults`: they build their
+/// own configurations, which no fault schedule reaches.
 fn read_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let cli = Cli::parse(FLAGS, args)?;
     let known: Vec<&str> = experiments(false).iter().map(|(id, _)| *id).collect();
-    let unknown: Vec<&str> = cli
-        .positional
+    let selected: Vec<&str> = cli.positional.iter().map(String::as_str).collect();
+    let unknown: Vec<&str> = selected
         .iter()
-        .map(String::as_str)
+        .copied()
         .filter(|id| !["fig10", "ablations"].contains(id) && !known.contains(id))
         .collect();
-    if unknown.is_empty() {
-        return Ok(cli);
+    if !unknown.is_empty() {
+        return Err(format!(
+            "unknown experiment id(s): {}\nknown ids: {} (fig10 selects fig9, ablations \
+             selects every ablation-* row and ext-fleet)",
+            unknown.join(" "),
+            known.join(" ")
+        ));
     }
-    Err(format!(
-        "unknown experiment id(s): {}\nknown ids: {} (fig10 selects fig9, ablations \
-         selects every ablation-* row and ext-fleet)",
-        unknown.join(" "),
-        known.join(" ")
-    ))
+    let unfaulted: Vec<&str> = ABLATIONS
+        .into_iter()
+        .filter(|id| selects(&selected, id))
+        .collect();
+    if cli.has("--faults") && !unfaulted.is_empty() {
+        return Err(format!(
+            "--faults does not reach the ablation rows {}: they build their own \
+             configurations; run them without --faults",
+            unfaulted.join(" ")
+        ));
+    }
+    Ok(cli)
 }
 
 fn main() {
@@ -754,7 +769,7 @@ mod tests {
             .iter()
             .map(|(id, _)| *id)
             .collect::<Vec<_>>();
-        let cases: [(&str, Option<&str>); 25] = [
+        let cases: [(&str, Option<&str>); 30] = [
             ("", None),
             ("fig5", None),
             ("fig10", None),
@@ -786,6 +801,20 @@ mod tests {
             ),
             ("--trace", Some("--trace needs an output path")),
             ("--diff a.jsonl", Some("--diff needs two JSONL captures")),
+            ("--faults crashes:4:7 fig6", None),
+            ("--quick --faults fig13b", None),
+            (
+                "--faults crashes:4:7 ablation-escalation ablation-slo",
+                Some("ablation rows ablation-escalation ablation-slo:"),
+            ),
+            (
+                "--faults fig13b fig6 ext-fleet",
+                Some("--faults does not reach the ablation rows ext-fleet:"),
+            ),
+            (
+                "ablations --faults fig13b",
+                Some("the ablation rows ablation-escalation ablation-hysteresis"),
+            ),
         ];
         for (line, refused) in cases {
             match (

@@ -102,7 +102,8 @@ pub fn run(opts: &RunOpts) -> ExperimentReport {
                 what: "finite inventory visibly constrains the fleet".into(),
                 paper: "(extension — not in the paper)".into(),
                 measured: format!(
-                    "worst compliance delta {:.2} pp; worst cost premium {:+.0}% —                      partially-overlapping surges cost money, not SLOs",
+                    "worst compliance delta {:.2} pp; worst cost premium {:+.0}% — \
+                     partially-overlapping surges cost money, not SLOs",
                     worst_drop * 100.0,
                     cost_premium * 100.0
                 ),

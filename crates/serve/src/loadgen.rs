@@ -95,6 +95,7 @@ pub fn replay_trace(
     // Sender: pace each arrival to its scaled wall deadline.
     let epoch = Instant::now();
     let mut sent = 0usize;
+    let mut line = String::new();
     for sa in &trace.arrivals {
         let due = epoch + Duration::from_secs_f64(sa.at.as_micros() as f64 / (speed * 1e6));
         if let Some(wait) = due.checked_duration_since(Instant::now()) {
@@ -103,7 +104,11 @@ pub fn replay_trace(
                 std::thread::sleep(wait);
             }
         }
-        send(&mut writer, &proto::arr_line(sa))?;
+        line.clear();
+        proto::append_arr(&mut line, sa);
+        writer
+            .write_all(line.as_bytes())
+            .map_err(|e| format!("sending `{}`: {e}", line.trim_end()))?;
         sent += 1;
     }
     send(&mut writer, "end")?;

@@ -22,9 +22,8 @@ use paldia_cluster::RecordedTrace;
 use paldia_experiments::cli::{Cli, Flag};
 use paldia_experiments::diffcap::PrimaryScenario;
 use paldia_obs::{JsonlSink, TraceSink};
-use paldia_serve::{
-    run_differential, run_smoke, serve_once, ServeOpts, ServeOutcome, SmokeOpts, SmokeOutcome,
-};
+use paldia_serve::sink::{write_stamps_jsonl, DecisionLog, WallStamp};
+use paldia_serve::{run_differential, run_smoke, serve_once, ServeOpts, SmokeOpts, SmokeOutcome};
 
 const USAGE: &str = "\
 paldia-serve: wall-clock serving shell over the deterministic scheduler core
@@ -45,8 +44,9 @@ USAGE:
   paldia-serve --listen [--port P] [--speed X] [--decisions FILE]
       Serve connections (one session each, sequentially) until killed.
       Speak the line protocol: `hello live <secs> <models>` then
-      `inv <model>` / `end`. With --decisions, each session's decision
-      stream is written as JSONL (plus a .stamps.jsonl wall sidecar).
+      `inv <model>` / `end`. Sessions are untraced unless --decisions is
+      given; then each session's decision stream streams to FILE as JSONL
+      while it runs (plus a .stamps.jsonl wall sidecar at session end).
 
 DEFAULTS: --requests 200, --speed 20 (1.0 for --listen), --seed 42,
           --port 0 (ephemeral; 7979 for --listen), --secs 120
@@ -148,16 +148,13 @@ fn print_verdict(o: &SmokeOutcome) {
     println!("verdict: {}", if o.pass() { "PASS" } else { "FAIL" });
 }
 
-fn write_decisions(path: &str, outcome: &ServeOutcome) -> Result<(), String> {
-    let mut sink = JsonlSink::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-    for e in &outcome.events {
-        sink.record(e.clone());
-    }
-    let n = sink.finish().map_err(|e| format!("writing {path}: {e}"))?;
-    let stamps = PathBuf::from(format!("{path}.stamps.jsonl"));
-    paldia_serve::sink::write_stamps_jsonl(&stamps, &outcome.stamps)
-        .map_err(|e| format!("writing {}: {e}", stamps.display()))?;
-    println!("decisions: {n} events -> {path} (+ {})", stamps.display());
+/// Write the stamp sidecar of the decision log at `path` (`n` events,
+/// already written) and report both files.
+fn finish_decisions(path: &str, n: u64, stamps: &[WallStamp]) -> Result<(), String> {
+    let sidecar = PathBuf::from(format!("{path}.stamps.jsonl"));
+    write_stamps_jsonl(&sidecar, stamps)
+        .map_err(|e| format!("writing {}: {e}", sidecar.display()))?;
+    println!("decisions: {n} events -> {path} (+ {})", sidecar.display());
     Ok(())
 }
 
@@ -192,7 +189,12 @@ fn cmd_replay(cli: &Cli, path: &str) -> Result<bool, String> {
     let outcome = run_differential(&trace, speed, port)?;
     print_verdict(&outcome);
     if let Some(p) = cli.value("--decisions") {
-        write_decisions(p, &outcome.shell)?;
+        let mut sink = JsonlSink::create(p).map_err(|e| format!("creating {p}: {e}"))?;
+        for e in &outcome.shell_events {
+            sink.record(e.clone());
+        }
+        let n = sink.finish().map_err(|e| format!("writing {p}: {e}"))?;
+        finish_decisions(p, n, &outcome.shell.stamps)?;
     }
     if let Some(p) = cli.value("--report") {
         let opts = SmokeOpts {
@@ -240,21 +242,26 @@ fn cmd_listen(cli: &Cli) -> Result<bool, String> {
         "listening on {} at {speed}x (one session per connection; ctrl-c to stop)",
         listener.local_addr().map_err(|e| e.to_string())?
     );
+    let decisions = cli.value("--decisions");
     loop {
-        match serve_once(&listener, &opts) {
+        // Each session's log streams to the file while it runs; without
+        // --decisions the session keeps no trace at all.
+        let mut log = decisions.map(|p| DecisionLog::new(Path::new(p)));
+        let sink = log.as_mut().map(|l| l as &mut dyn TraceSink);
+        match serve_once(&listener, &opts, sink) {
             Ok(outcome) => {
                 println!(
-                    "session: {} completed, {} unserved, {} decision events, {:.1}ms wall",
+                    "session: {} completed, {} unserved, {:.1}ms wall",
                     outcome.result.completed.len(),
                     outcome.result.unserved,
-                    outcome.events.len(),
                     outcome.wall.as_secs_f64() * 1e3
                 );
                 for e in &outcome.protocol_errors {
                     eprintln!("protocol: {e}");
                 }
-                if let Some(p) = cli.value("--decisions") {
-                    write_decisions(p, &outcome)?;
+                if let (Some(p), Some(log)) = (decisions, log) {
+                    let n = log.finish().map_err(|e| format!("writing {p}: {e}"))?;
+                    finish_decisions(p, n, &outcome.stamps)?;
                 }
             }
             Err(e) => eprintln!("session failed: {e}"),

@@ -182,31 +182,70 @@ pub fn hello_replay_line(trace: &RecordedTrace) -> String {
     )
 }
 
-/// Encode a recorded arrival.
-pub fn arr_line(sa: &SampledArrival) -> String {
-    format!(
-        "arr {} {} {} {}",
-        sa.seq,
-        sa.id.0,
-        sa.at.as_micros(),
-        model_token(sa.model)
-    )
+/// Append a space and `n` in decimal.
+fn put_field(out: &mut String, mut n: u64) {
+    out.push(' ');
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &d in &digits[i..] {
+        out.push(d as char);
+    }
 }
 
-/// Encode a completion notification.
-pub fn done_line(c: &CompletedRequest) -> String {
+/// Append the `arr` line for a recorded arrival, newline included.
+pub fn append_arr(out: &mut String, sa: &SampledArrival) {
+    out.push_str("arr");
+    put_field(out, sa.seq);
+    put_field(out, sa.id.0);
+    put_field(out, sa.at.as_micros());
+    out.push(' ');
+    out.push_str(model_token(sa.model));
+    out.push('\n');
+}
+
+/// Encode a recorded arrival (the [`append_arr`] line, without its
+/// newline).
+pub fn arr_line(sa: &SampledArrival) -> String {
+    let mut out = String::with_capacity(48);
+    append_arr(&mut out, sa);
+    out.pop();
+    out
+}
+
+/// Append the `done` line for a completion, newline included. The latency
+/// field saturates at 0.
+pub fn append_done(out: &mut String, c: &CompletedRequest) {
     let arrival = c.arrival.as_micros();
     let completed = c.completed.as_micros();
-    format!(
-        "done {} {} {} {} {} {} {}",
-        c.id.0,
-        model_token(c.model),
-        arrival,
-        completed,
-        completed.saturating_sub(arrival),
-        c.hw,
-        c.batch_size
-    )
+    out.push_str("done");
+    put_field(out, c.id.0);
+    out.push(' ');
+    out.push_str(model_token(c.model));
+    put_field(out, arrival);
+    put_field(out, completed);
+    put_field(out, completed.saturating_sub(arrival));
+    out.push(' ');
+    out.push_str(c.hw.aws_name());
+    put_field(out, u64::from(c.batch_size));
+    out.push('\n');
+}
+
+/// Encode a completion notification (the [`append_done`] line, without
+/// its newline).
+// lint:allow(u1) the String form of the server's encoder that the wire codec tests decode
+pub fn done_line(c: &CompletedRequest) -> String {
+    let mut out = String::with_capacity(80);
+    append_done(&mut out, c);
+    out.pop();
+    out
 }
 
 /// Encode the end-of-session summary from a finished run.
@@ -438,6 +477,203 @@ mod tests {
         assert!(matches!(
             parse_server_line("err boom boom").unwrap(),
             ServerLine::Err(m) if m == "boom boom"
+        ));
+    }
+
+    /// The `format!` bodies the appenders replaced: the wire bytes they
+    /// must keep.
+    fn reference_arr(sa: &SampledArrival) -> String {
+        format!(
+            "arr {} {} {} {}",
+            sa.seq,
+            sa.id.0,
+            sa.at.as_micros(),
+            model_token(sa.model)
+        )
+    }
+
+    fn reference_done(c: &CompletedRequest) -> String {
+        let arrival = c.arrival.as_micros();
+        let completed = c.completed.as_micros();
+        format!(
+            "done {} {} {} {} {} {} {}",
+            c.id.0,
+            model_token(c.model),
+            arrival,
+            completed,
+            completed.saturating_sub(arrival),
+            c.hw,
+            c.batch_size
+        )
+    }
+
+    /// Every model × kind at the values 0, 1 and the type's maximum (a
+    /// completion before its arrival saturates the latency at 0): the
+    /// appenders write the reference bytes plus a newline, the `String`
+    /// forms the same bytes without it, and each line parses back.
+    #[test]
+    fn encoders_write_the_reference_bytes_and_parse_back() {
+        let values = [0, 1, u64::MAX];
+        let mut line = String::new();
+        for model in MlModel::ALL {
+            for v in values {
+                let sa = SampledArrival {
+                    seq: v,
+                    id: RequestId(v),
+                    at: SimTime::from_micros(v.min(paldia_cluster::replay::REPLAY_BOUND)),
+                    model,
+                };
+                let want = reference_arr(&sa);
+                line.clear();
+                append_arr(&mut line, &sa);
+                assert_eq!(line, format!("{want}\n"));
+                assert_eq!(arr_line(&sa), want);
+                assert_eq!(parse_client_line(&line), Ok(ClientLine::Arr(sa)));
+            }
+            for hw in InstanceKind::ALL {
+                for (a, b) in values.iter().flat_map(|&a| values.map(|b| (a, b))) {
+                    // Id and arrival take one value, completion and batch
+                    // the other, so (max, 0) completes before arriving.
+                    let (id, arrival, completed) = (a, a, b);
+                    let batch = b.min(u64::from(u32::MAX)) as u32;
+                    let c = CompletedRequest {
+                        id: RequestId(id),
+                        model,
+                        arrival: SimTime::from_micros(arrival),
+                        batch_closed: SimTime::ZERO,
+                        exec_start: SimTime::ZERO,
+                        completed: SimTime::from_micros(completed),
+                        solo_ms: 0.0,
+                        hw,
+                        batch_size: batch,
+                    };
+                    let want = reference_done(&c);
+                    line.clear();
+                    append_done(&mut line, &c);
+                    assert_eq!(line, format!("{want}\n"));
+                    assert_eq!(done_line(&c), want);
+                    let parsed = DoneLine {
+                        id,
+                        model,
+                        arrival_us: arrival,
+                        completed_us: completed,
+                        latency_us: completed.saturating_sub(arrival),
+                        hw,
+                        batch,
+                    };
+                    assert_eq!(parse_server_line(&line), Ok(ServerLine::Done(parsed)));
+                }
+            }
+        }
+    }
+
+    /// The parsers accept and refuse exactly what `str::parse` does per
+    /// field: a leading `+`, leading zeros and 20-digit values up to
+    /// `u64::MAX` are accepted; a sign, one past `u64::MAX`, an empty or
+    /// unknown token is refused.
+    #[test]
+    fn numeric_and_token_fields_parse_as_before() {
+        let max = u64::MAX;
+        let accepted: [(&str, ServerLine); 4] = [
+            (
+                "done +5 googlenet 1 2 +1 c6i.2xlarge +3",
+                ServerLine::Done(DoneLine {
+                    id: 5,
+                    model: MlModel::GoogleNet,
+                    arrival_us: 1,
+                    completed_us: 2,
+                    latency_us: 1,
+                    hw: InstanceKind::C6i_2xlarge,
+                    batch: 3,
+                }),
+            ),
+            (
+                "done 18446744073709551615 bert 00000000000000000001 0 0 p3.2xlarge 4294967295",
+                ServerLine::Done(DoneLine {
+                    id: max,
+                    model: MlModel::Bert,
+                    arrival_us: 1,
+                    completed_us: 0,
+                    latency_us: 0,
+                    hw: InstanceKind::P3_2xlarge,
+                    batch: u32::MAX,
+                }),
+            ),
+            (
+                "acc +0 vgg19 18446744073709551615",
+                ServerLine::Acc {
+                    id: 0,
+                    model: MlModel::Vgg19,
+                    at_us: max,
+                },
+            ),
+            (
+                "  done   7 googlenet 1 2 1 g3s.xlarge 1  ",
+                ServerLine::Done(DoneLine {
+                    id: 7,
+                    model: MlModel::GoogleNet,
+                    arrival_us: 1,
+                    completed_us: 2,
+                    latency_us: 1,
+                    hw: InstanceKind::G3s_xlarge,
+                    batch: 1,
+                }),
+            ),
+        ];
+        for (line, want) in accepted {
+            assert_eq!(parse_server_line(line), Ok(want), "{line:?}");
+        }
+        for line in [
+            "done 18446744073709551616 googlenet 1 2 1 g3s.xlarge 1",
+            "done -1 googlenet 1 2 1 g3s.xlarge 1",
+            "done 1 googlenet 1 2 1 g3s.xlarge 4294967296",
+            "done 1 GoogleNet 1 2 1 g3s.xlarge 1",
+            "done 1 googlenet 1 2 1 G3s.xlarge 1",
+            "done 1 googlenet 1 2 1 g3s.xlarge",
+            "done 1 googlenet 1 2 1 g3s.xlarge 1.0",
+            "acc 1 googlenet",
+            "acc 1 resnet 5",
+        ] {
+            assert!(parse_server_line(line).is_err(), "{line:?} must be refused");
+        }
+        assert_eq!(
+            parse_client_line("arr +5 +6 +7 googlenet"),
+            Ok(ClientLine::Arr(SampledArrival {
+                seq: 5,
+                id: RequestId(6),
+                at: SimTime::from_micros(7),
+                model: MlModel::GoogleNet,
+            }))
+        );
+        assert_eq!(
+            parse_client_line("arr 18446744073709551615 18446744073709551615 0 bert"),
+            Ok(ClientLine::Arr(SampledArrival {
+                seq: max,
+                id: RequestId(max),
+                at: SimTime::ZERO,
+                model: MlModel::Bert,
+            }))
+        );
+        assert_eq!(
+            parse_client_line("inv funneltransformer"),
+            Ok(ClientLine::Inv(MlModel::FunnelTransformer))
+        );
+        for line in [
+            "arr 18446744073709551616 1 0 googlenet",
+            "arr 1 -1 0 googlenet",
+            "arr 1 1 0 googlenet2",
+            "arr 1 1 0",
+            "inv",
+            "inv Bert",
+            "hello replay 1 10 1 g3s googlenet",
+            "hello replay 1 10 1 g3s.xlarge googlenet,",
+            "hello live +5 vgg19,",
+        ] {
+            assert!(parse_client_line(line).is_err(), "{line:?} must be refused");
+        }
+        assert!(matches!(
+            parse_client_line("hello live +5 vgg19"),
+            Ok(ClientLine::HelloLive(LiveHello { live_secs: 5, .. }))
         ));
     }
 

@@ -30,7 +30,7 @@ pub fn render_report(opts: &SmokeOpts, o: &SmokeOutcome) -> String {
         o.shell.result.cold_starts,
         o.shell.result.transitions,
         o.shell.result.total_cost(),
-        o.shell.events.len(),
+        o.shell_events.len(),
         o.shell.wall.as_secs_f64() * 1e3,
         o.shell.protocol_errors.len(),
     ));

@@ -22,7 +22,13 @@
 //! serving thread owns the session, the clock, and the buffered write half.
 //! It never blocks while holding unflushed output: lines are only
 //! buffered, and flushed just before a blocking receive on an empty
-//! channel, before a pace that will sleep, and at session end.
+//! channel, before a pace that will sleep, and at session end. `done`
+//! lines are encoded into one reused buffer ([`proto::append_done`]), so a
+//! completion costs no allocation on the wire path.
+//!
+//! The session is traced only when the caller passes a sink to
+//! [`serve_once`]: `paldia-serve --listen` passes none unless `--decisions`
+//! names a file, and the differential passes a `VecSink`.
 
 use std::cell::RefCell;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -35,7 +41,7 @@ use paldia_cluster::{
 };
 use paldia_core::PaldiaScheduler;
 use paldia_hw::Catalog;
-use paldia_obs::{TraceEvent, VecSink};
+use paldia_obs::TraceSink;
 use paldia_sim::{Clock, SimDuration, SimTime};
 
 use crate::clock::WallClock;
@@ -63,14 +69,14 @@ impl Default for ServeOpts {
     }
 }
 
-/// Everything one served connection produced.
+/// Everything one served connection produced. The decision/span stream
+/// went to the sink the caller passed to [`serve_once`], if any.
 #[derive(Debug)]
 pub struct ServeOutcome {
     /// The finished run, identical in shape to a simulation's.
     pub result: RunResult,
-    /// The decision/span stream (virtual-time only — diffable).
-    pub events: Vec<TraceEvent>,
-    /// Wall stamps for `events`, sidecar material.
+    /// Wall stamps for the traced events, one per event in emission order
+    /// (empty for an untraced session), sidecar material.
     pub stamps: Vec<WallStamp>,
     /// Wall-clock the session took end to end.
     pub wall: Duration,
@@ -88,9 +94,19 @@ type Inbox = Receiver<Msg>;
 struct Wire<W: Write> {
     w: RefCell<W>,
     err: RefCell<Option<String>>,
+    /// The `done` line being encoded, reused from line to line.
+    done: RefCell<String>,
 }
 
 impl<W: Write> Wire<W> {
+    fn new(w: W) -> Self {
+        Wire {
+            w: RefCell::new(w),
+            err: RefCell::default(),
+            done: RefCell::default(),
+        }
+    }
+
     fn io(&self, f: impl FnOnce(&mut W) -> io::Result<()>) {
         let mut err = self.err.borrow_mut();
         if err.is_none() {
@@ -101,7 +117,18 @@ impl<W: Write> Wire<W> {
     }
 
     fn line(&self, line: &str) {
-        self.io(|w| writeln!(w, "{line}"));
+        self.io(|w| {
+            w.write_all(line.as_bytes())?;
+            w.write_all(b"\n")
+        });
+    }
+
+    /// Send the `done` line for `c`.
+    fn done(&self, c: &CompletedRequest) {
+        let mut line = self.done.borrow_mut();
+        line.clear();
+        proto::append_done(&mut line, c);
+        self.io(|w| w.write_all(line.as_bytes()));
     }
 
     fn flush(&self) {
@@ -125,10 +152,8 @@ struct FlushingClock<'a, W: Write>(WallClock, &'a Wire<W>);
 
 impl<W: Write> Clock for FlushingClock<'_, W> {
     fn pace(&mut self, next: SimTime) {
-        if self.0.wall_until(next).is_some_and(|d| !d.is_zero()) {
-            self.1.flush();
-        }
-        self.0.pace(next);
+        let wire = self.1;
+        self.0.pace_then(next, || wire.flush());
     }
 }
 
@@ -167,10 +192,16 @@ impl<W: Write> ArrivalSource for ChannelSource<'_, W> {
 /// Accept one connection on `listener` and serve it to completion.
 ///
 /// Blocks until the client's session ends (its `end` line, disconnect, or
-/// the live horizon). Returns the run result plus the traced decision
-/// stream; protocol errors are collected, not fatal, so a half-finished
-/// replay still drains and reports.
-pub fn serve_once(listener: &TcpListener, opts: &ServeOpts) -> Result<ServeOutcome, String> {
+/// the live horizon). With a `sink`, the session is traced into it (the
+/// same stream a simulation of the session records) and wall-stamped on
+/// the side; with `None` it runs untraced. Returns the run result;
+/// protocol errors are collected, not fatal, so a half-finished replay
+/// still drains and reports.
+pub fn serve_once(
+    listener: &TcpListener,
+    opts: &ServeOpts,
+    sink: Option<&mut dyn TraceSink>,
+) -> Result<ServeOutcome, String> {
     let (stream, peer) = listener
         .accept()
         .map_err(|e| format!("accepting connection: {e}"))?;
@@ -178,8 +209,7 @@ pub fn serve_once(listener: &TcpListener, opts: &ServeOpts) -> Result<ServeOutco
     let reader = stream
         .try_clone()
         .map_err(|e| format!("cloning stream for {peer}: {e}"))?;
-    let (w, err) = (RefCell::new(BufWriter::new(stream)), RefCell::default());
-    let wire = Wire { w, err };
+    let wire = Wire::new(BufWriter::new(stream));
 
     // Reader thread: socket lines → parsed ClientLine channel. Exits on EOF,
     // socket error or an over-long line, dropping the sender.
@@ -204,8 +234,8 @@ pub fn serve_once(listener: &TcpListener, opts: &ServeOpts) -> Result<ServeOutco
     });
 
     let outcome = match wire.recv(&rx, Duration::MAX) {
-        Ok(Ok(ClientLine::HelloReplay(h))) => Ok(serve_replay(&h, &rx, &wire, opts.speed)),
-        Ok(Ok(ClientLine::HelloLive(h))) => Ok(serve_live(&h, &rx, &wire, opts.speed)),
+        Ok(Ok(ClientLine::HelloReplay(h))) => Ok(serve_replay(&h, &rx, &wire, opts.speed, sink)),
+        Ok(Ok(ClientLine::HelloLive(h))) => Ok(serve_live(&h, &rx, &wire, opts.speed, sink)),
         Ok(Ok(other)) => Err(format!("expected hello, got {other:?}")),
         Ok(Err(e)) => Err(e),
         Err(_) => Err("client disconnected before hello".into()),
@@ -219,41 +249,56 @@ pub fn serve_once(listener: &TcpListener, opts: &ServeOpts) -> Result<ServeOutco
     outcome
 }
 
-/// Build the session `h` describes, say `ready`, let `drive` feed it, then
-/// finish it and write the summary: the frame both modes share.
+/// Build the session `h` describes (traced into `sink`, wall-stamped,
+/// when there is one), say `ready`, let `drive` feed it, then finish it
+/// and write the summary: the frame both modes share.
 fn run_session<W: Write>(
     h: &ReplayHello,
     wire: &Wire<W>,
+    sink: Option<&mut dyn TraceSink>,
     drive: impl FnOnce(&mut SimSession<'_>, &mut Vec<String>),
 ) -> ServeOutcome {
     let cfg = SimConfig::with_seed(h.seed);
     let mut sched = PaldiaScheduler::new();
-    let mut events_sink = VecSink::new();
-    let mut sink = WallStampedSink::new(&mut events_sink);
+    let mut stamped = sink.map(WallStampedSink::new);
     let start = Instant::now();
     let mut protocol_errors = Vec::new();
 
-    let mut session = SimSession::new_traced(
+    let (models, hw, trace_end) = (
         h.models.clone(),
-        &mut sched,
         h.initial_hw,
-        Catalog::table_ii(),
-        &cfg,
         SimTime::from_micros(h.duration.as_micros()),
-        h.reserve,
-        &mut sink,
     );
+    let mut session = match stamped.as_mut() {
+        Some(sink) => SimSession::new_traced(
+            models,
+            &mut sched,
+            hw,
+            Catalog::table_ii(),
+            &cfg,
+            trace_end,
+            h.reserve,
+            sink,
+        ),
+        None => SimSession::new(
+            models,
+            &mut sched,
+            hw,
+            Catalog::table_ii(),
+            &cfg,
+            trace_end,
+            h.reserve,
+        ),
+    };
     wire.line("ready");
     drive(&mut session, &mut protocol_errors);
     let engine_events = session.events();
     let result = session.finish();
     protocol_errors.extend(wire.err.borrow().clone());
-    let stamps = sink.take_stamps();
     wire.line(&proto::summary_line(&result, engine_events));
     ServeOutcome {
         result,
-        events: events_sink.into_events(),
-        stamps,
+        stamps: stamped.map_or_else(Vec::new, |mut s| s.take_stamps()),
         wall: start.elapsed(),
         protocol_errors,
     }
@@ -261,11 +306,17 @@ fn run_session<W: Write>(
 
 /// Replay mode: rebuild the recorded session and drive it with the shared
 /// replay driver on the wall clock.
-fn serve_replay<W: Write>(h: &ReplayHello, rx: &Inbox, wire: &Wire<W>, speed: f64) -> ServeOutcome {
-    run_session(h, wire, |session, errors| {
+fn serve_replay<W: Write>(
+    h: &ReplayHello,
+    rx: &Inbox,
+    wire: &Wire<W>,
+    speed: f64,
+    sink: Option<&mut dyn TraceSink>,
+) -> ServeOutcome {
+    run_session(h, wire, sink, |session, errors| {
         let mut clock = FlushingClock(WallClock::new(speed), wire);
         let mut source = ChannelSource { rx, wire, errors };
-        let on_done = |c: &CompletedRequest| wire.line(&proto::done_line(c));
+        let on_done = |c: &CompletedRequest| wire.done(c);
         // A refused arrival ends the replay; the session still drains
         // and reports.
         if let Err(e) = run_replay(session, &mut source, &mut clock, on_done) {
@@ -278,7 +329,13 @@ fn serve_replay<W: Write>(h: &ReplayHello, rx: &Inbox, wire: &Wire<W>, speed: f6
 /// Live mode: poll the channel, stamp `inv` arrivals with the wall-derived
 /// virtual now, and step the session as virtual deadlines come due. It is
 /// framed as a replay with the default seed, no reserved seqs, cheapest hw.
-fn serve_live<W: Write>(h: &LiveHello, rx: &Inbox, wire: &Wire<W>, speed: f64) -> ServeOutcome {
+fn serve_live<W: Write>(
+    h: &LiveHello,
+    rx: &Inbox,
+    wire: &Wire<W>,
+    speed: f64,
+    sink: Option<&mut dyn TraceSink>,
+) -> ServeOutcome {
     let cheapest = Catalog::table_ii().by_cost_ascending();
     let spec = ReplayHello {
         seed: SimConfig::default().seed,
@@ -290,8 +347,8 @@ fn serve_live<W: Write>(h: &LiveHello, rx: &Inbox, wire: &Wire<W>, speed: f64) -
         models: h.models.clone(),
     };
     let trace_end = SimTime::from_micros(spec.duration.as_micros());
-    run_session(&spec, wire, |session, errors| {
-        let clock = WallClock::new(speed);
+    run_session(&spec, wire, sink, |session, errors| {
+        let mut clock = WallClock::new(speed);
         loop {
             // Step everything the wall has made due.
             let now_v = clock.now_virtual();
@@ -300,18 +357,20 @@ fn serve_live<W: Write>(h: &LiveHello, rx: &Inbox, wire: &Wire<W>, speed: f64) -
                     break;
                 }
                 for c in session.drain_completions() {
-                    wire.line(&proto::done_line(&c));
+                    wire.done(&c);
                 }
             }
             if now_v >= trace_end || wire.err.borrow().is_some() {
                 break;
             }
-            // Sleep until the next virtual deadline or the next line.
-            let wait = session
-                .next_event_time()
-                .filter(|t| *t < session.horizon())
-                .and_then(|t| clock.wall_until(t))
-                .map_or(LIVE_POLL, |d| d.min(LIVE_POLL));
+            // Sleep until the next virtual deadline or the next line; a
+            // deadline the wall passed since `now_v` is due at once.
+            let wait = match session.next_event_time() {
+                Some(t) if t < session.horizon() => {
+                    clock.wall_until(t).unwrap_or_default().min(LIVE_POLL)
+                }
+                _ => LIVE_POLL,
+            };
             match wire.recv(rx, wait) {
                 Ok(Ok(ClientLine::Inv(model))) => {
                     let at = clock.now_virtual().min(trace_end);
@@ -343,7 +402,7 @@ fn serve_live<W: Write>(h: &LiveHello, rx: &Inbox, wire: &Wire<W>, speed: f64) -
         // notified before the summary.
         while session.step().is_some() {}
         for c in session.drain_completions() {
-            wire.line(&proto::done_line(&c));
+            wire.done(&c);
         }
     })
 }
@@ -394,11 +453,8 @@ mod tests {
             initial_hw: trace.initial_hw,
             models: trace.models.clone(),
         };
-        let wire = Wire {
-            w: RefCell::new(BufWriter::new(Counting::default())),
-            err: RefCell::default(),
-        };
-        let outcome = serve_replay(&h, &rx, &wire, 1e9);
+        let wire = Wire::new(BufWriter::new(Counting::default()));
+        let outcome = serve_replay(&h, &rx, &wire, 1e9, None);
         assert!(outcome.protocol_errors.is_empty(), "{outcome:?}");
         let done = outcome.result.completed.len();
         assert!(done >= 500, "fixture completes enough requests: {done}");

@@ -14,12 +14,16 @@
 //! This type cannot live in `paldia-obs`: `obs` is in the
 //! `deterministic-core` class and is fenced from `std::time` by lint rule
 //! `d2` — which is exactly the confinement the boundary graph is for.
+//!
+//! [`DecisionLog`] is the decision JSONL of a listening shell: it streams
+//! each session's events to its file while the session runs.
 
-use std::io::{self, Write};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::time::Instant;
 
-use paldia_obs::{TraceEvent, TraceSink};
+use paldia_obs::{JsonlSink, TraceEvent, TraceSink};
 
 /// One wall stamp: trace event `seq` was recorded `wall_us` microseconds
 /// after the sink was constructed.
@@ -62,6 +66,42 @@ impl TraceSink for WallStampedSink<'_> {
             wall_us: self.epoch.elapsed().as_micros() as u64,
         });
         self.inner.record(event);
+    }
+}
+
+/// A session's decision log streamed to a JSONL file as it is recorded.
+/// The file is created (truncated) at the first event, not at
+/// construction, so a listener that opens the next session's log before
+/// it accepts the connection leaves the previous session's file whole
+/// until the new session starts tracing.
+pub struct DecisionLog<'p> {
+    path: &'p Path,
+    out: Option<io::Result<JsonlSink<BufWriter<File>>>>,
+}
+
+impl<'p> DecisionLog<'p> {
+    /// A log for `path`; nothing is created yet.
+    pub fn new(path: &'p Path) -> Self {
+        DecisionLog { path, out: None }
+    }
+
+    /// Flush the log and return its line count, or the first error
+    /// creating or writing the file. A log that saw no event writes an
+    /// empty file.
+    pub fn finish(self) -> io::Result<u64> {
+        let path = self.path;
+        self.out
+            .unwrap_or_else(|| JsonlSink::create(path))?
+            .finish()
+    }
+}
+
+impl TraceSink for DecisionLog<'_> {
+    fn record(&mut self, event: TraceEvent) {
+        let path = self.path;
+        if let Ok(sink) = self.out.get_or_insert_with(|| JsonlSink::create(path)) {
+            sink.record(event);
+        }
     }
 }
 

@@ -57,6 +57,8 @@ pub struct SmokeOutcome {
     pub trace_duration_us: u64,
     /// The shell side (server).
     pub shell: ServeOutcome,
+    /// The shell's decision/span stream, traced into a `VecSink`.
+    pub shell_events: Vec<TraceEvent>,
     /// The client side (load generator).
     pub stats: ReplayStats,
     /// The virtual-clock side.
@@ -127,14 +129,17 @@ pub fn run_differential(
         .map_err(|e| format!("resolving local addr: {e}"))?;
 
     let serve_opts = ServeOpts { speed };
-    let server = std::thread::spawn(move || serve_once(&listener, &serve_opts));
+    let server = std::thread::spawn(move || {
+        let mut sink = VecSink::new();
+        serve_once(&listener, &serve_opts, Some(&mut sink)).map(|o| (o, sink.into_events()))
+    });
     let client_trace = trace.clone();
     let client = std::thread::spawn(move || loadgen::replay_trace(addr, &client_trace, speed));
 
     // The DES side runs on this thread while the shell replays on the wall.
     let sim = virtual_outcome(trace);
 
-    let shell = server
+    let (shell, shell_events) = server
         .join()
         .map_err(|_| "server thread panicked".to_string())??;
     let stats = client
@@ -142,13 +147,14 @@ pub fn run_differential(
         .map_err(|_| "client thread panicked".to_string())??;
     let (sim_result, sim_events) = sim?;
 
-    let forward = diff_decision_streams(&shell.events, &sim_events);
-    let backward = diff_decision_streams(&sim_events, &shell.events);
-    let events_identical = shell.events == sim_events;
+    let forward = diff_decision_streams(&shell_events, &sim_events);
+    let backward = diff_decision_streams(&sim_events, &shell_events);
+    let events_identical = shell_events == sim_events;
     Ok(SmokeOutcome {
         trace_arrivals: trace.arrivals.len(),
         trace_duration_us: trace.duration.as_micros(),
         shell,
+        shell_events,
         stats,
         sim_result,
         sim_events,

@@ -6,10 +6,17 @@
 //! The inner half (virtual session ≡ batch engine) is proven in
 //! `crates/cluster/tests/session_replay.rs`; this is the outer half.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
+use std::thread::JoinHandle;
+use std::time::Duration;
+
 use paldia_cluster::RecordedTrace;
 use paldia_experiments::diffcap::PrimaryScenario;
-use paldia_obs::TraceAttribution;
-use paldia_serve::run_differential;
+use paldia_obs::{read_jsonl_file, TraceAttribution, TraceSink, VecSink};
+use paldia_serve::proto::{arr_line, hello_replay_line};
+use paldia_serve::sink::DecisionLog;
+use paldia_serve::{run_differential, serve_once, ServeOpts, ServeOutcome};
 
 /// The replay trace of the first 30 s of the quick scenario.
 fn capture_30s() -> RecordedTrace {
@@ -18,6 +25,15 @@ fn capture_30s() -> RecordedTrace {
         ..PrimaryScenario::quick(42)
     }
     .replay_trace()
+}
+
+/// Serve one traced session on `listener` at `speed`, as
+/// `paldia-serve --replay` does, on a thread of its own.
+fn serve_traced(listener: TcpListener, speed: f64) -> JoinHandle<Result<ServeOutcome, String>> {
+    std::thread::spawn(move || {
+        let mut sink = VecSink::new();
+        serve_once(&listener, &ServeOpts { speed }, Some(&mut sink))
+    })
 }
 
 #[test]
@@ -61,7 +77,7 @@ fn shell_and_sim_decision_streams_are_divergence_free() {
     assert_eq!(summary.unserved, o.sim_result.unserved);
 
     // Wall stamps cover every decision event, in emission order.
-    assert_eq!(o.shell.stamps.len(), o.shell.events.len());
+    assert_eq!(o.shell.stamps.len(), o.shell_events.len());
     assert!(o
         .shell
         .stamps
@@ -70,7 +86,7 @@ fn shell_and_sim_decision_streams_are_divergence_free() {
 
     // Attribution rollups from the two streams agree on every shared
     // integer component (request identity, scope, model, batch).
-    let a = TraceAttribution::from_events(&o.shell.events);
+    let a = TraceAttribution::from_events(&o.shell_events);
     let b = TraceAttribution::from_events(&o.sim_events);
     assert_eq!(a.requests.len(), b.requests.len());
     for (x, y) in a.requests.iter().zip(&b.requests) {
@@ -88,13 +104,9 @@ fn shell_and_sim_decision_streams_are_divergence_free() {
 
 #[test]
 fn server_rejects_garbage_hello() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::{TcpListener, TcpStream};
-
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
-    let opts = paldia_serve::ServeOpts { speed: 1.0 };
-    let server = std::thread::spawn(move || paldia_serve::serve_once(&listener, &opts));
+    let server = serve_traced(listener, 1.0);
 
     let mut stream = TcpStream::connect(addr).expect("connect");
     writeln!(stream, "warble florp").expect("send garbage");
@@ -117,10 +129,6 @@ fn server_rejects_garbage_hello() {
 /// cap, so the server reads every byte sent and closes without a reset.
 #[test]
 fn server_refuses_an_over_long_line() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::time::Duration;
-
     let trace = capture_30s().truncated(3);
     let hello = paldia_serve::proto::hello_replay_line(&trace);
     for (prefix, replies) in [
@@ -132,8 +140,7 @@ fn server_refuses_an_over_long_line() {
     ] {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("local addr");
-        let opts = paldia_serve::ServeOpts { speed: 1e6 };
-        let server = std::thread::spawn(move || paldia_serve::serve_once(&listener, &opts));
+        let server = serve_traced(listener, 1e6);
 
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream
@@ -174,7 +181,6 @@ fn server_refuses_an_over_long_line() {
 #[test]
 fn server_refuses_malformed_replays_without_panic() {
     use paldia_cluster::SampledArrival;
-    use std::net::TcpListener;
 
     let base = capture_30s().truncated(6);
     let a = base.arrivals.clone();
@@ -213,8 +219,7 @@ fn server_refuses_malformed_replays_without_panic() {
         trace.arrivals = arrivals;
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("local addr");
-        let opts = paldia_serve::ServeOpts { speed: 1e6 };
-        let server = std::thread::spawn(move || paldia_serve::serve_once(&listener, &opts));
+        let server = serve_traced(listener, 1e6);
         let stats = paldia_serve::replay_trace(addr, &trace, 1e6).expect("client runs");
         let outcome = server
             .join()
@@ -242,13 +247,9 @@ fn server_refuses_malformed_replays_without_panic() {
 /// naming the model; the server records it and keeps serving.
 #[test]
 fn live_server_refuses_an_unserved_model_and_keeps_serving() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::{TcpListener, TcpStream};
-
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
-    let opts = paldia_serve::ServeOpts { speed: 1.0 };
-    let server = std::thread::spawn(move || paldia_serve::serve_once(&listener, &opts));
+    let server = serve_traced(listener, 1.0);
     let mut stream = TcpStream::connect(addr).expect("connect");
     let timeout = std::time::Duration::from_secs(10);
     stream
@@ -287,4 +288,84 @@ fn live_server_refuses_an_unserved_model_and_keeps_serving() {
         1,
         "the served inv completes"
     );
+}
+
+/// One replay served at 1e6x over loopback, the whole client script sent
+/// at once: every reply line, and the session's outcome.
+fn serve_script(
+    trace: &RecordedTrace,
+    sink: Option<&mut dyn TraceSink>,
+) -> (Vec<String>, ServeOutcome) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    std::thread::scope(|scope| {
+        let server = scope.spawn(move || serve_once(&listener, &ServeOpts { speed: 1e6 }, sink));
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        let mut script = format!("{}\n", hello_replay_line(trace));
+        for sa in &trace.arrivals {
+            script.push_str(&arr_line(sa));
+            script.push('\n');
+        }
+        script.push_str("end\n");
+        stream
+            .write_all(script.as_bytes())
+            .expect("send the replay");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("close the write half");
+        let replies: Vec<String> = BufReader::new(&stream)
+            .lines()
+            .map(|l| l.expect("read reply"))
+            .collect();
+        let outcome = server.join().expect("no panic").expect("session reports");
+        (replies, outcome)
+    })
+}
+
+/// Tracing is observation only, for the shell too: a replay served
+/// untraced, into a `VecSink`, and into a decision log streamed to a file
+/// sends the same `done` lines, `summary` and `bye` and returns the same
+/// `RunResult`; the file reads back as the `VecSink`'s events, and only
+/// traced sessions keep wall stamps.
+#[test]
+fn traced_and_untraced_sessions_serve_the_same_lines() {
+    let trace = capture_30s().truncated(120);
+    let (plain, untraced) = serve_script(&trace, None);
+    let mut vec = VecSink::new();
+    let (traced_lines, traced) = serve_script(&trace, Some(&mut vec));
+    let events = vec.into_events();
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve-decisions.jsonl");
+    let mut log = DecisionLog::new(&path);
+    let (logged_lines, logged) = serve_script(&trace, Some(&mut log));
+    let written = log.finish().expect("the log is written");
+
+    let kinds: Vec<&str> = plain.iter().filter_map(|l| l.split(' ').next()).collect();
+    let done = kinds.iter().filter(|k| **k == "done").count();
+    assert_eq!(done, untraced.result.completed.len());
+    assert!(done >= 100, "the fixture completes most requests: {done}");
+    assert_eq!(kinds.first(), Some(&"ready"));
+    assert_eq!(kinds[kinds.len() - 2..], ["summary", "bye"], "{plain:?}");
+    assert_eq!(plain, traced_lines, "traced replies equal untraced");
+    assert_eq!(plain, logged_lines, "logged replies equal untraced");
+    for o in [&traced, &logged] {
+        assert_eq!(
+            format!("{:?}", o.result),
+            format!("{:?}", untraced.result),
+            "the same RunResult"
+        );
+        assert!(o.protocol_errors.is_empty(), "{:?}", o.protocol_errors);
+    }
+
+    assert!(
+        untraced.stamps.is_empty(),
+        "an untraced session is unstamped"
+    );
+    assert_eq!(traced.stamps.len(), events.len());
+    assert_eq!(logged.stamps.len(), events.len());
+    assert_eq!(written, events.len() as u64);
+    let read = read_jsonl_file(&path).expect("the log reads back");
+    assert!(read == events, "the streamed log equals the VecSink events");
 }

@@ -11,13 +11,14 @@ use std::time::Duration;
 
 use paldia_cluster::model_token;
 use paldia_experiments::diffcap::PrimaryScenario;
+use paldia_obs::VecSink;
 use paldia_serve::proto::{self, ServerLine};
 use paldia_serve::{serve_once, ServeOpts, ServeOutcome};
 use paldia_sim::{SimDuration, SimTime};
 use paldia_workloads::MlModel;
 
-/// A server for one session at `speed`, and a client connected to it
-/// whose reads give up after `timeout`.
+/// A server for one traced session at `speed`, and a client connected to
+/// it whose reads give up after `timeout`.
 fn session(
     speed: f64,
     timeout: Duration,
@@ -28,7 +29,10 @@ fn session(
 ) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
-    let server = std::thread::spawn(move || serve_once(&listener, &ServeOpts { speed }));
+    let server = std::thread::spawn(move || {
+        let mut sink = VecSink::new();
+        serve_once(&listener, &ServeOpts { speed }, Some(&mut sink))
+    });
     let stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(timeout))

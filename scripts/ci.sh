@@ -37,7 +37,11 @@
 #      capture over loopback TCP and must diff divergence-free against the
 #      virtual-clock session in both directions, at 20x (the server flushes
 #      before pacing sleeps; target/serve-report.json) and at 1e6x (it
-#      flushes when its input runs dry; target/serve-report-1e6.json)
+#      flushes when its input runs dry; target/serve-report-1e6.json); then
+#      a `paldia-serve --listen --decisions` server takes one live session
+#      over bash /dev/tcp (two `inv` lines) and must answer ready, acc,
+#      done, summary and bye without an err, and the decision log it
+#      streamed (target/ci.listen.jsonl) must self-diff empty
 #  13. hostile inputs        — paldia-serve --replay must refuse replay files
 #      it would overflow on or silently drop (a `duration_us` or `reserve`
 #      of u64::MAX, an arrival past the horizon, trailing junk), and
@@ -118,6 +122,51 @@ cargo run --release -q -p paldia-serve -- --smoke \
 # wait on an empty input channel.
 cargo run --release -q -p paldia-serve -- --smoke \
     --requests 200 --speed 1e6 --report target/serve-report-1e6.json
+# Live mode over bash /dev/tcp. The listener streams the session's
+# decision log to target/ci.listen.jsonl and prints a `decisions:` line
+# once the file is complete; the server is killed on every path.
+cargo build --release -q -p paldia-serve
+listen_out=target/ci.listen.out
+rm -f target/ci.listen.jsonl target/ci.listen.jsonl.stamps.jsonl
+target/release/paldia-serve --listen --port 0 --speed 20 \
+    --decisions target/ci.listen.jsonl > "$listen_out" 2>&1 &
+listen_pid=$!
+trap 'kill "$listen_pid" 2>/dev/null || true' EXIT
+# Poll `$listen_out` for up to 10 s until `pattern` matches.
+await_listen() {
+    for _ in $(seq 100); do
+        grep -q "$1" "$listen_out" && return 0
+        sleep 0.1
+    done
+    printf '%s\npaldia-serve --listen: no line matching %s\n' "$(cat "$listen_out")" "$1"
+    return 1
+}
+await_listen '^listening on '
+port=$(sed -n '1s/^listening on 127\.0\.0\.1:\([0-9]*\) .*/\1/p' "$listen_out")
+exec 3<>"/dev/tcp/127.0.0.1/$port"
+printf 'hello live 30 googlenet\ninv googlenet\ninv googlenet\nend\n' >&3
+replies=""
+while IFS= read -r -t 30 line <&3; do
+    replies+="$line"$'\n'
+    [ "$line" = bye ] && break
+done
+exec 3<&-
+for kind in ready acc done summary bye; do
+    if ! grep -q "^$kind\b" <<<"$replies"; then
+        printf '%s--listen: no %s reply\n' "$replies" "$kind"
+        exit 1
+    fi
+done
+if grep -q '^err' <<<"$replies"; then
+    printf '%s--listen: err reply\n' "$replies"
+    exit 1
+fi
+await_listen '^decisions: '
+cargo run --release -q -p paldia-experiments --bin repro -- \
+    --diff target/ci.listen.jsonl target/ci.listen.jsonl
+kill "$listen_pid"
+wait "$listen_pid" 2>/dev/null || true
+trap - EXIT
 
 echo "==> hostile inputs (replay files and misspelled flags are refused without panicking)"
 # One GoogleNet arrival on g3s.xlarge; the arguments fill in duration_us,
