@@ -35,10 +35,15 @@ pub struct Batcher {
     pending: VecDeque<Request>,
     /// Per-request service-time hints, parallel to `pending`, ms.
     hints: VecDeque<f64>,
+    /// The largest of `hints` (0 when empty): raised on push, recomputed
+    /// on close. `max` is exact, so this equals a fold over `hints`.
+    max_hint: f64,
     batch_size: u32,
     window: SimDuration,
     /// The per-item service time the window was sized for, ms.
     uniform_ms: f64,
+    /// Emptied request vectors of finished batches, for `close` to reuse.
+    spare: Vec<Vec<Request>>,
 }
 
 impl Batcher {
@@ -48,9 +53,11 @@ impl Batcher {
             model,
             pending: VecDeque::new(),
             hints: VecDeque::new(),
+            max_hint: 0.0,
             batch_size: batch_size.max(1),
             window,
             uniform_ms: Profile::uniform_service_ms(model),
+            spare: Vec::new(),
         }
     }
 
@@ -103,8 +110,10 @@ impl Batcher {
         now: SimTime,
         alloc: &mut impl FnMut() -> BatchId,
     ) -> Option<Batch> {
+        let hint_ms = hint_ms.max(0.0);
         self.pending.push_back(req);
-        self.hints.push_back(hint_ms.max(0.0));
+        self.hints.push_back(hint_ms);
+        self.max_hint = self.max_hint.max(hint_ms);
         if self.pending.len() as u32 >= self.batch_size {
             self.close(now, alloc)
         } else {
@@ -118,11 +127,10 @@ impl Batcher {
     /// pushes the largest hint *is* the uniform assumption and this returns
     /// the configured window exactly.
     pub fn effective_window(&self) -> SimDuration {
-        let max_hint = self.hints.iter().fold(0.0f64, |a, &b| a.max(b));
-        if max_hint <= self.uniform_ms {
+        if self.max_hint <= self.uniform_ms {
             return self.window;
         }
-        let excess = SimDuration::from_millis_f64(max_hint - self.uniform_ms);
+        let excess = SimDuration::from_millis_f64(self.max_hint - self.uniform_ms);
         self.window.saturating_sub(excess)
     }
 
@@ -147,13 +155,22 @@ impl Batcher {
         self.oldest().map(|t| t + self.effective_window())
     }
 
+    /// Hand back a finished batch's request vector; a later close fills
+    /// it instead of allocating.
+    pub fn recycle(&mut self, mut requests: Vec<Request>) {
+        requests.clear();
+        self.spare.push(requests);
+    }
+
     fn close(&mut self, now: SimTime, alloc: &mut impl FnMut() -> BatchId) -> Option<Batch> {
         if self.pending.is_empty() {
             return None;
         }
         let take = (self.batch_size as usize).min(self.pending.len());
-        let requests: Vec<Request> = self.pending.drain(..take).collect();
+        let mut requests = self.spare.pop().unwrap_or_default();
+        requests.extend(self.pending.drain(..take));
         self.hints.drain(..take.min(self.hints.len()));
+        self.max_hint = self.hints.iter().fold(0.0f64, |a, &b| a.max(b));
         Some(Batch {
             id: alloc(),
             model: self.model,
@@ -299,6 +316,29 @@ mod tests {
         // batch open at all only adds to an already-blown deadline.
         let batch = b.flush_if_due(SimTime::from_millis(3), &mut alloc).unwrap();
         assert_eq!(batch.size(), 1);
+    }
+
+    #[test]
+    fn largest_hint_tracks_pushes_and_closes() {
+        // The kept maximum must equal a fold over the pending hints after
+        // every push and every close, including closes that leave hints
+        // behind (a batch size shrunk below the pending count).
+        let uniform = paldia_workloads::Profile::uniform_service_ms(MlModel::ResNet50);
+        let (mut b, mut alloc) = mk();
+        let fold = |b: &Batcher| b.hints.iter().fold(0.0f64, |a, &h| a.max(h));
+        for i in 0..40u64 {
+            let hint = uniform + ((i * 7) % 11) as f64 - 4.0;
+            b.push_with_hint(req(i, i), hint, SimTime::from_millis(i), &mut alloc);
+            assert_eq!(b.max_hint.to_bits(), fold(&b).to_bits(), "push {i}");
+            if i % 9 == 4 {
+                b.set_batch_size(6);
+            } else if i % 9 == 7 {
+                b.set_batch_size(2);
+                b.flush_if_due(SimTime::from_millis(i + 100), &mut alloc);
+                assert!(b.pending() > 0);
+                assert_eq!(b.max_hint.to_bits(), fold(&b).to_bits(), "close {i}");
+            }
+        }
     }
 
     #[test]

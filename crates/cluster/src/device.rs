@@ -168,23 +168,16 @@ impl SharedDevice {
         Some(self.last_update + paldia_sim::SimDuration::from_millis_f64(wait_s * 1_000.0))
     }
 
-    /// Advance to `now` and pop every job whose work is done. The returned
-    /// jobs are in admission order. Bumps the version if anything popped.
-    pub fn pop_completed(&mut self, now: SimTime) -> Vec<DeviceJob> {
+    /// Advance to `now` and append every job whose work is done to `done`,
+    /// in admission order; the jobs still running keep theirs. Bumps the
+    /// version if anything popped.
+    pub fn pop_completed(&mut self, now: SimTime, done: &mut Vec<DeviceJob>) {
         self.advance(now);
-        let mut done = Vec::new();
-        let mut i = 0;
-        while i < self.active.len() {
-            if self.active[i].remaining_s <= EPS_S {
-                done.push(self.active.remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        if !done.is_empty() {
+        let before = done.len();
+        done.extend(self.active.extract_if(.., |j| j.remaining_s <= EPS_S));
+        if done.len() > before {
             self.version += 1;
         }
-        done
     }
 
     /// Number of active jobs.
@@ -505,12 +498,19 @@ mod tests {
         SimTime::from_millis(v)
     }
 
+    /// The jobs `pop_completed` hands back at `now`.
+    fn popped(d: &mut SharedDevice, now: SimTime) -> Vec<DeviceJob> {
+        let mut done = Vec::new();
+        d.pop_completed(now, &mut done);
+        done
+    }
+
     #[test]
     fn solo_job_runs_at_solo_speed() {
         let mut d = SharedDevice::new(SimTime::ZERO, 0.0);
         d.admit(SimTime::ZERO, BatchId(1), MlModel::ResNet50, 0.5, 0.100);
         assert_eq!(d.next_completion(), Some(ms(100)));
-        let done = d.pop_completed(ms(100));
+        let done = popped(&mut d, ms(100));
         assert_eq!(done.len(), 1);
         assert!(!d.is_busy());
         assert!((d.busy_seconds() - 0.1).abs() < 1e-9);
@@ -526,7 +526,7 @@ mod tests {
         // applies.
         assert!((d.slowdown() - 1.04).abs() < 1e-12);
         assert_eq!(d.next_completion(), Some(ms(104)));
-        assert_eq!(d.pop_completed(ms(104)).len(), 2);
+        assert_eq!(popped(&mut d, ms(104)).len(), 2);
     }
 
     #[test]
@@ -539,7 +539,7 @@ mod tests {
         // Σshare = 2.0, client factor 1.12: everything takes 224 ms.
         assert!((d.slowdown() - 2.24).abs() < 1e-12);
         assert_eq!(d.next_completion(), Some(ms(224)));
-        assert_eq!(d.pop_completed(ms(224)).len(), 4);
+        assert_eq!(popped(&mut d, ms(224)).len(), 4);
     }
 
     #[test]
@@ -561,11 +561,36 @@ mod tests {
             d.next_completion(),
             Some(SimTime::from_micros((t1 * 1_000.0).round() as u64))
         );
-        let done = d.pop_completed(d.next_completion().unwrap());
+        let t = d.next_completion().unwrap();
+        let done = popped(&mut d, t);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].batch, BatchId(0));
         // The three joiners re-scale after A leaves (Σ = 1.8, 3 clients).
         assert!(d.next_completion().unwrap() > SimTime::from_millis(t1 as u64));
+    }
+
+    #[test]
+    fn pop_completed_appends_in_admission_order() {
+        let mut d = SharedDevice::new(SimTime::ZERO, 0.0);
+        for (id, solo_s) in [(1, 0.050), (2, 0.200), (3, 0.040), (4, 0.300), (5, 0.010)] {
+            d.admit(SimTime::ZERO, BatchId(id), MlModel::ResNet50, 0.1, solo_s);
+        }
+        let mut done = popped(&mut d, ms(1));
+        assert!(done.is_empty());
+        let v = d.version();
+        // Everything at or under 50 ms of solo work is done by 60 ms.
+        d.pop_completed(ms(60), &mut done);
+        let ids = |jobs: &[DeviceJob]| jobs.iter().map(|j| j.batch.0).collect::<Vec<_>>();
+        assert_eq!(ids(&done), [1, 3, 5]);
+        assert_eq!(ids(d.active_jobs()), [2, 4]);
+        assert!(d.version() > v);
+        // A second pop appends after what the buffer already holds, and
+        // an empty pop leaves the version alone.
+        d.pop_completed(ms(300), &mut done);
+        assert_eq!(ids(&done), [1, 3, 5, 2]);
+        let v = d.version();
+        d.pop_completed(ms(300), &mut done);
+        assert_eq!((done.len(), d.version()), (4, v));
     }
 
     #[test]
@@ -578,7 +603,7 @@ mod tests {
         d.admit(SimTime::ZERO, BatchId(2), MlModel::Vgg19, 1.0, 0.100);
         // Σ = 2.0 × client factor 1.04: both complete at 208 ms; the device
         // was busy the whole time.
-        d.pop_completed(ms(208));
+        popped(&mut d, ms(208));
         assert!((d.busy_seconds() - 0.208).abs() < 1e-9);
         assert!(!d.is_busy());
     }
@@ -596,7 +621,7 @@ mod tests {
         let v1 = d.admit(SimTime::ZERO, BatchId(1), MlModel::ResNet50, 0.3, 0.1);
         let v2 = d.admit(SimTime::ZERO, BatchId(2), MlModel::ResNet50, 0.3, 0.1);
         assert!(v2 > v1);
-        d.pop_completed(ms(104)); // 100 ms of work at the 2-client 1.04×
+        popped(&mut d, ms(104)); // 100 ms of work at the 2-client 1.04×
         assert!(d.version() > v2);
     }
 
@@ -634,7 +659,7 @@ mod tests {
         let mut d = SharedDevice::new(SimTime::ZERO, 0.0);
         d.admit(SimTime::ZERO, BatchId(1), MlModel::ResNet50, 0.3, 0.0);
         assert_eq!(d.next_completion(), Some(SimTime::ZERO));
-        assert_eq!(d.pop_completed(SimTime::ZERO).len(), 1);
+        assert_eq!(popped(&mut d, SimTime::ZERO).len(), 1);
     }
 
     #[test]
@@ -648,17 +673,17 @@ mod tests {
         // ...then the last 25 ms of work finishes at solo speed.
         d.set_degradation(ms(100), 0.0);
         assert_eq!(d.next_completion(), Some(ms(125)));
-        assert_eq!(d.pop_completed(ms(125)).len(), 1);
+        assert_eq!(popped(&mut d, ms(125)).len(), 1);
     }
 
     #[test]
     fn busy_time_excludes_idle_gaps() {
         let mut d = SharedDevice::new(SimTime::ZERO, 0.0);
         d.admit(SimTime::ZERO, BatchId(1), MlModel::ResNet50, 0.3, 0.050);
-        d.pop_completed(ms(50));
+        popped(&mut d, ms(50));
         // Idle gap.
         d.admit(ms(150), BatchId(2), MlModel::ResNet50, 0.3, 0.050);
-        d.pop_completed(ms(200));
+        popped(&mut d, ms(200));
         assert!((d.busy_seconds() - 0.1).abs() < 1e-9);
         let _ = SimDuration::ZERO;
     }

@@ -55,7 +55,8 @@ use crate::worker::{Worker, WorkerId, WorkerState};
 use paldia_hw::{Catalog, CostMeter, InstanceKind};
 use paldia_obs::{BatchTrigger, TraceEventKind, Tracer};
 use paldia_sim::{
-    run_partition, Calendar, EventKey, PartitionCalendar, SimDuration, SimTime, WakeEvent, World,
+    run_partition, Calendar, CalendarEvent, EventKey, PartitionCalendar, SimDuration, SimTime,
+    World,
 };
 use paldia_traces::{Predictor, RateWindow};
 use paldia_workloads::tokens::{iteration_ms, TokenCard};
@@ -76,6 +77,18 @@ pub struct FleetDeployment {
     pub initial_hw: InstanceKind,
 }
 
+/// One served model's gateway state on a tenant.
+struct ModelState {
+    model: MlModel,
+    batcher: Batcher,
+    /// The batch-window deadline armed on the calendar, if any.
+    deadline_at: Option<SimTime>,
+    window: RateWindow,
+    predictor: Box<dyn Predictor>,
+    arrived: u64,
+    completed: u64,
+}
+
 /// Per-tenant live state.
 pub(crate) struct Tenant<'a> {
     scheduler: &'a mut dyn Scheduler,
@@ -88,15 +101,11 @@ pub(crate) struct Tenant<'a> {
     retarget: bool,
     routing: WorkerId,
     pending_worker: Option<WorkerId>,
-    batchers: BTreeMap<MlModel, Batcher>,
-    deadline_at: BTreeMap<MlModel, Option<SimTime>>,
-    windows: BTreeMap<MlModel, RateWindow>,
-    predictors: BTreeMap<MlModel, Box<dyn Predictor>>,
+    /// One entry per distinct served model, in first-listed order.
+    per_model: Vec<ModelState>,
     models: Vec<MlModel>,
     last_decision: Decision,
     completed: Vec<CompletedRequest>,
-    arrived: BTreeMap<MlModel, u64>,
-    completed_count: BTreeMap<MlModel, u64>,
     cost: CostMeter,
     nodes: Vec<NodeStat>,
     cold_starts: u64,
@@ -121,6 +130,20 @@ impl<'a> Tenant<'a> {
         scope: u32,
     ) -> Self {
         let window = PROVISION_DELAY.max(SimDuration::from_secs(2));
+        let mut per_model: Vec<ModelState> = Vec::with_capacity(models.len());
+        for &model in &models {
+            if per_model.iter().all(|s| s.model != model) {
+                per_model.push(ModelState {
+                    model,
+                    batcher: Batcher::new(model, Profile::default_batch(model), cfg.batch_window),
+                    deadline_at: None,
+                    window: RateWindow::new(window),
+                    predictor: cfg.predictor.build(),
+                    arrived: 0,
+                    completed: 0,
+                });
+            }
+        }
         Tenant {
             scheduler,
             retarget: label.is_none(),
@@ -128,26 +151,10 @@ impl<'a> Tenant<'a> {
             scope,
             routing: WorkerId(0),
             pending_worker: None,
-            batchers: models
-                .iter()
-                .map(|&m| {
-                    (
-                        m,
-                        Batcher::new(m, Profile::default_batch(m), cfg.batch_window),
-                    )
-                })
-                .collect(),
-            deadline_at: BTreeMap::new(),
-            windows: models
-                .iter()
-                .map(|&m| (m, RateWindow::new(window)))
-                .collect(),
-            predictors: models.iter().map(|&m| (m, cfg.predictor.build())).collect(),
+            per_model,
             models,
             last_decision: Decision::stay(initial_hw),
             completed: Vec::new(),
-            arrived: BTreeMap::new(),
-            completed_count: BTreeMap::new(),
             cost: CostMeter::new(),
             nodes: Vec::new(),
             cold_starts: 0,
@@ -158,11 +165,37 @@ impl<'a> Tenant<'a> {
         }
     }
 
+    /// The state of a model the tenant serves.
+    fn model(&self, model: MlModel) -> &ModelState {
+        self.per_model
+            .iter()
+            .find(|s| s.model == model)
+            .expect("invariant: every served model has its state from construction")
+    }
+
+    /// The state of a model the tenant serves, mutably.
+    fn model_mut(&mut self, model: MlModel) -> &mut ModelState {
+        self.per_model
+            .iter_mut()
+            .find(|s| s.model == model)
+            .expect("invariant: every served model has its state from construction")
+    }
+
+    /// Return a finished batch's request vector to its model's batcher.
+    fn recycle(&mut self, batch: Batch) {
+        self.model_mut(batch.model).batcher.recycle(batch.requests);
+    }
+
     /// Fold the tenant's terminal state into its [`RunResult`].
     fn into_result(self, trace_end: SimTime) -> RunResult {
-        let total_arrived: u64 = self.arrived.values().sum();
-        let total_completed: u64 = self.completed_count.values().sum();
-        let mut arrived: Vec<(MlModel, u64)> = self.arrived.iter().map(|(&m, &n)| (m, n)).collect();
+        let total_arrived: u64 = self.per_model.iter().map(|s| s.arrived).sum();
+        let total_completed: u64 = self.per_model.iter().map(|s| s.completed).sum();
+        let mut arrived: Vec<(MlModel, u64)> = self
+            .per_model
+            .iter()
+            .filter(|s| s.arrived > 0)
+            .map(|s| (s.model, s.arrived))
+            .collect();
         arrived.sort_by_key(|&(m, _)| m.index());
         let name = self.scheduler.name();
         RunResult {
@@ -223,9 +256,11 @@ fn remake_seq(seed: u64, s: &IterSeq, kind: InstanceKind) -> IterSeq {
 }
 
 /// Cluster events, tagged with the owning tenant (index into the harness's
-/// local tenant vector) where relevant.
+/// local tenant vector) where relevant. An arrival carries its sampled
+/// record as the rail held it; its tenant follows from its `seq`
+/// ([`FleetHarness::tenant_of`]).
 pub(crate) enum FEv {
-    Arrival(usize, Request),
+    Arrival(SampledArrival),
     BatchDeadline(usize, MlModel),
     DeviceWake {
         worker: WorkerId,
@@ -250,7 +285,17 @@ pub(crate) enum FEv {
     },
 }
 
-impl WakeEvent for FEv {
+impl CalendarEvent for FEv {
+    type RailEntry = SampledArrival;
+
+    fn rail_time(sa: &SampledArrival) -> SimTime {
+        sa.at
+    }
+
+    fn from_rail(sa: SampledArrival) -> Self {
+        FEv::Arrival(sa)
+    }
+
     fn make_wake(worker: u32, version: u64) -> Self {
         FEv::DeviceWake {
             worker: WorkerId(worker),
@@ -266,6 +311,13 @@ pub(crate) struct FleetHarness<'a> {
     /// `u32::MAX` is elastic).
     inventory: u32,
     pub(crate) tenants: Vec<Tenant<'a>>,
+    /// First arrival seq of each local tenant, when there is more than
+    /// one: sampling numbers arrivals tenant-major, so an arrival belongs
+    /// to the last tenant whose block starts at or before its seq. Empty
+    /// for a lone tenant, whose arrivals are all tenant 0's.
+    first_seq: Vec<u64>,
+    /// Completions popped by a `DeviceWake`, reused from wake to wake.
+    done: Vec<(Batch, SimTime, f64)>,
     /// All live workers, with their owning tenant.
     pub(crate) workers: BTreeMap<WorkerId, (usize, Worker)>,
     next_worker_id: u32,
@@ -322,6 +374,8 @@ impl<'a> FleetHarness<'a> {
             catalog,
             inventory,
             tenants,
+            first_seq: Vec::new(),
+            done: Vec::new(),
             workers: BTreeMap::new(),
             next_worker_id: 0,
             next_batch_id: 0,
@@ -370,6 +424,13 @@ impl<'a> FleetHarness<'a> {
                 q.schedule(fe.at, FEv::Fault(i));
             }
         }
+    }
+
+    /// The local tenant an arrival with sampling number `seq` belongs to.
+    fn tenant_of(&self, seq: u64) -> usize {
+        self.first_seq
+            .partition_point(|&first| first <= seq)
+            .saturating_sub(1)
     }
 
     /// Point the tracer at a tenant's scope before emitting its events.
@@ -581,6 +642,7 @@ impl<'a> FleetHarness<'a> {
                 for r in &batch.requests {
                     w.enqueue_seq(make_seq(seed, r, batch.closed_at, hw));
                 }
+                self.tenants[dep].recycle(batch);
             } else {
                 w.enqueue(batch);
             }
@@ -606,10 +668,7 @@ impl<'a> FleetHarness<'a> {
         } else {
             self.next_batch_id
         };
-        let b = self.tenants[dep]
-            .batchers
-            .get_mut(&model)
-            .expect("invariant: batchers are registered for every model at construction");
+        let b = &mut self.tenants[dep].model_mut(model).batcher;
         let mut alloc = || {
             next_id += 1;
             BatchId(if namespaced { gbase | next_id } else { next_id })
@@ -652,9 +711,9 @@ impl<'a> FleetHarness<'a> {
         now: SimTime,
         q: &mut C,
     ) {
-        let t = &mut self.tenants[dep];
-        let next = t.batchers.get(&model).and_then(|b| b.next_deadline());
-        let slot = t.deadline_at.entry(model).or_insert(None);
+        let state = self.tenants[dep].model_mut(model);
+        let next = state.batcher.next_deadline();
+        let slot = &mut state.deadline_at;
         match next {
             Some(d) => {
                 let at = d.max(now);
@@ -682,14 +741,11 @@ impl<'a> FleetHarness<'a> {
         for i in 0..self.tenants[dep].models.len() {
             let t = &mut self.tenants[dep];
             let m = t.models[i];
-            let observed = t.windows.get_mut(&m).map_or(0.0, |w| w.estimate(now));
-            let predictor = t
-                .predictors
-                .get_mut(&m)
-                .expect("invariant: predictors are registered for every model at construction");
-            predictor.observe(observed);
-            let predicted = predictor.predict(lookahead);
-            let pending_batcher = t.batchers.get(&m).map_or(0, |b| b.pending() as u64);
+            let state = t.model_mut(m);
+            let observed = state.window.estimate(now);
+            state.predictor.observe(observed);
+            let predicted = state.predictor.predict(lookahead);
+            let pending_batcher = state.batcher.pending() as u64;
             let pending_queued: u64 = self
                 .workers
                 .values()
@@ -737,8 +793,11 @@ impl<'a> FleetHarness<'a> {
         let budget = 0.8 * self.cfg.slo_ms;
         for &(model, md) in &decision.per_model {
             let cap = Profile::max_batch_within(model, have, budget).unwrap_or(1);
-            if let Some(b) = self.tenants[dep].batchers.get_mut(&model) {
-                b.set_batch_size(md.batch_size.clamp(1, cap.max(1)));
+            let served = &mut self.tenants[dep].per_model;
+            if let Some(state) = served.iter_mut().find(|s| s.model == model) {
+                state
+                    .batcher
+                    .set_batch_size(md.batch_size.clamp(1, cap.max(1)));
             }
         }
         // 2. Sharing caps on the live worker(s).
@@ -957,7 +1016,7 @@ impl<'a> FleetHarness<'a> {
     /// Record completed requests on their tenant.
     fn record_completion(&mut self, dep: usize, c: CompletedRequest) {
         let t = &mut self.tenants[dep];
-        *t.completed_count.entry(c.model).or_insert(0) += 1;
+        t.model_mut(c.model).completed += 1;
         t.completed.push(c);
     }
 
@@ -967,14 +1026,17 @@ impl<'a> FleetHarness<'a> {
     /// ([`crate::session::SimSession`]) drive identical behaviour.
     pub(crate) fn on_event<C: Calendar<FEv>>(&mut self, now: SimTime, ev: FEv, q: &mut C) {
         match ev {
-            FEv::Arrival(dep, req) => {
-                let model = req.model;
-                let t = &mut self.tenants[dep];
-                *t.arrived.entry(model).or_insert(0) += 1;
-                if let Some(w) = t.windows.get_mut(&model) {
-                    w.record(now);
-                }
-                let rid = req.id.0;
+            FEv::Arrival(sa) => {
+                let dep = self.tenant_of(sa.seq);
+                let (model, rid) = (sa.model, sa.id.0);
+                let req = Request {
+                    id: sa.id,
+                    model,
+                    arrival: sa.at,
+                };
+                let state = self.tenants[dep].model_mut(model);
+                state.arrived += 1;
+                state.window.record(now);
                 self.trace_scope(dep);
                 self.tracer.emit(now, || TraceEventKind::RequestArrived {
                     request: rid,
@@ -993,10 +1055,12 @@ impl<'a> FleetHarness<'a> {
             }
             FEv::BatchDeadline(dep, model) => {
                 let t = &mut self.tenants[dep];
-                if t.deadline_at.get(&model).copied().flatten() != Some(now) {
+                let routing = t.routing;
+                let state = t.model_mut(model);
+                if state.deadline_at != Some(now) {
                     return; // stale deadline
                 }
-                t.deadline_at.insert(model, None);
+                state.deadline_at = None;
                 // SLO-aware batching: while the serving worker still has
                 // batches queued, dispatching another *partial* batch only
                 // adds per-batch overhead — hold the window open and let the
@@ -1005,11 +1069,11 @@ impl<'a> FleetHarness<'a> {
                 // the device's effective capacity collapses.
                 let backlogged = self
                     .workers
-                    .get(&t.routing)
+                    .get(&routing)
                     .is_some_and(|(_, w)| w.queued(model) > 0);
                 if backlogged {
                     let next = now + self.cfg.batch_window;
-                    t.deadline_at.insert(model, Some(next));
+                    state.deadline_at = Some(next);
                     q.schedule(next, FEv::BatchDeadline(dep, model));
                     return;
                 }
@@ -1024,9 +1088,10 @@ impl<'a> FleetHarness<'a> {
                 }
                 let dep = *dep;
                 let kind = w.kind;
-                let done = w.collect_completions(now);
+                let mut done = std::mem::take(&mut self.done);
+                w.collect_completions(now, &mut done);
                 self.trace_scope(dep);
-                for (batch, started, solo_ms) in done {
+                for (batch, started, solo_ms) in done.drain(..) {
                     let size = batch.size();
                     let (batch_id, model) = (batch.id.0, batch.model);
                     self.tracer.emit(now, || TraceEventKind::BatchCompleted {
@@ -1054,7 +1119,9 @@ impl<'a> FleetHarness<'a> {
                             },
                         );
                     }
+                    self.tenants[dep].recycle(batch);
                 }
+                self.done = done;
                 self.sync_worker(worker, now, q);
             }
             FEv::IterTick { worker, version } => {
@@ -1173,8 +1240,9 @@ impl<'a> FleetHarness<'a> {
                 let kind = self.workers[&routing].1.kind;
                 let mut target = 1u32;
                 for m in &t.models {
-                    let pred = t.predictors.get(m).map_or(0.0, |p| p.predict(1.0));
-                    let bs = t.batchers.get(m).map_or(1, |b| b.batch_size()).max(1);
+                    let state = t.model(*m);
+                    let pred = state.predictor.predict(1.0);
+                    let bs = state.batcher.batch_size().max(1);
                     let solo_s = Profile::solo_ms(*m, kind, bs) / 1_000.0;
                     target += (pred * solo_s / bs as f64).ceil() as u32;
                 }
@@ -1309,31 +1377,40 @@ pub(crate) struct Partition<'a> {
 }
 
 impl<'a> Partition<'a> {
-    /// Put `arrivals` (per local tenant, in schedule order) on the rail,
-    /// which owns the run's first sequence numbers, reserve the next
-    /// `reserved` for arrivals injected later, then seed the calendar
-    /// ([`FleetHarness::seed`]).
+    /// Put `arrivals` (per local tenant, in schedule order, numbered
+    /// tenant-major as sampling numbers them) on the rail, which owns the
+    /// run's first sequence numbers, reserve the next `reserved` for
+    /// arrivals injected later, then seed the calendar
+    /// ([`FleetHarness::seed`]). A lone tenant's arrivals move onto the
+    /// rail as they are; several tenants' are concatenated.
     pub(crate) fn new(
         mut harness: FleetHarness<'a>,
-        arrivals: Vec<Vec<SampledArrival>>,
+        mut arrivals: Vec<Vec<SampledArrival>>,
         reserved: u64,
         fault_edges: bool,
     ) -> Self {
-        let items: Vec<(SimTime, FEv)> = arrivals
-            .into_iter()
-            .enumerate()
-            .flat_map(|(dep, reqs)| {
-                reqs.into_iter().map(move |sa| {
-                    let req = Request {
-                        id: sa.id,
-                        model: sa.model,
-                        arrival: sa.at,
-                    };
-                    (sa.at, FEv::Arrival(dep, req))
+        for (t, reqs) in harness.tenants.iter_mut().zip(&arrivals) {
+            t.completed.reserve(reqs.len());
+        }
+        let rail = if arrivals.len() == 1 {
+            arrivals.swap_remove(0)
+        } else {
+            let mut next = arrivals
+                .iter()
+                .find_map(|a| a.first())
+                .map_or(0, |sa| sa.seq);
+            harness.first_seq = arrivals
+                .iter()
+                .map(|reqs| {
+                    let first = reqs.first().map_or(next, |sa| sa.seq);
+                    next = first + reqs.len() as u64;
+                    first
                 })
-            })
-            .collect();
-        let mut cal = PartitionCalendar::new(items, reserved);
+                .collect();
+            debug_assert!(harness.first_seq.is_sorted(), "tenant-major seqs");
+            arrivals.concat()
+        };
+        let mut cal = PartitionCalendar::new(rail, reserved);
         harness.seed(&mut cal, fault_edges);
         Partition { harness, cal }
     }
@@ -1594,13 +1671,8 @@ mod tests {
             None,
         );
         let mut q = EventQueue::new();
-        for sa in &arrivals {
-            let req = Request {
-                id: sa.id,
-                model: sa.model,
-                arrival: sa.at,
-            };
-            q.schedule(sa.at, FEv::Arrival(0, req));
+        for &sa in &arrivals {
+            q.schedule(sa.at, FEv::Arrival(sa));
         }
         harness.seed(&mut q, true);
         let mut events = 0;

@@ -83,7 +83,10 @@ fn sample_tenants<'w>(
     let mut seq = 0;
     let mut trace_end = SimTime::ZERO;
     let arrivals = tenants.into_iter().enumerate().map(|(dep, workloads)| {
-        let mut out = Vec::new();
+        // The count is Poisson with this mean; four standard deviations of
+        // headroom keep the vector from growing (and copying) mid-sample.
+        let expected: f64 = workloads.iter().map(|s| s.trace.expected_requests()).sum();
+        let mut out = Vec::with_capacity((expected + 4.0 * expected.sqrt()) as usize + 16);
         for spec in workloads {
             let mut model_rng = rng.fork(((dep as u64) << 8) | (spec.model.index() as u64 + 1));
             for at in generate_arrivals(&spec.trace, &mut model_rng) {

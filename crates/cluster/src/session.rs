@@ -46,7 +46,7 @@ use crate::fleet::{FEv, FleetHarness, Partition, Tenant};
 use crate::harness::SampledArrival;
 use crate::policy::Scheduler;
 use crate::replay::model_token;
-use crate::request::{CompletedRequest, Request, RequestId};
+use crate::request::{CompletedRequest, RequestId};
 use crate::result::RunResult;
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_obs::{TraceSink, Tracer};
@@ -240,18 +240,10 @@ impl<'a> SimSession<'a> {
             .map_err(|e| format!("arrival seq {seq} {e}"))?;
         *self.injected.entry(word).or_insert(0) |= bit;
         self.last_recorded = Some((sa.at, seq));
-        self.part.cal.queue_mut().schedule_reserved(
-            sa.at,
-            seq,
-            FEv::Arrival(
-                0,
-                Request {
-                    id: sa.id,
-                    model: sa.model,
-                    arrival: sa.at,
-                },
-            ),
-        );
+        self.part
+            .cal
+            .queue_mut()
+            .schedule_reserved(sa.at, seq, FEv::Arrival(*sa));
         Ok(())
     }
 
@@ -268,26 +260,19 @@ impl<'a> SimSession<'a> {
 
     /// Inject a live arrival at `at` (clamped to the session's "now") and
     /// return its assigned request id. Live ids start after the reserved
-    /// block, so mixing recorded and live arrivals cannot collide. Refused,
-    /// leaving the session untouched, for a model the session does not
-    /// serve.
+    /// block, so mixing recorded and live arrivals cannot collide; the
+    /// arrival's `seq` is its id's sampling-order counterpart (`id - 1`)
+    /// and names no reserved slot. Refused, leaving the session untouched,
+    /// for a model the session does not serve.
     pub fn inject_arrival(&mut self, at: SimTime, model: MlModel) -> Result<RequestId, String> {
         self.check_served(model)
             .map_err(|e| format!("live arrival {e}"))?;
         let at = at.max(self.now());
         self.next_live_id += 1;
         let id = RequestId(self.reserved + self.next_live_id);
-        self.part.cal.schedule(
-            at,
-            FEv::Arrival(
-                0,
-                Request {
-                    id,
-                    model,
-                    arrival: at,
-                },
-            ),
-        );
+        let seq = id.0 - 1;
+        let arrival = SampledArrival { seq, id, at, model };
+        self.part.cal.schedule(at, FEv::Arrival(arrival));
         Ok(id)
     }
 

@@ -13,7 +13,7 @@
 //!    autoscaler pays a cold start).
 
 use crate::container::ContainerPool;
-use crate::device::{IterSeq, IterativeEngine, RetiredSeq, SharedDevice};
+use crate::device::{DeviceJob, IterSeq, IterativeEngine, RetiredSeq, SharedDevice};
 use crate::request::{Batch, BatchId};
 use paldia_hw::{GpuModel, InstanceKind};
 use paldia_obs::{TraceEventKind, Tracer};
@@ -59,8 +59,11 @@ pub struct Worker {
     queues: BTreeMap<MlModel, VecDeque<Batch>>,
     caps: BTreeMap<MlModel, u32>,
     total_cap: Option<u32>,
-    executing: BTreeMap<BatchId, Batch>,
+    /// Batches on the device, found by id: only a handful ever execute.
+    executing: Vec<Batch>,
     model_order: Vec<MlModel>,
+    /// Device jobs popped by [`Worker::collect_completions`], reused.
+    popped: Vec<DeviceJob>,
     iter: Option<IterState>,
 }
 
@@ -106,8 +109,9 @@ impl Worker {
             queues: BTreeMap::new(),
             caps: BTreeMap::new(),
             total_cap,
-            executing: BTreeMap::new(),
+            executing: Vec::new(),
             model_order: Vec::new(),
+            popped: Vec::new(),
             iter: None,
         }
     }
@@ -231,21 +235,21 @@ impl Worker {
     }
 
     /// Admit as many queued batches as caps/memory/containers allow, round
-    /// robin across models. Returns the admitted batch ids (completion
-    /// events must be rescheduled by the caller) and whether a container
-    /// shortage blocked further admission (reactive scale-up trigger).
-    /// Each admission is traced with its container, share, and the device
+    /// robin across models. Returns how many were admitted (the caller
+    /// re-arms the completion wake) and whether a container shortage
+    /// blocked further admission (reactive scale-up trigger). Each
+    /// admission is traced with its container, share, and the device
     /// contention state it landed in.
-    pub fn admit_ready(&mut self, now: SimTime, tracer: &mut Tracer<'_>) -> (Vec<BatchId>, bool) {
+    pub fn admit_ready(&mut self, now: SimTime, tracer: &mut Tracer<'_>) -> (usize, bool) {
         if self.state != WorkerState::Active && self.state != WorkerState::Draining {
-            return (Vec::new(), false);
+            return (0, false);
         }
-        let mut admitted = Vec::new();
+        let mut admitted = 0;
         let mut container_short = false;
         loop {
             let mut progressed = false;
-            let order = self.model_order.clone();
-            for model in order {
+            for i in 0..self.model_order.len() {
+                let model = self.model_order[i];
                 let Some(front_id) = self
                     .queues
                     .get(&model)
@@ -281,8 +285,8 @@ impl Worker {
                     concurrency: self.device.active_count() as u32,
                     slowdown: self.device.slowdown(),
                 });
-                admitted.push(batch.id);
-                self.executing.insert(batch.id, batch);
+                admitted += 1;
+                self.executing.push(batch);
                 progressed = true;
             }
             if !progressed {
@@ -292,18 +296,25 @@ impl Worker {
         (admitted, container_short)
     }
 
-    /// Pop device completions, release their containers, and return the
-    /// finished batches along with their execution window and solo time.
-    pub fn collect_completions(&mut self, now: SimTime) -> Vec<(Batch, SimTime, f64)> {
-        let done = self.device.pop_completed(now);
-        let mut out = Vec::with_capacity(done.len());
-        for job in done {
+    /// Take the executing batch `id` off the worker.
+    fn take_executing(&mut self, id: BatchId) -> Option<Batch> {
+        let i = self.executing.iter().position(|b| b.id == id)?;
+        Some(self.executing.swap_remove(i))
+    }
+
+    /// Pop device completions, release their containers, and append the
+    /// finished batches to `out`, in admission order, each with its
+    /// execution start and solo time (ms).
+    pub fn collect_completions(&mut self, now: SimTime, out: &mut Vec<(Batch, SimTime, f64)>) {
+        let mut popped = std::mem::take(&mut self.popped);
+        self.device.pop_completed(now, &mut popped);
+        for job in popped.drain(..) {
             self.pool.release(job.batch, now);
-            if let Some(batch) = self.executing.remove(&job.batch) {
+            if let Some(batch) = self.take_executing(job.batch) {
                 out.push((batch, job.started, job.solo_s * 1_000.0));
             }
         }
-        out
+        self.popped = popped;
     }
 
     /// Enqueue a sequence on the iteration-level wait queue. No-op on
@@ -480,7 +491,7 @@ impl Worker {
         self.state = WorkerState::Failed;
         let mut rescued = Vec::new();
         for job in self.device.evict_all(now) {
-            if let Some(b) = self.executing.remove(&job.batch) {
+            if let Some(b) = self.take_executing(job.batch) {
                 rescued.push(b);
             }
         }
@@ -578,7 +589,7 @@ mod tests {
             w.enqueue(batch(i, MlModel::ResNet50, 64, SimTime::ZERO));
         }
         let (adm, short) = w.admit_ready(SimTime::ZERO, &mut Tracer::disabled());
-        assert_eq!(adm.len(), 1, "time sharing admits exactly one");
+        assert_eq!(adm, 1, "time sharing admits exactly one");
         assert!(!short);
         assert_eq!(w.queued(MlModel::ResNet50), 2);
     }
@@ -591,7 +602,7 @@ mod tests {
             w.enqueue(batch(i, MlModel::ResNet50, 64, SimTime::ZERO));
         }
         let (adm, _) = w.admit_ready(SimTime::ZERO, &mut Tracer::disabled());
-        assert_eq!(adm.len(), 5);
+        assert_eq!(adm, 5);
         assert_eq!(w.executing_of(MlModel::ResNet50), 5);
     }
 
@@ -603,7 +614,7 @@ mod tests {
             w.enqueue(batch(i, MlModel::ResNet50, 64, SimTime::ZERO));
         }
         let (adm, short) = w.admit_ready(SimTime::ZERO, &mut Tracer::disabled());
-        assert_eq!(adm.len(), 2);
+        assert_eq!(adm, 2);
         assert!(short, "should ask for reactive scale-up");
     }
 
@@ -618,7 +629,7 @@ mod tests {
             w.enqueue(batch(i, MlModel::SeNet18, 128, SimTime::ZERO));
         }
         let (adm, _) = w.admit_ready(SimTime::ZERO, &mut Tracer::disabled());
-        assert_eq!(adm.len(), 3);
+        assert_eq!(adm, 3);
         assert_eq!(w.executing_of(MlModel::ResNet50), 2);
         assert_eq!(w.executing_of(MlModel::SeNet18), 1);
     }
@@ -631,7 +642,7 @@ mod tests {
             w.enqueue(batch(i, MlModel::MobileNet, 16, SimTime::ZERO));
         }
         let (adm, _) = w.admit_ready(SimTime::ZERO, &mut Tracer::disabled());
-        assert_eq!(adm.len(), 1, "...but CPU batched mode is serial");
+        assert_eq!(adm, 1, "...but CPU batched mode is serial");
     }
 
     #[test]
@@ -643,7 +654,7 @@ mod tests {
             w.enqueue(batch(i, MlModel::FunnelTransformer, 8, SimTime::ZERO));
         }
         let (adm, _) = w.admit_ready(SimTime::ZERO, &mut Tracer::disabled());
-        assert_eq!(adm.len(), 2);
+        assert_eq!(adm, 2);
     }
 
     #[test]
@@ -653,16 +664,17 @@ mod tests {
         w.enqueue(batch(1, MlModel::ResNet50, 64, SimTime::ZERO));
         w.enqueue(batch(2, MlModel::ResNet50, 64, SimTime::ZERO));
         let (adm, _) = w.admit_ready(SimTime::ZERO, &mut Tracer::disabled());
-        assert_eq!(adm.len(), 1);
+        assert_eq!(adm, 1);
         let t_done = w.device.next_completion().unwrap();
-        let done = w.collect_completions(t_done);
+        let mut done = Vec::new();
+        w.collect_completions(t_done, &mut done);
         assert_eq!(done.len(), 1);
         let (b, started, solo_ms) = &done[0];
         assert_eq!(b.id, BatchId(1));
         assert_eq!(*started, SimTime::ZERO);
         assert!(*solo_ms > 0.0);
         let (adm2, _) = w.admit_ready(t_done, &mut Tracer::disabled());
-        assert_eq!(adm2.len(), 1);
+        assert_eq!(adm2, 1);
     }
 
     #[test]
@@ -681,7 +693,7 @@ mod tests {
         // A failed worker admits nothing.
         w.enqueue(batch(10, MlModel::ResNet50, 64, SimTime::from_millis(11)));
         let (adm, _) = w.admit_ready(SimTime::from_millis(11), &mut Tracer::disabled());
-        assert!(adm.is_empty());
+        assert_eq!(adm, 0);
     }
 
     #[test]
@@ -695,7 +707,7 @@ mod tests {
         assert_eq!(moved.len(), 1);
         assert!(!w.is_idle(), "one batch still executing");
         let t = w.device.next_completion().unwrap();
-        w.collect_completions(t);
+        w.collect_completions(t, &mut Vec::new());
         assert!(w.is_idle());
     }
 
@@ -713,7 +725,7 @@ mod tests {
         );
         w.enqueue(batch(1, MlModel::ResNet50, 64, SimTime::ZERO));
         let (adm, _) = w.admit_ready(SimTime::ZERO, &mut Tracer::disabled());
-        assert!(adm.is_empty());
+        assert_eq!(adm, 0);
         assert!(matches!(w.state, WorkerState::Provisioning { .. }));
     }
 }

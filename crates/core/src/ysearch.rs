@@ -19,11 +19,19 @@
 //! evaluation quantizes the predicted rate to [`RATE_QUANTUM`] buckets
 //! (backlog stays exact), so a cache hit returns bit-for-bit the plan the
 //! uncached computation would produce for the same quantized load.
+//!
+//! The cache is a flat open-addressing table. Plans live in a dense
+//! `Vec<(PlanKey, ModelPlan)>` in insertion order; the index is a
+//! power-of-two `Vec<u32>` of slots, each 0 (empty) or one plus a position
+//! in that vector, probed linearly from a fixed integer mix of the key and
+//! kept at most half full. A slot costs 4 bytes, so the index stays small
+//! beside the plans it points at (a long Fig. 12b run holds about 40 k).
+//! Nothing is evicted and the table is never iterated: a lookup hits
+//! exactly when an equal key was inserted before, whatever the hash.
 
 use crate::tmax::TmaxInputs;
 use paldia_hw::InstanceKind;
 use paldia_workloads::{MlModel, Profile};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-model load description for an evaluation round.
@@ -232,7 +240,7 @@ fn quantize_rate(rate_rps: f64) -> u64 {
 }
 
 /// Everything a per-model plan depends on, quantized where continuous.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct PlanKey {
     model: MlModel,
     kind: InstanceKind,
@@ -262,6 +270,25 @@ impl PlanKey {
             rate_rps: self.rate_q as f64 * RATE_QUANTUM,
         }
     }
+
+    /// A fixed 64-bit mix of every field (multiply-rotate per word, then a
+    /// final avalanche), so probe sequences do not depend on the process.
+    fn hash(&self) -> u64 {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let head = ((self.model.index() as u64) << 8) | self.kind as u64;
+        let words = [
+            head,
+            self.pending,
+            self.rate_q,
+            self.contention_q,
+            self.slo_us,
+        ];
+        let h = words
+            .iter()
+            .fold(0u64, |h, &w| (h ^ w).wrapping_mul(K).rotate_left(27));
+        let h = (h ^ (h >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^ (h >> 29)
+    }
 }
 
 /// Process-wide hit/miss tallies across every cache instance, surfaced by
@@ -283,11 +310,20 @@ pub fn reset_cache_counters() {
     CACHE_MISSES.store(0, Ordering::Relaxed);
 }
 
+/// Slots in a table's first index; it doubles whenever it would pass half
+/// full.
+const MIN_SLOTS: usize = 64;
+
 /// Memoized per-model plans, owned by one scheduler instance (one cache per
 /// simulated cluster keeps parallel experiment cells fully independent).
+/// See the module docs for the table layout.
 #[derive(Default)]
 pub struct PlanCache {
-    map: BTreeMap<PlanKey, ModelPlan>,
+    /// Open-addressing index: 0 is empty, `i + 1` points at `plans[i]`.
+    /// Empty or a power of two long, never more than half full.
+    slots: Vec<u32>,
+    /// Every plan computed, in insertion order.
+    plans: Vec<(PlanKey, ModelPlan)>,
     hits: u64,
     misses: u64,
 }
@@ -308,6 +344,30 @@ impl PlanCache {
         self.misses
     }
 
+    /// The slot holding `key`, or the empty slot where it belongs.
+    /// `slots` must be non-empty and have an empty slot.
+    fn probe(&self, key: &PlanKey) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = key.hash() as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => return i,
+                s if self.plans[s as usize - 1].0 == *key => return i,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Double the index (or make the first one) and re-point every plan.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(MIN_SLOTS);
+        self.slots = vec![0; len];
+        for n in 1..=self.plans.len() {
+            let i = self.probe(&self.plans[n - 1].0);
+            self.slots[i] = n as u32;
+        }
+    }
+
     fn plan_for(
         &mut self,
         kind: InstanceKind,
@@ -316,15 +376,20 @@ impl PlanCache {
         contention: f64,
     ) -> ModelPlan {
         let key = PlanKey::new(kind, load, slo_ms, contention);
-        if let Some(&plan) = self.map.get(&key) {
+        if 2 * (self.plans.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let i = self.probe(&key);
+        if let Some(n) = self.slots[i].checked_sub(1) {
             self.hits += 1;
             CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            return plan;
+            return self.plans[n as usize].1;
         }
         self.misses += 1;
         CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
         let plan = eval_model(kind, &key.quantized_load(), slo_ms, contention);
-        self.map.insert(key, plan);
+        self.plans.push((key, plan));
+        self.slots[i] = self.plans.len() as u32;
         plan
     }
 }
@@ -596,6 +661,63 @@ mod tests {
         let other = [load(MlModel::GoogleNet, 13, 88.8)];
         let _ = evaluate_pool_cached(&kinds, &other, 200.0, &|_| 0.0, &mut cache);
         assert_eq!(cache.misses(), 2 * kinds.len() as u64);
+    }
+
+    /// Every field of a plan, floats as bits.
+    fn plan_bits(p: &ModelPlan) -> (MlModel, u64, u32, u32, u64) {
+        (
+            p.model,
+            p.best_y,
+            p.batch_size,
+            p.spatial_cap,
+            p.t_max_ms.to_bits(),
+        )
+    }
+
+    proptest::proptest! {
+        /// The flat table against a `BTreeMap` memo fed the same lookups:
+        /// models × kinds × backlogs × rates × contention, a quarter of
+        /// them repeating an earlier lookup, and enough distinct keys to
+        /// grow the index several times. Each lookup must hit exactly when
+        /// the memo does, and every plan must be `eval_model` on the
+        /// quantized load, bit for bit.
+        fn plan_cache_matches_a_btreemap_memo(
+            steps in proptest::collection::vec(
+                (0u64..4, 0usize..16, 0usize..6, 0u64..6, 0u64..80, 0u64..3),
+                400..1200,
+            ),
+        ) {
+            let mut cache = PlanCache::new();
+            let mut memo: std::collections::BTreeMap<PlanKey, ModelPlan> = Default::default();
+            let mut seen: Vec<(InstanceKind, ModelLoad, f64)> = Vec::new();
+            for (i, &(repeat, m, k, pending, rate, c)) in steps.iter().enumerate() {
+                let (kind, load, contention) = if repeat == 0 && !seen.is_empty() {
+                    seen[(m * 31 + rate as usize) % seen.len()]
+                } else {
+                    let load = ModelLoad {
+                        model: MlModel::ALL[m],
+                        pending: pending * 7,
+                        rate_rps: rate as f64 * 0.37,
+                    };
+                    (InstanceKind::ALL[k], load, c as f64 * 0.15)
+                };
+                seen.push((kind, load, contention));
+                let slo_ms = if i % 5 == 0 { 150.0 } else { 200.0 };
+                let key = PlanKey::new(kind, &load, slo_ms, contention);
+                let hits = cache.hits();
+                let plan = cache.plan_for(kind, &load, slo_ms, contention);
+                let reference = eval_model(kind, &key.quantized_load(), slo_ms, contention);
+                let memo_hit = memo.contains_key(&key);
+                let memo_plan = *memo.entry(key).or_insert(reference);
+                proptest::prop_assert_eq!(cache.hits() > hits, memo_hit, "lookup {}", i);
+                proptest::prop_assert_eq!(plan_bits(&plan), plan_bits(&reference));
+                proptest::prop_assert_eq!(plan_bits(&plan), plan_bits(&memo_plan));
+            }
+            proptest::prop_assert_eq!(cache.misses(), memo.len() as u64);
+            proptest::prop_assert_eq!(cache.hits() + cache.misses(), steps.len() as u64);
+            // More than twice the first index's slots: it grew at least twice.
+            proptest::prop_assert!(memo.len() > 2 * MIN_SLOTS, "{} keys", memo.len());
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 
 use std::cell::RefCell;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::TcpListener;
+use std::net::{Shutdown, TcpListener};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
 
@@ -245,6 +245,9 @@ pub fn serve_once(
     }
     wire.line("bye");
     wire.flush();
+    // Half-close after `bye`, so a client reading to EOF sees the end of
+    // the session; the reader thread then exits once the client closes.
+    wire.w.borrow().get_ref().shutdown(Shutdown::Write).ok();
     reader_thread.join().ok();
     outcome
 }

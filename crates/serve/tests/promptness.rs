@@ -4,7 +4,7 @@
 //! timeout, so a reply held back in the server's buffer fails the test
 //! instead of hanging it.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -90,6 +90,28 @@ fn live_inv_is_answered_without_another_client_byte() {
     drop((stream, reader));
     let outcome = server.join().expect("no panic").expect("session reports");
     assert_eq!(outcome.result.completed.len(), 1);
+}
+
+#[test]
+fn a_client_reading_to_eof_sees_the_server_close() {
+    // The client keeps its write half open and reads until EOF: the server
+    // must half-close after `bye`, or the read times out.
+    let (server, mut stream, mut reader) = session(20.0, Duration::from_secs(5));
+    let model = model_token(MlModel::GoogleNet);
+    writeln!(stream, "hello live 30 {model}\ninv {model}\nend").expect("send lines");
+    let mut replies = String::new();
+    reader
+        .read_to_string(&mut replies)
+        .expect("the server closes its side after bye");
+    assert!(replies.starts_with("ready\n"), "{replies}");
+    assert!(replies.ends_with("\nbye\n"), "{replies}");
+    assert!(!replies.contains("\nerr "), "{replies}");
+    drop((stream, reader));
+    let outcome = server.join().expect("no panic").expect("session reports");
+    assert_eq!(
+        outcome.result.completed.len() as u64 + outcome.result.unserved,
+        1
+    );
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //!
 //! * **Arrivals** are pre-sampled in full before a batch run starts.
 //!   Scheduling half a million of them leaves a huge resident heap that
-//!   every other push/pop must sift through. The calendar's *rail* stores
-//!   them pre-sorted and pops them by cursor in O(1).
+//!   every other push/pop must sift through. The calendar's *rail* holds
+//!   them as sampled ([`CalendarEvent::RailEntry`]), sorted by time, and
+//!   pops them by cursor in O(1), building each event only as it fires.
 //! * **Device wake-ups** are mostly stale: every occupancy change re-arms
 //!   the wake for a worker's next predicted completion and bumps a version,
 //!   so a heap fills with superseded wakes that pop as no-ops. A
@@ -43,10 +44,20 @@ use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-/// Event alphabets that carry a device wake-up variant. Lets a calendar
-/// materialize the wake event itself, so wake registers can store two
-/// integers instead of a payload.
-pub trait WakeEvent: Sized {
+/// Event alphabets a [`PartitionCalendar`] runs: they name what its rail
+/// holds and carry a device wake-up variant. The calendar materializes
+/// both kinds of event itself, so the rail stores entries as they were
+/// sampled and wake registers store two integers instead of a payload.
+pub trait CalendarEvent: Sized {
+    /// One entry known before the run starts (a pre-sampled arrival).
+    type RailEntry;
+
+    /// When a rail entry fires.
+    fn rail_time(entry: &Self::RailEntry) -> SimTime;
+
+    /// The event a rail entry fires as.
+    fn from_rail(entry: Self::RailEntry) -> Self;
+
     /// Build the wake event for `worker` at device `version`.
     fn make_wake(worker: u32, version: u64) -> Self;
 }
@@ -66,7 +77,7 @@ pub trait Calendar<E> {
 /// The reference calendar: every wake is pushed as an ordinary event, and
 /// superseded ones pop as no-ops. Tests drive a world on it with a plain
 /// pop loop and demand what [`PartitionCalendar`] produces.
-impl<E: WakeEvent> Calendar<E> for EventQueue<E> {
+impl<E: CalendarEvent> Calendar<E> for EventQueue<E> {
     fn schedule(&mut self, at: SimTime, payload: E) {
         EventQueue::schedule(self, at, payload);
     }
@@ -84,7 +95,7 @@ impl<E: WakeEvent> Calendar<E> for EventQueue<E> {
 /// across calls.
 pub trait World {
     /// The event alphabet of this simulation.
-    type Event: WakeEvent;
+    type Event: CalendarEvent;
 
     /// Process one event at simulated time `now`.
     fn handle(&mut self, now: SimTime, ev: Self::Event, cal: &mut PartitionCalendar<Self::Event>);
@@ -95,13 +106,13 @@ type WakeSlot = (EventKey, u64);
 
 /// The calendar: the pre-sorted arrival rail, a (small) heap for ordinary
 /// events, and the per-worker wake registers.
-pub struct PartitionCalendar<E> {
+pub struct PartitionCalendar<E: CalendarEvent> {
     q: EventQueue<E>,
     /// Entries known before the run starts, holding its smallest sequence
-    /// numbers. Sorted by firing time *descending* (stable w.r.t.
-    /// schedule order), so `Vec::pop` takes them in FIFO `(time, seq)`
-    /// order.
-    rail: Vec<(SimTime, E)>,
+    /// numbers. Sorted by firing time (stable w.r.t. schedule order) and
+    /// consumed front to back, so the cursor yields them in FIFO
+    /// `(time, seq)` order.
+    rail: std::vec::IntoIter<E::RailEntry>,
     /// Live wake per worker id; absent when nothing is armed. Keyed
     /// sparsely: sharded fleets namespace worker ids as
     /// `(global deployment << 20) | ordinal`, so a dense table would
@@ -112,23 +123,24 @@ pub struct PartitionCalendar<E> {
     order: BinaryHeap<Reverse<(EventKey, u32, u64)>>,
 }
 
-impl<E> PartitionCalendar<E> {
+impl<E: CalendarEvent> PartitionCalendar<E> {
     /// A calendar whose first `rail.len() + reserved` sequence numbers are
     /// taken before anything is scheduled: `rail` (entries in schedule
     /// order) gets the first of them, and the other `reserved` stay
     /// with the caller for [`EventQueue::schedule_reserved`]. A batch run
     /// puts its pre-sampled arrivals on the rail; an incremental session
     /// passes an empty rail and reserves its recorded arrivals' block.
-    pub fn new(mut rail: Vec<(SimTime, E)>, reserved: u64) -> Self {
+    pub fn new(mut rail: Vec<E::RailEntry>, reserved: u64) -> Self {
         let mut q = EventQueue::new();
         q.skip_seqs(rail.len() as u64 + reserved);
-        // Stable sort keeps schedule order within a tie; reversing then
-        // makes `Vec::pop` yield earliest-first with FIFO ties.
-        rail.sort_by_key(|&(t, _)| t);
-        rail.reverse();
+        // A stable sort keeps schedule order within a tie. A lone tenant's
+        // single-model arrivals are sampled in time order and skip it.
+        if !rail.is_sorted_by_key(E::rail_time) {
+            rail.sort_by_key(E::rail_time);
+        }
         PartitionCalendar {
             q,
-            rail,
+            rail: rail.into_iter(),
             slots: BTreeMap::new(),
             order: BinaryHeap::new(),
         }
@@ -149,7 +161,8 @@ impl<E> PartitionCalendar<E> {
     /// the same instant (heap and wake seqs are strictly positive whenever
     /// the rail is non-empty).
     fn peek_rail(&self) -> Option<EventKey> {
-        self.rail.last().map(|&(t, _)| EventKey::new(t, 0))
+        let first = self.rail.as_slice().first()?;
+        Some(EventKey::new(E::rail_time(first), 0))
     }
 
     /// Key of the earliest *live* armed wake, discarding superseded index
@@ -169,9 +182,7 @@ impl<E> PartitionCalendar<E> {
         let (rail, heap, wake) = (self.peek_rail(), self.q.peek_key(), self.peek_wake());
         [rail, heap, wake].into_iter().flatten().min()
     }
-}
 
-impl<E: WakeEvent> PartitionCalendar<E> {
     /// Remove and return the earliest pending event if its key orders
     /// before `bound` (exclusive), advancing the clamp floor to its time.
     /// Superseded wakes are never returned.
@@ -182,9 +193,10 @@ impl<E: WakeEvent> PartitionCalendar<E> {
             return None;
         }
         if rail == Some(next) {
-            let (now, ev) = self.rail.pop()?;
+            let entry = self.rail.next()?;
+            let now = E::rail_time(&entry);
             self.q.advance_floor(now);
-            Some((now, ev))
+            Some((now, E::from_rail(entry)))
         } else if heap == Some(next) {
             self.q.pop()
         } else {
@@ -197,7 +209,7 @@ impl<E: WakeEvent> PartitionCalendar<E> {
     }
 }
 
-impl<E: WakeEvent> Calendar<E> for PartitionCalendar<E> {
+impl<E: CalendarEvent> Calendar<E> for PartitionCalendar<E> {
     fn schedule(&mut self, at: SimTime, payload: E) {
         EventQueue::schedule(&mut self.q, at, payload);
     }
@@ -291,7 +303,15 @@ mod tests {
         Wake { worker: u32, version: u64 },
     }
 
-    impl WakeEvent for Ev {
+    /// Rail entries are `(time, worker)` arrivals.
+    impl CalendarEvent for Ev {
+        type RailEntry = (SimTime, u32);
+        fn rail_time(&(at, _): &(SimTime, u32)) -> SimTime {
+            at
+        }
+        fn from_rail((_, worker): (SimTime, u32)) -> Self {
+            Ev::Arrival { worker }
+        }
         fn make_wake(worker: u32, version: u64) -> Self {
             Ev::Wake { worker, version }
         }
@@ -348,19 +368,11 @@ mod tests {
         }
     }
 
-    fn arrivals() -> Vec<(SimTime, Ev)> {
-        let mut v = Vec::new();
-        for i in 0..200u64 {
-            // Deliberate time collisions across workers.
-            let t = SimTime::from_micros(7 * (i / 3) + 1);
-            v.push((
-                t,
-                Ev::Arrival {
-                    worker: (i % 3) as u32,
-                },
-            ));
-        }
-        v
+    fn arrivals() -> Vec<(SimTime, u32)> {
+        // Deliberate time collisions across workers.
+        (0..200u64)
+            .map(|i| (SimTime::from_micros(7 * (i / 3) + 1), (i % 3) as u32))
+            .collect()
     }
 
     /// The reference: every event, wakes included, on one heap, popped
@@ -368,8 +380,8 @@ mod tests {
     fn run_heap(horizon: SimTime) -> (Vec<(u64, &'static str, u32, u64)>, u64) {
         let mut w = Mini::new(3);
         let mut q = EventQueue::new();
-        for (t, ev) in arrivals() {
-            q.schedule(t, ev);
+        for (t, worker) in arrivals() {
+            q.schedule(t, Ev::Arrival { worker });
         }
         q.schedule(SimTime::from_micros(5), Ev::Tick(40));
         let mut events = 0;
@@ -466,9 +478,9 @@ mod tests {
         let arrival = |worker| Ev::Arrival { worker };
         let mut cal = PartitionCalendar::new(
             vec![
-                (SimTime::from_micros(5), arrival(1)),
-                (SimTime::from_micros(1), arrival(0)),
-                (SimTime::from_micros(5), arrival(2)),
+                (SimTime::from_micros(5), 1),
+                (SimTime::from_micros(1), 0),
+                (SimTime::from_micros(5), 2),
             ],
             0,
         );
@@ -490,6 +502,32 @@ mod tests {
                 (5, Ev::Tick(0))
             ]
         );
+    }
+
+    /// Three tenants' arrivals concatenated tenant-major, so the rail is
+    /// out of time order and every instant is shared across tenants. It
+    /// must pop in `(time, schedule order)`, exactly as a heap fed the same
+    /// schedule does.
+    #[test]
+    fn unsorted_rail_pops_in_time_then_schedule_order() {
+        let rail: Vec<(SimTime, u32)> = (0..3u32)
+            .flat_map(|tenant| {
+                (0..20u64).map(move |i| (SimTime::from_micros(10 * (i / 2) + 3), tenant))
+            })
+            .collect();
+        assert!(!rail.is_sorted_by_key(|&(t, _)| t));
+        let mut heap = EventQueue::new();
+        for &(t, worker) in &rail {
+            heap.schedule(t, Ev::Arrival { worker });
+        }
+        let mut cal = PartitionCalendar::new(rail, 0);
+        let bound = EventKey::new(SimTime::MAX, 0);
+        let mut popped = 0;
+        while let Some(got) = cal.pop_before(bound) {
+            assert_eq!(Some(got), heap.pop(), "entry {popped}");
+            popped += 1;
+        }
+        assert_eq!((popped, heap.pop()), (60, None));
     }
 
     #[test]

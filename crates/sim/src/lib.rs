@@ -21,14 +21,17 @@
 //!
 //! ```
 //! use paldia_sim::{
-//!     run_partition, Calendar, EventKey, PartitionCalendar, SimDuration, SimTime, WakeEvent,
-//!     World,
+//!     run_partition, Calendar, CalendarEvent, EventKey, PartitionCalendar, SimDuration,
+//!     SimTime, World,
 //! };
 //!
 //! struct Counter { fired: u32 }
 //! enum Ev { Tick, Wake }
 //!
-//! impl WakeEvent for Ev {
+//! impl CalendarEvent for Ev {
+//!     type RailEntry = SimTime;
+//!     fn rail_time(at: &SimTime) -> SimTime { *at }
+//!     fn from_rail(_at: SimTime) -> Self { Ev::Tick }
 //!     fn make_wake(_worker: u32, _version: u64) -> Self { Ev::Wake }
 //! }
 //!
@@ -58,7 +61,7 @@ pub mod pool;
 pub mod rng;
 pub mod time;
 
-pub use calendar::{run_partition, Calendar, PartitionCalendar, WakeEvent, World};
+pub use calendar::{run_partition, Calendar, CalendarEvent, PartitionCalendar, World};
 pub use clock::{Clock, VirtualClock};
 pub use engine::RunOutcome;
 pub use event::{EventKey, EventQueue};

@@ -40,8 +40,10 @@
 #      flushes when its input runs dry; target/serve-report-1e6.json); then
 #      a `paldia-serve --listen --decisions` server takes one live session
 #      over bash /dev/tcp (two `inv` lines) and must answer ready, acc,
-#      done, summary and bye without an err, and the decision log it
-#      streamed (target/ci.listen.jsonl) must self-diff empty
+#      done, summary and bye without an err, then close its side: the
+#      client reads to EOF and fails on any 5 s wait for a line. The
+#      decision log it streamed (target/ci.listen.jsonl) must self-diff
+#      empty
 #  13. hostile inputs        — paldia-serve --replay must refuse replay files
 #      it would overflow on or silently drop (a `duration_us` or `reserve`
 #      of u64::MAX, an arrival past the horizon, trailing junk), and
@@ -145,12 +147,19 @@ await_listen '^listening on '
 port=$(sed -n '1s/^listening on 127\.0\.0\.1:\([0-9]*\) .*/\1/p' "$listen_out")
 exec 3<>"/dev/tcp/127.0.0.1/$port"
 printf 'hello live 30 googlenet\ninv googlenet\ninv googlenet\nend\n' >&3
+# Read to EOF: a server that keeps the connection open after `bye` makes
+# `read` time out (status > 128) instead of reaching EOF (status 1).
 replies=""
-while IFS= read -r -t 30 line <&3; do
-    replies+="$line"$'\n'
-    [ "$line" = bye ] && break
+while true; do
+    IFS= read -r -t 5 line <&3 && { replies+="$line"$'\n'; continue; }
+    read_status=$?
+    break
 done
 exec 3<&-
+if [ "$read_status" -gt 128 ]; then
+    printf '%s--listen: no EOF within 5 s of the last reply\n' "$replies"
+    exit 1
+fi
 for kind in ready acc done summary bye; do
     if ! grep -q "^$kind\b" <<<"$replies"; then
         printf '%s--listen: no %s reply\n' "$replies" "$kind"

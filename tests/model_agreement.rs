@@ -29,7 +29,9 @@ proptest! {
         prop_assert!((measured_ms - predicted_ms).abs() < 0.01,
             "k={k} fbr={fbr}: device {measured_ms} vs model {predicted_ms}");
         // All k finish together (identical work).
-        prop_assert_eq!(d.pop_completed(done_at + SimDuration::from_micros(2)).len(), k);
+        let mut done = Vec::new();
+        d.pop_completed(done_at + SimDuration::from_micros(2), &mut done);
+        prop_assert_eq!(done.len(), k);
     }
 
     /// Work conservation: however occupancy fluctuates, total busy time
@@ -42,16 +44,19 @@ proptest! {
         let mut d = SharedDevice::new(SimTime::ZERO, 0.0);
         let mut sorted = arrivals.clone();
         sorted.sort();
+        let mut done = Vec::new();
         for (i, &(at_ms, work_ms)) in sorted.iter().enumerate() {
             // Drain anything already finished before this admit.
             let now = SimTime::from_millis(at_ms);
-            d.pop_completed(now);
+            d.pop_completed(now, &mut done);
             d.admit(now, BatchId(i as u64), MlModel::GoogleNet, 0.4, work_ms as f64 / 1_000.0);
         }
         let mut completed = 0;
         let mut guard = 0;
         while let Some(t) = d.next_completion() {
-            completed += d.pop_completed(t + SimDuration::from_micros(2)).len();
+            done.clear();
+            d.pop_completed(t + SimDuration::from_micros(2), &mut done);
+            completed += done.len();
             guard += 1;
             prop_assert!(guard < 10_000, "device failed to drain");
         }
