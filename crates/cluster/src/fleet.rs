@@ -55,8 +55,8 @@ use crate::worker::{Worker, WorkerId, WorkerState};
 use paldia_hw::{Catalog, CostMeter, InstanceKind};
 use paldia_obs::{BatchTrigger, TraceEventKind, Tracer};
 use paldia_sim::{
-    run_partition, Calendar, CalendarEvent, EventKey, PartitionCalendar, SimDuration, SimTime,
-    World,
+    run_partition, Calendar, CalendarEvent, EventKey, PartitionCalendar, RunOutcome, SimDuration,
+    SimTime, World,
 };
 use paldia_traces::{Predictor, RateWindow};
 use paldia_workloads::tokens::{iteration_ms, TokenCard};
@@ -344,9 +344,10 @@ pub(crate) struct FleetHarness<'a> {
 
     /// Per-tenant id namespacing, with the global index of this harness's
     /// first tenant: worker ids become `(global dep << 20) | ordinal` and
-    /// batch ids `(global dep << 48) | ordinal`, so every tenant's ids are
-    /// independent of how tenants are grouped into shards (each shard holds
-    /// a contiguous chunk). `None`: the serial engine's run-global counters.
+    /// batch ids `(global dep << 48) | ordinal`, so a tenant's ids do not
+    /// depend on which partition runs it (the partitioned engine gives
+    /// each tenant its own). `None`: the serial engine's run-global
+    /// counters.
     namespace: Option<usize>,
 }
 
@@ -403,13 +404,13 @@ impl<'a> FleetHarness<'a> {
             // fall back to the cheapest kind with a free unit (oversubscribe
             // the requested kind only when literally nothing is free).
             let requested = self.tenants[dep].hw_timeline[0].1;
-            let initial = if self.leased_units(requested) < self.inventory {
+            let initial = if self.unit_free(requested) {
                 requested
             } else {
                 self.catalog
                     .by_cost_ascending()
                     .into_iter()
-                    .find(|&k| self.leased_units(k) < self.inventory)
+                    .find(|&k| self.unit_free(k))
                     .unwrap_or(requested)
             };
             self.tenants[dep].hw_timeline[0].1 = initial;
@@ -445,12 +446,16 @@ impl<'a> FleetHarness<'a> {
             .count() as u32
     }
 
+    /// Whether the inventory has an unleased unit of `kind`. Elastic
+    /// inventory always has one, so only finite inventory counts leases.
+    fn unit_free(&self, kind: InstanceKind) -> bool {
+        self.inventory == u32::MAX || self.leased_units(kind) < self.inventory
+    }
+
     /// Whether a new unit of `kind` can be leased right now: in the
     /// catalog, not taken out by an open crash window, a unit free.
     fn procurable(&self, kind: InstanceKind) -> bool {
-        self.catalog.contains(kind)
-            && !self.unavailable.contains(&kind)
-            && self.leased_units(kind) < self.inventory
+        self.catalog.contains(kind) && !self.unavailable.contains(&kind) && self.unit_free(kind)
     }
 
     /// The catalog a tenant can draw from right now: every procurable kind.
@@ -1363,8 +1368,8 @@ impl<'a> World for FleetHarness<'a> {
 }
 
 /// One event loop: a harness and its calendar. The serial batch engine,
-/// every fleet shard and the incremental [`crate::SimSession`] each hold
-/// one, built by [`Partition::new`].
+/// every tenant of a sharded fleet and the incremental
+/// [`crate::SimSession`] each hold one, built by [`Partition::new`].
 ///
 /// Arrivals ride the calendar's rail instead of its heap and device wakes
 /// live in per-worker registers, with virtual sequence numbers keeping the
@@ -1415,21 +1420,43 @@ impl<'a> Partition<'a> {
         Partition { harness, cal }
     }
 
-    /// Run every event ordered before `bound`; returns how many ran.
-    pub(crate) fn run_to(&mut self, bound: EventKey) -> u64 {
-        run_partition(
-            &mut self.harness,
-            &mut self.cal,
-            bound,
-            paldia_sim::engine::DEFAULT_EVENT_BUDGET,
-        )
-        .events()
+    /// Run every event ordered before `bound`, at most `budget` of them.
+    pub(crate) fn run_to(&mut self, bound: EventKey, budget: u64) -> RunOutcome {
+        run_partition(&mut self.harness, &mut self.cal, bound, budget)
+    }
+
+    /// How many events a run of this partition dispatched. A run that
+    /// exhausted its event budget is a runaway (a livelocked policy or
+    /// batcher) and its results are partial, so this panics instead,
+    /// naming the partition's tenant scopes, the simulated time and the
+    /// budget.
+    pub(crate) fn dispatched(&self, outcome: RunOutcome) -> u64 {
+        assert!(
+            !matches!(outcome, RunOutcome::BudgetExhausted { .. }),
+            "runaway run: tenant {} stopped short of its horizon: {outcome:?}",
+            self.scopes()
+        );
+        outcome.events()
+    }
+
+    /// The trace scopes of this partition's tenants, for messages.
+    fn scopes(&self) -> String {
+        let tenants = &self.harness.tenants;
+        match (tenants.first(), tenants.last()) {
+            (Some(first), Some(last)) if first.scope != last.scope => {
+                format!("scopes {}..={}", first.scope, last.scope)
+            }
+            (Some(only), _) => format!("scope {}", only.scope),
+            _ => "none".to_string(),
+        }
     }
 }
 
 /// The serial engine: every tenant with its `arrivals` in one
 /// [`Partition`], fault edges in its calendar, run to the horizon
-/// `trace_end + DRAIN_GRACE`.
+/// `trace_end + DRAIN_GRACE`. Panics if the run dispatches `budget`
+/// events before the horizon ([`Partition::dispatched`]).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_serial<'a>(
     tenants: Vec<Tenant<'a>>,
     arrivals: Vec<Vec<SampledArrival>>,
@@ -1438,11 +1465,13 @@ pub(crate) fn run_serial<'a>(
     cfg: &'a SimConfig,
     trace_end: SimTime,
     tracer: Tracer<'a>,
+    budget: u64,
 ) -> RunOutput {
     let horizon = trace_end + DRAIN_GRACE;
     let harness = FleetHarness::new(cfg, catalog, inventory, tenants, trace_end, tracer, None);
     let mut part = Partition::new(harness, arrivals, 0, true);
-    let events = part.run_to(EventKey::new(horizon, 0));
+    let outcome = part.run_to(EventKey::new(horizon, 0), budget);
+    let events = part.dispatched(outcome);
     let mut harness = part.harness;
     harness.emit_summary(horizon, events);
     RunOutput {
@@ -1455,9 +1484,10 @@ pub(crate) fn run_serial<'a>(
 mod tests {
     use super::*;
     use crate::faults::{FailoverPolicyKind, FaultPlan, FaultWindow};
-    use crate::harness::sample_arrivals;
+    use crate::harness::{sample_arrivals, sample_tenants};
     use crate::policy::ModelDecision;
     use paldia_obs::{TraceEvent, VecSink};
+    use paldia_sim::engine::DEFAULT_EVENT_BUDGET;
     use paldia_sim::EventQueue;
     use paldia_traces::RateTrace;
     use std::sync::{Arc, Mutex};
@@ -1541,7 +1571,7 @@ mod tests {
             ],
         };
         let mut part = Partition::new(harness, vec![vec![], vec![]], 0, true);
-        part.run_to(EventKey::new(end, 0));
+        part.run_to(EventKey::new(end, 0), DEFAULT_EVENT_BUDGET);
         let t1 = &part.harness.tenants[1].hw_timeline;
         assert!(t1.iter().any(|&(t, k)| k == a && t < 8.0), "{t1:?}");
         let log = log.lock().expect("log lock");
@@ -1657,6 +1687,7 @@ mod tests {
             cfg,
             trace_end,
             Tracer::new(&mut cal_sink),
+            DEFAULT_EVENT_BUDGET,
         );
 
         let mut heap_sink = VecSink::new();
@@ -1736,5 +1767,70 @@ mod tests {
         ];
         let result = assert_heap_reference(sched, &specs, &cfg);
         assert!(!result.completed.is_empty());
+    }
+
+    /// Run a two-tenant fleet of one-model tenants under an event budget of
+    /// 50 through `engine`, which must panic; returns the panic message.
+    fn runaway_message(
+        engine: impl for<'a> FnOnce(Vec<Tenant<'a>>, Vec<Vec<SampledArrival>>, SimTime, &'a SimConfig),
+    ) -> String {
+        let cfg = SimConfig::with_seed(3);
+        let specs = [steady(MlModel::ResNet50, 50.0, 10)];
+        let (arrivals, trace_end) = sample_tenants([&specs[..], &specs[..]], cfg.seed);
+        let hw = InstanceKind::G3s_xlarge;
+        let mut scheds = [Fixed::on(hw), Fixed::on(hw)];
+        let tenants = scheds.iter_mut().enumerate().map(|(dep, sched)| {
+            let (label, scope) = (Some(format!("t{dep}")), dep as u32 + 1);
+            Tenant::new(sched, vec![MlModel::ResNet50], hw, &cfg, label, scope)
+        });
+        let tenants = tenants.collect();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine(tenants, arrivals, trace_end, &cfg)
+        }));
+        let payload = caught.expect_err("a run past its event budget must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("a formatted panic message")
+    }
+
+    /// A run that exhausts its event budget stops, naming its tenants, the
+    /// simulated time and the budget, instead of returning its partial
+    /// results as if it had finished: the serial engine names every
+    /// tenant, the partitioned one the first partition past its budget.
+    #[test]
+    fn runs_past_their_event_budget_panic() {
+        let serial = runaway_message(|tenants, arrivals, trace_end, cfg| {
+            let (catalog, tracer) = (Catalog::table_ii(), Tracer::disabled());
+            run_serial(
+                tenants,
+                arrivals,
+                catalog,
+                u32::MAX,
+                cfg,
+                trace_end,
+                tracer,
+                50,
+            );
+        });
+        assert!(
+            serial.starts_with("runaway run: tenant scopes 1..=2 "),
+            "{serial}"
+        );
+        let sharded = runaway_message(|tenants, arrivals, trace_end, cfg| {
+            let (catalog, coord) = (Catalog::table_ii(), Tracer::disabled());
+            let tracers = vec![Tracer::disabled(), Tracer::disabled()];
+            shard::drive(
+                tenants, arrivals, trace_end, catalog, cfg, 1, tracers, coord, 50,
+            );
+        });
+        assert!(
+            sharded.starts_with("runaway run: tenant scope 1 "),
+            "{sharded}"
+        );
+        for msg in [serial, sharded] {
+            assert!(msg.contains("BudgetExhausted { at: t+"), "{msg}");
+            assert!(msg.ends_with("budget: 50 }"), "{msg}");
+        }
     }
 }

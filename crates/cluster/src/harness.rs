@@ -10,13 +10,14 @@
 //! drift from what the simulator samples.
 
 use crate::config::SimConfig;
-use crate::fleet::shard::{chunk_count, drive};
+use crate::fleet::shard::drive;
 use crate::fleet::{run_serial, FleetDeployment, Tenant};
 use crate::policy::Scheduler;
 use crate::request::RequestId;
 use crate::result::RunResult;
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_obs::{merge_streams, TraceSink, Tracer, VecSink};
+use paldia_sim::engine::DEFAULT_EVENT_BUDGET;
 use paldia_sim::{SimRng, SimTime};
 use paldia_traces::{generate_arrivals, RateTrace};
 use paldia_workloads::MlModel;
@@ -75,7 +76,7 @@ pub fn sample_arrivals(workloads: &[WorkloadSpec], seed: u64) -> (Vec<SampledArr
 /// across the run. Forks consume entropy from the parent stream, so
 /// sampling is serial and precedes the choice of engine. A lone
 /// deployment is tenant 0, which is [`sample_arrivals`].
-fn sample_tenants<'w>(
+pub(crate) fn sample_tenants<'w>(
     tenants: impl IntoIterator<Item = &'w [WorkloadSpec]>,
     seed: u64,
 ) -> (Vec<Vec<SampledArrival>>, SimTime) {
@@ -133,11 +134,12 @@ pub struct RunSpec<'a> {
     pub units_per_kind: u32,
     /// Seed, timing, fault plan and failover policy.
     pub cfg: &'a SimConfig,
-    /// `None` runs the serial engine; `Some(k)` partitions the tenants
-    /// across up to `k` event loops when the inventory is elastic and there
-    /// is more than one tenant, and runs serially otherwise. The engines
-    /// differ only in same-instant ordering around fault edges (see
-    /// [`crate::fleet::shard`]); clean elastic runs are bit-identical.
+    /// `None` runs the serial engine; `Some(k)` runs each tenant on its own
+    /// event loop, stepped by up to `k` parallel jobs, when the inventory
+    /// is elastic and there is more than one tenant, and runs serially
+    /// otherwise. The engines differ only in same-instant ordering around
+    /// fault edges (see [`crate::fleet::shard`]) and in the event count;
+    /// clean elastic runs give bit-identical results.
     pub shards: Option<u32>,
     /// Where the observability stream goes; `None` runs untraced. Results
     /// and the event count do not depend on it.
@@ -191,9 +193,11 @@ impl<'a> RunSpec<'a> {
 pub struct RunOutput {
     /// One result per deployment, in input order.
     pub results: Vec<RunResult>,
-    /// Engine events dispatched, summed over shards; equal to the traced
-    /// stream's `RunSummary` count. On the partitioned engine it depends
-    /// on the shard count (each shard runs its own keep-alive chain).
+    /// Engine events dispatched, summed over partitions; equal to the
+    /// traced stream's `RunSummary` count. The partitioned engine runs one
+    /// partition per tenant whatever the shard count, so the count is the
+    /// same for every `Some(k)`; it differs from the serial engine's, which
+    /// runs one keep-alive chain for the whole fleet.
     pub events: u64,
 }
 
@@ -233,26 +237,46 @@ pub fn run(spec: RunSpec<'_>) -> RunOutput {
     let (catalog, units) = (spec.catalog, spec.units_per_kind);
     // Finite inventory couples tenants at every lease, and a lone tenant
     // has nothing to partition: both run on the serial engine.
-    let k = match spec.shards {
-        Some(k) if units == u32::MAX && tenants.len() > 1 => chunk_count(tenants.len(), k),
+    let shards = match spec.shards {
+        Some(k) if units == u32::MAX && tenants.len() > 1 => k,
         _ => {
             let tracer = match spec.sink {
                 Some(sink) => Tracer::new(sink),
                 None => Tracer::disabled(),
             };
-            return run_serial(tenants, arrivals, catalog, units, cfg, trace_end, tracer);
+            return run_serial(
+                tenants,
+                arrivals,
+                catalog,
+                units,
+                cfg,
+                trace_end,
+                tracer,
+                DEFAULT_EVENT_BUDGET,
+            );
         }
     };
-    // Traced, each shard records its own stream and the coordinator
-    // (stream 0) owns scope 0; `merge_streams` folds them in `(at, scope)`
-    // order, so the merged stream does not depend on `k` (bar the
-    // `RunSummary` count). Untraced, every tracer is disabled.
-    let streams = if spec.sink.is_some() { k + 1 } else { 0 };
+    // Traced, each tenant's partition records its own stream and the
+    // coordinator (stream 0) owns scope 0; `merge_streams` folds them in
+    // `(at, scope)` order, so the merged stream does not depend on the
+    // shard count. Untraced, every tracer is disabled.
+    let n = tenants.len();
+    let streams = if spec.sink.is_some() { n + 1 } else { 0 };
     let mut sinks: Vec<VecSink> = (0..streams).map(|_| VecSink::new()).collect();
     let mut tracers: Vec<Tracer<'_>> = sinks.iter_mut().map(|s| Tracer::new(s)).collect();
-    tracers.resize_with(k + 1, Tracer::disabled);
+    tracers.resize_with(n + 1, Tracer::disabled);
     let coord = tracers.remove(0);
-    let out = drive(tenants, arrivals, trace_end, catalog, cfg, tracers, coord);
+    let out = drive(
+        tenants,
+        arrivals,
+        trace_end,
+        catalog,
+        cfg,
+        shards,
+        tracers,
+        coord,
+        DEFAULT_EVENT_BUDGET,
+    );
     if let Some(sink) = spec.sink {
         merge_streams(sinks.into_iter().map(VecSink::into_events).collect(), sink);
     }

@@ -17,8 +17,8 @@
 //! node inventory, and one batch entry point, [`run`]. A [`RunSpec`] names
 //! the deployments — one [`Tenants::Lone`] deployment, or a
 //! [`Tenants::Fleet`] co-scheduled over a shared (possibly finite)
-//! inventory — plus an optional shard count, which partitions elastic
-//! fleets across event loops, and an optional trace sink, which records
+//! inventory — plus an optional shard count, which runs each tenant of an
+//! elastic fleet on its own event loop, and an optional trace sink, which records
 //! the `paldia-obs` observability stream — per-request spans and scheduler
 //! decision logs — without perturbing metrics (bit-identical to the
 //! untraced run).

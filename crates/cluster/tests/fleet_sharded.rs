@@ -66,8 +66,19 @@ fn sharded(shards: u32, spec: RunSpec<'_>) -> RunSpec<'_> {
 
 /// The fingerprint of `deployments` over `units` per kind on `shards`.
 fn fleet(deps: Vec<FleetDeployment>, units: u32, cfg: &SimConfig, shards: Option<u32>) -> String {
+    fleet_counted(deps, units, cfg, shards).0
+}
+
+/// [`fleet`]'s fingerprint plus the engine event count.
+fn fleet_counted(
+    deps: Vec<FleetDeployment>,
+    units: u32,
+    cfg: &SimConfig,
+    shards: Option<u32>,
+) -> (String, u64) {
     let spec = RunSpec::fleet(deps, Catalog::table_ii(), units, cfg);
-    fingerprint(&run(RunSpec { shards, ..spec }).results)
+    let out = run(RunSpec { shards, ..spec });
+    (fingerprint(&out.results), out.events)
 }
 
 #[test]
@@ -89,10 +100,11 @@ fn faulted_fleet_is_invariant_across_shard_counts() {
         .cold_start_storm(SimTime::from_secs(50));
     let cfg =
         SimConfig::with_seed(22).with_faults(plan, FailoverPolicyKind::CheapestMorePerformant);
-    let baseline = fleet(deployments(70), ELASTIC, &cfg, Some(1));
+    let (baseline, events) = fleet_counted(deployments(70), ELASTIC, &cfg, Some(1));
     for shards in [2u32, 3, 7] {
-        let sharded = fleet(deployments(70), ELASTIC, &cfg, Some(shards));
+        let (sharded, n) = fleet_counted(deployments(70), ELASTIC, &cfg, Some(shards));
         assert_identical(&format!("faulted shards={shards}"), &baseline, &sharded);
+        assert_eq!(events, n, "faulted shards={shards}: event count");
     }
 }
 
@@ -136,18 +148,12 @@ fn finite_inventory_and_single_tenant_fall_back_to_serial() {
     assert_identical("single tenant", &serial, &sharded);
 }
 
-/// Trace-stream shape with the `RunSummary` dispatched-event count masked
-/// (each shard runs its own keep-alive chain, so the count varies with the
-/// shard count by design; everything else must not).
-fn masked_trace(events: Vec<paldia_obs::TraceEvent>) -> Vec<String> {
+/// Trace-stream shape, one line per event, the `RunSummary` count
+/// included.
+fn trace_lines(events: Vec<paldia_obs::TraceEvent>) -> Vec<String> {
     events
         .into_iter()
-        .map(|e| match e.kind {
-            TraceEventKind::RunSummary { horizon, .. } => {
-                format!("{}:{}:RunSummary@{horizon:?}", e.seq, e.scope)
-            }
-            kind => format!("{}:{}:{:?}@{:?}", e.seq, e.scope, kind, e.at),
-        })
+        .map(|e| format!("{}:{}:{:?}@{:?}", e.seq, e.scope, e.kind, e.at))
         .collect()
 }
 
@@ -175,9 +181,9 @@ fn traced_stream_is_invariant_across_shard_counts() {
             summary,
             "shards={shards}: RunSummary count"
         );
-        (masked_trace(events), fingerprint(&out.results), out.events)
+        (trace_lines(events), fingerprint(&out.results), out.events)
     };
-    let (trace1, results1, _) = capture(1);
+    let (trace1, results1, events1) = capture(1);
     assert!(
         trace1.iter().any(|l| l.contains("FaultEdge")),
         "fault edges must appear in the coordinator stream"
@@ -186,6 +192,7 @@ fn traced_stream_is_invariant_across_shard_counts() {
     for shards in [2u32, 4] {
         let (trace_n, results_n, events_n) = capture(shards);
         assert_eq!(results1, results_n, "traced results diverged at {shards}");
+        assert_eq!(events1, events_n, "event count diverged at shards={shards}");
         assert_eq!(
             trace1, trace_n,
             "merged trace stream diverged at shards={shards}"
@@ -197,5 +204,93 @@ fn traced_stream_is_invariant_across_shard_counts() {
         let label = format!("traced vs untraced, shards={shards}");
         assert_identical(&label, &fingerprint(&untraced.results), &results_n);
         assert_eq!(untraced.events, events_n, "{label}: event count");
+    }
+}
+
+/// Four tenants serving two or three models each. Each tenant's arrivals
+/// are sampled model-major, so its rail is out of time order and takes
+/// the stable sort in its own partition, where the serial engine sorts
+/// every tenant's arrivals together.
+fn multi_model_deployments(secs: u64) -> Vec<FleetDeployment> {
+    let served: [&[(MlModel, f64)]; 4] = [
+        &[(MlModel::GoogleNet, 40.0), (MlModel::ResNet50, 25.0)],
+        &[
+            (MlModel::SeNet18, 30.0),
+            (MlModel::MobileNet, 45.0),
+            (MlModel::GoogleNet, 15.0),
+        ],
+        &[(MlModel::ResNet50, 35.0), (MlModel::MobileNet, 20.0)],
+        &[
+            (MlModel::MobileNet, 10.0),
+            (MlModel::SeNet18, 50.0),
+            (MlModel::ResNet50, 20.0),
+        ],
+    ];
+    served
+        .into_iter()
+        .enumerate()
+        .map(|(i, models)| FleetDeployment {
+            name: format!("multi-{i}"),
+            workloads: models
+                .iter()
+                .map(|&(model, rps)| {
+                    paldia_cluster::WorkloadSpec::new(
+                        model,
+                        RateTrace::constant(
+                            rps,
+                            SimDuration::from_secs(secs),
+                            SimDuration::from_secs(1),
+                        ),
+                    )
+                })
+                .collect(),
+            scheduler: Box::new(PaldiaScheduler::new()),
+            initial_hw: Catalog::table_ii().by_cost_ascending()[i % 3],
+        })
+        .collect()
+}
+
+/// The per-tenant partitions against a shared calendar: on a clean elastic
+/// fleet of multi-model tenants, every shard count must give the serial
+/// engine's results and decision stream. Decisions are compared per
+/// tenant in emission order (the serial engine interleaves same-instant
+/// tenants by its heap order, the merged stream by scope).
+#[test]
+fn multi_model_partitions_match_the_serial_engine() {
+    let cfg = SimConfig::with_seed(26);
+    let capture = |shards: Option<u32>| {
+        let mut sink = VecSink::new();
+        let spec = RunSpec::fleet(
+            multi_model_deployments(45),
+            Catalog::table_ii(),
+            ELASTIC,
+            &cfg,
+        );
+        let out = run(RunSpec {
+            shards,
+            sink: Some(&mut sink),
+            ..spec
+        });
+        let mut decisions: Vec<(u32, String)> = sink
+            .into_events()
+            .into_iter()
+            .filter(|e| matches!(e.kind, TraceEventKind::Decision(_)))
+            .map(|e| (e.scope, format!("{:?}@{:?}", e.kind, e.at)))
+            .collect();
+        decisions.sort_by_key(|&(scope, _)| scope);
+        (fingerprint(&out.results), decisions)
+    };
+    let (serial, serial_decisions) = capture(None);
+    assert!(
+        serial_decisions.len() > 4,
+        "every tenant must decide at least once"
+    );
+    for shards in [1u32, 2, 7] {
+        let (results, decisions) = capture(Some(shards));
+        assert_identical(&format!("multi-model shards={shards}"), &serial, &results);
+        assert_eq!(
+            serial_decisions, decisions,
+            "multi-model shards={shards}: decision stream"
+        );
     }
 }

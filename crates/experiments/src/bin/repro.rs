@@ -18,12 +18,13 @@
 //! repetition (the paper uses five) and shortened heavy traces. Experiments
 //! execute on the bounded worker pool (`--jobs N` / `PALDIA_JOBS` override
 //! the cap; parallel output is bit-identical to `--jobs 1`). `--shards N`
-//! sets the partition count of the `--stress` fleet (1 when absent;
-//! results are invariant across shard counts; shards compose with
-//! `--jobs`). `--timings` prints per-experiment wall-clock plus the
-//! y-search plan-cache hit rate and appends an entry to `BENCH_repro.json`
-//! at the root of the workspace containing the working directory (exit 2
-//! when there is none).
+//! sets how many parallel jobs step the `--stress` fleet's per-tenant
+//! partitions (1 when absent; results and the engine event count are
+//! invariant across shard counts; shards compose with `--jobs`, which
+//! caps how many of those jobs run at once). `--timings` prints
+//! per-experiment wall-clock plus the y-search plan-cache hit rate and
+//! appends an entry to `BENCH_repro.json` at the root of the workspace
+//! containing the working directory (exit 2 when there is none).
 //!
 //! The ablation and sensitivity studies are opt-in rows: each runs when
 //! named by its report id, and the alias `ablations` selects all eight
@@ -35,7 +36,9 @@
 //! scale instead: 1000 Paldia tenants at 56 req/s each for 180 simulated
 //! seconds (~10.08 M requests on a 1000+-node elastic fleet), reporting
 //! wall-clock, engine events/s, and conservation — a workload the serial
-//! engine cannot turn around interactively.
+//! engine cannot turn around interactively. With `--timings` it appends a
+//! `"mode": "stress"` entry (wall seconds, engine events and events/s) to
+//! `BENCH_repro.json`.
 //!
 //! `--trace FILE` re-runs the primary evaluation setting
 //! ([`diffcap::PrimaryScenario`]: the quick 120 s slice with `--quick`, the
@@ -101,6 +104,7 @@ use paldia_experiments::timings::{append_entry, default_bench_path, FigureTiming
 use paldia_experiments::*;
 use paldia_sim::{SimDuration, SimTime};
 use std::num::NonZeroU32;
+use std::path::Path;
 use std::time::Instant;
 
 /// Short hash of the commit the binary runs from, "unknown" outside git.
@@ -116,9 +120,45 @@ fn current_commit() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Run the `--stress` scenario and report throughput. Exits non-zero if
-/// the run loses requests or the fleet never reaches 1000 node leases.
-fn run_stress_report(shards: u32) {
+/// A `BENCH_repro.json` entry for a run that took `total_s`: the host,
+/// pool, commit and plan-cache facts filled in, figures left empty.
+fn bench_entry(label: &str, mode: &str, shards: u32, seed: u64, total_s: f64) -> TimingReport {
+    let (cache_hits, cache_misses) = ysearch::cache_counters();
+    TimingReport {
+        label: label.to_string(),
+        unix_time: std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_secs())
+            .unwrap_or(0),
+        mode: mode.to_string(),
+        commit: current_commit(),
+        nproc: std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        jobs: pool::max_jobs(),
+        shards,
+        seed,
+        total_s,
+        figures: Vec::new(),
+        cache_hits,
+        cache_misses,
+        engine_events: None,
+    }
+}
+
+/// Append `report` to the bench file at `path` and say so.
+fn record_entry(path: &Path, report: &TimingReport) {
+    match append_entry(path, report) {
+        Ok(()) => outln!("recorded entry '{}' in {}", report.label, path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
+}
+
+/// Run the `--stress` scenario and report throughput; with `bench`
+/// (`--timings`), append a `stress` entry under `label` to that file.
+/// Exits non-zero if the run loses requests or the fleet never reaches
+/// 1000 node leases.
+fn run_stress_report(shards: u32, bench: Option<&Path>, label: &str) {
     let spec = stress::StressSpec::full();
     outln!(
         "stress — {} tenants × {} req/s × {}s (~{:.2} M requests), {} shard(s), {} job(s)",
@@ -129,6 +169,7 @@ fn run_stress_report(shards: u32) {
         shards,
         pool::max_jobs()
     );
+    ysearch::reset_cache_counters();
     let t0 = Instant::now();
     let out = stress::run_stress(&spec, shards);
     let wall = t0.elapsed().as_secs_f64();
@@ -152,6 +193,13 @@ fn run_stress_report(shards: u32) {
     );
     let conserved = out.completed + out.unserved == out.arrived;
     let at_scale = out.node_leases >= 1000 && out.arrived >= 10_000_000;
+    if let Some(path) = bench {
+        let report = TimingReport {
+            engine_events: Some(out.engine_events),
+            ..bench_entry(label, "stress", shards, spec.seed, wall)
+        };
+        record_entry(path, &report);
+    }
     if !conserved || !at_scale {
         eprintln!("stress FAILED: conserved={conserved}, at_scale={at_scale}");
         std::process::exit(1);
@@ -619,7 +667,7 @@ fn main() {
     }
 
     if cli.has("--stress") {
-        run_stress_report(shards);
+        run_stress_report(shards, bench_path.as_deref(), &label);
         return;
     }
     // Decision-log diff subcommands: none of them run the experiment
@@ -700,31 +748,12 @@ fn main() {
 
     outln!("{}", "=".repeat(72));
     if let Some(path) = bench_path {
-        let (cache_hits, cache_misses) = ysearch::cache_counters();
         let report = TimingReport {
-            label,
-            unix_time: std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-            mode: mode.to_string(),
-            commit: current_commit(),
-            nproc: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            jobs: pool::max_jobs(),
-            shards,
-            seed: opts.seed_base,
-            total_s,
             figures: figure_times,
-            cache_hits,
-            cache_misses,
+            ..bench_entry(&label, mode, shards, opts.seed_base, total_s)
         };
         emit(&report.render());
-        match append_entry(&path, &report) {
-            Ok(()) => outln!("recorded entry '{}' in {}", report.label, path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
+        record_entry(&path, &report);
         outln!("{}", "=".repeat(72));
     }
     outln!(

@@ -84,9 +84,8 @@ pub struct StressOutcome {
     pub completed: u64,
     /// Requests still in flight / dropped at the horizon.
     pub unserved: u64,
-    /// Engine events dispatched across all shards. The only field that
-    /// may vary (slightly) with the shard count: each shard runs its own
-    /// keep-alive tick chain.
+    /// Engine events dispatched across all tenants' partitions; like
+    /// every other field, the same for every shard count.
     pub engine_events: u64,
     /// Distinct node leases across the fleet (≥ one per tenant).
     pub node_leases: u64,
@@ -131,11 +130,6 @@ pub fn run_stress(spec: &StressSpec, shards: u32) -> StressOutcome {
 mod tests {
     use super::*;
 
-    /// Everything except the per-shard keep-alive event count.
-    fn shape(o: &StressOutcome) -> (u64, u64, u64, u64, usize) {
-        (o.arrived, o.completed, o.unserved, o.node_leases, o.tenants)
-    }
-
     #[test]
     fn smoke_stress_conserves_and_is_shard_invariant() {
         // Same shape as the full spec, seconds of work.
@@ -147,14 +141,10 @@ mod tests {
         };
         let a = run_stress(&spec, 1);
         let b = run_stress(&spec, 3);
-        assert_eq!(
-            shape(&a),
-            shape(&b),
-            "stress outcome must be invariant across shards"
-        );
+        assert_eq!(a, b, "stress outcome must be invariant across shards");
         assert_eq!(a.tenants, spec.tenants);
         assert_eq!(a.completed + a.unserved, a.arrived);
-        assert!(a.arrived > 0 && a.engine_events > 0 && b.engine_events > 0);
+        assert!(a.arrived > 0 && a.engine_events > 0);
         assert!(a.node_leases >= spec.tenants as u64);
     }
 

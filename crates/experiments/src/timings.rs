@@ -4,8 +4,10 @@
 //! `repro --timings` times the run end-to-end and per figure, reports the
 //! y-search plan-cache hit rate, prints a timing table, and appends one
 //! entry to `BENCH_repro.json` so every PR has a recorded before/after
-//! trajectory. The file is handwritten JSON (the workspace builds offline,
-//! without serde):
+//! trajectory. `repro --stress --timings` appends a `"mode": "stress"`
+//! entry with no figures, whose `total_s` is the fleet run's wall-clock and
+//! which adds `engine_events` and `events_per_s`. The file is handwritten
+//! JSON (the workspace builds offline, without serde):
 //!
 //! ```json
 //! {
@@ -47,7 +49,7 @@ pub struct TimingReport {
     pub label: String,
     /// Seconds since the Unix epoch when the run finished.
     pub unix_time: u64,
-    /// "quick" or "full".
+    /// "quick", "full" or "stress".
     pub mode: String,
     /// Git commit the binary was built from ("unknown" outside a repo).
     pub commit: String,
@@ -68,6 +70,8 @@ pub struct TimingReport {
     pub cache_hits: u64,
     /// Process-wide y-search plan-cache misses.
     pub cache_misses: u64,
+    /// Engine events the run dispatched (`--stress` only).
+    pub engine_events: Option<u64>,
 }
 
 impl TimingReport {
@@ -111,13 +115,17 @@ impl TimingReport {
             .map(|f| format!("{{\"id\": \"{}\", \"secs\": {:.3}}}", escape(&f.id), f.secs))
             .collect::<Vec<_>>()
             .join(", ");
+        let engine = self.engine_events.map_or(String::new(), |n| {
+            let per_s = n as f64 / self.total_s;
+            format!(", \"engine_events\": {n}, \"events_per_s\": {per_s:.0}")
+        });
         format!(
             concat!(
                 "{{\"label\": \"{}\", \"unix_time\": {}, \"mode\": \"{}\", ",
                 "\"commit\": \"{}\", ",
                 "\"nproc\": {}, \"jobs\": {}, \"shards\": {}, \"seed\": {}, \"total_s\": {:.3}, ",
                 "\"figures\": [{}], ",
-                "\"ysearch_cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}}}}}"
+                "\"ysearch_cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}}}{}}}"
             ),
             escape(&self.label),
             self.unix_time,
@@ -132,6 +140,7 @@ impl TimingReport {
             self.cache_hits,
             self.cache_misses,
             self.cache_hit_rate(),
+            engine,
         )
     }
 }
@@ -228,6 +237,7 @@ mod tests {
             ],
             cache_hits: 90,
             cache_misses: 10,
+            engine_events: None,
         }
     }
 
@@ -243,6 +253,33 @@ mod tests {
         assert!(j.contains("\"nproc\": 2, \"jobs\": 4"));
         assert!(j.contains("\"shards\": 1"));
         assert!(j.contains("\"hit_rate\": 0.9000"));
+    }
+
+    #[test]
+    fn stress_entry_records_engine_throughput() {
+        let e = TimingReport {
+            mode: "stress".into(),
+            shards: 2,
+            jobs: 2,
+            total_s: 2.5,
+            figures: Vec::new(),
+            engine_events: Some(20_000_000),
+            ..entry("stress-run")
+        };
+        let j = e.to_json();
+        assert!(j.contains("\"mode\": \"stress\""), "{j}");
+        assert!(
+            j.contains("\"nproc\": 2, \"jobs\": 2, \"shards\": 2"),
+            "{j}"
+        );
+        assert!(j.contains("\"total_s\": 2.500, \"figures\": [], "), "{j}");
+        assert!(j.contains("\"commit\": \"deadbeef\""), "{j}");
+        assert!(
+            j.ends_with("\"engine_events\": 20000000, \"events_per_s\": 8000000}"),
+            "{j}"
+        );
+        // A figure-sweep entry carries no engine fields.
+        assert!(!entry("base").to_json().contains("engine_events"));
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Deterministic merge of per-shard trace streams.
+//! Deterministic merge of per-partition trace streams.
 //!
-//! A sharded fleet run (`run` with `shards: Some(k)` in `paldia-cluster`) records
-//! each shard's events into its own sink, plus one coordinator stream for
-//! fleet-global events (fault edges, the run summary, scope 0). This
+//! A sharded fleet run (`run` with `shards: Some(k)` in `paldia-cluster`)
+//! records each tenant partition's events into its own sink, plus one
+//! coordinator stream for fleet-global events (fault edges, the run
+//! summary, scope 0). This
 //! module folds those streams back into a single sink whose contents are
 //! **independent of the shard count**:
 //!
@@ -25,7 +26,7 @@ use crate::sink::TraceSink;
 
 /// An unbounded in-memory sink: every recorded event, in emission order.
 ///
-/// The per-shard capture buffer for sharded fleet runs; unlike
+/// The per-partition capture buffer for sharded fleet runs; unlike
 /// [`crate::RingSink`] it never evicts, so the merge sees complete
 /// streams.
 #[derive(Debug, Default)]
@@ -65,7 +66,7 @@ impl TraceSink for VecSink {
 /// with ties broken by stream index, and re-assign sequence numbers.
 ///
 /// Contract: each scope should be owned by exactly one stream (the
-/// coordinator owns scope 0, each tenant's shard owns `1 + dep`); the
+/// coordinator owns scope 0, each tenant's partition owns `1 + dep`); the
 /// stable sort then keeps every scope's subsequence in its original
 /// emission order, making the output independent of how scopes were
 /// grouped into streams.

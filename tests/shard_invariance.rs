@@ -1,7 +1,8 @@
 //! Shard-count invariance of the partitioned fleet engine, as properties:
-//! whatever the workload mix, seed, or fault schedule, the number of
-//! partitions must never change a single bit of the output — and the
-//! engine must complete even when shards outnumber the worker pool.
+//! whatever the workload mix, seed, or fault schedule, the shard count
+//! must never change a single bit of the output or the engine event count
+//! — and the engine must complete even when shards outnumber the worker
+//! pool.
 
 use paldia::cluster::{
     FailoverPolicyKind, FaultPlan, FleetDeployment, RunResult, RunSpec, SimConfig, WorkloadSpec,
@@ -43,14 +44,18 @@ fn fingerprint(results: &[RunResult]) -> String {
     format!("{results:?}")
 }
 
-fn run(rates: &[f64], secs: u64, cfg: &SimConfig, shards: u32) -> String {
+/// The results' fingerprint and the engine event count: neither may
+/// depend on the shard count.
+fn run(rates: &[f64], secs: u64, cfg: &SimConfig, shards: u32) -> (String, u64) {
     let spec = RunSpec::fleet(fleet(rates, secs), Catalog::table_ii(), ELASTIC, cfg);
     let shards = Some(shards);
-    fingerprint(&paldia_cluster::run(RunSpec { shards, ..spec }).results)
+    let out = paldia_cluster::run(RunSpec { shards, ..spec });
+    (fingerprint(&out.results), out.events)
 }
 
 proptest! {
-    /// Clean elastic fleets: identical output at shard counts 1, 2, 3, 7.
+    /// Clean elastic fleets: identical output and event count at shard
+    /// counts 1, 2, 3, 7.
     #[test]
     fn clean_fleet_is_invariant_across_shard_counts(
         seed in 0u64..1_000,
